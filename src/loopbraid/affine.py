@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .braided import affine_bvs, swap_operator
-from .errors import CapExceeded, NotStochastic
+from .errors import CapExceeded, InvalidParameters, NotStochastic
 from .linalg import Matrix, WeightedPerm
 from .rings import IntegersMod, ZmInt, subgroup_generated, unit_group
 
@@ -26,9 +26,15 @@ class AffineParams:
     n: int
 
     def __post_init__(self):
-        assert self.m >= 2 and self.n >= 2
-        assert math.gcd(self.m, self.t) == 1, "t must be a unit mod m"
-        assert self.t % self.m != 1 % self.m, "t = 1 is the diagonalizable case"
+        if self.m < 2:
+            raise InvalidParameters("m must be at least 2, got %d" % self.m)
+        if self.n < 2:
+            raise InvalidParameters("n must be at least 2, got %d" % self.n)
+        if math.gcd(self.m, self.t) != 1:
+            raise InvalidParameters("t = %d must be a unit mod m = %d" % (self.t, self.m))
+        if self.t % self.m == 1:
+            raise InvalidParameters("t = %d is 1 mod m = %d, the diagonalizable case"
+                                    % (self.t, self.m))
 
     @property
     def ring(self):
@@ -135,58 +141,78 @@ def from_agl_form(el: AglElement) -> Matrix:
     return (b.inverse() * h * b).transpose()
 
 
-def _canonical_key(g: Matrix) -> bytes:
-    out = bytearray(g.ring.m.to_bytes(4, "big"))
-    for row in g.rows:
-        for v in row:
-            out += v.residue.to_bytes(4, "big")
-    return bytes(out)
-
-
 @dataclass
 class ImageResult:
     order: int
     complete: bool
     elements: list | None = None
+    determinants: frozenset = frozenset()   # residues mod m of the elements found
+
+
+def _column_update(g: Matrix) -> tuple:
+    """Right multiplication by g on a row-major tuple of residues, as
+    (destination, ((source, coefficient), ...)) entry updates.
+
+    Only the columns where g differs from the identity are rewritten; a
+    generator image is the identity outside two adjacent columns, so a
+    product costs O(n) multiply-adds.
+    """
+    n = g.nrows
+    cols = [[v.residue for v in col] for col in zip(*g.rows)]
+    return tuple((r * n + c, tuple((r * n + k, v) for k, v in enumerate(col) if v))
+                 for r in range(n)
+                 for c, col in enumerate(cols)
+                 if any(v != int(k == c) for k, v in enumerate(col)))
 
 
 def generate_image(p: AffineParams, cap: int = 10 ** 7, keep_elements: bool = False,
                    strict: bool = False) -> ImageResult:
     """Breadth-first closure of the generator images under multiplication.
 
-    Expansion multiplies the frontier by the 2(n-1) generators and their
-    inverses only; the stored element set behaves as an insert-if-absent
-    map keyed on canonical bytes.  Output ordering is lexicographic on the
-    serialized entries, independent of the expansion schedule.
+    Elements are row-major tuples of residues mod m.  Expansion multiplies
+    the frontier by the 2(n-1) generators and their inverses only, each
+    applied as a two-column update; the stored element set behaves as an
+    insert-if-absent map from element to its determinant, which is
+    det(a) det(g) for a product a g.  Output ordering is lexicographic on
+    the residues, independent of the expansion schedule.
     """
+    m, n = p.m, p.n
     gens = list(rho_generators(p).values())
-    mults = gens + [g.inverse() for g in gens]
-    seen = {}
-    ident = Matrix.identity(p.ring, p.n)
-    seen[_canonical_key(ident)] = ident
+    mults = [(_column_update(g), g.det().residue)
+             for g in gens + [g.inverse() for g in gens]]
+    ident = tuple(int(r == c) for r in range(n) for c in range(n))
+    seen = {ident: 1}
     frontier = [ident]
-    complete = True
     while frontier:
         nxt = []
         for a in frontier:
-            for g in mults:
-                b = a * g
-                key = _canonical_key(b)
-                if key not in seen:
-                    seen[key] = b
+            det_a = seen[a]
+            for updates, det_g in mults:
+                b = list(a)
+                for dst, terms in updates:
+                    acc = 0
+                    for src, v in terms:
+                        acc += a[src] * v
+                    b[dst] = acc % m
+                b = tuple(b)
+                if b not in seen:
+                    seen[b] = det_a * det_g % m
                     nxt.append(b)
                     if len(seen) > cap:
                         if strict:
                             raise CapExceeded("closure passed cap %d" % cap)
-                        return ImageResult(len(seen), False,
-                                           _sorted_elements(seen) if keep_elements else None)
+                        return _image_result(p, seen, False, keep_elements)
         frontier = nxt
-    return ImageResult(len(seen), complete,
-                       _sorted_elements(seen) if keep_elements else None)
+    return _image_result(p, seen, True, keep_elements)
 
 
-def _sorted_elements(seen):
-    return [seen[k] for k in sorted(seen)]
+def _image_result(p, seen, complete, keep_elements):
+    elements = None
+    if keep_elements:
+        ring, n = p.ring, p.n
+        elements = [Matrix.from_int_rows(ring, [key[r * n:(r + 1) * n] for r in range(n)])
+                    for key in sorted(seen)]
+    return ImageResult(len(seen), complete, elements, frozenset(seen.values()))
 
 
 def gl_order(m: int, k: int) -> int:

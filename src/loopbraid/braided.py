@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GroupTypeViolation, NotGroupType
+from .errors import GroupTypeViolation, InvalidParameters, NotGroupType
 from .linalg import Matrix, WeightedPerm, kron_list
 from .rings import LQ, QQ, LaurentPoly
 from .words import check_relations, relations_for
@@ -259,7 +259,10 @@ def affine_bvs(m: int, t: int) -> BVS:
     tensor basis vectors (basis x_0 .. x_{m-1} indexed mod m).
     """
     import math
-    assert m >= 2 and math.gcd(m, t) == 1
+    if m < 2:
+        raise InvalidParameters("m must be at least 2, got %d" % m)
+    if math.gcd(m, t) != 1:
+        raise InvalidParameters("t = %d must be a unit mod m = %d" % (t, m))
     g = []
     for j in range(m):
         rows = [[QQ.zero] * m for _ in range(m)]

@@ -13,13 +13,12 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .affine import (AffineParams, agl_order, determinant_profile,
-                     drinfeld_report, generate_image, rho_generators,
-                     signed_power_set, surjectivity_predicate)
+from .affine import (AffineParams, agl_order, drinfeld_report, generate_image,
+                     rho_generators, signed_power_set, surjectivity_predicate)
 from .analysis import (bmw_check, branching_graph, default_seed,
                        harmonic_end_dims, semisimplicity_check)
 from .braided import affine_bvs, c2_hecke, diagonal_bvs, swap_bvs
-from .errors import LoopBraidError
+from .errors import InvalidParameters, LoopBraidError
 from .rings import rational_from_str
 from .tensor import (TauRep, charge_blocks, f_operator, full_images,
                      harmonic_decompose, localized_young_dim, localized_harmonic_prediction,
@@ -105,11 +104,10 @@ def _cmd_ybe(args):
 
 def _cmd_affine_image(args):
     p = AffineParams(args.m, args.t, args.n)
-    result = generate_image(p, cap=args.cap, keep_elements=True)
+    result = generate_image(p, cap=args.cap, keep_elements=args.emit_elements)
     pred = surjectivity_predicate(args.m, args.t)
     expected = agl_order(args.m, args.n - 1)
-    dets = determinant_profile(p, result.elements)
-    det_values = sorted(v.residue for v in dets)
+    det_values = sorted(result.determinants)
     allowed = sorted(v.residue for v in signed_power_set(args.m, args.t))
     det_ok = set(det_values) <= set(allowed)
     report = {"m": args.m, "t": args.t, "n": args.n,
@@ -369,6 +367,9 @@ def dispatch(argv) -> int:
     start = time.monotonic()
     try:
         report, code = _HANDLERS[args.command](args)
+    except InvalidParameters as exc:
+        sys.stderr.write("usage error: %s\n" % exc)
+        return 2
     except (LoopBraidError, AssertionError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

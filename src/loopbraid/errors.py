@@ -5,6 +5,10 @@ class LoopBraidError(Exception):
     pass
 
 
+class InvalidParameters(LoopBraidError):
+    """Caller-supplied parameters lie outside a construction's domain."""
+
+
 class NotAUnit(LoopBraidError):
     """Inversion requested for a non-invertible scalar."""
 

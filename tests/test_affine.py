@@ -11,7 +11,7 @@ from loopbraid.affine import (AffineParams, AglElement, agl_order,
                               rho_generators, signed_power_set,
                               surjectivity_predicate, to_agl_form)
 from loopbraid.braided import affine_bvs, swap_operator
-from loopbraid.errors import CapExceeded, NotStochastic
+from loopbraid.errors import CapExceeded, InvalidParameters, NotStochastic
 from loopbraid.linalg import Matrix
 from loopbraid.rings import IntegersMod
 
@@ -104,6 +104,49 @@ def test_generate_image_proper_subgroup():
     assert dets == allowed == {1, 3, 9, 12, 10, 4}
 
 
+def _matrix_closure_oracle(p, cap):
+    """Breadth-first closure by dense Matrix products over ZmInt, keyed on
+    4-byte big-endian residues: the reference for the packed closure."""
+    def key(g):
+        out = bytearray(g.ring.m.to_bytes(4, "big"))
+        for row in g.rows:
+            for v in row:
+                out += v.residue.to_bytes(4, "big")
+        return bytes(out)
+
+    gens = list(rho_generators(p).values())
+    mults = gens + [g.inverse() for g in gens]
+    ident = Matrix.identity(p.ring, p.n)
+    seen = {key(ident): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in mults:
+                b = a * g
+                k = key(b)
+                if k not in seen:
+                    seen[k] = b
+                    nxt.append(b)
+                    if len(seen) > cap:
+                        return len(seen), False, [seen[k] for k in sorted(seen)]
+        frontier = nxt
+    return len(seen), True, [seen[k] for k in sorted(seen)]
+
+
+@pytest.mark.parametrize("m,t,n", [(3, 2, 2), (3, 2, 3), (5, 2, 2), (7, 3, 2), (9, 2, 2),
+                                   (13, 3, 2), (4, 3, 2), (4, 3, 3), (8, 3, 2), (6, 5, 3)])
+def test_generate_image_matches_matrix_oracle(m, t, n):
+    p = AffineParams(m, t, n)
+    for cap in (10, 100, 10 ** 7):
+        order, complete, elements = _matrix_closure_oracle(p, cap)
+        result = generate_image(p, cap=cap, keep_elements=True)
+        assert (result.order, result.complete) == (order, complete), (cap,)
+        assert [res(g) for g in result.elements] == [res(g) for g in elements], (cap,)
+        assert set(result.determinants) == \
+            {d.residue for d in determinant_profile(p, elements)}, (cap,)
+
+
 def test_generate_image_cap():
     partial = generate_image(AffineParams(5, 2, 3), cap=10)
     assert not partial.complete and partial.order > 10
@@ -194,7 +237,13 @@ def test_drinfeld_report():
 
 
 def test_params_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidParameters):
         AffineParams(6, 2, 2)   # gcd != 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidParameters):
         AffineParams(5, 1, 2)   # t = 1 excluded
+    with pytest.raises(InvalidParameters):
+        AffineParams(5, 6, 3)   # t = 1 mod m excluded
+    with pytest.raises(InvalidParameters):
+        AffineParams(5, 2, 1)   # fewer than two strands
+    with pytest.raises(InvalidParameters):
+        affine_bvs(4, 2)

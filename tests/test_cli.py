@@ -1,10 +1,17 @@
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
+import pytest
 
+import loopbraid
 from loopbraid.cli import dispatch, emit_dot
+from loopbraid.linalg import Matrix
+from loopbraid.rings import IntegersMod
 
 
 def run(capsys, *argv):
@@ -56,6 +63,54 @@ def test_affine_image_emit_elements(capsys):
     report = json.loads(out)
     assert len(report["elements"]) == 6
     validate(report, "affine_image")
+
+
+def test_affine_image_report_contract(capsys):
+    code, out = run(capsys, "affine-image", "--m", "3", "--t", "2", "--n", "3",
+                    "--emit-elements")
+    assert code == 0
+    report = json.loads(out)
+    validate(report, "affine_image")
+    elements = report["elements"]
+    assert len(elements) == report["order"] == 432
+    assert elements == sorted(elements)
+    assert len({tuple(e) for e in elements}) == len(elements)
+    ring = IntegersMod(3)
+    dets = {Matrix.from_int_rows(ring, [e[r * 3:(r + 1) * 3] for r in range(3)]).det().residue
+            for e in elements}
+    assert report["determinants"] == sorted(dets)
+    code, out = run(capsys, "affine-image", "--m", "3", "--t", "2", "--n", "3",
+                    "--cap", "10")
+    assert code == 1
+    report = json.loads(out)
+    validate(report, "affine_image")
+    assert report["complete"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("affine-image", "--m", "4", "--t", "2", "--n", "3"),   # t not a unit
+    ("affine-image", "--m", "5", "--t", "2", "--n", "1"),   # one strand
+    ("affine-image", "--m", "5", "--t", "6", "--n", "3"),   # t = 1 mod m
+    ("ybe", "--bvs", "affine", "--m", "4", "--t", "2"),     # t not a unit
+])
+def test_invalid_affine_parameters_exit_two(capsys, argv):
+    assert dispatch(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("usage error: ") and lines[0] != "usage error: "
+
+
+def test_invalid_affine_parameters_exit_two_without_asserts():
+    # python -O strips assert statements, so validation must not use them
+    env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "loopbraid.cli", "affine-image",
+                           "--m", "4", "--t", "2", "--n", "3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
 
 
 def test_decompose_contains_block(capsys):
