@@ -6,7 +6,7 @@ cubic-algebra relation certificates."""
 
 __version__ = "0.1.0"
 
-from .errors import (CapExceeded, DimensionBlowup, GroupTypeViolation,
+from .errors import (CapExceeded, GroupTypeViolation,
                      IncompleteMatch, LoopBraidError, NonFieldModulus,
                      NotAUnit, NotGroupType, NotIdempotent, NotStochastic,
                      SingularImage)

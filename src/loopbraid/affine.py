@@ -331,7 +331,8 @@ def drinfeld_report(m: int, t: int) -> dict:
     affine braiding at the inverse parameter t^-1.  The literal transpose
     at the same t fails in general and is reported for transparency.
     """
-    assert math.gcd(m, t) == 1 and math.gcd(m, (1 - t) % m) == 1
+    if math.gcd(m, t) != 1 or math.gcd(m, (1 - t) % m) != 1:
+        raise InvalidParameters("t = %d and 1 - t must be units mod m = %d" % (t, m))
     r_hat = drinfeld_r_permutation(m, t)
     c = affine_bvs(m, t).c
     s = swap_operator(c.ring, m)

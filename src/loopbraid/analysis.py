@@ -19,10 +19,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (DimensionBlowup, IncompleteMatch, NotIdempotent)
-from .linalg import Matrix, RowSpan, WeightedPerm
-from .rings import LQ, QQ, LaurentPoly, is_probable_prime
-from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep,
+from .errors import IncompleteMatch, NotIdempotent
+from .linalg import Matrix, RowSpan, WeightedPerm, rank
+from .rings import LQ, QQ, LaurentPoly
+from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _digits,
                      charge_blocks, f_operator, full_images,
                      harmonic_decompose, partition_block, right_color_action,
                      young_module)
@@ -155,76 +155,10 @@ def hom_dim(m1: ModuleSpec, m2: ModuleSpec) -> int:
     return _project_hom(comps, e2, e1, m1.block.dim, m2.block.dim)
 
 
-def is_irreducible(m: ModuleSpec, seed=None) -> bool:
+def is_irreducible(m: ModuleSpec) -> bool:
     """end_dim == 1; valid as an irreducibility certificate in the
-    semisimple regime.  For large modules a random spin over two primes
-    may short-circuit the reducible verdict first."""
-    if m.dim > 100:
-        if _spin_reducible(m, seed if seed is not None else default_seed()):
-            return False
+    semisimple regime."""
     return end_dim(m) == 1
-
-
-def _spin_reducible(m: ModuleSpec, seed) -> bool:
-    """Random-vector generated submodule over Z_p on M and its transpose;
-    a proper invariant subspace at two independent primes short-circuits
-    'reducible'."""
-    rng = random.Random(seed)
-    primes = []
-    while len(primes) < 2:
-        p = rng.randrange(2 ** 30 + 1, 2 ** 31) | 1
-        if is_probable_prime(p) and p not in primes:
-            primes.append(p)
-    ops = [mat for mat in m.restricted_ops()]
-    verdicts = []
-    for p in primes:
-        red = []
-        for transpose in (False, True):
-            mats = [_mat_mod_p(op, p, transpose) for op in ops]
-            vec = [rng.randrange(p) for _ in range(m.dim)]
-            dim = _spin_dim_mod_p(mats, vec, p)
-            red.append(dim < m.dim)
-        verdicts.append(any(red))
-    return all(verdicts)
-
-
-def _mat_mod_p(mat: Matrix, p: int, transpose=False):
-    rows = []
-    src = mat.transpose() if transpose else mat
-    for r in src.rows:
-        rows.append([(v.numerator * pow(v.denominator, -1, p)) % p for v in r])
-    return rows
-
-
-def _spin_dim_mod_p(mats, vec, p):
-    n = len(vec)
-    pivots = {}
-
-    def insert(v):
-        v = list(v)
-        for c, row in sorted(pivots.items()):
-            if v[c]:
-                f = v[c]
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        piv = next((c for c in range(n) if v[c]), None)
-        if piv is None:
-            return None
-        inv = pow(v[piv], -1, p)
-        v = [a * inv % p for a in v]
-        pivots[piv] = v
-        return v
-
-    frontier = [v for v in [insert(vec)] if v]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for mat in mats:
-                img = [sum(row[j] * v[j] for j in range(n) if v[j]) % p for row in mat]
-                added = insert(img)
-                if added:
-                    nxt.append(added)
-        frontier = nxt
-    return len(pivots)
 
 
 def is_e_null(m: ModuleSpec, f_mat: Matrix) -> bool:
@@ -272,39 +206,14 @@ class AlgebraSpan:
 
 
 def algebra_span(generators) -> AlgebraSpan:
-    """Linear basis of the unital algebra generated by square matrices.
-
-    Seeds with the identity and the generators, multiplies pairwise and
-    reduces by elimination until the dimension stabilizes.
-    """
+    """Linear basis of the unital algebra generated by square matrices."""
     assert generators, "need at least one generator"
-    gens = [g.to_matrix() if isinstance(g, WeightedPerm) else g for g in generators]
-    d = gens[0].nrows
-    assert all(g.nrows == g.ncols == d for g in gens)
-    span = RowSpan(d * d)
-    basis = []
-
-    def insert(mat):
-        if span.insert([v for r in mat.rows for v in r]):
-            if span.dim > d * d:
-                raise DimensionBlowup("span exceeded %d" % (d * d))
-            basis.append(mat)
-            return True
-        return False
-
-    insert(Matrix.identity(gens[0].ring, d))
-    for g in gens:
-        insert(g)
-    frontier = list(basis)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(basis):
-                for prod in (a * b, b * a):
-                    if insert(prod):
-                        fresh.append(prod)
-        frontier = fresh
-    return AlgebraSpan(d, basis)
+    gens = [BlockOp([g.to_matrix() if isinstance(g, WeightedPerm) else g])
+            for g in generators]
+    d = gens[0].mats[0].nrows
+    assert all(g.mats[0].nrows == g.mats[0].ncols == d for g in gens)
+    basis = _closure(gens, BlockOp([Matrix.identity(gens[0].mats[0].ring, d)]))
+    return AlgebraSpan(d, [b.mats[0] for b in basis])
 
 
 class BlockOp:
@@ -390,17 +299,6 @@ def _closure(gens, ident):
     return basis
 
 
-def _rank_of_columns(cols):
-    if not cols:
-        return 0
-    span = RowSpan(len(cols[0]))
-    rank = 0
-    for c in cols:
-        if span.insert(c):
-            rank += 1
-    return rank
-
-
 def _center_dim(basis, constraints):
     """dim of {x in span(basis) : [x, c] = 0 for all constraints}."""
     cols = []
@@ -409,7 +307,7 @@ def _center_dim(basis, constraints):
         for c in constraints:
             col.extend((b * c).sub(c * b).vec())
         cols.append(col)
-    return len(basis) - _rank_of_columns(cols)
+    return len(basis) - rank(cols)
 
 
 def semisimplicity_check(N, n, x) -> dict:
@@ -423,7 +321,7 @@ def semisimplicity_check(N, n, x) -> dict:
     gram_rows = []
     for a in basis:
         gram_rows.append([a.trace_product(b) for b in basis])
-    radical = len(basis) - _rank_of_columns(gram_rows)
+    radical = len(basis) - rank(gram_rows)
     center = _center_dim(basis, gens)
     return {"radical_dim": radical, "center_dim": center,
             "algebra_dim": len(basis)}
@@ -450,7 +348,7 @@ def localization_report(N, n, x) -> dict:
     if not (e * e) == e:
         raise NotIdempotent("f/N! fails to square to itself")
     gram_rows = [[a.trace_product(b) for b in basis] for a in basis]
-    radical = len(basis) - _rank_of_columns(gram_rows)
+    radical = len(basis) - rank(gram_rows)
     count_a = _center_dim(basis, gens)
 
     # eAe
@@ -476,7 +374,7 @@ def localization_report(N, n, x) -> dict:
         for g in gens:
             col.extend(span_aea.reduce((b * g).sub(g * b).vec()))
         cols.append(col)
-    dim_solutions = len(basis) - _rank_of_columns(cols)
+    dim_solutions = len(basis) - rank(cols)
     count_quotient = dim_solutions - dim_aea
 
     return {"radical_dim": radical,
@@ -523,31 +421,6 @@ def _trace_with_projector(w: WeightedPerm, e):
         if e.rows[i][j]:
             acc += w.wts[i] * e.rows[i][j]
     return acc
-
-
-def _solve_unique(rows, ncols):
-    """Solve an overdetermined linear system given as [coeffs | rhs] rows;
-    unique exact solution required."""
-    work = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            raise IncompleteMatch("trace system is rank deficient")
-        work[r], work[piv] = work[piv], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [inv * v for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(work)):
-        if any(work[i]):
-            raise IncompleteMatch("trace system is inconsistent")
-    return [work[i][ncols] for i in range(ncols)]
 
 
 def _restriction_candidates(m: ModuleSpec):
@@ -603,33 +476,38 @@ def restrict_and_branch(m: ModuleSpec, seed=None, max_words=80) -> BranchReport:
         cand_ops.append(ops)
 
     keys = list(src_ops)
-    words = [()]
-    rows = []
+    k = len(cands)
+    span = RowSpan(k + 1)  # [candidate traces | trace on M]
+    words_used = 0
 
     def add_row(word):
+        nonlocal words_used
         wsrc = _compose_word(src_ops, word, block.dim)
         row = []
         for c, ops in zip(cands, cand_ops):
             wc = _compose_word(ops, word, c.block.dim)
             row.append(_trace_with_projector(wc, c.projector))
         row.append(_trace_with_projector(wsrc, e_m))
-        rows.append(row)
+        span.insert(row)
+        words_used += 1
+
+    def coeff_rank():
+        # pivots left of the rhs column
+        return span.dim - (k in span.pivot_of)
 
     add_row(())
-    rank_span = RowSpan(len(cands))
-    rank_span.insert(rows[0][:-1])
     tries = 0
-    while keys and rank_span.dim < len(cands) and tries < max_words:
-        word = tuple(rng.choice(keys) for _ in range(rng.randrange(1, 7)))
-        add_row(word)
-        rank_span.insert(rows[-1][:-1])
+    while keys and coeff_rank() < k and tries < max_words:
+        add_row(tuple(rng.choice(keys) for _ in range(rng.randrange(1, 7))))
         tries += 1
-    if rank_span.dim < len(cands):
-        raise IncompleteMatch("could not separate %d candidates" % len(cands))
+    if coeff_rank() < k:
+        raise IncompleteMatch("could not separate %d candidates" % k)
     if keys:
         for _ in range(6):  # extra verification rows
             add_row(tuple(rng.choice(keys) for _ in range(rng.randrange(1, 7))))
-    mults = _solve_unique(rows, len(cands))
+    if k in span.pivot_of:
+        raise IncompleteMatch("trace system is inconsistent")
+    mults = [span.rows[span.pivot_of[c]][k] for c in range(k)]
     total = 0
     summands = []
     for c, mult in zip(cands, mults):
@@ -641,7 +519,7 @@ def restrict_and_branch(m: ModuleSpec, seed=None, max_words=80) -> BranchReport:
         summands.append({"label": c.label_json(), "multiplicity": int(mult),
                          "dim": c.dim})
     report = BranchReport(m.label_json(), m.dim, summands,
-                          verified=(total == m.dim), words_used=len(rows))
+                          verified=(total == m.dim), words_used=words_used)
     if total != m.dim:
         raise IncompleteMatch("summand dimensions %d != module dimension %d"
                               % (total, m.dim))
@@ -778,7 +656,7 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
     q = LaurentPoly.gen()
     qi = q.inverse()
     ident = Matrix.identity(LQ, d)
-    words = [tuple(_digits_base(i, N, n)) for i in range(d)]
+    words = [tuple(_digits(i, N, n)) for i in range(d)]
 
     b = {i: images[("sigma", i)] for i in range(1, n)}
     u = {}
@@ -822,14 +700,6 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
     return BmwReport(N, n, results)
 
 
-def _digits_base(i, N, n):
-    out = []
-    for _ in range(n):
-        out.append(i % N + 1)
-        i //= N
-    return reversed(out)
-
-
 def _laurent_witness(lhs, rhs, words):
     a = lhs.to_matrix() if isinstance(lhs, WeightedPerm) else lhs
     bm = rhs.to_matrix() if isinstance(rhs, WeightedPerm) else rhs
@@ -845,7 +715,7 @@ def _laurent_witness(lhs, rhs, words):
 # ---------------------------------------------------------------------------
 # Exploratory sweep used by the higher-rank conjecture probe.
 
-def harmonic_end_dims(N, n, x, seed=None) -> list:
+def harmonic_end_dims(N, n, x) -> list:
     """end_dim for every harmonic module at (N, n, x); reported evidence,
     not an assertion."""
     out = []

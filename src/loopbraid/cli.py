@@ -43,7 +43,16 @@ def _emit(report):
 
 
 def _frac(text):
-    return Fraction(rational_from_str(text))
+    try:
+        return Fraction(rational_from_str(text))
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParameters("%r is not a rational number" % text) from None
+
+
+def _require(args, names, what):
+    missing = ["--" + name for name in names if getattr(args, name) is None]
+    if missing:
+        raise InvalidParameters("%s needs %s" % (what, " and ".join(missing)))
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +60,14 @@ def _frac(text):
 
 def _cmd_check_relations(args):
     if args.rep == "affine":
+        _require(args, ("m", "t"), "--rep affine")
         p = AffineParams(args.m, args.t, args.n)
         images = rho_generators(p)
         ring = "zm"
         params = {"rep": "affine", "m": args.m, "t": args.t, "n": args.n,
                   "variant": args.variant, "transposed": args.transposed}
     else:
+        _require(args, ("N",), "--rep tau")
         form = args.form
         rep = TauRep(args.N, _frac(args.x) if form == "x" else None, form)
         images = full_images(rep, args.n)
@@ -81,6 +92,7 @@ def _build_bvs(args):
             "rational" if args.q else "laurent"
     if args.bvs == "tau":
         return diagonal_bvs(args.N or 2, _frac(args.x or "2")), "rational"
+    _require(args, ("m", "t"), "--bvs affine")
     return affine_bvs(args.m, args.t), "rational"
 
 
@@ -182,7 +194,7 @@ def _cmd_branch(args):
 
 def _cmd_irreducible(args):
     x = _frac(args.x)
-    entries = harmonic_end_dims(args.N, args.n, x, seed=default_seed())
+    entries = harmonic_end_dims(args.N, args.n, x)
     all_simple = all(e["end_dim"] == 1 for e in entries)
     report = {"N": args.N, "n": args.n, "x": args.x, "ring": args.ring,
               "modules": [dict(e, irreducible=(e["end_dim"] == 1)) for e in entries],

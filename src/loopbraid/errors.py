@@ -14,7 +14,8 @@ class NotAUnit(LoopBraidError):
 
 
 class NonFieldModulus(LoopBraidError):
-    """Elimination over Z_m hit a column with nonzero entries but no unit pivot."""
+    """Elimination over Z_m (or the Laurent ring) reduced a row to nonzero
+    entries none of which is a unit."""
 
 
 class SingularImage(LoopBraidError):
@@ -39,10 +40,6 @@ class NotStochastic(LoopBraidError):
 
 class CapExceeded(LoopBraidError):
     """Closure grew past the element cap."""
-
-
-class DimensionBlowup(LoopBraidError):
-    """Algebra span exceeded d*d; indicates an arithmetic bug."""
 
 
 class IncompleteMatch(LoopBraidError):

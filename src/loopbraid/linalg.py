@@ -10,9 +10,10 @@ Two operator representations are used throughout the package:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import NonFieldModulus, NotAUnit, SingularImage
+from .errors import NonFieldModulus, SingularImage
 from .rings import QQ, IntegersMod
 
 
@@ -146,69 +147,43 @@ class Matrix:
         return Matrix(self.ring, out)
 
     def det(self):
-        """Exact determinant: fraction-free over Z_m, elimination over fields."""
+        """Exact determinant over QQ or Z_m: fraction-free elimination on
+        integer lifts, with each rational row cleared of denominators first
+        and residues reduced mod m at the end."""
         assert self.nrows == self.ncols
-        n = self.nrows
         if isinstance(self.ring, IntegersMod):
             lift = [[v.residue for v in r] for r in self.rows]
             return self.ring.from_int(_int_det_bareiss(lift))
-        rows = [list(r) for r in self.rows]
-        det = self.ring.one
-        for col in range(n):
-            piv = next((r for r in range(col, n) if rows[r][col] != self.ring.zero), None)
-            if piv is None:
-                return self.ring.zero
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            det = det * rows[col][col]
-            inv = self.ring.inv(rows[col][col])
-            for r in range(col + 1, n):
-                f = rows[r][col] * inv
-                if f:
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-        return det
+        scale = 1
+        lift = []
+        for r in self.rows:
+            den = math.lcm(*(Fraction(v).denominator for v in r))
+            scale *= den
+            lift.append([int(v * den) for v in r])
+        return Fraction(_int_det_bareiss(lift), scale)
 
     def inverse(self):
-        """Exact inverse; SingularImage if not invertible."""
+        """Exact inverse; SingularImage if not invertible.
+
+        Gauss-Jordan on [A | I].  Over Z_m the integer lift is inverted over
+        QQ and each entry num/den maps to num * den^-1 mod m; A is
+        invertible mod m exactly when every den is a unit mod m.
+        """
         assert self.nrows == self.ncols
         n = self.nrows
         ring = self.ring
-        if isinstance(ring, IntegersMod) and not ring.is_field:
-            return self._inverse_adjugate()
-        aug = [list(r) + [ring.one if i == j else ring.zero for j in range(n)]
-               for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n)
-                        if aug[r][col] != ring.zero and ring.is_unit(aug[r][col])), None)
-            if piv is None:
-                raise SingularImage("no unit pivot in column %d" % col)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = ring.inv(aug[col][col])
-            aug[col] = [inv * a for a in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != ring.zero:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return Matrix(ring, [r[n:] for r in aug])
-
-    def _inverse_adjugate(self):
-        # composite modulus: adjugate over integer lifts, then reduce
-        ring = self.ring
-        n = self.nrows
-        lift = [[v.residue for v in r] for r in self.rows]
-        d = _int_det_bareiss(lift) % ring.m
-        if d == 0 or __import__("math").gcd(d, ring.m) != 1:
-            raise SingularImage("determinant %d is not a unit mod %d" % (d, ring.m))
-        dinv = pow(d, -1, ring.m)
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [[lift[r][c] for c in range(n) if c != j]
-                         for r in range(n) if r != i]
-                cof = _int_det_bareiss(minor) if n > 1 else 1
-                adj[j][i] = (-1) ** (i + j) * cof
-        return Matrix.from_int_rows(ring, [[dinv * v for v in r] for r in adj])
+        if isinstance(ring, IntegersMod):
+            inv = Matrix(QQ, [[Fraction(v.residue) for v in r] for r in self.rows]).inverse()
+            if any(math.gcd(v.denominator, ring.m) != 1 for v in inv.entries()):
+                raise SingularImage("determinant is not a unit mod %d" % ring.m)
+            return Matrix.from_int_rows(ring, [[v.numerator * pow(v.denominator, -1, ring.m)
+                                                for v in r] for r in inv.rows])
+        span = RowSpan(n, ring)  # pivots in the A half only
+        for i, r in enumerate(self.rows):
+            span.insert(list(r) + [ring.one if i == j else ring.zero for j in range(n)])
+        if span.dim < n:
+            raise SingularImage("matrix is singular over %r" % (ring,))
+        return Matrix(ring, [span.rows[span.pivot_of[c]][n:] for c in range(n)])
 
     def to_json(self):
         return [[self.ring.to_json(v) for v in r] for r in self.rows]
@@ -333,10 +308,6 @@ def op_dim(op):
     return op.n if isinstance(op, WeightedPerm) else op.nrows
 
 
-def op_inverse(op):
-    return op.inverse()
-
-
 def kron_list(ops):
     out = ops[0]
     for op in ops[1:]:
@@ -348,60 +319,45 @@ def kron_list(ops):
 # Elimination.
 
 def rank_and_kernel(mat: Matrix):
-    """Row reduce and return (rank, kernel basis vectors).
-
-    Requires a field in practice (rationals or Z_p).  Over a composite
-    modulus the elimination proceeds while unit pivots exist and raises
-    NonFieldModulus when a column has nonzero entries but no unit among
-    them.
-    """
+    """Row reduce and return (rank, kernel basis vectors), one kernel
+    vector per non-pivot column.  NonFieldModulus as for RowSpan.insert."""
     ring = mat.ring
-    rows = [list(r) for r in mat.rows]
-    nr, nc = mat.nrows, mat.ncols
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(nc):
-        piv = None
-        for rr in range(r, nr):
-            if rows[rr][c] != ring.zero and ring.is_unit(rows[rr][c]):
-                piv = rr
-                break
-        if piv is None:
-            if any(rows[rr][c] != ring.zero for rr in range(r, nr)):
-                if isinstance(ring, IntegersMod) and not ring.is_field:
-                    raise NonFieldModulus(
-                        "no unit pivot in column %d over %r" % (c, ring))
-                raise NotAUnit("non-invertible pivot over %r" % (ring,))
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ring.inv(rows[r][c])
-        rows[r] = [inv * a for a in rows[r]]
-        for rr in range(nr):
-            if rr != r and rows[rr][c] != ring.zero:
-                f = rows[rr][c]
-                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nr:
-            break
-    rank = len(pivots)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(nc) if c not in pivot_cols]
+    span = RowSpan(mat.ncols, ring)
+    for r in mat.rows:
+        span.insert(r)
     kernel = []
-    for fc in free_cols:
-        v = [ring.zero] * nc
+    for fc in range(mat.ncols):
+        if fc in span.pivot_of:
+            continue
+        v = [ring.zero] * mat.ncols
         v[fc] = ring.one
-        for (pr, pc) in pivots:
-            v[pc] = -rows[pr][fc]
+        for pc, ri in span.pivot_of.items():
+            v[pc] = -span.rows[ri][fc]
         kernel.append(v)
-    return rank, kernel
+    return span.dim, kernel
+
+
+def rank(rows) -> int:
+    """Rank over QQ of a list of equal-length rows."""
+    span = RowSpan(len(rows[0]) if rows else 0)
+    for r in rows:
+        span.insert(r)
+    return span.dim
 
 
 class RowSpan:
-    """Incremental reduced row span over the rationals (dense Fraction rows)."""
+    """Incremental reduced row form over QQ, Z_m or the Laurent ring.
 
-    def __init__(self, width):
+    This is the package's one Gauss-Jordan routine.  Each accepted row is
+    normalised by the inverse of its pivot entry and back-substituted into
+    the earlier rows, so every pivot column is zero outside its own row.
+    Pivots lie in the first ``width`` columns; over QQ and Z_p each is the
+    leading entry, which makes the rows the reduced row echelon form.
+    """
+
+    def __init__(self, width, ring=QQ):
         self.width = width
+        self.ring = ring
         self.pivot_of = {}  # pivot column -> row index in self.rows
         self.rows = []
 
@@ -415,12 +371,19 @@ class RowSpan:
         return v
 
     def insert(self, vec) -> bool:
-        """Reduce vec against the span; add it if independent."""
+        """Reduce vec against the span; add it if independent.
+
+        The pivot is the first unit among the reduced row's entries;
+        NonFieldModulus if they are nonzero but none is a unit.
+        """
         v = self.reduce(vec)
-        piv = next((c for c in range(self.width) if v[c]), None)
+        is_unit = self.ring.is_unit
+        piv = next((c for c in range(self.width) if v[c] and is_unit(v[c])), None)
         if piv is None:
+            if any(v[:self.width]):
+                raise NonFieldModulus("no unit entry to pivot on over %r" % (self.ring,))
             return False
-        inv = Fraction(1) / v[piv]
+        inv = self.ring.inv(v[piv])
         v = [inv * a for a in v]
         # back-substitute into existing rows
         for ri, row in enumerate(self.rows):
@@ -432,28 +395,11 @@ class RowSpan:
         return True
 
     def contains(self, vec) -> bool:
-        return all(a == 0 for a in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     @property
     def dim(self):
         return len(self.rows)
-
-
-def nullspace_dim(rows, width) -> int:
-    """Dimension of the solution space of (rows) . x = 0 over QQ."""
-    span = RowSpan(width)
-    for r in rows:
-        span.insert(r)
-    return width - span.dim
-
-
-def fraction_rows_rank(rows) -> int:
-    if not rows:
-        return 0
-    span = RowSpan(len(rows[0]))
-    for r in rows:
-        span.insert(r)
-    return span.dim
 
 
 def laurent_matrix_at(mat: Matrix, q0) -> Matrix:

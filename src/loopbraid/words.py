@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SingularImage
-from .linalg import op_dim, op_identity_like, op_inverse
+from .linalg import op_dim, op_identity_like
 
 VARIANTS = ("LB", "OLB", "VB", "SLB")
 
@@ -136,7 +136,7 @@ class _ImageTable:
             return self.images[key]
         if key not in self._inv:
             try:
-                self._inv[key] = op_inverse(self.images[key])
+                self._inv[key] = self.images[key].inverse()
             except SingularImage:
                 raise SingularImage("image of %r is not invertible" % (g,))
         return self._inv[key]

@@ -31,7 +31,7 @@ def test_ybe_c2_both_normalizations():
 
 def test_ybe_invariant_under_inversion():
     for bvs in (swap_bvs(2), affine_bvs(5, 2), diagonal_bvs(2, Fraction(2)),
-                c2_hecke(2)):
+                c2_hecke(2), c2_hecke()):
         c_inv = bvs.c_inverse()
         assert BVS(bvs.d, c_inv).yang_baxter() == bvs.yang_baxter() is True
 

@@ -94,6 +94,23 @@ def test_affine_image_report_contract(capsys):
     ("ybe", "--bvs", "affine", "--m", "4", "--t", "2"),     # t not a unit
 ])
 def test_invalid_affine_parameters_exit_two(capsys, argv):
+    _assert_one_usage_line(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ybe", "--bvs", "affine"),
+    ("ybe", "--bvs", "affine", "--m", "5", "--t", "6", "--drinfeld"),  # 1 - t = 0 mod 5
+    ("check-relations", "--rep", "affine", "--n", "3"),
+    ("check-relations", "--rep", "tau", "--n", "3"),
+    ("check-relations", "--rep", "tau", "--N", "2", "--n", "3", "--x", "abc"),
+    ("decompose", "--N", "2", "--n", "3", "--x", "1/0"),
+    ("ybe", "--bvs", "c2", "--q", "abc"),
+])
+def test_missing_or_malformed_parameters_exit_two(capsys, argv):
+    _assert_one_usage_line(capsys, argv)
+
+
+def _assert_one_usage_line(capsys, argv):
     assert dispatch(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -105,12 +122,13 @@ def test_invalid_affine_parameters_exit_two(capsys, argv):
 def test_invalid_affine_parameters_exit_two_without_asserts():
     # python -O strips assert statements, so validation must not use them
     env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-O", "-m", "loopbraid.cli", "affine-image",
-                           "--m", "4", "--t", "2", "--n", "3"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
+    for argv in (["affine-image", "--m", "4", "--t", "2", "--n", "3"],
+                 ["ybe", "--bvs", "affine", "--m", "5", "--t", "6", "--drinfeld"]):
+        proc = subprocess.run([sys.executable, "-O", "-m", "loopbraid.cli"] + argv,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
 
 
 def test_decompose_contains_block(capsys):

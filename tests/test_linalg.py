@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from loopbraid.errors import NonFieldModulus, SingularImage
+from loopbraid.errors import IncompleteMatch, NonFieldModulus, SingularImage
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank_and_kernel
 from loopbraid.rings import QQ, IntegersMod, random_prime_above_2_30
 
@@ -103,3 +104,294 @@ def test_laurent_matrix_evaluation_rank():
     singular = Matrix(LQ, [[q, q], [q, q]])
     rank, kernel = rank_and_kernel(laurent_matrix_at(singular, Fraction(3)))
     assert rank == 1 and len(kernel) == 1
+
+
+# ---------------------------------------------------------------------------
+# Diff tests of the RowSpan kernel against the eliminations it replaced,
+# kept here as test-only oracles.
+
+def _oracle_rank_and_kernel(mat):
+    """Column-by-column Gauss-Jordan with a unit pivot search."""
+    ring = mat.ring
+    rows = [list(r) for r in mat.rows]
+    nr, nc = mat.nrows, mat.ncols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = None
+        for rr in range(r, nr):
+            if rows[rr][c] != ring.zero and ring.is_unit(rows[rr][c]):
+                piv = rr
+                break
+        if piv is None:
+            if any(rows[rr][c] != ring.zero for rr in range(r, nr)):
+                raise NonFieldModulus("no unit pivot in column %d" % c)
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ring.inv(rows[r][c])
+        rows[r] = [inv * a for a in rows[r]]
+        for rr in range(nr):
+            if rr != r and rows[rr][c] != ring.zero:
+                f = rows[rr][c]
+                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == nr:
+            break
+    pivot_cols = [c for _, c in pivots]
+    kernel = []
+    for fc in (c for c in range(nc) if c not in pivot_cols):
+        v = [ring.zero] * nc
+        v[fc] = ring.one
+        for pr, pc in pivots:
+            v[pc] = -rows[pr][fc]
+        kernel.append(v)
+    return len(pivots), kernel
+
+
+def _oracle_solve_unique(rows, ncols):
+    """Unique solution of [coeffs | rhs] rows by column-pivot elimination."""
+    work = [list(r) for r in rows]
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            raise IncompleteMatch("trace system is rank deficient")
+        work[r], work[piv] = work[piv], work[r]
+        inv = Fraction(1) / work[r][c]
+        work[r] = [inv * v for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        r += 1
+    for i in range(r, len(work)):
+        if any(work[i]):
+            raise IncompleteMatch("trace system is inconsistent")
+    return [work[i][ncols] for i in range(ncols)]
+
+
+def _oracle_field_det(rows):
+    """Determinant over QQ by elimination with field inverses."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det = det * rows[col][col]
+        inv = Fraction(1) / rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] * inv
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def _lift(mat):
+    if isinstance(mat.ring, IntegersMod):
+        return [[Fraction(v.residue) for v in r] for r in mat.rows]
+    return [list(r) for r in mat.rows]
+
+
+def _oracle_det(mat):
+    d = _oracle_field_det(_lift(mat))
+    if isinstance(mat.ring, IntegersMod):
+        return mat.ring.from_int(int(d))
+    return d
+
+
+def _oracle_adjugate_inverse(mat):
+    """adj(A) / det(A), each cofactor a rational determinant of the lift."""
+    lift = _lift(mat)
+    n = len(lift)
+    d = _oracle_field_det(lift)
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[lift[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            adj[j][i] = (-1) ** (i + j) * _oracle_field_det(minor)
+    ring = mat.ring
+    if isinstance(ring, IntegersMod):
+        d = int(d) % ring.m
+        if math.gcd(d, ring.m) != 1:
+            raise SingularImage("determinant %d is not a unit mod %d" % (d, ring.m))
+        dinv = pow(d, -1, ring.m)
+        return Matrix.from_int_rows(ring, [[dinv * int(v) for v in r] for r in adj])
+    if d == 0:
+        raise SingularImage("determinant is zero")
+    return Matrix(QQ, [[v / d for v in r] for r in adj])
+
+
+def _random_matrix(rng, ring, nrows, ncols, singular):
+    if ring is QQ:
+        rows = [[Fraction(rng.randrange(-4, 5), rng.choice((1, 1, 2, 3)))
+                 for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        rows = [[ring.from_int(rng.randrange(ring.m)) for _ in range(ncols)]
+                for _ in range(nrows)]
+    if singular and nrows > 1:
+        # last row a combination of two others (or a copy of one)
+        a, b = rng.randrange(nrows - 1), rng.randrange(nrows - 1)
+        k = ring.from_int(rng.randrange(-2, 3))
+        rows[-1] = [x + k * y for x, y in zip(rows[a], rows[b])]
+    return Matrix(ring, rows)
+
+
+DIFF_RINGS = [QQ, IntegersMod(7), IntegersMod(1000003),
+              IntegersMod(4), IntegersMod(6), IntegersMod(12)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NonFieldModulus, SingularImage) as exc:
+        return type(exc)
+
+
+def _same_span(ring, a, b):
+    """The two lists of vectors span the same module over the ring."""
+    def inside(vectors, basis):
+        # a coordinate where one basis vector is 1 and the others vanish
+        # reads off its coefficient in any combination
+        coords = [next(c for c in range(len(k)) if k[c] == ring.one
+                       and all(not o[c] for o in basis if o is not k)) for k in basis]
+        return all(w == [sum((w[c] * k[i] for c, k in zip(coords, basis)), ring.zero)
+                         for i in range(len(w))] for w in vectors)
+    return inside(a, b) and inside(b, a)
+
+
+@pytest.mark.parametrize("ring", DIFF_RINGS, ids=repr)
+def test_rowspan_kernel_matches_oracles(ring):
+    rng = random.Random(20260)
+    compared = 0
+    for size in range(1, 7):
+        for trial in range(12):
+            singular = trial % 2 == 1
+            sq = _random_matrix(rng, ring, size, size, singular)
+            assert sq.det() == _oracle_det(sq)
+            inv = _outcome(Matrix.inverse, sq)
+            assert inv == _outcome(_oracle_adjugate_inverse, sq)
+            if inv is not SingularImage:
+                assert sq * inv == Matrix.identity(ring, size)
+            rect = _random_matrix(rng, ring, size, rng.randrange(1, 7), singular)
+            got = _outcome(rank_and_kernel, rect)
+            want = _outcome(_oracle_rank_and_kernel, rect)
+            if ring.is_field:
+                assert got == want
+                compared += 1
+            elif got is not NonFieldModulus:
+                # over a composite modulus either elimination can get stuck
+                # where the other finds a unit; when both finish they agree
+                rank, kernel = got
+                assert len(kernel) == rect.ncols - rank
+                assert not any(any(rect.mul_vec(v)) for v in kernel)
+                if want is not NonFieldModulus:
+                    assert rank == want[0] and _same_span(ring, kernel, want[1])
+                    compared += 1
+    assert compared > 10
+
+
+def test_rowspan_solves_trace_shaped_systems():
+    # random overdetermined [coeffs | rhs] systems with unique, missing or
+    # inconsistent solutions, solved the way restrict_and_branch does
+    rng = random.Random(31)
+    for trial in range(60):
+        k = rng.randrange(1, 6)
+        x = [Fraction(rng.randrange(-3, 4)) for _ in range(k)]
+        rows = []
+        for _ in range(k + rng.randrange(0, 5)):
+            coeffs = [Fraction(rng.randrange(-5, 6)) for _ in range(k)]
+            rows.append(coeffs + [sum(a * b for a, b in zip(coeffs, x))])
+        if trial % 3 == 1:
+            rows[-1][-1] += 1
+        span = RowSpan(k + 1)
+        for r in rows:
+            span.insert(r)
+        coeff_rank = span.dim - (k in span.pivot_of)
+        try:
+            want = _oracle_solve_unique(rows, k)
+        except IncompleteMatch:
+            assert coeff_rank < k or k in span.pivot_of
+            continue
+        assert coeff_rank == k and k not in span.pivot_of
+        assert [span.rows[span.pivot_of[c]][k] for c in range(k)] == want
+        assert want == x or trial % 3 == 1
+
+
+@pytest.fixture
+def trace_spans(monkeypatch):
+    """Every RowSpan that analysis builds, with the rows inserted into it."""
+    from loopbraid import analysis
+
+    spans = []
+
+    class RecordingSpan(RowSpan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.inserted = []
+            spans.append(self)
+
+        def insert(self, vec):
+            self.inserted.append(list(vec))
+            return super().insert(vec)
+
+    monkeypatch.setattr(analysis, "RowSpan", RecordingSpan)
+    return spans
+
+
+def _sampled_rows(rows, k):
+    """Rows up to the first one giving full coefficient rank, by the oracle."""
+    ranks = [_oracle_rank_and_kernel(Matrix(QQ, [r[:k] for r in rows[:i]]))[0]
+             for i in range(1, len(rows) + 1)]
+    return ranks.index(k) + 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_branching_trace_systems_match_oracle(trace_spans, n):
+    from loopbraid import analysis
+    from loopbraid.tensor import TauRep, charge_blocks, harmonic_decompose, partition_block
+
+    rep = TauRep(3, Fraction(2))
+    for lam, _ in charge_blocks(3, n)[1]:
+        for mod in harmonic_decompose(partition_block(3, n, lam), rep):
+            for seed in (7, 401):
+                trace_spans.clear()
+                report = analysis.restrict_and_branch(mod, seed=seed)
+                (span,) = trace_spans
+                rows = span.inserted
+                k = span.width - 1
+                assert report.words_used == len(rows)
+                # six verification rows follow the sampling when words exist
+                assert len(rows) == _sampled_rows(rows, k) + (6 if n > 2 else 0)
+                mults = _oracle_solve_unique(rows, k)
+                assert [span.rows[span.pivot_of[c]][k] for c in range(k)] == mults
+                got = {str(s["label"]): s["multiplicity"] for s in report.summands}
+                cands = analysis._restriction_candidates(mod)
+                assert got == {str(c.label_json()): int(v)
+                               for c, v in zip(cands, mults) if v}
+
+
+def test_branching_inconsistent_trace_system(trace_spans, monkeypatch):
+    # without its first summand the restriction of this module cannot be
+    # matched: sampling must still stop on the coefficient rank alone, and
+    # the verdict comes after the verification rows
+    from loopbraid import analysis
+    from loopbraid.tensor import TauRep, harmonic_decompose, partition_block
+
+    rep = TauRep(3, Fraction(2))
+    (mod,) = [m for m in harmonic_decompose(partition_block(3, 4, (2, 1, 1)), rep)
+              if m.label.mu == ((1,), (2,))]
+    full = analysis._restriction_candidates
+    monkeypatch.setattr(analysis, "_restriction_candidates", lambda m: full(m)[1:])
+    with pytest.raises(IncompleteMatch, match="inconsistent"):
+        analysis.restrict_and_branch(mod, seed=7)
+    (span,) = trace_spans
+    k = span.width - 1
+    assert len(span.inserted) == _sampled_rows(span.inserted, k) + 6
+    with pytest.raises(IncompleteMatch, match="inconsistent"):
+        _oracle_solve_unique(span.inserted, k)
