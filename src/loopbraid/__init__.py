@@ -24,7 +24,7 @@ from .affine import (AffineParams, AglElement, agl_order, determinant_profile,
                      surjectivity_predicate, to_agl_form)
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep,
                      charge_blocks, f_operator, harmonic_decompose, localize,
-                     right_color_action, s_action, sigma_action, u_action)
+                     right_color_action)
 from .analysis import (algebra_span, bmw_check, branching_graph, end_dim,
                        hom_dim, is_e_null, is_irreducible,
                        localization_triangle_check, restrict_and_branch,

@@ -19,13 +19,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import IncompleteMatch, NotIdempotent
+from .errors import IncompleteMatch, InvalidParameters, NotIdempotent
 from .linalg import Matrix, RowSpan, WeightedPerm, rank
 from .rings import LQ, QQ, LaurentPoly
-from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _digits,
-                     charge_blocks, f_operator, full_images,
-                     harmonic_decompose, partition_block, right_color_action,
-                     young_module)
+from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_wp,
+                     charge_blocks, f_operator, harmonic_decompose,
+                     partition_block, right_color_action, young_module)
 
 DEFAULT_SEED = 0xB5EED
 
@@ -36,14 +35,6 @@ def default_seed() -> int:
 
 # ---------------------------------------------------------------------------
 # Hom spaces by orbit propagation.
-
-def _block_op_list(block: ChargeBlock, rep: TauRep):
-    ops = []
-    for j in range(1, block.n):
-        ops.append(block.sigma_op(j, rep))
-        ops.append(block.s_op(j, rep))
-    return ops
-
 
 def hom_space(ops_src, ops_tgt, d_src, d_tgt):
     """Basis of {X : X rho_src(g) = rho_tgt(g) X}, each element a dict
@@ -133,21 +124,15 @@ def _module_projector(m: ModuleSpec):
 
 def end_dim(m: ModuleSpec) -> int:
     """dim End(M): the intertwiner solution space on the projected module."""
-    ops = _block_op_list(m.block, m.rep)
-    comps = hom_space(ops, ops, m.block.dim, m.block.dim)
-    e = _module_projector(m)
-    if e is None:
-        return len(comps)
-    return _project_hom(comps, e, e, m.block.dim, m.block.dim)
+    return hom_dim(m, m)
 
 
 def hom_dim(m1: ModuleSpec, m2: ModuleSpec) -> int:
     """dim Hom(M1, M2) for modules at the same (N, n, x)."""
     assert m1.block.N == m2.block.N and m1.block.n == m2.block.n
     assert m1.rep == m2.rep
-    ops1 = _block_op_list(m1.block, m1.rep)
-    ops2 = _block_op_list(m2.block, m2.rep)
-    comps = hom_space(ops1, ops2, m1.block.dim, m2.block.dim)
+    comps = hom_space(m1.block.ops(m1.rep), m2.block.ops(m2.rep),
+                      m1.block.dim, m2.block.dim)
     e1 = _module_projector(m1)
     e2 = _module_projector(m2)
     if e1 is None and e2 is None:
@@ -172,11 +157,7 @@ def is_e_null(m: ModuleSpec, f_mat: Matrix) -> bool:
 def spin_dimension(block: ChargeBlock, rep: TauRep, vec, max_index=None) -> int:
     """Dimension of the submodule generated by a vector, exactly over the
     rationals; generators up to max_index (default all strands)."""
-    top = max_index if max_index is not None else block.n - 1
-    ops = []
-    for j in range(1, top + 1):
-        ops.append(block.sigma_op(j, rep))
-        ops.append(block.s_op(j, rep))
+    ops = block.ops(rep, max_index)
     span = RowSpan(block.dim)
     span.insert(vec)
     frontier = list(span.rows)
@@ -184,12 +165,8 @@ def spin_dimension(block: ChargeBlock, rep: TauRep, vec, max_index=None) -> int:
         fresh = []
         for v in frontier:
             for op in ops:
-                img = [QQ.zero] * op.n
-                for j, val in enumerate(v):
-                    if val:
-                        img[op.tgt[j]] = img[op.tgt[j]] + op.wts[j] * val
                 before = span.dim
-                if span.insert(img):
+                if span.insert(_apply_wp(op, v)):
                     fresh.append(span.rows[before])
         frontier = fresh
     return span.dim
@@ -256,18 +233,10 @@ class BlockOp:
 
 def _collapsed_generators(N, n, x):
     """Generator images on the direct sum of one block per partition."""
-    _, index = charge_blocks(N, n)
-    lams = [lam for lam, _ in index]
-    blocks = [partition_block(N, n, lam) for lam in lams]
     rep = TauRep(N, x)
-    gens = []
-    for j in range(1, n):
-        for kind in ("sigma", "s"):
-            mats = []
-            for b in blocks:
-                op = b.sigma_op(j, rep) if kind == "sigma" else b.s_op(j, rep)
-                mats.append(op.to_matrix())
-            gens.append(BlockOp(mats))
+    blocks = [partition_block(N, n, lam) for lam, _ in charge_blocks(N, n)[1]]
+    gens = [BlockOp([op.to_matrix() for op in ops])
+            for ops in zip(*(b.ops(rep) for b in blocks))]
     ident = BlockOp([Matrix.identity(QQ, b.dim) for b in blocks])
     return blocks, gens, ident, rep
 
@@ -463,19 +432,10 @@ def restrict_and_branch(m: ModuleSpec, seed=None, max_words=80) -> BranchReport:
     if m.projector is None and m.dim != block.dim:
         raise ValueError("restriction needs a projector or a full block")
 
-    src_ops = {}
-    cand_ops = []
-    for j in range(1, n - 1):
-        src_ops[("sigma", j)] = block.sigma_op(j, m.rep)
-        src_ops[("s", j)] = block.s_op(j, m.rep)
-    for c in cands:
-        ops = {}
-        for j in range(1, n - 1):
-            ops[("sigma", j)] = c.block.sigma_op(j, c.rep)
-            ops[("s", j)] = c.block.s_op(j, c.rep)
-        cand_ops.append(ops)
-
-    keys = list(src_ops)
+    # a word is a tuple of indices into the generator lists at level n-1
+    src_ops = block.ops(m.rep, n - 2)
+    cand_ops = [c.block.ops(c.rep) for c in cands]
+    keys = range(len(src_ops))
     k = len(cands)
     span = RowSpan(k + 1)  # [candidate traces | trace on M]
     words_used = 0
@@ -568,17 +528,14 @@ def verify_young_branching(N, lam, x=Fraction(2)) -> bool:
             w = block.words[idx]
             tw = right_color_action(w[:-1], tuple(relabel))
             mapping[idx] = target.index[tw]
-        for j in range(1, n - 1):
-            for kind in ("sigma", "s"):
-                src = block.sigma_op(j, rep) if kind == "sigma" else block.s_op(j, rep)
-                dst = target.sigma_op(j, rep) if kind == "sigma" else target.s_op(j, rep)
-                for idx in indices:
-                    ti = mapping[idx]
-                    if src.tgt[idx] not in mapping:
-                        return False  # fiber not invariant
-                    if (mapping[src.tgt[idx]], src.wts[idx]) != \
-                            (dst.tgt[ti], dst.wts[ti]):
-                        return False
+        for src, dst in zip(block.ops(rep, n - 2), target.ops(rep)):
+            for idx in indices:
+                ti = mapping[idx]
+                if src.tgt[idx] not in mapping:
+                    return False  # fiber not invariant
+                if (mapping[src.tgt[idx]], src.wts[idx]) != \
+                        (dst.tgt[ti], dst.wts[ti]):
+                    return False
         seen[target_lam] = seen.get(target_lam, 0) + 1
     return seen == young_branch_rule(N, lam)
 
@@ -649,16 +606,17 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
     the defining quotient (b - b^-1) / (q - q^-1) with exact polynomial
     division; the two must agree.
     """
-    assert n >= 3, "the mixed relation needs adjacent indices"
+    if n < 3:
+        raise InvalidParameters("the mixed relation needs n >= 3 strands, got %d" % n)
     rep = TauRep(N, None, "q")
-    images = full_images(rep, n)
-    d = N ** n
+    power = ChargeBlock(N, n)
+    d = power.dim
+    words = power.words
     q = LaurentPoly.gen()
     qi = q.inverse()
     ident = Matrix.identity(LQ, d)
-    words = [tuple(_digits(i, N, n)) for i in range(d)]
 
-    b = {i: images[("sigma", i)] for i in range(1, n)}
+    b = {i: power.sigma_op(i, rep) for i in range(1, n)}
     u = {}
     results = {}
     denom = q - qi
@@ -669,7 +627,7 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
         s_div = Matrix(LQ, [[diff.rows[r][c].divexact(denom)
                              for c in range(d)] for r in range(d)])
         u_from_def = ident - s_div
-        u_struct = ident - (images[("s", i)].to_matrix())
+        u_struct = ident - power.s_op(i, rep).to_matrix()
         u[i] = u_struct
         results.setdefault("u_definition", {"ok": True})
         if u_from_def != u_struct:

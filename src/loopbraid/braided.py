@@ -14,11 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GroupTypeViolation, InvalidParameters, NotGroupType
-from .linalg import Matrix, WeightedPerm, kron_list
+from .linalg import Matrix, WeightedPerm, kron_list, require_assembly
 from .rings import LQ, QQ, LaurentPoly
 from .words import check_relations, relations_for
-
-ASSEMBLY_LIMIT = 10 ** 4  # refuse dense tensor assemblies above this many rows
 
 
 @dataclass
@@ -231,9 +229,8 @@ def local_rep(lb: LoopBVS, n: int) -> dict:
     """Images sigma_i -> Id^(i-1) (x) c (x) Id^(n-i-1), s_i -> same with S."""
     assert n >= 2
     b = lb.base
-    if b.d ** n > ASSEMBLY_LIMIT and not isinstance(b.c, WeightedPerm):
-        raise ValueError("dense assembly of %d rows refused; use charge blocks"
-                         % b.d ** n)
+    if not isinstance(b.c, WeightedPerm):
+        require_assembly(b.d ** n)
     ident = _identity_on_v(b)
     images = {}
     for i in range(1, n):
@@ -246,6 +243,8 @@ def local_rep(lb: LoopBVS, n: int) -> dict:
 # Stock braided vector spaces.
 
 def swap_bvs(d, ring=QQ) -> BVS:
+    if d < 1:
+        raise InvalidParameters("dimension must be at least 1, got %d" % d)
     gt = GroupTypeData("right", [Matrix.identity(ring, d) for _ in range(d)])
     b = bvs_from_group_type(gt)
     b.name = "swap"
@@ -284,6 +283,8 @@ def diagonal_bvs(N: int, x, form="x") -> BVS:
     x-form: weight x on equal colors, 1 on a swap; q-form: weight q on
     equal colors, 1/q on a swap (set x = q^2 to match after rescaling).
     """
+    if N < 1:
+        raise InvalidParameters("N must be at least 1, got %d" % N)
     if form == "x":
         ring = QQ
         x = Fraction(x)

@@ -59,6 +59,7 @@ def _require(args, names, what):
 # Handlers; each returns (report dict, exit code).
 
 def _cmd_check_relations(args):
+    rels = relations_for(args.n, args.variant)
     if args.rep == "affine":
         _require(args, ("m", "t"), "--rep affine")
         p = AffineParams(args.m, args.t, args.n)
@@ -74,7 +75,6 @@ def _cmd_check_relations(args):
         ring = "rational" if form == "x" else "laurent"
         params = {"rep": "tau", "N": args.N, "x": args.x, "form": form,
                   "n": args.n, "variant": args.variant, "transposed": args.transposed}
-    rels = relations_for(args.n, args.variant)
     rep_out = check_relations(images, rels, transposed=args.transposed)
     report = rep_out.to_json()
     report["manifest"] = _manifest("check-relations", params, ring)
@@ -83,15 +83,14 @@ def _cmd_check_relations(args):
 
 def _build_bvs(args):
     if args.bvs == "swap":
-        return swap_bvs(args.d or 2), "rational"
-    if args.bvs == "c2":
-        return c2_hecke(_frac(args.q) if args.q else None), \
-            "rational" if args.q else "laurent"
-    if args.bvs == "c2alt":
-        return c2_hecke(_frac(args.q) if args.q else None, alt=True), \
-            "rational" if args.q else "laurent"
+        return swap_bvs(2 if args.d is None else args.d), "rational"
+    if args.bvs in ("c2", "c2alt"):
+        if args.q is None:
+            return c2_hecke(None, alt=args.bvs == "c2alt"), "laurent"
+        return c2_hecke(_frac(args.q), alt=args.bvs == "c2alt"), "rational"
     if args.bvs == "tau":
-        return diagonal_bvs(args.N or 2, _frac(args.x or "2")), "rational"
+        return diagonal_bvs(2 if args.N is None else args.N,
+                            _frac("2" if args.x is None else args.x)), "rational"
     _require(args, ("m", "t"), "--bvs affine")
     return affine_bvs(args.m, args.t), "rational"
 
@@ -196,12 +195,12 @@ def _cmd_irreducible(args):
     x = _frac(args.x)
     entries = harmonic_end_dims(args.N, args.n, x)
     all_simple = all(e["end_dim"] == 1 for e in entries)
-    report = {"N": args.N, "n": args.n, "x": args.x, "ring": args.ring,
+    report = {"N": args.N, "n": args.n, "x": args.x, "ring": "rational",
               "modules": [dict(e, irreducible=(e["end_dim"] == 1)) for e in entries],
               "all_irreducible": all_simple,
               "manifest": _manifest("irreducible",
                                     {"N": args.N, "n": args.n, "x": args.x,
-                                     "ring": args.ring}, args.ring)}
+                                     "ring": "rational"}, "rational")}
     return report, 0 if all_simple else 1
 
 
@@ -339,7 +338,6 @@ def _build_parser():
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", default="2")
-    p.add_argument("--ring", choices=("rational", "zp"), default="rational")
 
     p = sub.add_parser("bmw-check", help="cubic algebra relation certificates")
     p.add_argument("--N", type=int, required=True)

@@ -13,8 +13,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NonFieldModulus, SingularImage
+from .errors import InvalidParameters, NonFieldModulus, SingularImage
 from .rings import QQ, IntegersMod
+
+ASSEMBLY_LIMIT = 10 ** 4  # refuse whole-tensor-power assemblies above this many rows
+
+
+def require_assembly(rows):
+    """InvalidParameters unless a whole-tensor-power operator of this many
+    rows is within ASSEMBLY_LIMIT; beyond it, work in charge blocks."""
+    if rows > ASSEMBLY_LIMIT:
+        raise InvalidParameters("assembly of %d rows refused (limit %d); use charge blocks"
+                                % (rows, ASSEMBLY_LIMIT))
 
 
 class Matrix:

@@ -15,7 +15,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, RowSpan, WeightedPerm
+from .errors import InvalidParameters
+from .linalg import Matrix, RowSpan, WeightedPerm, require_assembly
 from .rings import LQ, QQ, LaurentPoly
 from .symmetric import (hook_dim, multinomial, partitions, perm_words,
                         sign, young_symmetrizer_coeffs)
@@ -33,7 +34,10 @@ class TauRep:
     form: str = "x"
 
     def __post_init__(self):
-        assert self.form in ("x", "q")
+        if self.N < 1:
+            raise InvalidParameters("N must be at least 1, got %d" % self.N)
+        if self.form not in ("x", "q"):
+            raise InvalidParameters("unknown form %r (expected x or q)" % (self.form,))
         if self.form == "x":
             object.__setattr__(self, "x", Fraction(self.x))
 
@@ -47,29 +51,6 @@ class TauRep:
             return self.x, Fraction(1)
         q = LaurentPoly.gen()
         return q, q.inverse()
-
-
-def sigma_action(rep: TauRep, j: int, w: tuple) -> list:
-    """sigma_j applied to a word; a list of (word, coefficient) pairs."""
-    eq_w, sw_w = rep.weights()
-    if w[j - 1] == w[j]:
-        return [(w, eq_w)]
-    return [(_swap(w, j), sw_w)]
-
-
-def s_action(rep: TauRep, j: int, w: tuple) -> list:
-    one = rep.ring.one
-    if w[j - 1] == w[j]:
-        return [(w, one)]
-    return [(_swap(w, j), -one)]
-
-
-def u_action(rep: TauRep, j: int, w: tuple) -> list:
-    """u = 1 - s: kills equal-letter words, symmetrizes the others."""
-    one = rep.ring.one
-    if w[j - 1] == w[j]:
-        return []
-    return [(w, one), (_swap(w, j), one)]
 
 
 def _swap(w, j):
@@ -87,15 +68,24 @@ def right_color_action(w: tuple, pi: tuple) -> tuple:
 # Charge blocks.
 
 class ChargeBlock:
-    """All words with one fixed color content, in lexicographic order."""
+    """All words with one fixed color content, in lexicographic order; with
+    no content, all N^n words of the tensor power in itertools.product order.
 
-    def __init__(self, N, n, comp):
-        assert len(comp) == N and sum(comp) == n
+    This is the one place that knows the generator action on words and the
+    generator order [sigma_1, s_1, sigma_2, s_2, ...]."""
+
+    def __init__(self, N, n, comp=None):
         self.N = N
         self.n = n
-        self.comp = tuple(comp)
-        self.lam = tuple(sorted((c for c in comp if c), reverse=True))
-        self.words = _words_with_content(N, comp)
+        if comp is None:
+            require_assembly(N ** n)
+            self.comp = self.lam = None
+            self.words = list(itertools.product(range(1, N + 1), repeat=n))
+        else:
+            assert len(comp) == N and sum(comp) == n
+            self.comp = tuple(comp)
+            self.lam = tuple(sorted((c for c in comp if c), reverse=True))
+            self.words = _words_with_content(N, comp)
         self.index = {w: i for i, w in enumerate(self.words)}
 
     @property
@@ -105,49 +95,35 @@ class ChargeBlock:
     def is_partition_block(self):
         return self.comp == tuple(sorted(self.comp, reverse=True))
 
-    def sigma_op(self, j, rep: TauRep) -> WeightedPerm:
-        eq_w, sw_w = rep.weights()
+    def _op(self, j, same, swapped, ring) -> WeightedPerm:
+        """Generator on strands j, j+1: a word whose two letters agree is
+        scaled by `same`, any other is swapped and scaled by `swapped`."""
         tgt, wts = [], []
-        for w in self.words:
+        for i, w in enumerate(self.words):
             if w[j - 1] == w[j]:
-                tgt.append(self.index[w])
-                wts.append(eq_w)
+                tgt.append(i)
+                wts.append(same)
             else:
                 tgt.append(self.index[_swap(w, j)])
-                wts.append(sw_w)
-        return WeightedPerm(rep.ring, tgt, wts)
+                wts.append(swapped)
+        return WeightedPerm(ring, tgt, wts)
+
+    def sigma_op(self, j, rep: TauRep) -> WeightedPerm:
+        return self._op(j, *rep.weights(), rep.ring)
 
     def s_op(self, j, rep: TauRep) -> WeightedPerm:
-        one = rep.ring.one
-        tgt, wts = [], []
-        for w in self.words:
-            if w[j - 1] == w[j]:
-                tgt.append(self.index[w])
-                wts.append(one)
-            else:
-                tgt.append(self.index[_swap(w, j)])
-                wts.append(-one)
-        return WeightedPerm(rep.ring, tgt, wts)
+        return self._op(j, rep.ring.one, -rep.ring.one, rep.ring)
 
-    def u_matrix(self, j, rep: TauRep) -> Matrix:
-        ring = rep.ring
-        m = Matrix.zeros(ring, self.dim, self.dim)
-        for col, w in enumerate(self.words):
-            for tw, cf in u_action(rep, j, w):
-                m.rows[self.index[tw]][col] = m.rows[self.index[tw]][col] + cf
-        return m
+    def ops(self, rep: TauRep, top=None) -> list:
+        """[sigma_1, s_1, ..., sigma_top, s_top]; top defaults to n - 1."""
+        top = self.n - 1 if top is None else top
+        return [op for j in range(1, top + 1)
+                for op in (self.sigma_op(j, rep), self.s_op(j, rep))]
 
     def right_op(self, pi: tuple) -> WeightedPerm:
         """Operator of the color relabeling; needs pi to preserve the content."""
         tgt = [self.index[right_color_action(w, pi)] for w in self.words]
         return WeightedPerm(QQ, tgt, [QQ.one] * self.dim)
-
-    def generator_ops(self, rep: TauRep) -> dict:
-        ops = {}
-        for j in range(1, self.n):
-            ops[("sigma", j)] = self.sigma_op(j, rep)
-            ops[("s", j)] = self.s_op(j, rep)
-        return ops
 
 
 def _words_with_content(N, comp):
@@ -201,43 +177,28 @@ def _compositions(n, N):
 
 def full_images(rep: TauRep, n: int) -> dict:
     """Images of all generators on the full N^n-dimensional tensor power."""
-    N = rep.N
-    d = N ** n
-    assert d <= 10 ** 4, "use charge blocks beyond 10^4 dimensions"
-    words = [tuple(_digits(i, N, n)) for i in range(d)]
-    index = {w: i for i, w in enumerate(words)}
-    eq_w, sw_w = rep.weights()
-    one = rep.ring.one
+    block = ChargeBlock(rep.N, n)
     images = {}
     for j in range(1, n):
-        tgt_s, wts_s, tgt_p, wts_p = [], [], [], []
-        for w in words:
-            if w[j - 1] == w[j]:
-                tgt_s.append(index[w])
-                wts_s.append(eq_w)
-                tgt_p.append(index[w])
-                wts_p.append(one)
-            else:
-                k = index[_swap(w, j)]
-                tgt_s.append(k)
-                wts_s.append(sw_w)
-                tgt_p.append(k)
-                wts_p.append(-one)
-        images[("sigma", j)] = WeightedPerm(rep.ring, tgt_s, wts_s)
-        images[("s", j)] = WeightedPerm(rep.ring, tgt_p, wts_p)
+        images[("sigma", j)] = block.sigma_op(j, rep)
+        images[("s", j)] = block.s_op(j, rep)
     return images
-
-
-def _digits(i, N, n):
-    out = []
-    for _ in range(n):
-        out.append(i % N + 1)
-        i //= N
-    return reversed(out)
 
 
 # ---------------------------------------------------------------------------
 # The symmetrizer on the first N strands.
+
+def _perm_ops(block: ChargeBlock, rep: TauRep, k: int):
+    """(perm, op) for every perm of S_k, op the product of the symmetry
+    generators along the reduced word of perm."""
+    s_ops = {j: block.s_op(j, rep) for j in range(1, k)}
+    ident = WeightedPerm.identity(rep.ring, block.dim)
+    for perm, word in perm_words(k).items():
+        op = ident
+        for letter in word:
+            op = op * s_ops[letter]
+        yield perm, op
+
 
 def f_operator(N: int, block: ChargeBlock, rep: TauRep = None) -> Matrix:
     """Signed sum over S_N of the symmetry-generator actions on the first
@@ -245,14 +206,8 @@ def f_operator(N: int, block: ChargeBlock, rep: TauRep = None) -> Matrix:
     symmetrizes the rest.  Kept unnormalized (f^2 = N! f)."""
     assert block.n >= N, "need at least N strands"
     rep = rep or TauRep(block.N, Fraction(1))
-    ring = rep.ring
-    ident = WeightedPerm.identity(ring, block.dim)
-    s_ops = {j: block.s_op(j, rep) for j in range(1, N)}
-    total = Matrix.zeros(ring, block.dim, block.dim)
-    for perm, word in perm_words(N).items():
-        op = ident
-        for letter in word:
-            op = op * s_ops[letter]
+    total = Matrix.zeros(rep.ring, block.dim, block.dim)
+    for perm, op in _perm_ops(block, rep, N):
         sgn = sign(perm)
         for j in range(block.dim):
             total.rows[op.tgt[j]][j] = total.rows[op.tgt[j]][j] + (
@@ -273,14 +228,8 @@ def symmetrized_seed_vector(block: ChargeBlock, rep: TauRep) -> list:
     """Sum over all of S_n of the signed symmetry action applied to the
     lexicographically first basis word (the classical one-dimensional
     seed; spans an invariant line only at the degenerate parameter)."""
-    ring = rep.ring
-    s_ops = {j: block.s_op(j, rep) for j in range(1, block.n)}
-    vec = [ring.zero] * block.dim
-    ident = WeightedPerm.identity(ring, block.dim)
-    for perm, word in perm_words(block.n).items():
-        op = ident
-        for letter in word:
-            op = op * s_ops[letter]
+    vec = [rep.ring.zero] * block.dim
+    for _, op in _perm_ops(block, rep, block.n):
         vec[op.tgt[0]] = vec[op.tgt[0]] + op.wts[0]
     return vec
 
@@ -359,8 +308,7 @@ def harmonic_projector(block: ChargeBlock, label: HarmonicLabel) -> Matrix:
 
 class ModuleSpec:
     """A charge block together with a spanning basis (and, when it comes
-    from an idempotent, the projector).  Generator actions restricted to
-    the basis are computed on demand."""
+    from an idempotent, the projector)."""
 
     def __init__(self, block: ChargeBlock, rep: TauRep, label, projector, basis_rows):
         self.block = block
@@ -379,32 +327,6 @@ class ModuleSpec:
         if self.label is not None:
             return self.label.to_json()
         return {"lambda": list(self.block.lam), "mu": None}
-
-    def coords(self, vec):
-        """Coordinates of a member vector in the reduced basis."""
-        cs = [vec[c] for c, _ in sorted(self.span.pivot_of.items())]
-        order = [ri for _, ri in sorted(self.span.pivot_of.items())]
-        out = [None] * self.span.dim
-        for coeff, ri in zip(cs, order):
-            out[ri] = coeff
-        residual = list(vec)
-        for coeff, ri in zip(cs, order):
-            row = self.span.rows[ri]
-            residual = [a - coeff * b for a, b in zip(residual, row)]
-        assert all(v == 0 for v in residual), "vector is outside the module"
-        return out
-
-    def restricted_ops(self) -> list:
-        """Matrices of all generators in the module basis."""
-        out = []
-        for j in range(1, self.block.n):
-            for kind in ("sigma", "s"):
-                op = (self.block.sigma_op(j, self.rep) if kind == "sigma"
-                      else self.block.s_op(j, self.rep))
-                cols = [self.coords(_apply_wp(op, row)) for row in self.span.rows]
-                out.append(Matrix(QQ, [[cols[c][r] for c in range(self.dim)]
-                                       for r in range(self.dim)]))
-        return out
 
     def contains(self, vec) -> bool:
         return self.span.contains(vec)
@@ -465,30 +387,25 @@ def localize(f_mat: Matrix, mspec: ModuleSpec):
     comp = tuple(v - 1 for v in block.comp)
     assert all(v >= 0 for v in comp), "nonzero image forces full depth"
     target = ChargeBlock(N, n - N, comp)
+    projected = [_project_prefix(img, block, target, prefix) for img in images]
     span = RowSpan(target.dim)
-    for img in images:
-        span.insert(_project_prefix(img, block, target, prefix))
+    for vec in projected:
+        span.insert(vec)
     localized = ModuleSpec(target, mspec.rep, None, None, span.rows)
-    ok = _residual_action_ok(f_mat, mspec, localized, prefix)
+    ok = _residual_action_ok(f_mat, mspec, target, projected, prefix)
     return localized, ok
 
 
-def _residual_action_ok(f_mat, mspec, localized, prefix):
+def _residual_action_ok(f_mat, mspec, target, projected, prefix):
+    """Generator j + N on the module, followed by f and the prefix
+    projection, equals generator j on the projected image of each row."""
     block = mspec.block
-    target = localized.block
-    N = block.N
-    for j in range(1, target.n):
-        for kind in ("sigma", "s"):
-            src = (block.sigma_op(j + N, mspec.rep) if kind == "sigma"
-                   else block.s_op(j + N, mspec.rep))
-            dst = (target.sigma_op(j, mspec.rep) if kind == "sigma"
-                   else target.s_op(j, mspec.rep))
-            for row in mspec.span.rows:
-                lhs = _project_prefix(f_mat.mul_vec(_apply_wp(src, row)),
-                                      block, target, prefix)
-                via = _project_prefix(f_mat.mul_vec(row), block, target, prefix)
-                if lhs != _apply_wp(dst, via):
-                    return False
+    for src, dst in zip(block.ops(mspec.rep)[2 * block.N:], target.ops(mspec.rep)):
+        for row, via in zip(mspec.span.rows, projected):
+            lhs = _project_prefix(f_mat.mul_vec(_apply_wp(src, row)),
+                                  block, target, prefix)
+            if lhs != _apply_wp(dst, via):
+                return False
     return True
 
 

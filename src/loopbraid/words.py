@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import SingularImage
+from .errors import InvalidParameters, SingularImage
 from .linalg import op_dim, op_identity_like
 
 VARIANTS = ("LB", "OLB", "VB", "SLB")
@@ -34,7 +34,7 @@ class Generator:
         return Generator(self.kind, self.index, -self.exp)
 
     def __repr__(self):
-        base = "%s%d" % ("sigma" if self.kind == "sigma" else "s", self.index)
+        base = "%s%d" % (self.kind, self.index)
         return base + ("^-1" if self.exp == -1 else "")
 
 
@@ -73,8 +73,11 @@ def relations_for(n: int, variant: str) -> RelationSet:
     indices ascending.  VB omits L2; OLB replaces L2 by L3; SLB carries
     both L2 and L3.
     """
-    assert n >= 2
-    assert variant in VARIANTS
+    if n < 2:
+        raise InvalidParameters("relations need at least 2 strands, got %d" % n)
+    if variant not in VARIANTS:
+        raise InvalidParameters("unknown variant %r (expected one of %s)"
+                                % (variant, ", ".join(VARIANTS)))
     rels = []
 
     def braid(label, g, i):

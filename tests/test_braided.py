@@ -8,7 +8,7 @@ from loopbraid.braided import (BVS, GroupTypeData, affine_bvs, affine_loop,
                                is_diagonalizable_group_type, local_rep,
                                signed_swap_operator, swap_bvs,
                                swap_operator, tau_loop)
-from loopbraid.errors import GroupTypeViolation, NotGroupType
+from loopbraid.errors import GroupTypeViolation, InvalidParameters, NotGroupType
 from loopbraid.linalg import Matrix, WeightedPerm
 from loopbraid.rings import QQ, LaurentPoly
 from loopbraid.words import check_relations, relations_for
@@ -155,7 +155,7 @@ def test_dense_assembly_refused_above_limit():
     dense = BVS(lb.base.d, lb.base.c.to_matrix(), group_type=lb.base.group_type)
     from loopbraid.braided import LoopBVS
     big = LoopBVS(dense, lb.S.to_matrix(), "SLB")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameters):
         local_rep(big, 15)  # 2^15 > 10^4
 
 

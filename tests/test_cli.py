@@ -105,6 +105,19 @@ def test_invalid_affine_parameters_exit_two(capsys, argv):
     ("check-relations", "--rep", "tau", "--N", "2", "--n", "3", "--x", "abc"),
     ("decompose", "--N", "2", "--n", "3", "--x", "1/0"),
     ("ybe", "--bvs", "c2", "--q", "abc"),
+    ("ybe", "--bvs", "c2", "--q", ""),                      # not the Laurent default
+    ("decompose", "--N", "0", "--n", "3"),                  # no colors
+    ("semisimple", "--N", "0", "--n", "3"),
+    ("localize", "--N", "0", "--n", "3"),
+    ("irreducible", "--N", "0", "--n", "3"),
+    ("check-relations", "--rep", "tau", "--N", "0", "--n", "3"),
+    ("bmw-check", "--N", "0"),
+    ("ybe", "--bvs", "swap", "--d", "0"),
+    ("ybe", "--bvs", "tau", "--N", "0"),
+    ("check-relations", "--rep", "tau", "--N", "2", "--n", "1"),   # one strand
+    ("check-relations", "--rep", "tau", "--N", "2", "--n", "-1"),
+    ("bmw-check", "--N", "2", "--n", "2"),                  # no adjacent pair
+    ("check-relations", "--rep", "tau", "--N", "3", "--n", "9"),   # 3^9 rows
 ])
 def test_missing_or_malformed_parameters_exit_two(capsys, argv):
     _assert_one_usage_line(capsys, argv)
@@ -123,7 +136,9 @@ def test_invalid_affine_parameters_exit_two_without_asserts():
     # python -O strips assert statements, so validation must not use them
     env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
     for argv in (["affine-image", "--m", "4", "--t", "2", "--n", "3"],
-                 ["ybe", "--bvs", "affine", "--m", "5", "--t", "6", "--drinfeld"]):
+                 ["ybe", "--bvs", "affine", "--m", "5", "--t", "6", "--drinfeld"],
+                 ["bmw-check", "--N", "2", "--n", "2"],
+                 ["check-relations", "--rep", "tau", "--N", "3", "--n", "9"]):
         proc = subprocess.run([sys.executable, "-O", "-m", "loopbraid.cli"] + argv,
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2
@@ -202,6 +217,8 @@ def test_localize_cli(capsys):
 def test_usage_error_exit_two(capsys):
     assert dispatch(["no-such-command"]) == 2
     assert dispatch(["affine-image", "--m", "3"]) == 2
+    # irreducible is always computed over the rationals; there is no --ring
+    assert dispatch(["irreducible", "--N", "2", "--n", "3", "--ring", "zp"]) == 2
 
 
 def test_reports_are_byte_identical(capsys):

@@ -1,7 +1,11 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from loopbraid.braided import local_rep, tau_loop
+from loopbraid.errors import InvalidParameters
+from loopbraid.linalg import Matrix
 from loopbraid.rings import QQ, LaurentPoly
 from loopbraid.symmetric import all_perms
 from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep,
@@ -9,9 +13,8 @@ from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep,
                               harmonic_decompose, harmonic_labels,
                               localized_young_dim, localized_harmonic_prediction, localize,
                               multiplicity_classes, partition_block,
-                              right_color_action, s_action, sigma_action,
-                              symmetrized_seed_vector, tensor_dimension_checks,
-                              u_action, young_module)
+                              right_color_action, symmetrized_seed_vector,
+                              tensor_dimension_checks, young_module)
 
 X2 = TauRep(2, Fraction(2))
 X3 = TauRep(3, Fraction(2))
@@ -24,10 +27,22 @@ def vec_of(block, pairs):
     return v
 
 
+def act(block, op, word):
+    """(image word, weight) of one basis word under a generator op."""
+    i = block.index[word]
+    return block.words[op.tgt[i]], op.wts[i]
+
+
+def u_matrix(block, j, rep):
+    """u_j = 1 - s_j."""
+    return Matrix.identity(rep.ring, block.dim) - block.s_op(j, rep).to_matrix()
+
+
 def test_sigma_action_examples():
     # equal colors pick up x; distinct colors swap with coefficient 1
-    assert sigma_action(X3, 1, (1, 1, 2)) == [((1, 1, 2), Fraction(2))]
-    assert sigma_action(X3, 2, (1, 1, 2)) == [((1, 2, 1), Fraction(1))]
+    block = ChargeBlock(3, 3)
+    assert act(block, block.sigma_op(1, X3), (1, 1, 2)) == ((1, 1, 2), Fraction(2))
+    assert act(block, block.sigma_op(2, X3), (1, 1, 2)) == ((1, 2, 1), Fraction(1))
     # sigma_1 (112 - 121 + 211) = x 112 + 121 - 211
     block = partition_block(2, 3, (2, 1))
     op = block.sigma_op(1, X2)
@@ -40,8 +55,9 @@ def test_sigma_action_examples():
 
 
 def test_s_action_examples():
-    assert s_action(X2, 1, (1, 1)) == [((1, 1), Fraction(1))]
-    assert s_action(X2, 1, (1, 2)) == [((2, 1), Fraction(-1))]
+    block = ChargeBlock(2, 2)
+    assert act(block, block.s_op(1, X2), (1, 1)) == ((1, 1), Fraction(1))
+    assert act(block, block.s_op(1, X2), (1, 2)) == ((2, 1), Fraction(-1))
     # s_j squares to the identity on every basis word
     for n in (2, 3, 4):
         block = partition_block(2, n, tuple(sorted((n - 1, 1), reverse=True)))
@@ -51,20 +67,54 @@ def test_s_action_examples():
 
 
 def test_u_action_examples():
-    assert u_action(X2, 1, (1, 1)) == []
-    assert u_action(X2, 1, (1, 2)) == [((1, 2), Fraction(1)), ((2, 1), Fraction(1))]
-    # u^2 = 2u on V (x) V
-    block = ChargeBlock(2, 2, (1, 1))
-    u = block.u_matrix(1, X2)
+    block = ChargeBlock(2, 2)
+    u = u_matrix(block, 1, X2)
+
+    def column(word):
+        col = block.index[word]
+        return {block.words[r]: u.rows[r][col] for r in range(block.dim) if u.rows[r][col]}
+    # u = 1 - s kills equal-letter words and symmetrizes the others
+    assert column((1, 1)) == {}
+    assert column((1, 2)) == {(1, 2): Fraction(1), (2, 1): Fraction(1)}
+    # u^2 = 2u on V (x) V, also on the charge block alone
     assert u * u == u.scale(Fraction(2))
+    u11 = u_matrix(ChargeBlock(2, 2, (1, 1)), 1, X2)
+    assert u11 * u11 == u11.scale(Fraction(2))
 
 
 def test_q_form_weights():
     rep = TauRep(2, None, "q")
     q = LaurentPoly.gen()
-    assert sigma_action(rep, 1, (1, 1)) == [((1, 1), q)]
-    assert sigma_action(rep, 1, (1, 2)) == [((2, 1), q.inverse())]
-    assert s_action(rep, 1, (1, 2)) == [((2, 1), -LaurentPoly.const(1))]
+    block = ChargeBlock(2, 2)
+    assert act(block, block.sigma_op(1, rep), (1, 1)) == ((1, 1), q)
+    assert act(block, block.sigma_op(1, rep), (1, 2)) == ((2, 1), q.inverse())
+    assert act(block, block.s_op(1, rep), (1, 2)) == ((2, 1), -LaurentPoly.const(1))
+
+
+@pytest.mark.parametrize("N, n", [(2, 4), (3, 4), (4, 3)])
+def test_full_images_restrict_to_block_ops(N, n):
+    rep = TauRep(N, Fraction(3))
+    power = ChargeBlock(N, n)
+    assert power.words == list(itertools.product(range(1, N + 1), repeat=n))
+    images = full_images(rep, n)
+    assert list(images) == [(kind, j) for j in range(1, n) for kind in ("sigma", "s")]
+    assert list(images.values()) == power.ops(rep)
+    for block in charge_blocks(N, n)[0].values():
+        ops = block.ops(rep)
+        assert ops == [op for j in range(1, n)
+                       for op in (block.sigma_op(j, rep), block.s_op(j, rep))]
+        assert block.ops(rep, n - 2) == ops[:2 * (n - 2)]
+        for full, op in zip(images.values(), ops):
+            for i, w in enumerate(block.words):
+                k = power.index[w]
+                assert (power.words[full.tgt[k]], full.wts[k]) == \
+                    (block.words[op.tgt[i]], op.wts[i])
+
+
+def test_invalid_tau_parameters():
+    for N, form in ((0, "x"), (-1, "q"), (2, "y")):
+        with pytest.raises(InvalidParameters):
+            TauRep(N, Fraction(2), form)
 
 
 def test_charge_blocks_examples():
@@ -121,11 +171,11 @@ def test_full_images_match_local_rep():
 def test_f2_and_f3_closed_forms():
     rep1 = TauRep(2, Fraction(1))
     block = partition_block(2, 3, (2, 1))
-    assert f_operator(2, block) == block.u_matrix(1, rep1)
+    assert f_operator(2, block) == u_matrix(block, 1, rep1)
     rep13 = TauRep(3, Fraction(1))
     block3 = partition_block(3, 3, (1, 1, 1))
-    u1 = block3.u_matrix(1, rep13)
-    u2 = block3.u_matrix(2, rep13)
+    u1 = u_matrix(block3, 1, rep13)
+    u2 = u_matrix(block3, 2, rep13)
     assert f_operator(3, block3) == u1 * u2 * u1 - u1
 
 

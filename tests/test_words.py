@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from loopbraid.affine import AffineParams, rho_generators
+from loopbraid.errors import InvalidParameters
 from loopbraid.linalg import Matrix
 from loopbraid.rings import QQ, IntegersMod
 from loopbraid.tensor import TauRep, full_images
@@ -32,6 +33,12 @@ def test_relations_for_counts():
     # OLB replaces L2 by L3
     olb = relations_for(3, "OLB").labels()
     assert "L3(i=1)" in olb and "L2(i=1)" not in olb
+
+
+def test_relations_for_rejects_bad_input():
+    for n, variant in ((1, "LB"), (0, "SLB"), (3, "XB")):
+        with pytest.raises(InvalidParameters):
+            relations_for(n, variant)
 
 
 def test_relations_for_deterministic():
