@@ -543,7 +543,10 @@ def verify_young_branching(N, lam, x=Fraction(2)) -> bool:
 def branching_graph(N, n_max, x=Fraction(2), seed=None) -> dict:
     """Nodes are harmonic labels up to n_max, placed by the weight-space
     projection; edges are the computed restriction summands."""
-    assert N in (2, 3)
+    if N not in (2, 3):
+        raise InvalidParameters("branching graphs are placed for N = 2 or 3, got %d" % N)
+    if n_max < 1:
+        raise InvalidParameters("n_max must be at least 1, got %d" % n_max)
     rep_nodes = []
     node_ids = {}
     for n in range(1, n_max + 1):

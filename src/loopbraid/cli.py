@@ -26,13 +26,16 @@ from .tensor import (TauRep, charge_blocks, f_operator, full_images,
                      young_module)
 from .words import check_relations, relations_for
 
-SUBCOMMANDS = ("check-relations", "ybe", "affine-image", "decompose",
-               "branch", "irreducible", "bmw-check", "semisimple", "localize")
+# Parsed options the manifest leaves out: the subcommand and its handler,
+# and flags that only add to the report or move part of it to a file.
+_UNRECORDED = {"command", "handler", "emit_elements", "basis", "dot", "drinfeld"}
 
 
-def _manifest(command, params, ring):
-    return {"command": command,
-            "parameters": {k: v for k, v in sorted(params.items()) if v is not None},
+def _manifest(args, ring):
+    """Every parsed option that is set, except _UNRECORDED."""
+    return {"command": args.command,
+            "parameters": {k: v for k, v in sorted(vars(args).items())
+                           if v is not None and k not in _UNRECORDED},
             "seed": default_seed(),
             "ring": ring,
             "version": __version__}
@@ -56,29 +59,26 @@ def _require(args, names, what):
 
 
 # ---------------------------------------------------------------------------
-# Handlers; each returns (report dict, exit code).
+# Handlers; each returns (report dict, whether every check passed, ring).
+# dispatch adds the manifest.
 
 def _cmd_check_relations(args):
     rels = relations_for(args.n, args.variant)
     if args.rep == "affine":
         _require(args, ("m", "t"), "--rep affine")
+        args.N = args.x = args.form = None  # tau options: ignored, not recorded
         p = AffineParams(args.m, args.t, args.n)
         images = rho_generators(p)
         ring = "zm"
-        params = {"rep": "affine", "m": args.m, "t": args.t, "n": args.n,
-                  "variant": args.variant, "transposed": args.transposed}
     else:
         _require(args, ("N",), "--rep tau")
+        args.m = args.t = None  # affine options: ignored, not recorded
         form = args.form
         rep = TauRep(args.N, _frac(args.x) if form == "x" else None, form)
         images = full_images(rep, args.n)
         ring = "rational" if form == "x" else "laurent"
-        params = {"rep": "tau", "N": args.N, "x": args.x, "form": form,
-                  "n": args.n, "variant": args.variant, "transposed": args.transposed}
     rep_out = check_relations(images, rels, transposed=args.transposed)
-    report = rep_out.to_json()
-    report["manifest"] = _manifest("check-relations", params, ring)
-    return report, 0 if rep_out.ok else 1
+    return rep_out.to_json(), rep_out.ok, ring
 
 
 def _build_bvs(args):
@@ -96,21 +96,16 @@ def _build_bvs(args):
 
 
 def _cmd_ybe(args):
+    if args.drinfeld and args.bvs != "affine":
+        raise InvalidParameters("--drinfeld applies to the affine family only")
     bvs, ring = _build_bvs(args)
     ok = bvs.yang_baxter()
-    params = {"bvs": args.bvs, "d": args.d, "q": args.q, "N": args.N,
-              "x": args.x, "m": args.m, "t": args.t}
-    report = {"bvs": bvs.name, "d": bvs.d, "ybe_ok": ok,
-              "manifest": _manifest("ybe", params, ring)}
-    code = 0 if ok else 1
+    report = {"bvs": bvs.name, "d": bvs.d, "ybe_ok": ok}
     if args.drinfeld:
-        if args.bvs != "affine":
-            raise SystemExit("--drinfeld applies to the affine family only")
         rep = drinfeld_report(args.m, args.t)
         report["drinfeld"] = rep
-        if not (rep["swap_conjugate_equal"] and rep["transpose_at_inverse_t_equal"]):
-            code = 1
-    return report, code
+        ok = ok and rep["swap_conjugate_equal"] and rep["transpose_at_inverse_t_equal"]
+    return report, ok, ring
 
 
 def _cmd_affine_image(args):
@@ -127,17 +122,14 @@ def _cmd_affine_image(args):
               "surjective_predicted": pred["units_ok"] and pred["generates"],
               "units_ok": pred["units_ok"], "generates": pred["generates"],
               "determinants": det_values,
-              "determinants_allowed": allowed,
-              "manifest": _manifest("affine-image",
-                                    {"m": args.m, "t": args.t, "n": args.n,
-                                     "cap": args.cap}, "zm")}
+              "determinants_allowed": allowed}
     if args.emit_elements:
         report["elements"] = [[v.residue for r in g.rows for v in r]
                               for g in result.elements]
     ok = result.complete and det_ok
     if report["surjective_predicted"] and result.complete:
         ok = ok and result.order == expected
-    return report, 0 if ok else 1
+    return report, ok, "zm"
 
 
 def _cmd_decompose(args):
@@ -156,10 +148,8 @@ def _cmd_decompose(args):
                 entry["basis"] = [_sparse_vec(row, block) for row in mod.span.rows]
             modules.append(entry)
     report = {"N": args.N, "n": args.n, "x": args.x,
-              "modules": modules, "checks": checks,
-              "manifest": _manifest("decompose",
-                                    {"N": args.N, "n": args.n, "x": args.x}, "rational")}
-    return report, 0 if checks["young_ok"] and checks["harmonic_ok"] else 1
+              "modules": modules, "checks": checks}
+    return report, checks["young_ok"] and checks["harmonic_ok"], "rational"
 
 
 def _sparse_vec(row, block):
@@ -179,36 +169,29 @@ def _cmd_branch(args):
         if out_dim != node["dim"]:
             ok = False
     report = {"N": args.N, "n_max": args.nmax, "x": args.x,
-              "nodes": graph["nodes"], "edges": graph["edges"],
-              "manifest": _manifest("branch", {"N": args.N, "nmax": args.nmax,
-                                               "x": args.x}, "rational")}
+              "nodes": graph["nodes"], "edges": graph["edges"]}
     dot = emit_dot(graph)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot)
     else:
         report["dot"] = dot
-    return report, 0 if ok else 1
+    return report, ok, "rational"
 
 
 def _cmd_irreducible(args):
     x = _frac(args.x)
     entries = harmonic_end_dims(args.N, args.n, x)
     all_simple = all(e["end_dim"] == 1 for e in entries)
-    report = {"N": args.N, "n": args.n, "x": args.x, "ring": "rational",
+    report = {"N": args.N, "n": args.n, "x": args.x, "ring": args.ring,
               "modules": [dict(e, irreducible=(e["end_dim"] == 1)) for e in entries],
-              "all_irreducible": all_simple,
-              "manifest": _manifest("irreducible",
-                                    {"N": args.N, "n": args.n, "x": args.x,
-                                     "ring": "rational"}, "rational")}
-    return report, 0 if all_simple else 1
+              "all_irreducible": all_simple}
+    return report, all_simple, "rational"
 
 
 def _cmd_bmw(args):
     rep = bmw_check(args.N, args.n)
-    report = rep.to_json()
-    report["manifest"] = _manifest("bmw-check", {"N": args.N, "n": args.n}, "laurent")
-    return report, 0 if rep.ok else 1
+    return rep.to_json(), rep.ok, "laurent"
 
 
 def _cmd_semisimple(args):
@@ -216,22 +199,20 @@ def _cmd_semisimple(args):
     result = semisimplicity_check(args.N, args.n, x)
     report = dict(result)
     report.update({"N": args.N, "n": args.n, "x": args.x,
-                   "semisimple": result["radical_dim"] == 0,
-                   "manifest": _manifest("semisimple",
-                                         {"N": args.N, "n": args.n, "x": args.x},
-                                         "rational")})
-    return report, 0 if result["radical_dim"] == 0 else 1
+                   "semisimple": result["radical_dim"] == 0})
+    return report, result["radical_dim"] == 0, "rational"
 
 
 def _cmd_localize(args):
     x = _frac(args.x)
     rep = TauRep(args.N, x)
+    if args.n <= args.N:
+        raise InvalidParameters("localize needs more than --N = %d strands, got %d"
+                                % (args.N, args.n))
     entries = []
     ok = True
     for lam, _ in charge_blocks(args.N, args.n)[1]:
         block = partition_block(args.N, args.n, lam)
-        if args.n <= args.N:
-            continue
         f_mat = f_operator(args.N, block, rep)
         for mod in harmonic_decompose(block, rep):
             target, action_ok = localize(f_mat, mod)
@@ -252,11 +233,8 @@ def _cmd_localize(args):
                  "predicted_label": None, "ok": action_ok and got == pred}
         ok = ok and entry["ok"]
         entries.append(entry)
-    report = {"N": args.N, "n": args.n, "x": args.x, "modules": entries,
-              "manifest": _manifest("localize",
-                                    {"N": args.N, "n": args.n, "x": args.x},
-                                    "rational")}
-    return report, 0 if ok else 1
+    report = {"N": args.N, "n": args.n, "x": args.x, "modules": entries}
+    return report, ok, "rational"
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +257,7 @@ def emit_dot(graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing.
+# Argument parsing: each subcommand is declared once, with its handler.
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -292,8 +270,13 @@ def _build_parser():
                      description="Exact computations with loop braid group "
                                  "representations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    tensor_power = argparse.ArgumentParser(add_help=False)
+    tensor_power.add_argument("--N", type=int, required=True)
+    tensor_power.add_argument("--n", type=int, required=True)
+    tensor_power.add_argument("--x", default="2")
 
     p = sub.add_parser("check-relations", help="verify a relation suite")
+    p.set_defaults(handler=_cmd_check_relations)
     p.add_argument("--rep", choices=("affine", "tau"), required=True)
     p.add_argument("--variant", choices=("LB", "OLB", "VB", "SLB"), default="LB")
     p.add_argument("--n", type=int, required=True)
@@ -305,6 +288,7 @@ def _build_parser():
     p.add_argument("--transposed", action="store_true")
 
     p = sub.add_parser("ybe", help="check the Yang-Baxter equation")
+    p.set_defaults(handler=_cmd_ybe)
     p.add_argument("--bvs", choices=("swap", "c2", "c2alt", "tau", "affine"),
                    required=True)
     p.add_argument("--d", type=int)
@@ -316,56 +300,42 @@ def _build_parser():
     p.add_argument("--drinfeld", action="store_true")
 
     p = sub.add_parser("affine-image", help="closure of the affine image")
+    p.set_defaults(handler=_cmd_affine_image)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=10 ** 7)
     p.add_argument("--emit-elements", action="store_true")
 
-    p = sub.add_parser("decompose", help="charge and harmonic decomposition")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", default="2")
+    p = sub.add_parser("decompose", parents=[tensor_power],
+                       help="charge and harmonic decomposition")
+    p.set_defaults(handler=_cmd_decompose)
     p.add_argument("--basis", action="store_true")
 
     p = sub.add_parser("branch", help="branching graph of harmonic modules")
+    p.set_defaults(handler=_cmd_branch)
     p.add_argument("--N", type=int, required=True, choices=(2, 3))
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--x", default="2")
     p.add_argument("--dot")
 
-    p = sub.add_parser("irreducible", help="Schur test for harmonic modules")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", default="2")
+    p = sub.add_parser("irreducible", parents=[tensor_power],
+                       help="Schur test for harmonic modules")
+    p.set_defaults(handler=_cmd_irreducible, ring="rational")
 
     p = sub.add_parser("bmw-check", help="cubic algebra relation certificates")
+    p.set_defaults(handler=_cmd_bmw)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, default=3)
 
-    p = sub.add_parser("semisimple", help="trace-form radical and center")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", default="2")
+    p = sub.add_parser("semisimple", parents=[tensor_power],
+                       help="trace-form radical and center")
+    p.set_defaults(handler=_cmd_semisimple)
 
-    p = sub.add_parser("localize", help="symmetrizer localization dimensions")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", default="2")
+    p = sub.add_parser("localize", parents=[tensor_power],
+                       help="symmetrizer localization dimensions")
+    p.set_defaults(handler=_cmd_localize)
     return parser
-
-
-_HANDLERS = {
-    "check-relations": _cmd_check_relations,
-    "ybe": _cmd_ybe,
-    "affine-image": _cmd_affine_image,
-    "decompose": _cmd_decompose,
-    "branch": _cmd_branch,
-    "irreducible": _cmd_irreducible,
-    "bmw-check": _cmd_bmw,
-    "semisimple": _cmd_semisimple,
-    "localize": _cmd_localize,
-}
 
 
 def dispatch(argv) -> int:
@@ -376,19 +346,17 @@ def dispatch(argv) -> int:
         return 2 if exc.code not in (0,) else 0
     start = time.monotonic()
     try:
-        report, code = _HANDLERS[args.command](args)
+        report, ok, ring = args.handler(args)
     except InvalidParameters as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 2
     except (LoopBraidError, AssertionError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    except SystemExit as exc:
-        sys.stderr.write("usage error: %s\n" % exc)
-        return 2
+    report["manifest"] = _manifest(args, ring)
     _emit(report)
     sys.stderr.write("wall_time_ms=%d\n" % int((time.monotonic() - start) * 1000))
-    return code
+    return 0 if ok else 1
 
 
 def main():

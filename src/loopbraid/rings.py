@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAUnit
+from .errors import InvalidParameters, NotAUnit
 
 Rational = Fraction
 
@@ -206,13 +206,15 @@ class ZmInt:
     m: int
 
     def __post_init__(self):
-        assert self.m >= 2
+        if self.m < 2:
+            raise InvalidParameters("modulus must be at least 2, got %d" % self.m)
         object.__setattr__(self, "residue", self.residue % self.m)
 
     def _check(self, other):
         if isinstance(other, int):
             return ZmInt(other, self.m)
-        assert isinstance(other, ZmInt) and other.m == self.m, "modulus mismatch"
+        if not isinstance(other, ZmInt) or other.m != self.m:
+            raise ValueError("modulus mismatch: %r and %r" % (self, other))
         return other
 
     def __add__(self, other):
@@ -257,7 +259,8 @@ def mod_inverse(a: ZmInt) -> ZmInt:
 
 def unit_group(m: int) -> set:
     """All units of Z_m as ZmInt values; cardinality is Euler's totient."""
-    assert m >= 2
+    if m < 2:
+        raise InvalidParameters("modulus must be at least 2, got %d" % m)
     return {ZmInt(r, m) for r in range(m) if math.gcd(r, m) == 1}
 
 
@@ -334,7 +337,8 @@ class IntegersMod:
     is_field = False  # set per instance when m is prime
 
     def __init__(self, m: int):
-        assert m >= 2
+        if m < 2:
+            raise InvalidParameters("modulus must be at least 2, got %d" % m)
         self.m = m
         self.name = "zm:%d" % m
         self.zero = ZmInt(0, m)

@@ -148,6 +148,8 @@ def _words_with_content(N, comp):
 def charge_blocks(N, n):
     """Blocks for every composition, plus the partition index with
     multiplicities; sum over the index of m_lam * dim equals N^n."""
+    if n < 0:
+        raise InvalidParameters("the number of strands must be nonnegative, got %d" % n)
     blocks = {}
     mult = {}
     for comp in _compositions(n, N):
@@ -379,7 +381,8 @@ def localize(f_mat: Matrix, mspec: ModuleSpec):
     block = mspec.block
     N = block.N
     n = block.n
-    assert n > N, "nothing left after localizing"
+    if n <= N:
+        raise InvalidParameters("localizing needs more than N = %d strands, got %d" % (N, n))
     prefix = tuple(range(1, N + 1))
     images = [f_mat.mul_vec(row) for row in mspec.span.rows]
     if all(all(v == 0 for v in img) for img in images):

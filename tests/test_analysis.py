@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 branching_graph, end_dim, harmonic_end_dims,
                                 hom_dim, is_e_null, is_irreducible,
@@ -9,6 +11,7 @@ from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 spin_dimension, verify_young_branching,
                                 young_branch_rule, _center_dim, _closure,
                                 _collapsed_generators)
+from loopbraid.errors import InvalidParameters
 from loopbraid.linalg import Matrix
 from loopbraid.rings import QQ, LaurentPoly
 from loopbraid.tensor import (ChargeBlock, TauRep,
@@ -210,6 +213,12 @@ def test_branching_graph_case_vi_out_degree():
     node = [n for n in graph["nodes"]
             if n["lambda"] == [2, 1, 1] and n["mu"] == [[1], [2]]][0]
     assert len([e for e in graph["edges"] if e["src"] == node["id"]]) == 3
+
+
+def test_branching_graph_rejects_bad_input():
+    for N, n_max in ((4, 2), (1, 2), (2, 0), (3, -1)):
+        with pytest.raises(InvalidParameters):
+            branching_graph(N, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,15 @@ def test_invalid_affine_parameters_exit_two(capsys, argv):
     ("check-relations", "--rep", "tau", "--N", "2", "--n", "-1"),
     ("bmw-check", "--N", "2", "--n", "2"),                  # no adjacent pair
     ("check-relations", "--rep", "tau", "--N", "3", "--n", "9"),   # 3^9 rows
+    ("irreducible", "--N", "2", "--n", "-1"),               # negative strand counts
+    ("semisimple", "--N", "2", "--n", "-1"),
+    ("decompose", "--N", "2", "--n", "-1"),
+    ("localize", "--N", "2", "--n", "-2"),
+    ("localize", "--N", "3", "--n", "2"),                   # no strands left to localize
+    ("localize", "--N", "3", "--n", "3"),
+    ("branch", "--N", "2", "--nmax", "-1"),
+    ("branch", "--N", "2", "--nmax", "0"),
+    ("ybe", "--bvs", "swap", "--drinfeld"),                 # Drinfeld needs --bvs affine
 ])
 def test_missing_or_malformed_parameters_exit_two(capsys, argv):
     _assert_one_usage_line(capsys, argv)
@@ -138,7 +147,8 @@ def test_invalid_affine_parameters_exit_two_without_asserts():
     for argv in (["affine-image", "--m", "4", "--t", "2", "--n", "3"],
                  ["ybe", "--bvs", "affine", "--m", "5", "--t", "6", "--drinfeld"],
                  ["bmw-check", "--N", "2", "--n", "2"],
-                 ["check-relations", "--rep", "tau", "--N", "3", "--n", "9"]):
+                 ["check-relations", "--rep", "tau", "--N", "3", "--n", "9"],
+                 ["decompose", "--N", "2", "--n", "-1"]):
         proc = subprocess.run([sys.executable, "-O", "-m", "loopbraid.cli"] + argv,
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2
@@ -248,3 +258,44 @@ def test_manifest_embedded_everywhere(capsys):
         _, out = run(capsys, *argv)
         manifest = json.loads(out)["manifest"]
         assert set(manifest) == {"command", "parameters", "seed", "ring", "version"}
+
+
+# The manifest records every parsed option except the subcommand and the
+# report-shaping flags (--emit-elements, --basis, --dot, --drinfeld), and
+# check-relations leaves out the options of the other --rep.
+@pytest.mark.parametrize("argv, parameters", [
+    ("check-relations --rep affine --m 5 --t 2 --n 3 --variant SLB",
+     {"m": 5, "n": 3, "rep": "affine", "t": 2, "transposed": False, "variant": "SLB"}),
+    ("check-relations --rep tau --N 3 --x 7/2 --n 4 --variant SLB",
+     {"N": 3, "form": "x", "n": 4, "rep": "tau", "transposed": False, "variant": "SLB",
+      "x": "7/2"}),
+    ("check-relations --rep tau --N 2 --n 3 --m 5 --t 2",
+     {"N": 2, "form": "x", "n": 3, "rep": "tau", "transposed": False, "variant": "LB",
+      "x": "2"}),
+    ("check-relations --rep affine --m 5 --t 2 --n 3 --N 4 --x 3 --form q",
+     {"m": 5, "n": 3, "rep": "affine", "t": 2, "transposed": False, "variant": "LB"}),
+    ("check-relations --rep tau --N 2 --form q --n 3 --transposed",
+     {"N": 2, "form": "q", "n": 3, "rep": "tau", "transposed": True, "variant": "LB",
+      "x": "2"}),
+    ("ybe --bvs affine --m 5 --t 2 --drinfeld", {"bvs": "affine", "m": 5, "t": 2}),
+    ("ybe --bvs swap --d 3 --m 5", {"bvs": "swap", "d": 3, "m": 5}),
+    ("ybe --bvs c2", {"bvs": "c2"}),
+    ("ybe --bvs c2alt --q 3", {"bvs": "c2alt", "q": "3"}),
+    ("ybe --bvs tau --N 3 --x 5/2", {"N": 3, "bvs": "tau", "x": "5/2"}),
+    ("affine-image --m 3 --t 2 --n 3", {"cap": 10000000, "m": 3, "n": 3, "t": 2}),
+    ("affine-image --m 3 --t 2 --n 2 --cap 100 --emit-elements",
+     {"cap": 100, "m": 3, "n": 2, "t": 2}),
+    ("decompose --N 3 --n 4 --x 2", {"N": 3, "n": 4, "x": "2"}),
+    ("decompose --N 2 --n 3 --basis", {"N": 2, "n": 3, "x": "2"}),
+    ("branch --N 2 --nmax 3 --dot g.dot", {"N": 2, "nmax": 3, "x": "2"}),
+    ("irreducible --N 2 --n 5 --x 2", {"N": 2, "n": 5, "ring": "rational", "x": "2"}),
+    ("bmw-check --N 3", {"N": 3, "n": 3}),
+    ("semisimple --N 2 --n 3 --x 2", {"N": 2, "n": 3, "x": "2"}),
+    ("localize --N 2 --n 4 --x 2", {"N": 2, "n": 4, "x": "2"}),
+    ("branch --N 3 --nmax 3 --x 3", {"N": 3, "nmax": 3, "x": "3"}),
+])
+def test_manifest_parameters(capsys, tmp_path, monkeypatch, argv, parameters):
+    monkeypatch.chdir(tmp_path)  # branch --dot writes its file here
+    code, out = run(capsys, *argv.split())
+    assert code in (0, 1)
+    assert json.loads(out)["manifest"]["parameters"] == parameters

@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from loopbraid.errors import NotAUnit
+import loopbraid
+from loopbraid.errors import InvalidParameters, NotAUnit
 from loopbraid.rings import (LQ, QQ, IntegersMod, LaurentPoly, ZmInt,
                              is_probable_prime, mod_inverse,
                              random_prime_above_2_30, unit_group)
@@ -46,8 +51,26 @@ def test_zmint_normalization_and_modulus_guard():
     a = ZmInt(7, 5)
     assert a.residue == 2
     assert (-a).residue == 3
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         a + ZmInt(1, 7)
+
+
+def test_zmint_modulus_guard_without_asserts():
+    # python -O strips assert statements, so the guard must not use them
+    env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
+    code = ("from loopbraid.rings import ZmInt\n"
+            "try:\n    ZmInt(2, 5) + ZmInt(1, 7)\n"
+            "except ValueError:\n    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
+
+
+def test_modulus_below_two_refused():
+    for m in (1, 0, -3):
+        for make in (lambda: ZmInt(1, m), lambda: IntegersMod(m), lambda: unit_group(m)):
+            with pytest.raises(InvalidParameters):
+                make()
 
 
 def test_laurent_basic_arithmetic():

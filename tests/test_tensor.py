@@ -117,6 +117,14 @@ def test_invalid_tau_parameters():
             TauRep(N, Fraction(2), form)
 
 
+def test_invalid_strand_counts():
+    with pytest.raises(InvalidParameters):
+        charge_blocks(2, -1)
+    block = partition_block(2, 2, (1, 1))  # n = N: nothing left to localize
+    with pytest.raises(InvalidParameters):
+        localize(f_operator(2, block), young_module(block, X2))
+
+
 def test_charge_blocks_examples():
     block = partition_block(3, 3, (2, 1))
     assert ["".join(map(str, w)) for w in block.words] == ["112", "121", "211"]
