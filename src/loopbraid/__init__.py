@@ -12,16 +12,16 @@ from .errors import (CapExceeded, GroupTypeViolation,
                      SingularImage)
 from .rings import QQ, LQ, IntegersMod, LaurentPoly, Rational, ZmInt, \
     mod_inverse, unit_group
-from .linalg import Matrix, WeightedPerm, rank_and_kernel
+from .linalg import Matrix, WeightedPerm
 from .words import (Generator, RelationSet, check_relations, evaluate_word,
                     relations_for, s_, sigma)
 from .braided import (BVS, GroupTypeData, LoopBVS, affine_bvs, affine_loop,
                       bvs_from_group_type, c2_hecke, check_yang_baxter,
                       diagonal_bvs, extend_to_loop, is_diagonalizable_group_type,
                       local_rep, swap_bvs, tau_loop)
-from .affine import (AffineParams, AglElement, agl_order, determinant_profile,
-                     drinfeld_r_check, generate_image, rho_generators,
-                     surjectivity_predicate, to_agl_form)
+from .affine import (AffineParams, AglElement, agl_order, drinfeld_r_check,
+                     generate_image, rho_generators, surjectivity_predicate,
+                     to_agl_form)
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep,
                      charge_blocks, f_operator, harmonic_decompose, localize,
                      right_color_action)

@@ -258,11 +258,6 @@ def surjectivity_predicate(m: int, t: int) -> dict:
     return {"units_ok": units_ok, "generates": generates}
 
 
-def determinant_profile(p: AffineParams, elements) -> set:
-    """Determinants of the given image elements, as residues mod m."""
-    return {ZmInt(g.det().residue, p.m) for g in elements}
-
-
 def signed_power_set(m: int, t: int) -> set:
     """The subgroup {±t^k} of Z_m^x."""
     return {ZmInt(r, m) for r in subgroup_generated(m, [t % m, (-1) % m])}

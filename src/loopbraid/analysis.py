@@ -90,28 +90,42 @@ def hom_space(ops_src, ops_tgt, d_src, d_tgt):
 
 
 def _project_hom(components, e_tgt, e_src, d_src, d_tgt):
-    """Dimension of span{E_tgt X E_src} over the hom-space basis."""
+    """Dimension of span{E_tgt X E_src} over the hom-space basis.
+
+    X is nonzero only on its component's cells and the projectors are
+    sparse, so E_tgt X E_src is accumulated over nonzero entries only.  X
+    and the projectors are scaled to integer entries first; nonzero scalars
+    leave the dimension unchanged."""
+    tgt_cols = _integral_lines(None if e_tgt is None else e_tgt.transpose(), d_tgt)
+    src_rows = _integral_lines(e_src, d_src)
     span = RowSpan(d_src * d_tgt)
     dim = 0
     for comp in components:
-        if e_tgt is None and e_src is None:
-            vec = [Fraction(0)] * (d_src * d_tgt)
-            for cell, f in comp.items():
-                vec[cell] = f
-        else:
-            x = [[Fraction(0)] * d_src for _ in range(d_tgt)]
-            for cell, f in comp.items():
-                x[cell // d_src][cell % d_src] = f
-            if e_tgt is not None:
-                x = [[sum(e_tgt.rows[a][c] * x[c][b] for c in range(d_tgt) if x[c][b])
-                      for b in range(d_src)] for a in range(d_tgt)]
-            if e_src is not None:
-                x = [[sum(x[a][c] * e_src.rows[c][b] for c in range(d_src) if x[a][c])
-                      for b in range(d_src)] for a in range(d_tgt)]
-            vec = [x[a][b] for a in range(d_tgt) for b in range(d_src)]
+        den = math.lcm(*(f.denominator for f in comp.values()))
+        left = {}  # (row, column) -> entry of E_tgt X
+        for cell, f in comp.items():
+            c, b = divmod(cell, d_src)
+            f = f.numerator * (den // f.denominator)
+            for a, e in tgt_cols[c]:
+                left[a, b] = left.get((a, b), 0) + e * f
+        vec = [0] * (d_src * d_tgt)
+        for (a, c), y in left.items():
+            if y:
+                for b, e in src_rows[c]:
+                    vec[a * d_src + b] += y * e
         if span.insert(vec):
             dim += 1
     return dim
+
+
+def _integral_lines(e, d):
+    """(index, entry) for the nonzero entries of each row of e, times the
+    common denominator of e; the identity's rows for None."""
+    if e is None:
+        return [[(i, 1)] for i in range(d)]
+    den = math.lcm(*(v.denominator for v in e.entries()))
+    return [[(j, v.numerator * (den // v.denominator)) for j, v in enumerate(row) if v]
+            for row in e.rows]
 
 
 def _module_projector(m: ModuleSpec):
@@ -133,6 +147,11 @@ def hom_dim(m1: ModuleSpec, m2: ModuleSpec) -> int:
     assert m1.rep == m2.rep
     comps = hom_space(m1.block.ops(m1.rep), m2.block.ops(m2.rep),
                       m1.block.dim, m2.block.dim)
+    return _projected_hom_dim(comps, m1, m2)
+
+
+def _projected_hom_dim(comps, m1, m2):
+    """dim Hom(M1, M2) from the hom space between their blocks."""
     e1 = _module_projector(m1)
     e2 = _module_projector(m2)
     if e1 is None and e2 is None:
@@ -683,7 +702,9 @@ def harmonic_end_dims(N, n, x) -> list:
     rep = TauRep(N, x)
     for lam, _ in charge_blocks(N, n)[1]:
         block = partition_block(N, n, lam)
+        ops = block.ops(rep)
+        comps = hom_space(ops, ops, block.dim, block.dim)  # shared by the block's modules
         for mod in harmonic_decompose(block, rep):
             out.append({"label": mod.label_json(), "dim": mod.dim,
-                        "end_dim": end_dim(mod)})
+                        "end_dim": _projected_hom_dim(comps, mod, mod)})
     return out

@@ -288,6 +288,8 @@ def diagonal_bvs(N: int, x, form="x") -> BVS:
     if form == "x":
         ring = QQ
         x = Fraction(x)
+        if x == 0:
+            raise InvalidParameters("x must be nonzero (the braiding is singular at x = 0)")
         eq_w, sw_w = x, ring.one
     else:
         ring = LQ

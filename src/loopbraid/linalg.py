@@ -113,27 +113,28 @@ class Matrix:
                 [other.wts[j] * self.rows[i][other.tgt[j]] for j in range(other.n)]
                 for i in range(self.nrows)])
         assert self.ncols == other.nrows, "dimension mismatch"
+        # only nonzero a[i][k] * b[k][j] terms, summed in increasing k
         z = self.ring.zero
-        bt = list(zip(*other.rows))
+        b_nonzero = [_nonzero(r) for r in other.rows]
         out = []
         for r in self.rows:
-            row = []
-            for c in bt:
-                acc = z
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
+            row = [z] * other.ncols
+            for k, a in enumerate(r):
+                if a:
+                    for j, b in b_nonzero[k]:
+                        row[j] = row[j] + a * b
             out.append(row)
         return Matrix(self.ring, out)
 
     def mul_vec(self, v):
         z = self.ring.zero
+        v_nonzero = _nonzero(v)
         out = []
         for r in self.rows:
             acc = z
-            for a, b in zip(r, v):
-                if a and b:
+            for k, b in v_nonzero:
+                a = r[k]
+                if a:
                     acc = acc + a * b
             out.append(acc)
         return out
@@ -200,6 +201,11 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%s, %dx%d)" % (self.ring.name, self.nrows, self.ncols)
+
+
+def _nonzero(vec):
+    """(index, entry) for every nonzero entry of vec, in index order."""
+    return [(j, a) for j, a in enumerate(vec) if a]
 
 
 def _int_det_bareiss(rows):
@@ -328,25 +334,6 @@ def kron_list(ops):
 # ---------------------------------------------------------------------------
 # Elimination.
 
-def rank_and_kernel(mat: Matrix):
-    """Row reduce and return (rank, kernel basis vectors), one kernel
-    vector per non-pivot column.  NonFieldModulus as for RowSpan.insert."""
-    ring = mat.ring
-    span = RowSpan(mat.ncols, ring)
-    for r in mat.rows:
-        span.insert(r)
-    kernel = []
-    for fc in range(mat.ncols):
-        if fc in span.pivot_of:
-            continue
-        v = [ring.zero] * mat.ncols
-        v[fc] = ring.one
-        for pc, ri in span.pivot_of.items():
-            v[pc] = -span.rows[ri][fc]
-        kernel.append(v)
-    return span.dim, kernel
-
-
 def rank(rows) -> int:
     """Rank over QQ of a list of equal-length rows."""
     span = RowSpan(len(rows[0]) if rows else 0)
@@ -363,6 +350,8 @@ class RowSpan:
     the earlier rows, so every pivot column is zero outside its own row.
     Pivots lie in the first ``width`` columns; over QQ and Z_p each is the
     leading entry, which makes the rows the reduced row echelon form.
+    Each row keeps the list of its nonzero entries, and reduction and
+    back-substitution work on those alone.
     """
 
     def __init__(self, width, ring=QQ):
@@ -370,14 +359,16 @@ class RowSpan:
         self.ring = ring
         self.pivot_of = {}  # pivot column -> row index in self.rows
         self.rows = []
+        self._row_nonzero = []  # _nonzero(row) for each row of self.rows
+        self._pivots = []   # sorted (pivot column, row index)
 
     def reduce(self, vec):
         v = list(vec)
-        for c, ri in sorted(self.pivot_of.items()):
-            if v[c]:
-                f = v[c]
-                row = self.rows[ri]
-                v = [a - f * b for a, b in zip(v, row)]
+        for c, ri in self._pivots:
+            f = v[c]
+            if f:
+                for j, b in self._row_nonzero[ri]:
+                    v[j] = v[j] - f * b
         return v
 
     def insert(self, vec) -> bool:
@@ -395,13 +386,21 @@ class RowSpan:
             return False
         inv = self.ring.inv(v[piv])
         v = [inv * a for a in v]
-        # back-substitute into existing rows
+        v_nonzero = _nonzero(v)
+        # back-substitute into existing rows; each is replaced, not mutated,
+        # so rows handed out earlier keep their values
         for ri, row in enumerate(self.rows):
-            if row[piv]:
-                f = row[piv]
-                self.rows[ri] = [a - f * b for a, b in zip(row, v)]
+            f = row[piv]
+            if f:
+                row = list(row)
+                for j, b in v_nonzero:
+                    row[j] = row[j] - f * b
+                self.rows[ri] = row
+                self._row_nonzero[ri] = _nonzero(row)
         self.pivot_of[piv] = len(self.rows)
+        self._pivots = sorted(self.pivot_of.items())
         self.rows.append(v)
+        self._row_nonzero.append(v_nonzero)
         return True
 
     def contains(self, vec) -> bool:
@@ -410,9 +409,3 @@ class RowSpan:
     @property
     def dim(self):
         return len(self.rows)
-
-
-def laurent_matrix_at(mat: Matrix, q0) -> Matrix:
-    """Evaluate a Laurent-entry matrix at a rational point, e.g. to take
-    ranks over a field."""
-    return Matrix(QQ, [[v.evaluate(q0) for v in row] for row in mat.rows])

@@ -40,6 +40,8 @@ class TauRep:
             raise InvalidParameters("unknown form %r (expected x or q)" % (self.form,))
         if self.form == "x":
             object.__setattr__(self, "x", Fraction(self.x))
+            if self.x == 0:
+                raise InvalidParameters("x must be nonzero (sigma_j is singular at x = 0)")
 
     @property
     def ring(self):
@@ -215,15 +217,6 @@ def f_operator(N: int, block: ChargeBlock, rep: TauRep = None) -> Matrix:
             total.rows[op.tgt[j]][j] = total.rows[op.tgt[j]][j] + (
                 op.wts[j] if sgn > 0 else -op.wts[j])
     return total
-
-
-def f_operator_blocks(N: int, n: int) -> dict:
-    """The symmetrizer on every partition block at (N, n), keyed by content."""
-    out = {}
-    for comp in _compositions(n, N):
-        if comp == tuple(sorted(comp, reverse=True)):
-            out[comp] = f_operator(N, ChargeBlock(N, n, comp))
-    return out
 
 
 def symmetrized_seed_vector(block: ChargeBlock, rep: TauRep) -> list:

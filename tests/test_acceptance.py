@@ -10,10 +10,11 @@ import math
 import time
 from fractions import Fraction
 
-from loopbraid.affine import (AffineParams, agl_order, determinant_profile,
-                              drinfeld_r_permutation, generate_image,
-                              gl_order, proof_word_landmarks, rho_generators,
-                              signed_power_set, surjectivity_predicate)
+from helpers import determinant_profile
+from loopbraid.affine import (AffineParams, agl_order, drinfeld_r_permutation,
+                              generate_image, gl_order, proof_word_landmarks,
+                              rho_generators, signed_power_set,
+                              surjectivity_predicate)
 from loopbraid.analysis import (bmw_check, end_dim, hom_dim, is_e_null,
                                 localization_report, restrict_and_branch,
                                 semisimplicity_check, spin_dimension,

@@ -3,8 +3,8 @@ from itertools import product
 
 import pytest
 
-from loopbraid.affine import (AffineParams, AglElement, agl_order,
-                              determinant_profile, drinfeld_r_check,
+from helpers import determinant_profile
+from loopbraid.affine import (AffineParams, AglElement, agl_order, drinfeld_r_check,
                               drinfeld_r_permutation, drinfeld_report,
                               from_agl_form, generate_image, gl_order,
                               is_row_stochastic, proof_word_landmarks,

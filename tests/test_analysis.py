@@ -4,15 +4,15 @@ import pytest
 
 from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 branching_graph, end_dim, harmonic_end_dims,
-                                hom_dim, is_e_null, is_irreducible,
+                                hom_dim, hom_space, is_e_null, is_irreducible,
                                 localization_report,
                                 localization_triangle_check,
                                 restrict_and_branch, semisimplicity_check,
                                 spin_dimension, verify_young_branching,
                                 young_branch_rule, _center_dim, _closure,
-                                _collapsed_generators)
+                                _collapsed_generators, _project_hom)
 from loopbraid.errors import InvalidParameters
-from loopbraid.linalg import Matrix
+from loopbraid.linalg import Matrix, RowSpan
 from loopbraid.rings import QQ, LaurentPoly
 from loopbraid.tensor import (ChargeBlock, TauRep,
                               charge_blocks, f_operator, harmonic_decompose,
@@ -338,3 +338,68 @@ def test_harmonic_end_dims_shape():
     out = harmonic_end_dims(2, 3, Fraction(2))
     assert all(set(e) == {"label", "dim", "end_dim"} for e in out)
     assert all(e["end_dim"] == 1 for e in out)
+
+
+@pytest.mark.parametrize("x", [Fraction(2), Fraction(3), Fraction(7, 2), Fraction(-1)], ids=str)
+def test_harmonic_end_dims_match_per_module_end_dim(x):
+    # one hom space per block, projected per label, gives each module's end_dim
+    for N, n in ((2, 4), (3, 4), (3, 5)):
+        out = harmonic_end_dims(N, n, x)
+        mods = [m for lam, _ in charge_blocks(N, n)[1]
+                for m in harmonic_decompose(partition_block(N, n, lam), TauRep(N, x))]
+        assert [e["label"] for e in out] == [m.label_json() for m in mods]
+        assert [e["dim"] for e in out] == [m.dim for m in mods]
+        assert [e["end_dim"] for e in out] == [end_dim(m) for m in mods]
+
+
+# ---------------------------------------------------------------------------
+# Diff test of the sparse harmonic projection against the dense E X E it
+# replaced, kept here as a test-only oracle.
+
+def _dense_project_hom(components, e_tgt, e_src, d_src, d_tgt):
+    """Dimension of span{E_tgt X E_src}, each X a dense d_tgt x d_src matrix."""
+    span = RowSpan(d_src * d_tgt)
+    dim = 0
+    for comp in components:
+        if e_tgt is None and e_src is None:
+            vec = [Fraction(0)] * (d_src * d_tgt)
+            for cell, f in comp.items():
+                vec[cell] = f
+        else:
+            x = [[Fraction(0)] * d_src for _ in range(d_tgt)]
+            for cell, f in comp.items():
+                x[cell // d_src][cell % d_src] = f
+            if e_tgt is not None:
+                x = [[sum(e_tgt.rows[a][c] * x[c][b] for c in range(d_tgt) if x[c][b])
+                      for b in range(d_src)] for a in range(d_tgt)]
+            if e_src is not None:
+                x = [[sum(x[a][c] * e_src.rows[c][b] for c in range(d_src) if x[a][c])
+                      for b in range(d_src)] for a in range(d_tgt)]
+            vec = [x[a][b] for a in range(d_tgt) for b in range(d_src)]
+        if span.insert(vec):
+            dim += 1
+    return dim
+
+
+@pytest.mark.parametrize("N,n", [(2, n) for n in range(2, 7)] + [(3, n) for n in range(3, 7)]
+                         + [(4, n) for n in range(4, 6)])
+def test_sparse_projection_matches_dense_oracle(N, n):
+    rep = TauRep(N, Fraction(2))
+    projected = 0
+    for lam, _ in charge_blocks(N, n)[1]:
+        block = partition_block(N, n, lam)
+        d = block.dim
+        mods = harmonic_decompose(block, rep)
+        ops = block.ops(rep)
+        comps = hom_space(ops, ops, d, d)
+        # End of every module; Hom between every pair of modules and the
+        # whole block (projector None) where the block is small
+        pairs = [(m.projector, m.projector) for m in mods]
+        if d <= 12:
+            projectors = [m.projector for m in mods] + [None]
+            pairs = [(a, b) for a in projectors for b in projectors]
+        for e_tgt, e_src in pairs:
+            assert _project_hom(comps, e_tgt, e_src, d, d) == \
+                _dense_project_hom(comps, e_tgt, e_src, d, d)
+            projected += e_tgt is not None or e_src is not None
+    assert projected > 0 or N == 2

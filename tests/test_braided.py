@@ -58,6 +58,8 @@ def test_diagonal_bvs_pattern():
     expected = Matrix(QQ, [[x, 0, 0, 0], [0, 0, 1, 0],
                            [0, 1, 0, 0], [0, 0, 0, x]])
     assert c == expected
+    with pytest.raises(InvalidParameters):  # singular at x = 0
+        diagonal_bvs(2, 0)
 
 
 def test_affine_group_type_passes_and_ybe():

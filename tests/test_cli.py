@@ -127,6 +127,10 @@ def test_invalid_affine_parameters_exit_two(capsys, argv):
     ("branch", "--N", "2", "--nmax", "-1"),
     ("branch", "--N", "2", "--nmax", "0"),
     ("ybe", "--bvs", "swap", "--drinfeld"),                 # Drinfeld needs --bvs affine
+    ("irreducible", "--N", "2", "--n", "3", "--x", "0"),    # sigma_j singular at x = 0
+    ("semisimple", "--N", "2", "--n", "3", "--x", "0"),
+    ("check-relations", "--rep", "tau", "--N", "2", "--n", "3", "--x", "0"),
+    ("ybe", "--bvs", "tau", "--x", "0"),
 ])
 def test_missing_or_malformed_parameters_exit_two(capsys, argv):
     _assert_one_usage_line(capsys, argv)
@@ -148,7 +152,8 @@ def test_invalid_affine_parameters_exit_two_without_asserts():
                  ["ybe", "--bvs", "affine", "--m", "5", "--t", "6", "--drinfeld"],
                  ["bmw-check", "--N", "2", "--n", "2"],
                  ["check-relations", "--rep", "tau", "--N", "3", "--n", "9"],
-                 ["decompose", "--N", "2", "--n", "-1"]):
+                 ["decompose", "--N", "2", "--n", "-1"],
+                 ["irreducible", "--N", "2", "--n", "3", "--x", "0"]):
         proc = subprocess.run([sys.executable, "-O", "-m", "loopbraid.cli"] + argv,
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2

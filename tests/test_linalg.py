@@ -5,8 +5,33 @@ from fractions import Fraction
 import pytest
 
 from loopbraid.errors import IncompleteMatch, NonFieldModulus, SingularImage
-from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank_and_kernel
-from loopbraid.rings import QQ, IntegersMod, random_prime_above_2_30
+from loopbraid.linalg import Matrix, RowSpan, WeightedPerm
+from loopbraid.rings import LQ, QQ, IntegersMod, LaurentPoly, random_prime_above_2_30
+
+
+def rank_and_kernel(mat: Matrix):
+    """Row reduce and return (rank, kernel basis vectors), one kernel
+    vector per non-pivot column.  NonFieldModulus as for RowSpan.insert."""
+    ring = mat.ring
+    span = RowSpan(mat.ncols, ring)
+    for r in mat.rows:
+        span.insert(r)
+    kernel = []
+    for fc in range(mat.ncols):
+        if fc in span.pivot_of:
+            continue
+        v = [ring.zero] * mat.ncols
+        v[fc] = ring.one
+        for pc, ri in span.pivot_of.items():
+            v[pc] = -span.rows[ri][fc]
+        kernel.append(v)
+    return span.dim, kernel
+
+
+def laurent_matrix_at(mat: Matrix, q0) -> Matrix:
+    """Evaluate a Laurent-entry matrix at a rational point, e.g. to take
+    ranks over a field."""
+    return Matrix(QQ, [[v.evaluate(q0) for v in row] for row in mat.rows])
 
 
 def test_rank_and_kernel_examples():
@@ -94,8 +119,6 @@ def test_rowspan_reduced_echelon():
 
 
 def test_laurent_matrix_evaluation_rank():
-    from loopbraid.linalg import laurent_matrix_at
-    from loopbraid.rings import LQ, LaurentPoly
     q = LaurentPoly.gen()
     m = Matrix(LQ, [[q, q * q], [q.inverse(), q]])
     evaluated = laurent_matrix_at(m, Fraction(3))
@@ -395,3 +418,156 @@ def test_branching_inconsistent_trace_system(trace_spans, monkeypatch):
     assert len(span.inserted) == _sampled_rows(span.inserted, k) + 6
     with pytest.raises(IncompleteMatch, match="inconsistent"):
         _oracle_solve_unique(span.inserted, k)
+
+
+# ---------------------------------------------------------------------------
+# Diff tests of the zero-skipping products and RowSpan against the dense
+# loops they replaced, kept here as test-only oracles.
+
+def _dense_matmul(a, b):
+    """Matrix x Matrix over every (i, k, j), skipping zero products."""
+    z = a.ring.zero
+    bt = list(zip(*b.rows))
+    out = []
+    for r in a.rows:
+        row = []
+        for c in bt:
+            acc = z
+            for x, y in zip(r, c):
+                if x and y:
+                    acc = acc + x * y
+            row.append(acc)
+        out.append(row)
+    return Matrix(a.ring, out)
+
+
+def _dense_mul_vec(a, v):
+    z = a.ring.zero
+    out = []
+    for r in a.rows:
+        acc = z
+        for x, y in zip(r, v):
+            if x and y:
+                acc = acc + x * y
+        out.append(acc)
+    return out
+
+
+class _DenseRowSpan:
+    """RowSpan with every row operation over the whole row."""
+
+    def __init__(self, width, ring=QQ):
+        self.width = width
+        self.ring = ring
+        self.pivot_of = {}
+        self.rows = []
+
+    def reduce(self, vec):
+        v = list(vec)
+        for c, ri in sorted(self.pivot_of.items()):
+            if v[c]:
+                f = v[c]
+                row = self.rows[ri]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def insert(self, vec):
+        v = self.reduce(vec)
+        is_unit = self.ring.is_unit
+        piv = next((c for c in range(self.width) if v[c] and is_unit(v[c])), None)
+        if piv is None:
+            if any(v[:self.width]):
+                raise NonFieldModulus("no unit entry to pivot on over %r" % (self.ring,))
+            return False
+        inv = self.ring.inv(v[piv])
+        v = [inv * a for a in v]
+        for ri, row in enumerate(self.rows):
+            if row[piv]:
+                f = row[piv]
+                self.rows[ri] = [a - f * b for a, b in zip(row, v)]
+        self.pivot_of[piv] = len(self.rows)
+        self.rows.append(v)
+        return True
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+
+SPARSE_RINGS = [QQ, IntegersMod(7), IntegersMod(1000003), IntegersMod(4),
+                IntegersMod(6), LQ]
+
+
+def _sparse_entry(rng, ring, density):
+    if rng.random() >= density:
+        return ring.zero
+    if ring is QQ:
+        return Fraction(rng.randrange(-4, 5), rng.choice((1, 1, 2, 3)))
+    if ring is LQ:
+        if rng.random() < 0.6:  # a unit
+            return LaurentPoly.monomial(rng.randrange(-2, 3), rng.choice((-2, -1, 1, 3)))
+        return LaurentPoly({e: rng.randrange(-2, 3) for e in range(-1, 2)})
+    return ring.from_int(rng.randrange(ring.m))
+
+
+def _sparse_rows(rng, ring, nrows, ncols, density):
+    return [[_sparse_entry(rng, ring, density) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _same_entries(got, want):
+    """Equal values of the same type, entry by entry."""
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("ring", SPARSE_RINGS, ids=repr)
+def test_sparse_products_match_dense_oracle(ring):
+    rng = random.Random(4242)
+    for trial in range(40):
+        n, k, m = rng.randrange(1, 8), rng.randrange(1, 8), rng.randrange(1, 8)
+        density = rng.choice((0.0, 0.15, 0.4, 1.0))
+        a = Matrix(ring, _sparse_rows(rng, ring, n, k, density))
+        b = Matrix(ring, _sparse_rows(rng, ring, k, m, density))
+        got, want = a * b, _dense_matmul(a, b)
+        assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+        for r1, r2 in zip(got.rows, want.rows):
+            _same_entries(r1, r2)
+        v = _sparse_rows(rng, ring, 1, k, density)[0]
+        _same_entries(a.mul_vec(v), _dense_mul_vec(a, v))
+
+
+@pytest.mark.parametrize("ring", SPARSE_RINGS + [IntegersMod(12)], ids=repr)
+def test_sparse_rowspan_matches_dense_oracle(ring):
+    rng = random.Random(9001)
+    raised = 0
+    for trial in range(60):
+        width = rng.randrange(1, 9)
+        extra = rng.randrange(0, 3)  # columns right of the pivot range
+        density = rng.choice((0.15, 0.4, 0.8))
+        rows = _sparse_rows(rng, ring, rng.randrange(1, 10), width + extra, density)
+        if len(rows) > 2 and trial % 3 == 0:
+            rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]  # a dependent row
+        got, want = RowSpan(width, ring), _DenseRowSpan(width, ring)
+        for r in rows:
+            outcome = _outcome(got.insert, r)
+            assert outcome == _outcome(want.insert, r)
+            assert got.pivot_of == want.pivot_of and got.dim == want.dim
+            assert len(got.rows) == len(want.rows)
+            for r1, r2 in zip(got.rows, want.rows):
+                assert r1 == r2
+            probe = _sparse_rows(rng, ring, 1, width + extra, density)[0]
+            assert got.reduce(probe) == want.reduce(probe)
+            if outcome is NonFieldModulus:
+                raised += 1
+                break
+    assert raised > 0 or ring.is_field
+
+
+def test_rowspan_back_substitution_replaces_rows():
+    # callers keep rows they read (spin_dimension's frontier); a later
+    # insert must not change them
+    span = RowSpan(2)
+    span.insert([Fraction(1), Fraction(1)])
+    first = span.rows[0]
+    span.insert([Fraction(0), Fraction(1)])
+    assert first == [1, 1] and span.rows[0] == [1, 0]

@@ -115,6 +115,8 @@ def test_invalid_tau_parameters():
     for N, form in ((0, "x"), (-1, "q"), (2, "y")):
         with pytest.raises(InvalidParameters):
             TauRep(N, Fraction(2), form)
+    with pytest.raises(InvalidParameters):  # sigma_j is singular at x = 0
+        TauRep(2, Fraction(0))
 
 
 def test_invalid_strand_counts():
@@ -355,8 +357,16 @@ def test_localized_harmonic_case_table():
     assert localized_harmonic_prediction(3, lab, 4) == (None, 0)  # depth < N
 
 
+def f_operator_blocks(N, n):
+    """The symmetrizer on every partition block at (N, n), keyed by content."""
+    out = {}
+    for lam, _ in charge_blocks(N, n)[1]:
+        block = partition_block(N, n, lam)
+        out[block.comp] = f_operator(N, block)
+    return out
+
+
 def test_f_operator_blocks_keys():
-    from loopbraid.tensor import f_operator_blocks
     out = f_operator_blocks(2, 3)
     assert set(out) == {(3, 0), (2, 1)}
     assert all(m.nrows == m.ncols for m in out.values())
