@@ -38,55 +38,39 @@ def default_seed() -> int:
 
 def hom_space(ops_src, ops_tgt, d_src, d_tgt):
     """Basis of {X : X rho_src(g) = rho_tgt(g) X}, each element a dict
-    cell -> Fraction with cell = a * d_src + b meaning X[a, b]."""
-    size = d_src * d_tgt
-    parent = list(range(size))
-    factor = [Fraction(1)] * size
-    dead = set()
+    cell -> Fraction with cell = a * d_src + b meaning X[a, b].
 
-    def find_fast(i):
-        # value[node] = factor[node] * value[parent[node]]; compress with
-        # suffix products so factors stay correct
-        path = []
-        while parent[i] != i:
-            path.append(i)
-            i = parent[i]
-        acc = Fraction(1)
-        for node in reversed(path):
-            acc = factor[node] * acc
-            parent[node] = i
-            factor[node] = acc
-        return (i, factor[path[0]]) if path else (i, Fraction(1))
-
-    for op_s, op_t in zip(ops_src, ops_tgt):
-        for a in range(d_tgt):
-            ta = op_t.tgt[a]
-            wa = op_t.wts[a]
-            for b in range(d_src):
-                c1 = a * d_src + b
-                c2 = ta * d_src + op_s.tgt[b]
-                ratio = wa / op_s.wts[b]
-                r1, f1 = find_fast(c1)
-                r2, f2 = find_fast(c2)
-                if r1 == r2:
-                    if f2 != ratio * f1:
-                        dead.add(r1)
-                else:
-                    parent[r2] = r1
-                    factor[r2] = ratio * f1 / f2
-                    if r2 in dead:
-                        dead.discard(r2)
-                        dead.add(r1)
-    comps = {}
-    for cell in range(size):
-        root, f = find_fast(cell)
-        comps.setdefault(root, {})[cell] = f
-    live_roots = set()
-    for root in comps:
-        r, _ = find_fast(root)
-        if r not in dead:
-            live_roots.add(root)
-    return [comps[r] for r in sorted(live_roots)]
+    Each generator pair (s, t) maps cell (a, b) to (t.tgt[a], s.tgt[b]) and
+    forces X there to be t.wts[a] / s.wts[b] times X[a, b].  These maps are
+    bijections of the cells, so a walk from the least cell of an orbit
+    reaches the whole orbit and checks every constraint on it once; the
+    orbit is a basis element, scaled to 1 at that cell, iff none disagrees."""
+    moves = [(t.tgt, t.wts, s.tgt, [1 / w for w in s.wts])
+             for s, t in zip(ops_src, ops_tgt)]
+    value = [None] * (d_src * d_tgt)
+    basis = []
+    for start in range(len(value)):
+        if value[start] is not None:
+            continue
+        value[start] = Fraction(1)
+        orbit = [start]
+        stack = [start]
+        live = True
+        while stack:
+            a, b = divmod(stack.pop(), d_src)
+            v = value[a * d_src + b]
+            for t_tgt, t_wts, s_tgt, s_inv in moves:
+                cell = t_tgt[a] * d_src + s_tgt[b]
+                w = t_wts[a] * s_inv[b] * v
+                if value[cell] is None:
+                    value[cell] = w
+                    orbit.append(cell)
+                    stack.append(cell)
+                elif value[cell] != w:
+                    live = False
+        if live:
+            basis.append({cell: value[cell] for cell in orbit})
+    return basis
 
 
 def _project_hom(components, e_tgt, e_src, d_src, d_tgt):
@@ -198,7 +182,6 @@ def spin_dimension(block: ChargeBlock, rep: TauRep, vec, max_index=None) -> int:
 class AlgebraSpan:
     d: int
     basis: list
-    closed: bool = True
 
 
 def algebra_span(generators) -> AlgebraSpan:

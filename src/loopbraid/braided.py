@@ -25,7 +25,12 @@ class GroupTypeData:
     g: list                # d invertible d x d matrices in the standard basis
 
     def __post_init__(self):
-        assert self.side in ("left", "right")
+        if self.side not in ("left", "right"):
+            raise InvalidParameters("group-type side must be left or right, got %r"
+                                    % (self.side,))
+        d = len(self.g)
+        if d == 0 or any(m.nrows != d or any(len(r) != d for r in m.rows) for m in self.g):
+            raise InvalidParameters("group-type data needs d >= 1 matrices of size d x d")
 
     @property
     def d(self):
@@ -109,8 +114,7 @@ def bvs_from_group_type(data: GroupTypeData) -> BVS:
     """
     d = data.d
     ring = data.g[0].ring
-    for i, gm in enumerate(data.g):
-        assert gm.nrows == gm.ncols == d
+    for gm in data.g:
         gm.inverse()  # raises SingularImage if not invertible
     prods = {}
 
@@ -207,7 +211,7 @@ def extend_to_loop(b: BVS, side=None, S=None, n_check=3) -> LoopBVS:
     if S is None:
         S = swap_operator(b.ring, b.d)
     s2 = S * S
-    if not (s2.is_identity() if hasattr(s2, "is_identity") else s2 == Matrix.identity(b.ring, b.d * b.d)):
+    if not s2.is_identity():
         raise NotGroupType("S^2 != Id")
     diagonal = is_diagonalizable_group_type(b.group_type) and _is_diagonal_type(S, b.d)
     variant = "SLB" if diagonal else ("LB" if side == "right" else "OLB")
@@ -282,12 +286,13 @@ def diagonal_bvs(N: int, x, form="x") -> BVS:
 
     x-form: weight x on equal colors, 1 on a swap; q-form: weight q on
     equal colors, 1/q on a swap (set x = q^2 to match after rescaling).
+    x = None means x = 2 in x-form and the Laurent variable q in q-form.
     """
     if N < 1:
         raise InvalidParameters("N must be at least 1, got %d" % N)
     if form == "x":
         ring = QQ
-        x = Fraction(x)
+        x = Fraction(2 if x is None else x)
         if x == 0:
             raise InvalidParameters("x must be nonzero (the braiding is singular at x = 0)")
         eq_w, sw_w = x, ring.one

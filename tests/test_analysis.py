@@ -403,3 +403,95 @@ def test_sparse_projection_matches_dense_oracle(N, n):
                 _dense_project_hom(comps, e_tgt, e_src, d, d)
             projected += e_tgt is not None or e_src is not None
     assert projected > 0 or N == 2
+
+
+# ---------------------------------------------------------------------------
+# Diff test of the orbit walk in hom_space against the union-find it
+# replaced, kept here as a test-only oracle.
+
+def _union_find_hom_space(ops_src, ops_tgt, d_src, d_tgt):
+    """Hom-space basis by a union-find over cells with path-compressed
+    Fraction factors; a root is dead once a cycle product disagrees."""
+    size = d_src * d_tgt
+    parent = list(range(size))
+    factor = [Fraction(1)] * size
+    dead = set()
+
+    def find_fast(i):
+        # value[node] = factor[node] * value[parent[node]]; compress with
+        # suffix products so factors stay correct
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        acc = Fraction(1)
+        for node in reversed(path):
+            acc = factor[node] * acc
+            parent[node] = i
+            factor[node] = acc
+        return (i, factor[path[0]]) if path else (i, Fraction(1))
+
+    for op_s, op_t in zip(ops_src, ops_tgt):
+        for a in range(d_tgt):
+            ta = op_t.tgt[a]
+            wa = op_t.wts[a]
+            for b in range(d_src):
+                c1 = a * d_src + b
+                c2 = ta * d_src + op_s.tgt[b]
+                ratio = wa / op_s.wts[b]
+                r1, f1 = find_fast(c1)
+                r2, f2 = find_fast(c2)
+                if r1 == r2:
+                    if f2 != ratio * f1:
+                        dead.add(r1)
+                else:
+                    parent[r2] = r1
+                    factor[r2] = ratio * f1 / f2
+                    if r2 in dead:
+                        dead.discard(r2)
+                        dead.add(r1)
+    comps = {}
+    for cell in range(size):
+        root, f = find_fast(cell)
+        comps.setdefault(root, {})[cell] = f
+    live_roots = set()
+    for root in comps:
+        r, _ = find_fast(root)
+        if r not in dead:
+            live_roots.add(root)
+    return [comps[r] for r in sorted(live_roots)]
+
+
+def _hom_grid():
+    """(N, n, block pairs): every pair of partition blocks at the small
+    sizes, and each block with itself up to (2, 6) and (3, 5)."""
+    for N, n in ((2, 4), (3, 4), (3, 5), (4, 4)):
+        blocks = [partition_block(N, n, lam) for lam, _ in charge_blocks(N, n)[1]]
+        yield N, n, [(a, b) for a in blocks for b in blocks]
+    for N, n in ((2, 2), (2, 3), (2, 5), (2, 6), (3, 3)):
+        yield N, n, [(b, b) for b in (partition_block(N, n, lam)
+                                      for lam, _ in charge_blocks(N, n)[1])]
+
+
+@pytest.mark.parametrize("x", [Fraction(2), Fraction(3), Fraction(7, 2), Fraction(-1),
+                               Fraction(1)], ids=str)
+def test_orbit_walk_matches_union_find_oracle(x):
+    dead_cells = {}
+    for N, n, pairs in _hom_grid():
+        rep = TauRep(N, x)
+        for src, tgt in pairs:
+            args = (src.ops(rep), tgt.ops(rep), src.dim, tgt.dim)
+            walk = hom_space(*args)
+            oracle = sorted(_union_find_hom_space(*args), key=min)
+            assert len(walk) == len(oracle)
+            # ordered by least cell and scaled to 1 there
+            assert [min(c) for c in walk] == sorted(min(c) for c in walk)
+            assert all(c[min(c)] == 1 for c in walk)
+            for mine, theirs in zip(walk, oracle):
+                assert mine.keys() == theirs.keys()
+                ratio = mine[min(mine)] / theirs[min(mine)]
+                assert all(mine[c] == ratio * theirs[c] for c in mine)
+            dead = src.dim * tgt.dim - sum(len(c) for c in walk)
+            dead_cells[N, n] = dead_cells.get((N, n), 0) + dead
+    if x == 2:
+        assert dead_cells[3, 4] > 0

@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import loopbraid
 from loopbraid.braided import (BVS, GroupTypeData, affine_bvs, affine_loop,
                                bvs_from_group_type, bvs_from_json, c2_hecke,
                                diagonal_bvs, extend_to_loop,
@@ -102,12 +108,14 @@ def test_extend_to_loop_affine_passes_lb():
 
 
 def test_tau_loop_signed_swap_passes_slb():
-    lb = tau_loop(2, Fraction(2))
-    assert lb.variant == "SLB"
-    s2 = lb.S * lb.S
-    assert s2.is_identity()
-    report = check_relations(local_rep(lb, 3), relations_for(3, "SLB"))
-    assert report.ok
+    # x = None in form x is the default x = 2
+    assert tau_loop(2).base.c == tau_loop(2, Fraction(2)).base.c
+    for lb in (tau_loop(2, Fraction(2)), tau_loop(2)):
+        assert lb.variant == "SLB"
+        s2 = lb.S * lb.S
+        assert s2.is_identity()
+        report = check_relations(local_rep(lb, 3), relations_for(3, "SLB"))
+        assert report.ok
 
 
 def test_extend_requires_group_type():
@@ -169,3 +177,35 @@ def test_bvs_json_roundtrip():
     assert back.c == b.c
     assert back.group_type.side == "right"
     assert back.yang_baxter()
+
+
+def _bad_group_type_json():
+    """Group types on an affine BVS (d = 3): sided "up", two 3 x 3
+    matrices, three 3 x 2 matrices."""
+    data = affine_bvs(3, 2).to_json()
+    gt = data["group_type"]
+    up = dict(data, group_type=dict(gt, side="up"))
+    short = dict(data, group_type=dict(gt, g=gt["g"][:2]))
+    narrow = dict(data, group_type=dict(gt, g=[[row[:2] for row in g] for g in gt["g"]]))
+    return up, short, narrow
+
+
+def test_bvs_json_rejects_bad_group_type():
+    for data in _bad_group_type_json():
+        with pytest.raises(InvalidParameters):
+            bvs_from_json(data)
+
+
+def test_bvs_json_rejects_bad_group_type_without_asserts():
+    # python -O strips assert statements, so the checks must not use them
+    env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
+    code = ("import json, sys\n"
+            "from loopbraid.braided import bvs_from_json\n"
+            "from loopbraid.errors import InvalidParameters\n"
+            "for data in json.loads(sys.argv[1]):\n"
+            "    try:\n        bvs_from_json(data)\n"
+            "    except InvalidParameters:\n        continue\n"
+            "    raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code,
+                           json.dumps(_bad_group_type_json())], env=env, timeout=60)
+    assert proc.returncode == 0
