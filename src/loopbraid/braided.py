@@ -353,6 +353,11 @@ def c2_hecke(qval=None, alt=False) -> BVS:
 
 def bvs_from_json(data) -> BVS:
     from .rings import IntegersMod, rational_from_str
+    d, c_rows = data["d"], data["c"]
+    if type(d) is not int or d < 1:
+        raise InvalidParameters("d must be a positive integer, got %r" % (d,))
+    if len(c_rows) != d * d or any(len(row) != d * d for row in c_rows):
+        raise InvalidParameters("c must be a %d x %d matrix for d = %d" % (d * d, d * d, d))
     ring_name = data["ring"]
     if ring_name == "rational":
         ring = QQ
@@ -364,10 +369,10 @@ def bvs_from_json(data) -> BVS:
         m = int(ring_name.split(":")[1]) if ":" in ring_name else int(data["m"])
         ring = IntegersMod(m)
         parse = ring.from_int
-    c = Matrix(ring, [[parse(v) for v in row] for row in data["c"]])
+    c = Matrix(ring, [[parse(v) for v in row] for row in c_rows])
     gt = None
     if "group_type" in data:
         gt = GroupTypeData(data["group_type"]["side"],
                            [Matrix(ring, [[parse(v) for v in row] for row in g])
                             for g in data["group_type"]["g"]])
-    return BVS(data["d"], _as_weighted_perm_if_possible(c), group_type=gt)
+    return BVS(d, _as_weighted_perm_if_possible(c), group_type=gt)

@@ -104,14 +104,17 @@ class Matrix:
         return Matrix(self.ring, [[-a for a in r] for r in self.rows])
 
     def scale(self, c):
-        return Matrix(self.ring, [[c * a for a in r] for r in self.rows])
+        # zero entries stay as they are
+        return Matrix(self.ring, [[c * a if a else a for a in r] for r in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, WeightedPerm):
-            # columns of (self*other): column j picks column tgt[j] of self
+            # columns of (self*other): column j picks column tgt[j] of self;
+            # zero entries stay as they are
+            tgt, wts = other.tgt, other.wts
             return Matrix(self.ring, [
-                [other.wts[j] * self.rows[i][other.tgt[j]] for j in range(other.n)]
-                for i in range(self.nrows)])
+                [w * a if a else a for w, a in zip(wts, [r[t] for t in tgt])]
+                for r in self.rows])
         assert self.ncols == other.nrows, "dimension mismatch"
         # only nonzero a[i][k] * b[k][j] terms, summed in increasing k
         z = self.ring.zero

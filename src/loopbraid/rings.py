@@ -31,9 +31,11 @@ def rational_from_str(s: str) -> Fraction:
 class LaurentPoly:
     """Finite sum of c_e * q**e with exact rational coefficients.
 
-    Terms are kept as a dict {exponent: coefficient} with no zero
-    coefficients stored.  Instances are immutable; a unit is exactly a
-    single-term polynomial.
+    Terms are kept as a dict {exponent: coefficient} with ``int``
+    exponents, ``Fraction`` coefficients and no zero coefficient stored.
+    Instances are immutable; a unit is exactly a single-term polynomial.
+    The public constructor normalises outside input; arithmetic builds its
+    results, which are clean by construction, through ``_wrap``.
     """
 
     __slots__ = ("terms",)
@@ -44,25 +46,37 @@ class LaurentPoly:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
                 c = Fraction(c)
                 if c:
-                    clean[int(e)] = clean.get(int(e), Fraction(0)) + c
-                    if not clean[int(e)]:
-                        del clean[int(e)]
-        object.__setattr__(self, "terms", dict(clean))
+                    e = int(e)
+                    c = clean.get(e, 0) + c
+                    if c:
+                        clean[e] = c
+                    else:
+                        del clean[e]
+        object.__setattr__(self, "terms", clean)
+
+    @staticmethod
+    def _wrap(terms) -> "LaurentPoly":
+        """Take ownership of a dict {int: nonzero Fraction}; no checks."""
+        p = object.__new__(LaurentPoly)
+        _set_terms(p, terms)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
 
     @staticmethod
     def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: Fraction(c)})
+        c = Fraction(c)
+        return LaurentPoly._wrap({0: c} if c else {})
 
     @staticmethod
     def gen() -> "LaurentPoly":
-        return LaurentPoly({1: Fraction(1)})
+        return LaurentPoly._wrap({1: Fraction(1)})
 
     @staticmethod
     def monomial(e, c=1) -> "LaurentPoly":
-        return LaurentPoly({e: Fraction(c)})
+        c = Fraction(c)
+        return LaurentPoly._wrap({int(e): c} if c else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -78,38 +92,88 @@ class LaurentPoly:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, Fraction(0)) + c
-        return LaurentPoly(t)
+        if not isinstance(other, LaurentPoly):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.terms, other.terms
+        if not b:
+            return self
+        if not a:
+            return other
+        t = dict(a)
+        for e, c in b.items():
+            s = t.get(e)
+            if s is None:
+                t[e] = c
+            else:
+                s += c
+                if s:
+                    t[e] = s
+                else:
+                    del t[e]
+        return LaurentPoly._wrap(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return LaurentPoly._wrap({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if not isinstance(other, LaurentPoly):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.terms, other.terms
+        if not b:
+            return self
+        if not a:
+            return -other
+        t = dict(a)
+        for e, c in b.items():
+            s = t.get(e)
+            if s is None:
+                t[e] = -c
+            else:
+                s -= c
+                if s:
+                    t[e] = s
+                else:
+                    del t[e]
+        return LaurentPoly._wrap(t)
 
     def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        if not isinstance(other, LaurentPoly):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.terms, other.terms
+        if not a:
+            return self
+        if not b:
+            return other
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial shifts exponents and scales coefficients; the
+            # product of nonzero rationals is nonzero, so nothing cancels
+            ((e1, c1),) = a.items()
+            if c1 == 1:
+                return LaurentPoly._wrap({e1 + e: c for e, c in b.items()})
+            return LaurentPoly._wrap({e1 + e: c1 * c for e, c in b.items()})
         t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
-                t[e] = t.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(t)
+                s = t.get(e)
+                t[e] = c1 * c2 if s is None else s + c1 * c2
+        return LaurentPoly._wrap({e: c for e, c in t.items() if c})
 
     __rmul__ = __mul__
 
@@ -129,14 +193,14 @@ class LaurentPoly:
         if not self.is_unit():
             raise NotAUnit("Laurent polynomial with %d terms is not a unit" % len(self.terms))
         ((e, c),) = self.terms.items()
-        return LaurentPoly({-e: Fraction(1) / c})
+        return LaurentPoly._wrap({-e: 1 / c})
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises if the quotient is not a Laurent polynomial."""
         if other.is_zero():
             raise ZeroDivisionError
         if self.is_zero():
-            return LaurentPoly()
+            return self
         # shift both to ordinary polynomials and long-divide
         lo_s = min(self.terms)
         lo_o = min(other.terms)
@@ -156,20 +220,27 @@ class LaurentPoly:
                 num[e + k] = num.get(e + k, Fraction(0)) - f * c
                 if not num[e + k]:
                     del num[e + k]
-        return LaurentPoly({e + lo_s - lo_o: c for e, c in quot.items()})
+        return LaurentPoly._wrap({e + lo_s - lo_o: c for e, c in quot.items()})
 
     def evaluate(self, q0) -> Fraction:
         q0 = Fraction(q0)
         return sum((c * q0 ** e for e, c in self.terms.items()), Fraction(0))
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
+        if isinstance(other, LaurentPoly):
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({0: other} if other else {})
+        return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        # a constant hashes as its Fraction value, since it compares equal to it
+        t = self.terms
+        if not t:
+            return hash(0)
+        if len(t) == 1 and 0 in t:
+            return hash(t[0])
+        return hash(tuple(sorted(t.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -193,6 +264,10 @@ class LaurentPoly:
             else:
                 bits.append("%s*q^%d" % (c, e))
         return " + ".join(bits)
+
+
+# the slot's own setter: cheaper than object.__setattr__ on the hot path
+_set_terms = LaurentPoly.terms.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,25 @@ def test_bvs_json_rejects_bad_group_type():
             bvs_from_json(data)
 
 
-def test_bvs_json_rejects_bad_group_type_without_asserts():
-    # python -O strips assert statements, so the checks must not use them
+def _bad_c_json():
+    """The affine BVS (d = 3, so c is 9 x 9) with a d that does not match c,
+    a non-positive or non-integer d, a 3-row c and a ragged c."""
+    data = affine_bvs(3, 2).to_json()
+    c = data["c"]
+    ragged = [row[:-1] if i == 4 else row for i, row in enumerate(c)]
+    return (dict(data, d=4), dict(data, d=0), dict(data, d=-3), dict(data, d="3"),
+            dict(data, d=1.5), dict(data, c=c[:3]), dict(data, c=ragged))
+
+
+def test_bvs_json_rejects_c_that_does_not_match_d():
+    for data in _bad_c_json():
+        with pytest.raises(InvalidParameters):
+            bvs_from_json(data)
+
+
+def _rejected_without_asserts(inputs):
+    """True when bvs_from_json raises InvalidParameters on every input under
+    python -O, which strips assert statements."""
     env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
     code = ("import json, sys\n"
             "from loopbraid.braided import bvs_from_json\n"
@@ -206,6 +223,14 @@ def test_bvs_json_rejects_bad_group_type_without_asserts():
             "    try:\n        bvs_from_json(data)\n"
             "    except InvalidParameters:\n        continue\n"
             "    raise SystemExit(1)\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", code,
-                           json.dumps(_bad_group_type_json())], env=env, timeout=60)
-    assert proc.returncode == 0
+    proc = subprocess.run([sys.executable, "-O", "-c", code, json.dumps(inputs)],
+                          env=env, timeout=60)
+    return proc.returncode == 0
+
+
+def test_bvs_json_rejects_bad_group_type_without_asserts():
+    assert _rejected_without_asserts(_bad_group_type_json())
+
+
+def test_bvs_json_rejects_c_that_does_not_match_d_without_asserts():
+    assert _rejected_without_asserts(_bad_c_json())

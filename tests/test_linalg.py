@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import dense_scale, dense_wperm_product
 from loopbraid.errors import IncompleteMatch, NonFieldModulus, SingularImage
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm
 from loopbraid.rings import LQ, QQ, IntegersMod, LaurentPoly, random_prime_above_2_30
@@ -534,6 +535,30 @@ def test_sparse_products_match_dense_oracle(ring):
             _same_entries(r1, r2)
         v = _sparse_rows(rng, ring, 1, k, density)[0]
         _same_entries(a.mul_vec(v), _dense_mul_vec(a, v))
+
+
+def _same_matrix(got, want):
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    for r1, r2 in zip(got.rows, want.rows):
+        _same_entries(r1, r2)
+
+
+@pytest.mark.parametrize("ring", [QQ, LQ, IntegersMod(9)], ids=repr)
+def test_zero_skipping_scale_and_wperm_product_match_dense(ring):
+    rng = random.Random(8080)
+    for trial in range(40):
+        n = rng.randrange(1, 8)
+        density = rng.choice((0.0, 0.15, 0.4, 1.0))
+        a = Matrix(ring, _sparse_rows(rng, ring, rng.randrange(1, 8), n, density))
+        c = ring.zero if trial % 4 == 0 else _sparse_entry(rng, ring, 1.0)
+        _same_matrix(a.scale(c), dense_scale(a, c))
+        tgt = list(range(n))
+        rng.shuffle(tgt)
+        wts = _sparse_rows(rng, ring, 1, n, 0.6)[0]
+        if trial % 4 == 1:
+            wts[rng.randrange(n)] = ring.zero
+        wp = WeightedPerm(ring, tgt, wts)
+        _same_matrix(a * wp, dense_wperm_product(a, wp))
 
 
 @pytest.mark.parametrize("ring", SPARSE_RINGS + [IntegersMod(12)], ids=repr)

@@ -7,9 +7,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopbraid
+from helpers import dense_scale, dense_wperm_product
+from loopbraid.analysis import bmw_check
 from loopbraid.errors import InvalidParameters, NotAUnit
+from loopbraid.linalg import Matrix, WeightedPerm
 from loopbraid.rings import (LQ, QQ, IntegersMod, LaurentPoly, ZmInt,
                              is_probable_prime, mod_inverse,
                              random_prime_above_2_30, unit_group)
@@ -127,3 +132,234 @@ def test_prime_utilities():
     assert not is_probable_prime(2 ** 30)
     p = random_prime_above_2_30(random.Random(7))
     assert p > 2 ** 30 and is_probable_prime(p)
+
+
+# ---------------------------------------------------------------------------
+# The normalising LaurentPoly arithmetic that the kernel replaced, kept as
+# the oracle: every result goes back through the public constructor, which
+# coerces, merges and drops zeros.
+
+def _old_coerce(other):
+    if isinstance(other, LaurentPoly):
+        return other
+    if isinstance(other, (int, Fraction)):
+        return LaurentPoly({0: Fraction(other)})
+    return NotImplemented
+
+
+def old_add(a, b):
+    b = _old_coerce(b)
+    if b is NotImplemented:
+        return NotImplemented
+    t = dict(a.terms)
+    for e, c in b.terms.items():
+        t[e] = t.get(e, Fraction(0)) + c
+    return LaurentPoly(t)
+
+
+def old_neg(a):
+    return LaurentPoly({e: -c for e, c in a.terms.items()})
+
+
+def old_sub(a, b):
+    b = _old_coerce(b)
+    if b is NotImplemented:
+        return NotImplemented
+    return old_add(a, old_neg(b))
+
+
+def old_rsub(a, b):
+    return old_add(old_neg(a), b)
+
+
+def old_mul(a, b):
+    b = _old_coerce(b)
+    if b is NotImplemented:
+        return NotImplemented
+    t = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            t[e1 + e2] = t.get(e1 + e2, Fraction(0)) + c1 * c2
+    return LaurentPoly(t)
+
+
+def old_inverse(a):
+    if len(a.terms) != 1:
+        raise NotAUnit("Laurent polynomial with %d terms is not a unit" % len(a.terms))
+    ((e, c),) = a.terms.items()
+    return LaurentPoly({-e: Fraction(1) / c})
+
+
+def old_pow(a, k):
+    if k < 0:
+        return old_pow(old_inverse(a), -k)
+    out = LaurentPoly({0: Fraction(1)})
+    while k:
+        if k & 1:
+            out = old_mul(out, a)
+        a = old_mul(a, a)
+        k >>= 1
+    return out
+
+
+def old_divexact(a, b):
+    if not b.terms:
+        raise ZeroDivisionError
+    if not a.terms:
+        return LaurentPoly()
+    lo_s, lo_o = min(a.terms), min(b.terms)
+    num = {e - lo_s: c for e, c in a.terms.items()}
+    den = {e - lo_o: c for e, c in b.terms.items()}
+    dden = max(den)
+    quot = {}
+    while num:
+        dnum = max(num)
+        if dnum < dden:
+            raise NotAUnit("not divisible")
+        k = dnum - dden
+        f = num[dnum] / den[dden]
+        quot[k] = f
+        for e, c in den.items():
+            num[e + k] = num.get(e + k, Fraction(0)) - f * c
+            if not num[e + k]:
+                del num[e + k]
+    return LaurentPoly({e + lo_s - lo_o: c for e, c in quot.items()})
+
+
+def old_eq(a, b):
+    b = _old_coerce(b)
+    if b is NotImplemented:
+        return NotImplemented
+    return a.terms == b.terms
+
+
+_ORACLE_METHODS = {
+    "__add__": old_add, "__radd__": old_add, "__sub__": old_sub, "__rsub__": old_rsub,
+    "__mul__": old_mul, "__rmul__": old_mul, "__neg__": old_neg, "__pow__": old_pow,
+    "inverse": old_inverse, "divexact": old_divexact, "__eq__": old_eq,
+    "const": staticmethod(lambda c: LaurentPoly({0: Fraction(c)})),
+    "gen": staticmethod(lambda: LaurentPoly({1: Fraction(1)})),
+    "monomial": staticmethod(lambda e, c=1: LaurentPoly({e: Fraction(c)})),
+}
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+_exponents = st.integers(-4, 4)
+_coefficients = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+# term lists may repeat exponents and hold zeros; they normalise to zero,
+# monomials and longer sums
+_term_lists = st.lists(st.tuples(_exponents, _coefficients), max_size=6)
+_polys = st.one_of(_term_lists.map(LaurentPoly),
+                   st.builds(LaurentPoly.monomial, _exponents, _coefficients))
+_scalars = st.one_of(st.integers(-3, 3), _coefficients)
+
+
+@st.composite
+def _operand_pairs(draw):
+    """(a, b) where b is free, or built so that a + b or a - b cancels terms."""
+    a, c = draw(_polys), draw(_polys)
+    b = draw(st.sampled_from((c, old_sub(c, a), old_add(a, c), a, old_neg(a))))
+    return a, b
+
+
+def _assert_clean(p):
+    assert type(p) is LaurentPoly
+    for e, c in p.terms.items():
+        assert type(e) is int and type(c) is Fraction and c != 0
+
+
+def _assert_same(got, want):
+    _assert_clean(got)
+    assert got.terms == want.terms
+
+
+@_PROPERTY
+@given(_operand_pairs(), _scalars)
+def test_laurent_kernel_matches_normalising_oracle(pair, s):
+    a, b = pair
+    before = (dict(a.terms), dict(b.terms))
+    _assert_same(a + b, old_add(a, b))
+    _assert_same(a - b, old_sub(a, b))
+    _assert_same(a * b, old_mul(a, b))
+    _assert_same(-a, old_neg(a))
+    _assert_same(a + s, old_add(a, s))
+    _assert_same(s + a, old_add(a, s))
+    _assert_same(a - s, old_sub(a, s))
+    _assert_same(s - a, old_rsub(a, s))
+    _assert_same(a * s, old_mul(a, s))
+    _assert_same(s * a, old_mul(a, s))
+    assert (a == b) == old_eq(a, b) and (a == s) == old_eq(a, s)
+    assert (dict(a.terms), dict(b.terms)) == before
+
+
+def _outcome(f, *args):
+    """f's result, or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except (NotAUnit, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@_PROPERTY
+@given(_operand_pairs(), st.integers(-3, 4))
+def test_laurent_powers_and_division_match_normalising_oracle(pair, k):
+    a, b = pair
+    before = (dict(a.terms), dict(b.terms))
+    cases = [(LaurentPoly.__pow__, old_pow, (a, k)),
+             (LaurentPoly.inverse, old_inverse, (a,)),
+             (LaurentPoly.divexact, old_divexact, (a, b)),
+             (LaurentPoly.divexact, old_divexact, (old_mul(a, b), b))]
+    for new, old, args in cases:
+        got, want = _outcome(new, *args), _outcome(old, *args)
+        if isinstance(want, LaurentPoly):
+            _assert_same(got, want)
+        else:
+            assert got is want
+    assert (dict(a.terms), dict(b.terms)) == before
+
+
+@_PROPERTY
+@given(_operand_pairs(), _scalars)
+def test_laurent_equal_values_hash_equal(pair, s):
+    a, b = pair
+    for x, y in ((a, b), (a, a * 1), (LaurentPoly.const(s), s), (a, s)):
+        if x == y:
+            assert hash(x) == hash(y)
+    assert len({LaurentPoly.const(s), s, Fraction(s)}) == 1
+
+
+def test_laurent_constants_hash_as_their_value():
+    assert len({LaurentPoly.const(2), 2}) == 1
+    assert len({LaurentPoly(), 0, Fraction(0)}) == 1
+    assert hash(LaurentPoly.const(Fraction(1, 2))) == hash(Fraction(1, 2))
+
+
+@_PROPERTY
+@given(_term_lists)
+def test_laurent_public_constructor_normalises(pairs):
+    want = {}
+    for e, c in pairs:
+        want[e] = want.get(e, 0) + c
+    want = {e: c for e, c in want.items() if c}
+    from_pairs = LaurentPoly(pairs)
+    _assert_clean(from_pairs)
+    assert from_pairs.terms == want
+    # outside input: string exponents and coefficients are coerced
+    _assert_same(LaurentPoly([(str(e), str(c)) for e, c in pairs]), from_pairs)
+    given_dict = dict(pairs)
+    p = LaurentPoly(given_dict)
+    _assert_clean(p)
+    assert p.terms is not given_dict
+    given_dict[99] = Fraction(1)
+    assert 99 not in p.terms
+
+
+@pytest.mark.parametrize("N,n", [(2, 3), (2, 4), (3, 3), (3, 4), (4, 3)])
+def test_bmw_check_matches_normalising_oracle(N, n, monkeypatch):
+    want = bmw_check(N, n).to_json()
+    for name, f in _ORACLE_METHODS.items():
+        monkeypatch.setattr(LaurentPoly, name, f)
+    new_mul = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "scale", dense_scale)
+    monkeypatch.setattr(Matrix, "__mul__", lambda a, b: dense_wperm_product(a, b)
+                        if isinstance(b, WeightedPerm) else new_mul(a, b))
+    assert bmw_check(N, n).to_json() == want
