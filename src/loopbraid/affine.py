@@ -217,7 +217,8 @@ def _image_result(p, seen, complete, keep_elements):
 
 def gl_order(m: int, k: int) -> int:
     """|GL_k(Z_m)| by prime-power factorization and the CRT product."""
-    assert k >= 0
+    if k < 0:
+        raise InvalidParameters("matrix size must be at least 0, got %d" % k)
     if k == 0:
         return 1
     order = 1
@@ -245,13 +246,15 @@ def _gl_order_prime_power(prime, a, k):
 
 def agl_order(m: int, k: int) -> int:
     """|AGL_k(Z_m)| = m^k * |GL_k(Z_m)|."""
-    assert k >= 1
+    if k < 1:
+        raise InvalidParameters("affine dimension must be at least 1, got %d" % k)
     return m ** k * gl_order(m, k)
 
 
 def surjectivity_predicate(m: int, t: int) -> dict:
     """units_ok: t and 1-t are both units; generates: <t, -1> = Z_m^x."""
-    assert math.gcd(m, t) == 1
+    if math.gcd(m, t) != 1:
+        raise InvalidParameters("t = %d is not a unit mod %d" % (t, m))
     units_ok = math.gcd(m, (1 - t) % m) == 1
     gens = [t % m, (-1) % m]
     generates = len(subgroup_generated(m, gens)) == len(unit_group(m))

@@ -45,7 +45,7 @@ def hom_space(ops_src, ops_tgt, d_src, d_tgt):
     bijections of the cells, so a walk from the least cell of an orbit
     reaches the whole orbit and checks every constraint on it once; the
     orbit is a basis element, scaled to 1 at that cell, iff none disagrees."""
-    moves = [(t.tgt, t.wts, s.tgt, [1 / w for w in s.wts])
+    moves = [(t.tgt, t.wts, s.tgt, [Fraction(1) / w for w in s.wts])
              for s, t in zip(ops_src, ops_tgt)]
     value = [None] * (d_src * d_tgt)
     basis = []
@@ -151,7 +151,7 @@ def is_irreducible(m: ModuleSpec) -> bool:
 
 def is_e_null(m: ModuleSpec, f_mat: Matrix) -> bool:
     """True iff the symmetrizer annihilates every basis vector."""
-    for row in m.span.rows:
+    for row in m.span.int_rows:
         if any(v != 0 for v in f_mat.mul_vec(row)):
             return False
     return True
@@ -163,14 +163,14 @@ def spin_dimension(block: ChargeBlock, rep: TauRep, vec, max_index=None) -> int:
     ops = block.ops(rep, max_index)
     span = RowSpan(block.dim)
     span.insert(vec)
-    frontier = list(span.rows)
+    frontier = list(span.int_rows)  # a nonzero multiple of each row spans alike
     while frontier:
         fresh = []
         for v in frontier:
             for op in ops:
                 before = span.dim
                 if span.insert(_apply_wp(op, v)):
-                    fresh.append(span.rows[before])
+                    fresh.append(span.int_rows[before])
         frontier = fresh
     return span.dim
 
@@ -186,11 +186,13 @@ class AlgebraSpan:
 
 def algebra_span(generators) -> AlgebraSpan:
     """Linear basis of the unital algebra generated by square matrices."""
-    assert generators, "need at least one generator"
+    if not generators:
+        raise InvalidParameters("need at least one generator")
     gens = [BlockOp([g.to_matrix() if isinstance(g, WeightedPerm) else g])
             for g in generators]
     d = gens[0].mats[0].nrows
-    assert all(g.mats[0].nrows == g.mats[0].ncols == d for g in gens)
+    if not all(g.mats[0].nrows == g.mats[0].ncols == d for g in gens):
+        raise InvalidParameters("generators must be square matrices of one size")
     basis = _closure(gens, BlockOp([Matrix.identity(gens[0].mats[0].ring, d)]))
     return AlgebraSpan(d, [b.mats[0] for b in basis])
 
@@ -629,8 +631,8 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
         bm = b[i].to_matrix()
         bim = b[i].inverse().to_matrix()
         diff = bm - bim
-        s_div = Matrix(LQ, [[diff.rows[r][c].divexact(denom)
-                             for c in range(d)] for r in range(d)])
+        s_div = Matrix(LQ, [[a.divexact(denom) if a else a for a in row]
+                            for row in diff.rows])
         u_from_def = ident - s_div
         u_struct = ident - power.s_op(i, rep).to_matrix()
         u[i] = u_struct

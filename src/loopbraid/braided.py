@@ -333,7 +333,7 @@ def c2_hecke(qval=None, alt=False) -> BVS:
     else:
         ring = QQ
         q = Fraction(qval)
-        qi = 1 / q
+        qi = Fraction(1) / q
     one = ring.one
     z = ring.zero
     if not alt:

@@ -11,6 +11,7 @@ Two operator representations are used throughout the package:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import InvalidParameters, NonFieldModulus, SingularImage
@@ -61,8 +62,7 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.nrows == other.nrows and self.ncols == other.ncols and \
-            all(self.rows[i][j] == other.rows[i][j]
-                for i in range(self.nrows) for j in range(self.ncols))
+            self.rows == other.rows
 
     def __hash__(self):
         return hash(tuple(tuple(r) for r in self.rows))
@@ -90,14 +90,16 @@ class Matrix:
         if isinstance(other, WeightedPerm):
             other = other.to_matrix()
         assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        return Matrix(self.ring, [[a + b for a, b in zip(r1, r2)]
+        # zero entries of either operand add nothing
+        return Matrix(self.ring, [[(a + b if a else b) if b else a for a, b in zip(r1, r2)]
                                   for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         if isinstance(other, WeightedPerm):
             other = other.to_matrix()
         assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        return Matrix(self.ring, [[a - b for a, b in zip(r1, r2)]
+        # zero entries of either operand subtract nothing
+        return Matrix(self.ring, [[(a - b if a else -b) if b else a for a, b in zip(r1, r2)]
                                   for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self):
@@ -349,23 +351,132 @@ class RowSpan:
     """Incremental reduced row form over QQ, Z_m or the Laurent ring.
 
     This is the package's one Gauss-Jordan routine.  Each accepted row is
-    normalised by the inverse of its pivot entry and back-substituted into
-    the earlier rows, so every pivot column is zero outside its own row.
-    Pivots lie in the first ``width`` columns; over QQ and Z_p each is the
-    leading entry, which makes the rows the reduced row echelon form.
-    Each row keeps the list of its nonzero entries, and reduction and
-    back-substitution work on those alone.
+    back-substituted into the earlier rows, so every pivot column is zero
+    outside its own row.  Pivots lie in the first ``width`` columns; over
+    QQ and Z_p each is the leading entry, which makes the rows the reduced
+    row echelon form.  Each row keeps the list of its nonzero entries, and
+    reduction and back-substitution work on those alone.
+
+    Over QQ elimination is fraction-free (Bareiss 1968) and uses ints
+    only.  A row is stored in ``int_rows`` as a primitive vector (gcd 1,
+    pivot entry positive); an incoming vector has its denominators cleared
+    once.  Back-substituting a new row with pivot entry p replaces a row
+    with entry f in that column by ``(p // g) * row - (f // g) * new``,
+    ``g = gcd(f, p)``, made primitive again.  ``rows``
+    reads the exact reduced rows ``[Fraction(a, p) ...]``, each built on
+    first read; ``int_rows[i]`` is a positive multiple of ``rows[i]``, for
+    callers that need only the span.  Over other rings each row is
+    normalised by the inverse of its pivot entry and ``rows`` holds ring
+    elements.  A row that back-substitution changes is replaced, not
+    mutated, so rows read earlier keep their values.
     """
 
     def __init__(self, width, ring=QQ):
         self.width = width
         self.ring = ring
-        self.pivot_of = {}  # pivot column -> row index in self.rows
-        self.rows = []
-        self._row_nonzero = []  # _nonzero(row) for each row of self.rows
+        self.pivot_of = {}  # pivot column -> row index
         self._pivots = []   # sorted (pivot column, row index)
+        self._row_nonzero = []  # _nonzero(row) for each stored row
+        if ring is QQ:
+            self.int_rows = []
+            self._lead = []   # pivot entry of each integer row
+            self._exact = []  # Fraction form of each row, None until read
+            self.rows = _ExactRows(self.int_rows, self._lead, self._exact)
+        else:
+            self.int_rows = None
+            self.rows = []
 
     def reduce(self, vec):
+        if self.int_rows is None:
+            return self._reduce_field(vec)
+        v, scale = self._reduce_int(vec)
+        return [Fraction(a, scale) if a else _ZERO for a in v]
+
+    def insert(self, vec) -> bool:
+        """Reduce vec against the span; add it if independent.
+
+        The pivot is the first unit among the reduced row's entries;
+        NonFieldModulus if they are nonzero but none is a unit.
+        """
+        if self.int_rows is None:
+            return self._insert_field(vec)
+        v = self._reduce_int(vec)[0]
+        piv = next((c for c in range(self.width) if v[c]), None)
+        if piv is None:
+            return False
+        g = math.gcd(*v)
+        if v[piv] < 0:
+            g = -g
+        if g != 1:
+            v = [a // g for a in v]
+        v_nonzero = _nonzero(v)
+        p = v[piv]
+        for ri, row in enumerate(self.int_rows):
+            f = row[piv]
+            if f:
+                g = math.gcd(f, p)
+                a, b = p // g, f // g
+                row = list(row)
+                if a != 1:
+                    for j, x in self._row_nonzero[ri]:
+                        row[j] = a * x
+                for j, y in v_nonzero:
+                    row[j] -= b * y
+                g = math.gcd(*row)
+                if g != 1:
+                    row = [x // g for x in row]
+                self.int_rows[ri] = row
+                self._lead[ri] = self._lead[ri] * a // g
+                self._row_nonzero[ri] = _nonzero(row)
+                self._exact[ri] = None
+        self._add_pivot(piv)
+        self.int_rows.append(v)
+        self._lead.append(p)
+        self._row_nonzero.append(v_nonzero)
+        self._exact.append(None)
+        return True
+
+    def contains(self, vec) -> bool:
+        if self.int_rows is None:
+            return not any(self._reduce_field(vec))
+        return not any(self._reduce_int(vec)[0])
+
+    @property
+    def dim(self):
+        return len(self.pivot_of)
+
+    def _add_pivot(self, piv):
+        self.pivot_of[piv] = len(self.pivot_of)
+        self._pivots = sorted(self.pivot_of.items())
+
+    def _reduce_int(self, vec):
+        """(w, s): w is s times the reduction of vec, as ints, s > 0.
+
+        The rows are zero at every pivot column but their own, so the
+        reduction is vec - sum_c vec[c] * rows[c] with the entries of vec
+        itself; one common multiplier makes every coefficient integral."""
+        den = math.lcm(*(a.denominator for a in vec))
+        if den == 1:
+            w = [a.numerator for a in vec]
+        else:
+            w = [a.numerator * (den // a.denominator) for a in vec]
+        hits = [(w[c], ri) for c, ri in self._pivots if w[c]]
+        if not hits:
+            return w, den
+        lead = self._lead
+        mult = 1
+        for f, ri in hits:
+            p = lead[ri]
+            mult = math.lcm(mult, p // math.gcd(f, p))
+        if mult != 1:
+            w = [mult * a for a in w]
+        for f, ri in hits:
+            k = mult * f // lead[ri]
+            for j, b in self._row_nonzero[ri]:
+                w[j] -= k * b
+        return w, den * mult
+
+    def _reduce_field(self, vec):
         v = list(vec)
         for c, ri in self._pivots:
             f = v[c]
@@ -374,13 +485,8 @@ class RowSpan:
                     v[j] = v[j] - f * b
         return v
 
-    def insert(self, vec) -> bool:
-        """Reduce vec against the span; add it if independent.
-
-        The pivot is the first unit among the reduced row's entries;
-        NonFieldModulus if they are nonzero but none is a unit.
-        """
-        v = self.reduce(vec)
+    def _insert_field(self, vec):
+        v = self._reduce_field(vec)
         is_unit = self.ring.is_unit
         piv = next((c for c in range(self.width) if v[c] and is_unit(v[c])), None)
         if piv is None:
@@ -390,8 +496,6 @@ class RowSpan:
         inv = self.ring.inv(v[piv])
         v = [inv * a for a in v]
         v_nonzero = _nonzero(v)
-        # back-substitute into existing rows; each is replaced, not mutated,
-        # so rows handed out earlier keep their values
         for ri, row in enumerate(self.rows):
             f = row[piv]
             if f:
@@ -400,15 +504,31 @@ class RowSpan:
                     row[j] = row[j] - f * b
                 self.rows[ri] = row
                 self._row_nonzero[ri] = _nonzero(row)
-        self.pivot_of[piv] = len(self.rows)
-        self._pivots = sorted(self.pivot_of.items())
+        self._add_pivot(piv)
         self.rows.append(v)
         self._row_nonzero.append(v_nonzero)
         return True
 
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
 
-    @property
-    def dim(self):
-        return len(self.rows)
+_ZERO = Fraction(0)
+
+
+class _ExactRows(Sequence):
+    """The reduced rows of a rational RowSpan as lists of Fractions, each
+    built on first read from the span's integer rows and pivot entries."""
+
+    __slots__ = ("_ints", "_lead", "_cache")
+
+    def __init__(self, ints, lead, cache):
+        self._ints, self._lead, self._cache = ints, lead, cache
+
+    def __len__(self):
+        return len(self._ints)
+
+    def __getitem__(self, i):
+        row = self._cache[i]
+        if row is None:
+            p = self._lead[i]
+            row = [Fraction(a, p) if a else _ZERO for a in self._ints[i]]
+            self._cache[i] = row
+        return row

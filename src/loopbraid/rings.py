@@ -193,7 +193,7 @@ class LaurentPoly:
         if not self.is_unit():
             raise NotAUnit("Laurent polynomial with %d terms is not a unit" % len(self.terms))
         ((e, c),) = self.terms.items()
-        return LaurentPoly._wrap({-e: 1 / c})
+        return LaurentPoly._wrap({-e: Fraction(1) / c})
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises if the quotient is not a Laurent polynomial."""
@@ -342,7 +342,8 @@ def unit_group(m: int) -> set:
 def subgroup_generated(m: int, gens) -> set:
     """Subgroup of Z_m^x generated by the given residues."""
     gens = [g % m for g in gens]
-    assert all(math.gcd(g, m) == 1 for g in gens)
+    if any(math.gcd(g, m) != 1 for g in gens):
+        raise InvalidParameters("generators must be units mod %d" % m)
     seen = {1}
     frontier = [1]
     while frontier:

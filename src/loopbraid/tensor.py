@@ -377,7 +377,9 @@ def localize(f_mat: Matrix, mspec: ModuleSpec):
     if n <= N:
         raise InvalidParameters("localizing needs more than N = %d strands, got %d" % (N, n))
     prefix = tuple(range(1, N + 1))
-    images = [f_mat.mul_vec(row) for row in mspec.span.rows]
+    # integer rows: a nonzero multiple of each basis row leaves the image
+    # span, its zero test and the residual equalities unchanged
+    images = [f_mat.mul_vec(row) for row in mspec.span.int_rows]
     if all(all(v == 0 for v in img) for img in images):
         return None, True  # the module is annihilated
     comp = tuple(v - 1 for v in block.comp)
@@ -387,7 +389,7 @@ def localize(f_mat: Matrix, mspec: ModuleSpec):
     span = RowSpan(target.dim)
     for vec in projected:
         span.insert(vec)
-    localized = ModuleSpec(target, mspec.rep, None, None, span.rows)
+    localized = ModuleSpec(target, mspec.rep, None, None, span.int_rows)
     ok = _residual_action_ok(f_mat, mspec, target, projected, prefix)
     return localized, ok
 
@@ -397,7 +399,7 @@ def _residual_action_ok(f_mat, mspec, target, projected, prefix):
     projection, equals generator j on the projected image of each row."""
     block = mspec.block
     for src, dst in zip(block.ops(mspec.rep)[2 * block.N:], target.ops(mspec.rep)):
-        for row, via in zip(mspec.span.rows, projected):
+        for row, via in zip(mspec.span.int_rows, projected):
             lhs = _project_prefix(f_mat.mul_vec(_apply_wp(src, row)),
                                   block, target, prefix)
             if lhs != _apply_wp(dst, via):

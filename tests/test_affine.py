@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import loopbraid
 from helpers import determinant_profile
 from loopbraid.affine import (AffineParams, AglElement, agl_order, drinfeld_r_check,
                               drinfeld_r_permutation, drinfeld_report,
@@ -247,3 +252,38 @@ def test_params_validation():
         AffineParams(5, 2, 1)   # fewer than two strands
     with pytest.raises(InvalidParameters):
         affine_bvs(4, 2)
+
+
+# Calls that must raise InvalidParameters, also under python -O (which
+# strips assert statements), evaluated with this prelude.
+_BAD_CALLS_PRELUDE = ("from loopbraid.affine import agl_order, gl_order, surjectivity_predicate\n"
+                      "from loopbraid.analysis import algebra_span\n"
+                      "from loopbraid.linalg import Matrix\n"
+                      "from loopbraid.rings import QQ, subgroup_generated\n")
+_BAD_CALLS = ["surjectivity_predicate(6, 3)", "surjectivity_predicate(9, 0)",
+              "agl_order(5, 0)", "gl_order(5, -1)",
+              "subgroup_generated(6, [5, 2])", "subgroup_generated(9, [3])",
+              "algebra_span([])", "algebra_span([Matrix(QQ, [[1, 2]])])",
+              "algebra_span([Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)])"]
+
+
+@pytest.mark.parametrize("call", _BAD_CALLS)
+def test_exported_functions_reject_bad_input(call):
+    namespace = {}
+    exec(_BAD_CALLS_PRELUDE, namespace)
+    with pytest.raises(InvalidParameters):
+        eval(call, namespace)
+
+
+def test_exported_functions_reject_bad_input_without_asserts():
+    env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
+    code = (_BAD_CALLS_PRELUDE +
+            "import sys\n"
+            "from loopbraid.errors import InvalidParameters\n"
+            "for call in sys.argv[1:]:\n"
+            "    try:\n        eval(call)\n"
+            "    except InvalidParameters:\n        continue\n"
+            "    raise SystemExit(call)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, *_BAD_CALLS],
+                          env=env, timeout=60, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

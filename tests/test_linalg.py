@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dense_scale, dense_wperm_product
 from loopbraid.errors import IncompleteMatch, NonFieldModulus, SingularImage
@@ -596,3 +598,199 @@ def test_rowspan_back_substitution_replaces_rows():
     first = span.rows[0]
     span.insert([Fraction(0), Fraction(1)])
     assert first == [1, 1] and span.rows[0] == [1, 0]
+
+# ---------------------------------------------------------------------------
+# Diff tests of the fraction-free rational RowSpan against the Fraction
+# elimination it replaced, kept here as a test-only oracle.
+
+class _FractionRowSpan:
+    """Gauss-Jordan over QQ on Fraction entries: each accepted row is
+    normalised by the inverse of its pivot entry and back-substituted into
+    the earlier rows, on nonzero entries only."""
+
+    def __init__(self, width):
+        self.width = width
+        self.pivot_of = {}
+        self.rows = []
+        self._row_nonzero = []
+        self._pivots = []
+
+    def reduce(self, vec):
+        v = list(vec)
+        for c, ri in self._pivots:
+            f = v[c]
+            if f:
+                for j, b in self._row_nonzero[ri]:
+                    v[j] = v[j] - f * b
+        return v
+
+    def insert(self, vec):
+        v = self.reduce(vec)
+        piv = next((c for c in range(self.width) if v[c]), None)
+        if piv is None:
+            return False
+        inv = Fraction(1) / v[piv]
+        v = [inv * a for a in v]
+        v_nonzero = [(j, a) for j, a in enumerate(v) if a]
+        for ri, row in enumerate(self.rows):
+            f = row[piv]
+            if f:
+                row = list(row)
+                for j, b in v_nonzero:
+                    row[j] = row[j] - f * b
+                self.rows[ri] = row
+                self._row_nonzero[ri] = [(j, a) for j, a in enumerate(row) if a]
+        self.pivot_of[piv] = len(self.rows)
+        self._pivots = sorted(self.pivot_of.items())
+        self.rows.append(v)
+        self._row_nonzero.append(v_nonzero)
+        return True
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+
+# large coprime denominators make the cleared rows wide integers
+_DENOMINATORS = (1, 1, 2, 3, 7, 10007, 65537, 2 ** 31 - 1, 10007 * 65537, 2 ** 61 - 1)
+_entries = st.one_of(
+    st.just(Fraction(0)), st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.sampled_from(_DENOMINATORS)))
+_multipliers = st.builds(Fraction, st.integers(-7, 7), st.sampled_from(_DENOMINATORS))
+
+
+@st.composite
+def _rational_systems(draw):
+    """(width, rows, probes): rows and probes of length width + extra, with
+    zero rows and rows that depend on earlier ones."""
+    width = draw(st.integers(1, 7))
+    length = width + draw(st.integers(0, 2))  # columns right of the pivot range
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("free", "free", "sparse", "zero", "dependent")))
+        if kind == "zero":
+            row = [Fraction(0)] * length
+        elif kind == "dependent" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(_multipliers), draw(_multipliers)
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = draw(st.lists(_entries, min_size=length, max_size=length))
+            if kind == "sparse":
+                keep = draw(st.integers(0, length - 1))
+                row = [x if j == keep else Fraction(0) for j, x in enumerate(row)]
+        rows.append(row)
+    probes = draw(st.lists(st.lists(_entries, min_size=length, max_size=length),
+                           min_size=len(rows), max_size=len(rows)))
+    return width, rows, probes
+
+
+def _assert_primitive_rows(span):
+    for c, i in span.pivot_of.items():
+        row = span.int_rows[i]
+        assert all(type(a) is int for a in row)
+        assert math.gcd(*row) == 1 and row[c] > 0
+        assert all(row[o] == 0 for o in span.pivot_of if o != c)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_rational_systems())
+def test_fraction_free_rowspan_matches_fraction_oracle(system):
+    width, rows, probes = system
+    got, want = RowSpan(width), _FractionRowSpan(width)
+    read = []  # (row handed out earlier, its values then)
+    for r, probe in zip(rows, probes):
+        before = list(r)
+        assert got.insert(r) == want.insert(r)
+        assert r == before
+        assert got.pivot_of == want.pivot_of and got.dim == want.dim
+        assert len(got.rows) == len(want.rows) == len(got.int_rows)
+        for g, w in zip(got.rows, want.rows):
+            assert g == w and all(type(a) is Fraction for a in g)
+        _assert_primitive_rows(got)
+        assert got.reduce(probe) == want.reduce(probe)
+        assert got.contains(probe) == want.contains(probe)
+        assert got.contains(r) == want.contains(r) and got.reduce(r) == want.reduce(r)
+        for row, values in read:
+            assert row == values
+        read.extend((row, list(row)) for row in got.rows)
+
+
+# ---------------------------------------------------------------------------
+# Zero-skipping sums, differences and equality against entry-by-entry
+# formulas, and WeightedPerm against its dense matrix.
+
+@pytest.mark.parametrize("ring", [QQ, LQ, IntegersMod(9)], ids=repr)
+def test_zero_skipping_sum_difference_and_equality_match_entrywise(ring):
+    rng = random.Random(9191)
+    for trial in range(60):
+        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
+        density = rng.choice((0.0, 0.15, 0.4, 1.0))
+        a = Matrix(ring, _sparse_rows(rng, ring, nrows, ncols, density))
+        if trial % 3 == 0:  # equal, or one entry apart
+            b = Matrix(ring, a.rows)
+            if trial % 2:
+                i, j = rng.randrange(nrows), rng.randrange(ncols)
+                b.rows[i][j] = b.rows[i][j] + ring.one
+        else:
+            b = Matrix(ring, _sparse_rows(rng, ring, nrows, ncols, density))
+        _same_matrix(a + b, Matrix(ring, [[x + y for x, y in zip(r1, r2)]
+                                          for r1, r2 in zip(a.rows, b.rows)]))
+        _same_matrix(a - b, Matrix(ring, [[x - y for x, y in zip(r1, r2)]
+                                          for r1, r2 in zip(a.rows, b.rows)]))
+        assert (a == b) == all(a.rows[i][j] == b.rows[i][j]
+                               for i in range(nrows) for j in range(ncols))
+        assert a == Matrix(ring, a.rows)
+        assert a != Matrix(ring, [r + [ring.zero] for r in a.rows])
+        assert a != Matrix(ring, a.rows + [[ring.zero] * ncols])
+
+
+_WP_RINGS = [QQ, IntegersMod(7), IntegersMod(12)]
+
+
+@st.composite
+def _weighted_perms(draw, ring, n):
+    tgt = draw(st.permutations(range(n)))
+    if ring is QQ:
+        weight = st.one_of(st.just(Fraction(0)),
+                           st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+    else:
+        weight = st.integers(0, ring.m - 1).map(ring.from_int)
+    return WeightedPerm(ring, tgt, draw(st.lists(weight, min_size=n, max_size=n)))
+
+
+@st.composite
+def _weighted_perm_pairs(draw):
+    ring = draw(st.sampled_from(_WP_RINGS))
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    return (ring, draw(_weighted_perms(ring, n)), draw(_weighted_perms(ring, n)),
+            draw(_weighted_perms(ring, k)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_weighted_perm_pairs())
+def test_weighted_perm_matches_dense_matrix(perms):
+    ring, p, q, r = perms
+    pm, qm, rm = p.to_matrix(), q.to_matrix(), r.to_matrix()
+    assert (p * q).to_matrix() == pm * qm
+    assert p * qm == pm * qm and pm * q == pm * qm
+    assert p.kron(r).to_matrix() == pm.kron(rm)
+    assert p.trace() == pm.trace()
+    assert p == pm
+    if p == q:
+        assert pm == qm
+    elif all(p.wts) and all(q.wts):
+        # with nonzero weights the matrix determines the targets
+        assert pm != qm
+    try:
+        inv = p.inverse()
+    except SingularImage:
+        assert not all(ring.is_unit(w) for w in p.wts)
+        with pytest.raises(SingularImage):
+            pm.inverse()
+    else:
+        assert inv.to_matrix() == pm.inverse()
+        assert p * inv == WeightedPerm.identity(ring, p.n) == inv * p

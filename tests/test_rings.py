@@ -363,3 +363,47 @@ def test_bmw_check_matches_normalising_oracle(N, n, monkeypatch):
     monkeypatch.setattr(Matrix, "__mul__", lambda a, b: dense_wperm_product(a, b)
                         if isinstance(b, WeightedPerm) else new_mul(a, b))
     assert bmw_check(N, n).to_json() == want
+
+
+# ---------------------------------------------------------------------------
+# Ring axioms of ZmInt, at composite and prime moduli, against integer
+# arithmetic mod m.
+
+@st.composite
+def _residue_triples(draw):
+    m = draw(st.sampled_from((2, 4, 6, 9, 12, 3, 7, 13, 101)))
+    raw = draw(st.lists(st.integers(-5 * m, 5 * m), min_size=3, max_size=3))
+    return m, raw, [ZmInt(r, m) for r in raw]
+
+
+@_PROPERTY
+@given(_residue_triples(), st.integers(-20, 20))
+def test_zmint_ring_axioms(triple, k):
+    m, raw, (a, b, c) = triple
+    zero, one = ZmInt(0, m), ZmInt(1, m)
+    assert [x.residue for x in (a, b, c)] == [r % m for r in raw]
+    assert (a + b).residue == (raw[0] + raw[1]) % m
+    assert (a - b).residue == (raw[0] - raw[1]) % m
+    assert (a * b).residue == (raw[0] * raw[1]) % m
+    assert (-a).residue == -raw[0] % m
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero and a + (-a) == zero
+    assert a - b == a + (-b)
+    assert a + k == k + a == a + ZmInt(k, m) and a * k == k * a == a * ZmInt(k, m)
+    assert a - k == a - ZmInt(k, m) and k - a == ZmInt(k, m) - a
+    assert bool(a) == (raw[0] % m != 0)
+    ring = IntegersMod(m)
+    assert ring.is_field == is_probable_prime(m)
+    if math.gcd(raw[0], m) == 1:
+        assert ring.is_unit(a)
+        inv = mod_inverse(a)
+        assert inv * a == one and ring.inv(a) == inv
+        assert inv in unit_group(m)
+    else:
+        assert not ring.is_unit(a)
+        with pytest.raises(NotAUnit):
+            mod_inverse(a)
+        with pytest.raises(NotAUnit):
+            ring.inv(a)
