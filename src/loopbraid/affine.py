@@ -11,7 +11,6 @@ Z_m, i.e. an element of the affine group AGL_{n-1}(Z_m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .braided import affine_bvs, swap_operator
 from .errors import CapExceeded, InvalidParameters, NotStochastic
@@ -19,22 +18,35 @@ from .linalg import Matrix, WeightedPerm
 from .rings import IntegersMod, ZmInt, subgroup_generated, unit_group
 
 
-@dataclass(frozen=True)
 class AffineParams:
-    m: int
-    t: int
-    n: int
+    """Modulus m, braid weight t and strand count n; compared and hashed by value."""
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidParameters("m must be at least 2, got %d" % self.m)
-        if self.n < 2:
-            raise InvalidParameters("n must be at least 2, got %d" % self.n)
-        if math.gcd(self.m, self.t) != 1:
-            raise InvalidParameters("t = %d must be a unit mod m = %d" % (self.t, self.m))
-        if self.t % self.m == 1:
+    __slots__ = ("m", "t", "n")
+
+    def __init__(self, m: int, t: int, n: int):
+        if m < 2:
+            raise InvalidParameters("m must be at least 2, got %d" % m)
+        if n < 2:
+            raise InvalidParameters("n must be at least 2, got %d" % n)
+        if math.gcd(m, t) != 1:
+            raise InvalidParameters("t = %d must be a unit mod m = %d" % (t, m))
+        if t % m == 1:
             raise InvalidParameters("t = %d is 1 mod m = %d, the diagonalizable case"
-                                    % (self.t, self.m))
+                                    % (t, m))
+        self.m = m
+        self.t = t
+        self.n = n
+
+    def _key(self):
+        return self.m, self.t, self.n
+
+    def __eq__(self, other):
+        if other.__class__ is not AffineParams:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def ring(self):
@@ -75,13 +87,27 @@ def is_row_stochastic(g: Matrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class AglElement:
-    """g(A, v) = [[A, v], [0, 1]] with the rule (A1,v1)(A2,v2) = (A1 A2, A1 v2 + v1)."""
+    """g(A, v) = [[A, v], [0, 1]] with the rule (A1,v1)(A2,v2) = (A1 A2, A1 v2 + v1);
+    compared and hashed by value."""
 
-    A: tuple   # k x k entries, row major, ints mod m
-    v: tuple   # length k
-    m: int
+    __slots__ = ("A", "v", "m")
+
+    def __init__(self, A: tuple, v: tuple, m: int):
+        self.A = A   # k x k entries, row major, ints mod m
+        self.v = v   # length k
+        self.m = m
+
+    def _key(self):
+        return self.A, self.v, self.m
+
+    def __eq__(self, other):
+        if other.__class__ is not AglElement:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def k(self):
@@ -141,12 +167,15 @@ def from_agl_form(el: AglElement) -> Matrix:
     return (b.inverse() * h * b).transpose()
 
 
-@dataclass
 class ImageResult:
-    order: int
-    complete: bool
-    elements: list | None = None
-    determinants: frozenset = frozenset()   # residues mod m of the elements found
+    __slots__ = ("order", "complete", "elements", "determinants")
+
+    def __init__(self, order: int, complete: bool, elements: list | None,
+                 determinants: frozenset):
+        self.order = order
+        self.complete = complete
+        self.elements = elements
+        self.determinants = determinants   # residues mod m of the elements found
 
 
 def _column_update(g: Matrix) -> tuple:

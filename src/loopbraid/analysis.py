@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import IncompleteMatch, InvalidParameters, NotIdempotent
@@ -178,10 +177,12 @@ def spin_dimension(block: ChargeBlock, rep: TauRep, vec, max_index=None) -> int:
 # ---------------------------------------------------------------------------
 # Algebra spans.
 
-@dataclass
 class AlgebraSpan:
-    d: int
-    basis: list
+    __slots__ = ("d", "basis")
+
+    def __init__(self, d: int, basis: list):
+        self.d = d
+        self.basis = basis
 
 
 def algebra_span(generators) -> AlgebraSpan:
@@ -221,15 +222,6 @@ class BlockOp:
             for r in m.rows:
                 out.extend(r)
         return out
-
-    def trace_product(self, other):
-        acc = Fraction(0)
-        for a, b in zip(self.mats, other.mats):
-            for i in range(a.nrows):
-                for j in range(a.ncols):
-                    if a.rows[i][j] and b.rows[j][i]:
-                        acc += a.rows[i][j] * b.rows[j][i]
-        return acc
 
     def __eq__(self, other):
         return all(a == b for a, b in zip(self.mats, other.mats))
@@ -272,6 +264,39 @@ def _closure(gens, ident):
     return basis
 
 
+def _trace_form(basis):
+    """Gram rows tr(a b) over a basis of BlockOps.
+
+    Each operand's nonzero entries are collected once, keyed by their
+    position in vec(), and b's under its transpose: tr(a b) sums over the
+    positions where both a and b^T are nonzero.  The form is symmetric, so
+    each pair is summed once.
+    """
+    plain, transposed = [], []
+    for op in basis:
+        ents, ents_t, off = {}, {}, 0
+        for m in op.mats:
+            n = m.ncols
+            for i, r in enumerate(m.rows):
+                for j, v in enumerate(r):
+                    if v:
+                        ents[off + i * n + j] = v
+                        ents_t[off + j * n + i] = v
+            off += m.nrows * n
+        plain.append(ents)
+        transposed.append(ents_t)
+    k = len(basis)
+    rows = [[None] * k for _ in range(k)]
+    for x, a in enumerate(plain):
+        for y in range(x, k):
+            bt = transposed[y]
+            acc = Fraction(0)
+            for pos in a.keys() & bt.keys():
+                acc += a[pos] * bt[pos]
+            rows[x][y] = rows[y][x] = acc
+    return rows
+
+
 def _center_dim(basis, constraints):
     """dim of {x in span(basis) : [x, c] = 0 for all constraints}."""
     cols = []
@@ -291,10 +316,7 @@ def semisimplicity_check(N, n, x) -> dict:
     """
     blocks, gens, ident, rep = _collapsed_generators(N, n, x)
     basis = _closure(gens, ident)
-    gram_rows = []
-    for a in basis:
-        gram_rows.append([a.trace_product(b) for b in basis])
-    radical = len(basis) - rank(gram_rows)
+    radical = len(basis) - rank(_trace_form(basis))
     center = _center_dim(basis, gens)
     return {"radical_dim": radical, "center_dim": center,
             "algebra_dim": len(basis)}
@@ -320,8 +342,7 @@ def localization_report(N, n, x) -> dict:
     e = _f_blockop(N, blocks, rep).scale(fac)
     if not (e * e) == e:
         raise NotIdempotent("f/N! fails to square to itself")
-    gram_rows = [[a.trace_product(b) for b in basis] for a in basis]
-    radical = len(basis) - rank(gram_rows)
+    radical = len(basis) - rank(_trace_form(basis))
     count_a = _center_dim(basis, gens)
 
     # eAe
@@ -362,13 +383,16 @@ def localization_report(N, n, x) -> dict:
 # ---------------------------------------------------------------------------
 # Restriction and branching.
 
-@dataclass
 class BranchReport:
-    source: dict
-    dim: int
-    summands: list = field(default_factory=list)
-    verified: bool = False
-    words_used: int = 0
+    __slots__ = ("source", "dim", "summands", "verified", "words_used")
+
+    def __init__(self, source: dict, dim: int, summands: list, verified: bool,
+                 words_used: int):
+        self.source = source
+        self.dim = dim
+        self.summands = summands
+        self.verified = verified
+        self.words_used = words_used
 
     def to_json(self):
         return {"source": self.source, "dim": self.dim,
@@ -590,11 +614,13 @@ def _weight_pos(N, lam):
 # ---------------------------------------------------------------------------
 # Cubic-algebra (BMW-style) relation certificates over the Laurent ring.
 
-@dataclass
 class BmwReport:
-    N: int
-    n: int
-    relations: dict
+    __slots__ = ("N", "n", "relations")
+
+    def __init__(self, N: int, n: int, relations: dict):
+        self.N = N
+        self.n = n
+        self.relations = relations
 
     @property
     def ok(self):

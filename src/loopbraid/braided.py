@@ -10,7 +10,6 @@ satisfy the full SLB relation set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GroupTypeViolation, InvalidParameters, NotGroupType
@@ -19,18 +18,18 @@ from .rings import LQ, QQ, LaurentPoly
 from .words import check_relations, relations_for
 
 
-@dataclass
 class GroupTypeData:
-    side: str              # "left" or "right"
-    g: list                # d invertible d x d matrices in the standard basis
+    __slots__ = ("side", "g")
 
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
+    def __init__(self, side: str, g: list):
+        if side not in ("left", "right"):
             raise InvalidParameters("group-type side must be left or right, got %r"
-                                    % (self.side,))
-        d = len(self.g)
-        if d == 0 or any(m.nrows != d or any(len(r) != d for r in m.rows) for m in self.g):
+                                    % (side,))
+        d = len(g)
+        if d == 0 or any(m.nrows != d or any(len(r) != d for r in m.rows) for m in g):
             raise InvalidParameters("group-type data needs d >= 1 matrices of size d x d")
+        self.side = side   # "left" or "right"
+        self.g = g         # d invertible d x d matrices in the standard basis
 
     @property
     def d(self):
@@ -65,11 +64,13 @@ class BVS:
         return data
 
 
-@dataclass
 class LoopBVS:
-    base: BVS
-    S: object        # operator on V (x) V with S^2 = Id
-    variant: str     # the relation set the padded images satisfy
+    __slots__ = ("base", "S", "variant")
+
+    def __init__(self, base: BVS, S, variant: str):
+        self.base = base
+        self.S = S               # operator on V (x) V with S^2 = Id
+        self.variant = variant   # the relation set the padded images satisfy
 
 
 def _pad(op, d, i, n, ident1):

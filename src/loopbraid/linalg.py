@@ -277,10 +277,17 @@ class WeightedPerm:
             return self.to_matrix() == other
         if not isinstance(other, WeightedPerm):
             return NotImplemented
-        return self.n == other.n and self.tgt == other.tgt and self.wts == other.wts
+        if self.n != other.n:
+            return False
+        # a zero weight (e.g. 2 * 2 over Z_4) leaves its column zero wherever
+        # tgt sends it, so only the targets of nonzero weights must agree
+        if self.tgt != other.tgt and any(
+                a != b and w for a, b, w in zip(self.tgt, other.tgt, self.wts)):
+            return False
+        return self.wts == other.wts
 
     def __hash__(self):
-        return hash((self.tgt, self.wts))
+        return hash((tuple(t for t, w in zip(self.tgt, self.wts) if w), self.wts))
 
     def is_identity(self):
         return all(self.tgt[j] == j and self.wts[j] == self.ring.one for j in range(self.n))

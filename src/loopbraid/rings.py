@@ -1,15 +1,15 @@
 """Exact scalar arithmetic: rationals, Laurent polynomials in q, integers mod m.
 
-Every ring element used in the package is immutable and supports +, -, *,
-==; there is no floating point anywhere.  Rationals are plain
-``fractions.Fraction`` values.  Ring *descriptor* objects (``QQ``, ``LQ``,
-``IntegersMod(m)``) carry the constants and unit tests that matrices need.
+Every ring element used in the package is a value that is never changed
+after construction, and supports +, -, *, ==; there is no floating point
+anywhere.  Rationals are plain ``fractions.Fraction`` values.  Ring
+*descriptor* objects (``QQ``, ``LQ``, ``IntegersMod(m)``) carry the
+constants and unit tests that matrices need.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameters, NotAUnit
@@ -273,17 +273,28 @@ _set_terms = LaurentPoly.terms.__set__
 # ---------------------------------------------------------------------------
 # Integers modulo m.
 
-@dataclass(frozen=True)
 class ZmInt:
-    """A residue in [0, m); operations only between equal moduli."""
+    """A residue in [0, m); operations only between equal moduli.
 
-    residue: int
-    m: int
+    Compared and hashed by (residue, m), so it must not be changed after
+    construction.
+    """
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidParameters("modulus must be at least 2, got %d" % self.m)
-        object.__setattr__(self, "residue", self.residue % self.m)
+    __slots__ = ("residue", "m")
+
+    def __init__(self, residue: int, m: int):
+        if m < 2:
+            raise InvalidParameters("modulus must be at least 2, got %d" % m)
+        self.residue = residue % m
+        self.m = m
+
+    def __eq__(self, other):
+        if other.__class__ is not ZmInt:
+            return NotImplemented
+        return self.residue == other.residue and self.m == other.m
+
+    def __hash__(self):
+        return hash((self.residue, self.m))
 
     def _check(self, other):
         if isinstance(other, int):

@@ -12,7 +12,6 @@ inside a fixed-content charge block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameters
@@ -22,26 +21,39 @@ from .symmetric import (hook_dim, multinomial, partitions, perm_words,
                         sign, young_symmetrizer_coeffs)
 
 
-@dataclass(frozen=True)
 class TauRep:
-    """Parameters of the diagonal tensor representation.
+    """Parameters of the diagonal tensor representation; compared and
+    hashed by value.
 
     form "x": braid weight x on equal colors over the rationals;
     form "q": weights q and 1/q over the Laurent ring (x = q^2 rescale).
     """
-    N: int
-    x: object = Fraction(2)
-    form: str = "x"
 
-    def __post_init__(self):
-        if self.N < 1:
-            raise InvalidParameters("N must be at least 1, got %d" % self.N)
-        if self.form not in ("x", "q"):
-            raise InvalidParameters("unknown form %r (expected x or q)" % (self.form,))
-        if self.form == "x":
-            object.__setattr__(self, "x", Fraction(self.x))
-            if self.x == 0:
+    __slots__ = ("N", "x", "form")
+
+    def __init__(self, N: int, x=Fraction(2), form: str = "x"):
+        if N < 1:
+            raise InvalidParameters("N must be at least 1, got %d" % N)
+        if form not in ("x", "q"):
+            raise InvalidParameters("unknown form %r (expected x or q)" % (form,))
+        if form == "x":
+            x = Fraction(x)
+            if x == 0:
                 raise InvalidParameters("x must be nonzero (sigma_j is singular at x = 0)")
+        self.N = N
+        self.x = x
+        self.form = form
+
+    def _key(self):
+        return self.N, self.x, self.form
+
+    def __eq__(self, other):
+        if other.__class__ is not TauRep:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def ring(self):
@@ -232,12 +244,27 @@ def symmetrized_seed_vector(block: ChargeBlock, rep: TauRep) -> list:
 # ---------------------------------------------------------------------------
 # Harmonic labels and projectors.
 
-@dataclass(frozen=True)
 class HarmonicLabel:
     """lam plus one partition per distinct nonzero row length of lam,
-    components ordered by strictly decreasing row length."""
-    lam: tuple
-    mu: tuple   # tuple of partitions
+    components ordered by strictly decreasing row length; compared and
+    hashed by value."""
+
+    __slots__ = ("lam", "mu")
+
+    def __init__(self, lam: tuple, mu: tuple):
+        self.lam = lam
+        self.mu = mu   # tuple of partitions
+
+    def __eq__(self, other):
+        if other.__class__ is not HarmonicLabel:
+            return NotImplemented
+        return self.lam == other.lam and self.mu == other.mu
+
+    def __hash__(self):
+        return hash((self.lam, self.mu))
+
+    def __repr__(self):
+        return "HarmonicLabel(lam=%r, mu=%r)" % (self.lam, self.mu)
 
     def delta_dim(self) -> int:
         out = 1

@@ -9,26 +9,37 @@ convention becomes the corresponding L3 relation under the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidParameters, SingularImage
 from .linalg import op_dim, op_identity_like
 
 VARIANTS = ("LB", "OLB", "VB", "SLB")
 
 
-@dataclass(frozen=True)
 class Generator:
-    kind: str          # "sigma" or "s"
-    index: int         # 1-based strand position
-    exp: int = 1
+    """sigma_index or s_index to the power exp; compared and hashed by value."""
 
-    def __post_init__(self):
-        assert self.kind in ("sigma", "s")
-        assert self.exp in (1, -1)
-        if self.kind == "s" and self.exp == -1:
-            # s_i is an involution; normalize s_i^-1 to s_i
-            object.__setattr__(self, "exp", 1)
+    __slots__ = ("kind", "index", "exp")
+
+    def __init__(self, kind: str, index: int, exp: int = 1):
+        if kind not in ("sigma", "s"):
+            raise InvalidParameters("unknown generator kind %r (expected sigma or s)" % (kind,))
+        if exp not in (1, -1):
+            raise InvalidParameters("generator exponent must be 1 or -1, got %r" % (exp,))
+        self.kind = kind
+        self.index = index          # 1-based strand position
+        # s_i is an involution; normalize s_i^-1 to s_i
+        self.exp = 1 if kind == "s" else exp
+
+    def _key(self):
+        return self.kind, self.index, self.exp
+
+    def __eq__(self, other):
+        if other.__class__ is not Generator:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def inv(self):
         return Generator(self.kind, self.index, -self.exp)
@@ -49,18 +60,35 @@ def s_(i):
 GroupWord = tuple  # tuple of Generator; empty tuple is the identity
 
 
-@dataclass(frozen=True)
 class Relation:
-    label: str
-    left: GroupWord
-    right: GroupWord
+    """label: left = right; compared and hashed by value."""
+
+    __slots__ = ("label", "left", "right")
+
+    def __init__(self, label: str, left: GroupWord, right: GroupWord):
+        self.label = label
+        self.left = left
+        self.right = right
+
+    def _key(self):
+        return self.label, self.left, self.right
+
+    def __eq__(self, other):
+        if other.__class__ is not Relation:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass
 class RelationSet:
-    variant: str
-    n: int
-    relations: list
+    __slots__ = ("variant", "n", "relations")
+
+    def __init__(self, variant: str, n: int, relations: list):
+        self.variant = variant
+        self.n = n
+        self.relations = relations
 
     def labels(self):
         return [r.label for r in self.relations]
@@ -162,11 +190,13 @@ def evaluate_word(images, word: GroupWord, transposed=False):
     return out
 
 
-@dataclass
 class RelationResult:
-    label: str
-    ok: bool
-    witness: dict | None = None
+    __slots__ = ("label", "ok", "witness")
+
+    def __init__(self, label: str, ok: bool, witness: dict | None = None):
+        self.label = label
+        self.ok = ok
+        self.witness = witness
 
     def to_json(self):
         d = {"label": self.label, "ok": self.ok}
@@ -175,11 +205,13 @@ class RelationResult:
         return d
 
 
-@dataclass
 class RelationReport:
-    variant: str
-    n: int
-    results: list = field(default_factory=list)
+    __slots__ = ("variant", "n", "results")
+
+    def __init__(self, variant: str, n: int):
+        self.variant = variant
+        self.n = n
+        self.results = []
 
     @property
     def ok(self):

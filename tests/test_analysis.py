@@ -10,7 +10,8 @@ from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 restrict_and_branch, semisimplicity_check,
                                 spin_dimension, verify_young_branching,
                                 young_branch_rule, _center_dim, _closure,
-                                _collapsed_generators, _project_hom)
+                                _collapsed_generators, _f_blockop,
+                                _project_hom, _trace_form)
 from loopbraid.errors import InvalidParameters
 from loopbraid.linalg import Matrix, RowSpan
 from loopbraid.rings import QQ, LaurentPoly
@@ -242,9 +243,35 @@ def test_identity_algebra_trivial_case():
     ident = BlockOp([Matrix.identity(QQ, 3)])
     basis = _closure([ident], ident)
     assert len(basis) == 1
-    gram = [[a.trace_product(b) for b in basis] for a in basis]
-    assert gram == [[Fraction(3)]]
+    assert _trace_form(basis) == [[Fraction(3)]]
     assert _center_dim(basis, basis) == 1
+
+
+def _dense_trace_product(a, b):
+    """tr(a b) of two BlockOps over every (i, j) cell of each block."""
+    acc = Fraction(0)
+    for ma, mb in zip(a.mats, b.mats):
+        for i in range(ma.nrows):
+            for j in range(ma.ncols):
+                if ma.rows[i][j] and mb.rows[j][i]:
+                    acc += ma.rows[i][j] * mb.rows[j][i]
+    return acc
+
+
+# (N, n, x) of the semisimple and localize benchmark cases small enough
+# for the dense oracle; localize also checks the e b e basis of eAe.
+@pytest.mark.parametrize("N,n,x,localize", [
+    (2, 4, Fraction(2), False), (2, 4, Fraction(3), False), (3, 3, Fraction(2), False),
+    (2, 4, Fraction(2), True)])
+def test_trace_form_matches_dense_oracle(N, n, x, localize):
+    blocks, gens, ident, rep = _collapsed_generators(N, n, x)
+    basis = _closure(gens, ident)
+    if localize:
+        e = _f_blockop(N, blocks, rep).scale(Fraction(1, 2))
+        basis = [e * b * e for b in basis]
+    gram = _trace_form(basis)
+    assert gram == [[_dense_trace_product(a, b) for b in basis] for a in basis]
+    assert any(v for row in gram for v in row)
 
 
 def test_localization_triangle_counts():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -9,9 +10,12 @@ import jsonschema
 import pytest
 
 import loopbraid
+from loopbraid.affine import AffineParams, AglElement
 from loopbraid.cli import dispatch, emit_dot
 from loopbraid.linalg import Matrix
-from loopbraid.rings import IntegersMod
+from loopbraid.rings import IntegersMod, ZmInt
+from loopbraid.tensor import HarmonicLabel, TauRep
+from loopbraid.words import Generator, Relation, s_, sigma
 
 
 def run(capsys, *argv):
@@ -304,3 +308,53 @@ def test_manifest_parameters(capsys, tmp_path, monkeypatch, argv, parameters):
     code, out = run(capsys, *argv.split())
     assert code in (0, 1)
     assert json.loads(out)["manifest"]["parameters"] == parameters
+
+
+# ---------------------------------------------------------------------------
+# Start-up cost and the plain value classes.
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # each CLI run pays for these imports; together they cost about half
+    # of `import loopbraid.cli`
+    env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import loopbraid.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    new = proc.stdout.split()
+    assert "loopbraid.cli" in new
+    assert "dataclasses" not in new and "inspect" not in new
+
+
+# (an instance, an equal one built separately, a different one)
+VALUE_TRIPLES = [
+    (ZmInt(7, 5), ZmInt(2, 5), ZmInt(2, 7)),
+    (Generator("s", 1, -1), s_(1), sigma(1)),
+    (Relation("S3(i=1)", (s_(1), s_(1)), ()), Relation("S3(i=1)", (s_(1), s_(1)), ()),
+     Relation("S3(i=1)", (s_(1),), ())),
+    (AffineParams(5, 2, 3), AffineParams(5, 2, 3), AffineParams(5, 3, 3)),
+    (AglElement((1, 0, 0, 1), (0, 0), 7), AglElement((1, 0, 0, 1), (0, 0), 7),
+     AglElement((1, 0, 0, 1), (0, 1), 7)),
+    (TauRep(2, 2), TauRep(2, Fraction(4, 2)), TauRep(2, 3)),
+    (HarmonicLabel((2, 1), ((1,), (1,))), HarmonicLabel((2, 1), ((1,), (1,))),
+     HarmonicLabel((2, 1), ((1,), (2,)))),
+]
+
+
+@pytest.mark.parametrize("a,b,c", VALUE_TRIPLES,
+                         ids=[type(t[0]).__name__ for t in VALUE_TRIPLES])
+def test_value_classes_compare_and_hash_by_value(a, b, c):
+    assert a is not b and a == b and hash(a) == hash(b) and not a != b
+    assert a != c and b != c
+    assert a != (a,) and a != None  # noqa: E711 - other types are never equal
+    table = {a: "a", c: "c"}
+    assert table[b] == "a" and len({a, b, c}) == 2
+
+
+def test_value_class_reprs_are_unchanged():
+    assert repr(ZmInt(7, 5)) == "2 (mod 5)"
+    assert repr(HarmonicLabel((2, 1), ((1,), (1,)))) == \
+        "HarmonicLabel(lam=(2, 1), mu=((1,), (1,)))"

@@ -780,11 +780,7 @@ def test_weighted_perm_matches_dense_matrix(perms):
     assert p.kron(r).to_matrix() == pm.kron(rm)
     assert p.trace() == pm.trace()
     assert p == pm
-    if p == q:
-        assert pm == qm
-    elif all(p.wts) and all(q.wts):
-        # with nonzero weights the matrix determines the targets
-        assert pm != qm
+    assert (p == q) == (pm == qm)
     try:
         inv = p.inverse()
     except SingularImage:
@@ -794,3 +790,44 @@ def test_weighted_perm_matches_dense_matrix(perms):
     else:
         assert inv.to_matrix() == pm.inverse()
         assert p * inv == WeightedPerm.identity(ring, p.n) == inv * p
+
+
+def test_weighted_perm_equality_ignores_targets_of_zero_weights():
+    a = WeightedPerm(QQ, [0, 1], [0, 0])
+    b = WeightedPerm(QQ, [1, 0], [0, 0])
+    assert a == b.to_matrix() and b == a.to_matrix()
+    assert a == b and hash(a) == hash(b)
+    # two weights 2 over Z_4 compose to the zero weight
+    z4 = IntegersMod(4)
+    two = WeightedPerm(z4, [1, 0], [z4.from_int(2)] * 2)
+    assert two * two == WeightedPerm(z4, [1, 0], [z4.zero] * 2) == Matrix.zeros(z4, 2, 2)
+    assert hash(two * two) == hash(WeightedPerm(z4, [1, 0], [z4.zero] * 2))
+    assert WeightedPerm(QQ, [0, 1], [0, 1]) != WeightedPerm(QQ, [1, 0], [0, 1])
+
+
+@st.composite
+def _zero_weight_pairs(draw):
+    """p, then q with the targets of p's zero-weight columns permuted (and
+    sometimes one weight changed), and r to compose with; over rings where
+    products of nonzero weights can be zero."""
+    ring = draw(st.sampled_from([QQ, IntegersMod(4), IntegersMod(6)]))
+    n = draw(st.integers(1, 5))
+    p = draw(_weighted_perms(ring, n))
+    zero_cols = [j for j, w in enumerate(p.wts) if not w]
+    tgt, wts = list(p.tgt), list(p.wts)
+    for j, t in zip(zero_cols, draw(st.permutations([tgt[j] for j in zero_cols]))):
+        tgt[j] = t
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        wts[j] = wts[j] + ring.one
+    return p, WeightedPerm(ring, tgt, wts), draw(_weighted_perms(ring, n))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_zero_weight_pairs())
+def test_weighted_perm_equality_and_hash_follow_the_matrix(perms):
+    p, q, r = perms
+    for a, b in ((p, q), (p * r, q * r), (r * p, r * q)):
+        assert (a == b) == (a.to_matrix() == b.to_matrix())
+        if a == b:
+            assert hash(a) == hash(b)

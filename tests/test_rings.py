@@ -61,12 +61,17 @@ def test_zmint_normalization_and_modulus_guard():
 
 
 def test_zmint_modulus_guard_without_asserts():
-    # python -O strips assert statements, so the guard must not use them
+    # python -O strips assert statements, so the guards (the ZmInt modulus
+    # check, Generator's kind and exponent checks) must not use them
     env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
-    code = ("from loopbraid.rings import ZmInt\n"
-            "try:\n    ZmInt(2, 5) + ZmInt(1, 7)\n"
-            "except ValueError:\n    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n")
+    code = ("from loopbraid.errors import InvalidParameters\n"
+            "from loopbraid.rings import ZmInt\n"
+            "from loopbraid.words import Generator, sigma\n"
+            "for call, exc in ((lambda: ZmInt(2, 5) + ZmInt(1, 7), ValueError),\n"
+            "                  (lambda: sigma(1, 2), InvalidParameters),\n"
+            "                  (lambda: Generator('foo', 1), InvalidParameters)):\n"
+            "    try:\n        call()\n    except exc:\n        continue\n"
+            "    raise SystemExit(1)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
 

@@ -15,6 +15,9 @@ def test_generator_normalization():
     assert Generator("s", 1, -1).exp == 1
     assert sigma(2, -1).exp == -1
     assert sigma(1).inv() == sigma(1, -1)
+    for make in (lambda: sigma(1, 2), lambda: Generator("foo", 1)):
+        with pytest.raises(InvalidParameters):
+            make()
 
 
 def test_relations_for_counts():
