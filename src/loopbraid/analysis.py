@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from .errors import IncompleteMatch, InvalidParameters, NotIdempotent
-from .linalg import Matrix, RowSpan, WeightedPerm, rank
+from .linalg import Matrix, RowSpan, WeightedPerm, int_rank, op_dim, rank
 from .rings import LQ, QQ, LaurentPoly
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_wp,
                      charge_blocks, f_operator, harmonic_decompose,
@@ -43,33 +43,98 @@ def hom_space(ops_src, ops_tgt, d_src, d_tgt):
     forces X there to be t.wts[a] / s.wts[b] times X[a, b].  These maps are
     bijections of the cells, so a walk from the least cell of an orbit
     reaches the whole orbit and checks every constraint on it once; the
-    orbit is a basis element, scaled to 1 at that cell, iff none disagrees."""
-    moves = [(t.tgt, t.wts, s.tgt, [Fraction(1) / w for w in s.wts])
-             for s, t in zip(ops_src, ops_tgt)]
+    orbit is a basis element, scaled to 1 at that cell, iff none disagrees.
+
+    Every weight is +-b^k for the one weight b that is not +-1 (x in form
+    x; InvalidParameters otherwise), so the walk carries each value as the
+    int 2k + (value < 0): a product adds the exponent parts and xors the
+    sign bits.  Two codes are equal iff the values are; with every weight
+    a sign, the codes are the signs.  Only the live orbits are decoded."""
+    code, base = _monomial_codes([w for op in (*ops_src, *ops_tgt) for w in op.wts])
+    moves = []
+    for s, t in zip(ops_src, ops_tgt):
+        # (row offset of the target, exponent part, sign bit); the weight of
+        # s enters inverted, which negates its exponent
+        t_side = [(a * d_src, c & -2, c & 1)
+                  for a, c in zip(t.tgt, map(code.get, t.wts))]
+        s_side = [(b, -(c & -2), c & 1) for b, c in zip(s.tgt, map(code.get, s.wts))]
+        moves.append((t_side, s_side))
     value = [None] * (d_src * d_tgt)
-    basis = []
+    live_orbits = []
     for start in range(len(value)):
         if value[start] is not None:
             continue
-        value[start] = Fraction(1)
+        value[start] = 0
         orbit = [start]
         stack = [start]
         live = True
         while stack:
-            a, b = divmod(stack.pop(), d_src)
-            v = value[a * d_src + b]
-            for t_tgt, t_wts, s_tgt, s_inv in moves:
-                cell = t_tgt[a] * d_src + s_tgt[b]
-                w = t_wts[a] * s_inv[b] * v
-                if value[cell] is None:
-                    value[cell] = w
-                    orbit.append(cell)
-                    stack.append(cell)
-                elif value[cell] != w:
+            cell = stack.pop()
+            a, b = divmod(cell, d_src)
+            v = value[cell]
+            for t_side, s_side in moves:
+                ta, te, ts = t_side[a]
+                sb, se, ss = s_side[b]
+                nxt = ta + sb
+                w = (v + te + se) ^ ts ^ ss
+                if value[nxt] is None:
+                    value[nxt] = w
+                    orbit.append(nxt)
+                    stack.append(nxt)
+                elif value[nxt] != w:
                     live = False
         if live:
-            basis.append({cell: value[cell] for cell in orbit})
+            live_orbits.append(orbit)
+    decoded = {}
+    basis = []
+    for orbit in live_orbits:
+        comp = {}
+        for cell in orbit:
+            c = value[cell]
+            f = decoded.get(c)
+            if f is None:
+                f = decoded[c] = -base ** (c >> 1) if c & 1 else base ** (c >> 1)
+            comp[cell] = f
+        basis.append(comp)
     return basis
+
+
+def _monomial_codes(weights):
+    """({weight: 2k + (weight < 0)}, |b|) for weights +-b^k, b the first
+    weight that is not +-1 (|b| = 1 if there is none); InvalidParameters
+    for any other weight."""
+    code = {}
+    base = None
+    for w in weights:
+        if w in code:
+            continue
+        mag = Fraction(abs(w))
+        if mag == 1:
+            k = 0
+        elif mag == 0:
+            raise InvalidParameters("hom_space needs nonzero weights")
+        else:
+            if base is None:
+                base = mag
+            k = _exact_log(mag, base)
+            if k is None:
+                raise InvalidParameters("weight %s is not +-%s^k" % (w, base))
+        code[w] = 2 * k + (w < 0)
+    return code, base or Fraction(1)
+
+
+def _exact_log(mag, base):
+    """k with base^k == mag, for positive Fractions other than 1; None if
+    there is none."""
+    sign = 1
+    if (mag > 1) != (base > 1):
+        mag, sign = Fraction(1) / mag, -1
+    k, p = 1, base
+    while p != mag:
+        if (p > mag) == (base > 1):
+            return None
+        k, p = k + 1, p * base
+    return sign * k
 
 
 def _project_hom(components, e_tgt, e_src, d_src, d_tgt):
@@ -96,7 +161,7 @@ def _project_hom(components, e_tgt, e_src, d_src, d_tgt):
             if y:
                 for b, e in src_rows[c]:
                     vec[a * d_src + b] += y * e
-        if span.insert(vec):
+        if span.insert_int(vec):
             dim += 1
     return dim
 
@@ -126,8 +191,8 @@ def end_dim(m: ModuleSpec) -> int:
 
 def hom_dim(m1: ModuleSpec, m2: ModuleSpec) -> int:
     """dim Hom(M1, M2) for modules at the same (N, n, x)."""
-    assert m1.block.N == m2.block.N and m1.block.n == m2.block.n
-    assert m1.rep == m2.rep
+    if (m1.block.N, m1.block.n, m1.rep) != (m2.block.N, m2.block.n, m2.rep):
+        raise InvalidParameters("Hom needs two modules at the same (N, n, x)")
     comps = hom_space(m1.block.ops(m1.rep), m2.block.ops(m2.rep),
                       m1.block.dim, m2.block.dim)
     return _projected_hom_dim(comps, m1, m2)
@@ -186,21 +251,33 @@ class AlgebraSpan:
 
 
 def algebra_span(generators) -> AlgebraSpan:
-    """Linear basis of the unital algebra generated by square matrices."""
+    """Linear basis of the unital algebra generated by square rational
+    matrices (Matrix or WeightedPerm).  Each generator is first scaled to
+    integer entries, which leaves the algebra unchanged, so the basis
+    consists of words in the scaled generators."""
     if not generators:
         raise InvalidParameters("need at least one generator")
-    gens = [BlockOp([g.to_matrix() if isinstance(g, WeightedPerm) else g])
-            for g in generators]
-    d = gens[0].mats[0].nrows
-    if not all(g.mats[0].nrows == g.mats[0].ncols == d for g in gens):
+    if any(g.ring is not QQ for g in generators):
+        raise InvalidParameters("algebra spans are computed over the rationals")
+    d = op_dim(generators[0])
+    if any(op_dim(g) != d or (isinstance(g, Matrix) and g.ncols != d) for g in generators):
         raise InvalidParameters("generators must be square matrices of one size")
-    basis = _closure(gens, BlockOp([Matrix.identity(gens[0].mats[0].ring, d)]))
-    return AlgebraSpan(d, [b.mats[0] for b in basis])
+    basis = _closure([BlockOp(_integral([g])) for g in generators],
+                     BlockOp([_int_identity(d)]))
+    out = []
+    for b in basis:
+        flat = [Fraction(v) for v in _flat(b.mats[0])]
+        out.append(Matrix(QQ, [flat[i:i + d] for i in range(0, d * d, d)]))
+    return AlgebraSpan(d, out)
 
 
 class BlockOp:
-    """A matrix acting block-diagonally on the multiplicity-collapsed sum
-    of the partition blocks (one copy per partition)."""
+    """An operator acting block-diagonally on the multiplicity-collapsed sum
+    of the partition blocks (one copy per partition).
+
+    Each block is a WeightedPerm with int weights, or a list of int rows.
+    Words in monomial generators stay WeightedPerms, so a generator times
+    a word costs one composition per block."""
 
     __slots__ = ("mats",)
 
@@ -208,32 +285,92 @@ class BlockOp:
         self.mats = list(mats)
 
     def __mul__(self, other):
-        return BlockOp([a * b for a, b in zip(self.mats, other.mats)])
-
-    def sub(self, other):
-        return BlockOp([a - b for a, b in zip(self.mats, other.mats)])
-
-    def scale(self, c):
-        return BlockOp([m.scale(c) for m in self.mats])
+        return BlockOp([_mul_block(a, b) for a, b in zip(self.mats, other.mats)])
 
     def vec(self):
         out = []
         for m in self.mats:
-            for r in m.rows:
-                out.extend(r)
+            out.extend(_flat(m))
         return out
 
-    def __eq__(self, other):
-        return all(a == b for a, b in zip(self.mats, other.mats))
+    def commutator_vec(self, other):
+        """vec() of self * other - other * self."""
+        out = []
+        for a, b in zip(self.mats, other.mats):
+            out.extend(p - q for p, q in zip(_flat(_mul_block(a, b)), _flat(_mul_block(b, a))))
+        return out
+
+
+def _mul_block(a, b):
+    """a * b for blocks that are WeightedPerms or lists of rows."""
+    if isinstance(a, WeightedPerm):
+        if isinstance(b, WeightedPerm):
+            return a * b
+        # row tgt[j] of a b is wts[j] times row j of b
+        rows = [None] * a.n
+        for r, t, w in zip(b, a.tgt, a.wts):
+            rows[t] = [w * v for v in r]
+        return rows
+    if isinstance(b, WeightedPerm):
+        # column j of a b is wts[j] times column tgt[j] of a
+        return [[w * r[t] for t, w in zip(b.tgt, b.wts)] for r in a]
+    b_nonzero = [[(j, y) for j, y in enumerate(r) if y] for r in b]
+    out = []
+    for r in a:
+        row = [0] * len(b)
+        for k, x in enumerate(r):
+            if x:
+                for j, y in b_nonzero[k]:
+                    row[j] += x * y
+        out.append(row)
+    return out
+
+
+def _flat(m):
+    """The entries of a block in row-major order."""
+    if isinstance(m, WeightedPerm):
+        n = m.n
+        out = [0] * (n * n)
+        for j, t, w in zip(range(n), m.tgt, m.wts):
+            out[t * n + j] = w
+        return out
+    return [v for r in m for v in r]
+
+
+def _entries(m):
+    """(size, [(i, j, entry) for the nonzero entries]) of a block."""
+    if isinstance(m, WeightedPerm):
+        return m.n, [(t, j, w) for j, t, w in zip(range(m.n), m.tgt, m.wts) if w]
+    return len(m), [(i, j, v) for i, r in enumerate(m) for j, v in enumerate(r) if v]
+
+
+def _integral(ops):
+    """Blocks for the Matrix or WeightedPerm operators, all scaled by the
+    least common denominator of their entries."""
+    den = math.lcm(*(v.denominator for op in ops
+                     for v in (op.wts if isinstance(op, WeightedPerm) else op.entries())))
+    out = []
+    for op in ops:
+        if isinstance(op, WeightedPerm):
+            out.append(WeightedPerm(QQ, op.tgt, [w.numerator * (den // w.denominator)
+                                                 for w in op.wts]))
+        else:
+            out.append([[v.numerator * (den // v.denominator) for v in r] for r in op.rows])
+    return out
+
+
+def _int_identity(d):
+    return WeightedPerm(QQ, range(d), [1] * d)
 
 
 def _collapsed_generators(N, n, x):
-    """Generator images on the direct sum of one block per partition."""
+    """Generator images on the direct sum of one block per partition, each
+    scaled by the denominator of x to int weights; every word changes by a
+    nonzero factor, so spans, ranks and centers do not."""
     rep = TauRep(N, x)
     blocks = [partition_block(N, n, lam) for lam, _ in charge_blocks(N, n)[1]]
-    gens = [BlockOp([op.to_matrix() for op in ops])
-            for ops in zip(*(b.ops(rep) for b in blocks))]
-    ident = BlockOp([Matrix.identity(QQ, b.dim) for b in blocks])
+    gens = [BlockOp(_integral(ops)) for ops in zip(*(b.ops(rep) for b in blocks))]
+    ident = BlockOp([_int_identity(b.dim) for b in blocks])
     return blocks, gens, ident, rep
 
 
@@ -244,7 +381,7 @@ def _closure(gens, ident):
     basis = []
 
     def insert(op):
-        if span.insert(op.vec()):
+        if span.insert_int(op.vec()):
             basis.append(op)
             return True
         return False
@@ -276,13 +413,11 @@ def _trace_form(basis):
     for op in basis:
         ents, ents_t, off = {}, {}, 0
         for m in op.mats:
-            n = m.ncols
-            for i, r in enumerate(m.rows):
-                for j, v in enumerate(r):
-                    if v:
-                        ents[off + i * n + j] = v
-                        ents_t[off + j * n + i] = v
-            off += m.nrows * n
+            n, nonzero = _entries(m)
+            for i, j, v in nonzero:
+                ents[off + i * n + j] = v
+                ents_t[off + j * n + i] = v
+            off += n * n
         plain.append(ents)
         transposed.append(ents_t)
     k = len(basis)
@@ -290,7 +425,7 @@ def _trace_form(basis):
     for x, a in enumerate(plain):
         for y in range(x, k):
             bt = transposed[y]
-            acc = Fraction(0)
+            acc = 0
             for pos in a.keys() & bt.keys():
                 acc += a[pos] * bt[pos]
             rows[x][y] = rows[y][x] = acc
@@ -303,9 +438,9 @@ def _center_dim(basis, constraints):
     for b in basis:
         col = []
         for c in constraints:
-            col.extend((b * c).sub(c * b).vec())
+            col.extend(b.commutator_vec(c))
         cols.append(col)
-    return len(basis) - rank(cols)
+    return len(basis) - int_rank(cols)
 
 
 def semisimplicity_check(N, n, x) -> dict:
@@ -316,14 +451,14 @@ def semisimplicity_check(N, n, x) -> dict:
     """
     blocks, gens, ident, rep = _collapsed_generators(N, n, x)
     basis = _closure(gens, ident)
-    radical = len(basis) - rank(_trace_form(basis))
+    radical = len(basis) - int_rank(_trace_form(basis))
     center = _center_dim(basis, gens)
     return {"radical_dim": radical, "center_dim": center,
             "algebra_dim": len(basis)}
 
 
 def _f_blockop(N, blocks, rep):
-    return BlockOp([f_operator(N, b, rep) for b in blocks])
+    return BlockOp(_integral([f_operator(N, b, rep) for b in blocks]))
 
 
 def localization_triangle_check(N, n, x) -> bool:
@@ -334,39 +469,40 @@ def localization_report(N, n, x) -> dict:
     """Simple counts of A, eAe and A/AeA with e the normalized symmetrizer.
 
     Counts are center dimensions, valid under a zero radical; requires
-    e^2 = e exactly (NotIdempotent otherwise).
+    e^2 = e exactly (NotIdempotent otherwise).  The products use f = N! e,
+    which spans alike.
     """
     blocks, gens, ident, rep = _collapsed_generators(N, n, x)
     basis = _closure(gens, ident)
-    fac = Fraction(1, math.factorial(N))
-    e = _f_blockop(N, blocks, rep).scale(fac)
-    if not (e * e) == e:
+    f = _f_blockop(N, blocks, rep)
+    fac = math.factorial(N)
+    if (f * f).vec() != [fac * v for v in f.vec()]:
         raise NotIdempotent("f/N! fails to square to itself")
-    radical = len(basis) - rank(_trace_form(basis))
+    radical = len(basis) - int_rank(_trace_form(basis))
     count_a = _center_dim(basis, gens)
 
     # eAe
     span_eae = RowSpan(len(ident.vec()))
     basis_eae = []
     for b in basis:
-        ebe = e * b * e
-        if span_eae.insert(ebe.vec()):
-            basis_eae.append(ebe)
+        fbf = f * b * f
+        if span_eae.insert_int(fbf.vec()):
+            basis_eae.append(fbf)
     count_eae = _center_dim(basis_eae, basis_eae)
 
     # AeA and the quotient center
     span_aea = RowSpan(len(ident.vec()))
     dim_aea = 0
     for a in basis:
-        ae = a * e
+        af = a * f
         for b in basis:
-            if span_aea.insert((ae * b).vec()):
+            if span_aea.insert_int((af * b).vec()):
                 dim_aea += 1
     cols = []
     for b in basis:
         col = []
         for g in gens:
-            col.extend(span_aea.reduce((b * g).sub(g * b).vec()))
+            col.extend(span_aea.reduce(b.commutator_vec(g)))
         cols.append(col)
     dim_solutions = len(basis) - rank(cols)
     count_quotient = dim_solutions - dim_aea
@@ -453,7 +589,8 @@ def restrict_and_branch(m: ModuleSpec, seed=None, max_words=80) -> BranchReport:
     """
     block = m.block
     n = block.n
-    assert n >= 2
+    if n < 2:
+        raise InvalidParameters("restriction needs at least 2 strands, got %d" % n)
     rng = random.Random(seed if seed is not None else default_seed())
     cands = _restriction_candidates(m)
     e_m = m.projector

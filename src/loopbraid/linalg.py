@@ -57,8 +57,6 @@ class Matrix:
     # -- basics ------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, WeightedPerm):
-            other = other.to_matrix()
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.nrows == other.nrows and self.ncols == other.ncols and \
@@ -208,6 +206,14 @@ class Matrix:
         return "Matrix(%s, %dx%d)" % (self.ring.name, self.nrows, self.ncols)
 
 
+def _clear_denominators(vec):
+    """(w, den): the ints w = den * vec, den the least common denominator."""
+    den = math.lcm(*(a.denominator for a in vec))
+    if den == 1:
+        return [a.numerator for a in vec], 1
+    return [a.numerator * (den // a.denominator) for a in vec], den
+
+
 def _nonzero(vec):
     """(index, entry) for every nonzero entry of vec, in index order."""
     return [(j, a) for j, a in enumerate(vec) if a]
@@ -273,8 +279,6 @@ class WeightedPerm:
         return WeightedPerm(self.ring, tgt, wts)
 
     def __eq__(self, other):
-        if isinstance(other, Matrix):
-            return self.to_matrix() == other
         if not isinstance(other, WeightedPerm):
             return NotImplemented
         if self.n != other.n:
@@ -354,6 +358,14 @@ def rank(rows) -> int:
     return span.dim
 
 
+def int_rank(rows) -> int:
+    """rank for rows of ints."""
+    span = RowSpan(len(rows[0]) if rows else 0)
+    for r in rows:
+        span.insert_int(r)
+    return span.dim
+
+
 class RowSpan:
     """Incremental reduced row form over QQ, Z_m or the Laurent ring.
 
@@ -367,7 +379,8 @@ class RowSpan:
     Over QQ elimination is fraction-free (Bareiss 1968) and uses ints
     only.  A row is stored in ``int_rows`` as a primitive vector (gcd 1,
     pivot entry positive); an incoming vector has its denominators cleared
-    once.  Back-substituting a new row with pivot entry p replaces a row
+    once, and ``insert_int`` takes a vector of ints as it is.
+    Back-substituting a new row with pivot entry p replaces a row
     with entry f in that column by ``(p // g) * row - (f // g) * new``,
     ``g = gcd(f, p)``, made primitive again.  ``rows``
     reads the exact reduced rows ``[Fraction(a, p) ...]``, each built on
@@ -396,8 +409,9 @@ class RowSpan:
     def reduce(self, vec):
         if self.int_rows is None:
             return self._reduce_field(vec)
-        v, scale = self._reduce_int(vec)
-        return [Fraction(a, scale) if a else _ZERO for a in v]
+        w, den = _clear_denominators(vec)
+        v, scale = self._reduce_int(w)
+        return [Fraction(a, den * scale) if a else _ZERO for a in v]
 
     def insert(self, vec) -> bool:
         """Reduce vec against the span; add it if independent.
@@ -407,6 +421,11 @@ class RowSpan:
         """
         if self.int_rows is None:
             return self._insert_field(vec)
+        return self.insert_int(_clear_denominators(vec)[0])
+
+    def insert_int(self, vec) -> bool:
+        """insert for a span over QQ and a vector of ints, which is used as
+        it is: no entry is read for a denominator."""
         v = self._reduce_int(vec)[0]
         piv = next((c for c in range(self.width) if v[c]), None)
         if piv is None:
@@ -416,7 +435,10 @@ class RowSpan:
             g = -g
         if g != 1:
             v = [a // g for a in v]
+        elif v is vec:
+            v = list(v)
         v_nonzero = _nonzero(v)
+        v_cols = [j for j, _ in v_nonzero]
         p = v[piv]
         for ri, row in enumerate(self.int_rows):
             f = row[piv]
@@ -424,17 +446,24 @@ class RowSpan:
                 g = math.gcd(f, p)
                 a, b = p // g, f // g
                 row = list(row)
+                old = self._row_nonzero[ri]
                 if a != 1:
-                    for j, x in self._row_nonzero[ri]:
+                    for j, x in old:
                         row[j] = a * x
                 for j, y in v_nonzero:
                     row[j] -= b * y
-                g = math.gcd(*row)
+                # only the columns nonzero in either operand can be nonzero
+                cols = {j for j, _ in old}
+                cols.update(v_cols)
+                row_nonzero = [(j, row[j]) for j in cols if row[j]]
+                g = math.gcd(*(x for _, x in row_nonzero))
                 if g != 1:
-                    row = [x // g for x in row]
+                    row_nonzero = [(j, x // g) for j, x in row_nonzero]
+                    for j, x in row_nonzero:
+                        row[j] = x
                 self.int_rows[ri] = row
                 self._lead[ri] = self._lead[ri] * a // g
-                self._row_nonzero[ri] = _nonzero(row)
+                self._row_nonzero[ri] = row_nonzero
                 self._exact[ri] = None
         self._add_pivot(piv)
         self.int_rows.append(v)
@@ -446,7 +475,7 @@ class RowSpan:
     def contains(self, vec) -> bool:
         if self.int_rows is None:
             return not any(self._reduce_field(vec))
-        return not any(self._reduce_int(vec)[0])
+        return not any(self._reduce_int(_clear_denominators(vec)[0])[0])
 
     @property
     def dim(self):
@@ -456,32 +485,27 @@ class RowSpan:
         self.pivot_of[piv] = len(self.pivot_of)
         self._pivots = sorted(self.pivot_of.items())
 
-    def _reduce_int(self, vec):
-        """(w, s): w is s times the reduction of vec, as ints, s > 0.
+    def _reduce_int(self, w):
+        """(u, s): u is s times the reduction of the int vector w, s > 0;
+        u is w itself when w is zero at every pivot column.
 
         The rows are zero at every pivot column but their own, so the
-        reduction is vec - sum_c vec[c] * rows[c] with the entries of vec
-        itself; one common multiplier makes every coefficient integral."""
-        den = math.lcm(*(a.denominator for a in vec))
-        if den == 1:
-            w = [a.numerator for a in vec]
-        else:
-            w = [a.numerator * (den // a.denominator) for a in vec]
+        reduction is w - sum_c w[c] * rows[c] with the entries of w itself;
+        one common multiplier makes every coefficient integral."""
         hits = [(w[c], ri) for c, ri in self._pivots if w[c]]
         if not hits:
-            return w, den
+            return w, 1
         lead = self._lead
         mult = 1
         for f, ri in hits:
             p = lead[ri]
             mult = math.lcm(mult, p // math.gcd(f, p))
-        if mult != 1:
-            w = [mult * a for a in w]
+        w = [mult * a for a in w] if mult != 1 else list(w)
         for f, ri in hits:
             k = mult * f // lead[ri]
             for j, b in self._row_nonzero[ri]:
                 w[j] -= k * b
-        return w, den * mult
+        return w, mult
 
     def _reduce_field(self, vec):
         v = list(vec)

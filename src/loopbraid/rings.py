@@ -486,11 +486,3 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def random_prime_above_2_30(rng) -> int:
-    """A random prime > 2**30, for use as a Monte Carlo rank modulus."""
-    while True:
-        n = rng.randrange(2 ** 30 + 1, 2 ** 31) | 1
-        if is_probable_prime(n):
-            return n

@@ -2,7 +2,7 @@
 
 from loopbraid.affine import AffineParams
 from loopbraid.linalg import Matrix
-from loopbraid.rings import ZmInt
+from loopbraid.rings import ZmInt, is_probable_prime
 
 
 def determinant_profile(p: AffineParams, elements) -> set:
@@ -20,3 +20,11 @@ def dense_wperm_product(mat, wp):
     column tgt[j] of mat, zeros included."""
     return Matrix(mat.ring, [[wp.wts[j] * r[wp.tgt[j]] for j in range(wp.n)]
                              for r in mat.rows])
+
+
+def random_prime_above_2_30(rng) -> int:
+    """A random prime > 2**30, for use as a Monte Carlo rank modulus."""
+    while True:
+        n = rng.randrange(2 ** 30 + 1, 2 ** 31) | 1
+        if is_probable_prime(n):
+            return n

@@ -258,13 +258,15 @@ def test_params_validation():
 # strips assert statements), evaluated with this prelude.
 _BAD_CALLS_PRELUDE = ("from loopbraid.affine import agl_order, gl_order, surjectivity_predicate\n"
                       "from loopbraid.analysis import algebra_span\n"
-                      "from loopbraid.linalg import Matrix\n"
-                      "from loopbraid.rings import QQ, subgroup_generated\n")
+                      "from loopbraid.linalg import Matrix, WeightedPerm\n"
+                      "from loopbraid.rings import QQ, IntegersMod, subgroup_generated\n")
 _BAD_CALLS = ["surjectivity_predicate(6, 3)", "surjectivity_predicate(9, 0)",
               "agl_order(5, 0)", "gl_order(5, -1)",
               "subgroup_generated(6, [5, 2])", "subgroup_generated(9, [3])",
               "algebra_span([])", "algebra_span([Matrix(QQ, [[1, 2]])])",
-              "algebra_span([Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)])"]
+              "algebra_span([Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)])",
+              "algebra_span([WeightedPerm.identity(QQ, 2), Matrix.identity(QQ, 3)])",
+              "algebra_span([Matrix.identity(IntegersMod(5), 2)])"]
 
 
 @pytest.mark.parametrize("call", _BAD_CALLS)

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 branching_graph, end_dim, harmonic_end_dims,
@@ -12,8 +15,8 @@ from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 young_branch_rule, _center_dim, _closure,
                                 _collapsed_generators, _f_blockop,
                                 _project_hom, _trace_form)
-from loopbraid.errors import InvalidParameters
-from loopbraid.linalg import Matrix, RowSpan
+from loopbraid.errors import InvalidParameters, NotIdempotent
+from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank
 from loopbraid.rings import QQ, LaurentPoly
 from loopbraid.tensor import (ChargeBlock, TauRep,
                               charge_blocks, f_operator, harmonic_decompose,
@@ -240,7 +243,7 @@ def test_semisimplicity_examples():
 
 def test_identity_algebra_trivial_case():
     # one-dimensional identity algebra: zero radical, center 1
-    ident = BlockOp([Matrix.identity(QQ, 3)])
+    ident = BlockOp([WeightedPerm(QQ, range(3), [1] * 3)])
     basis = _closure([ident], ident)
     assert len(basis) == 1
     assert _trace_form(basis) == [[Fraction(3)]]
@@ -251,15 +254,23 @@ def _dense_trace_product(a, b):
     """tr(a b) of two BlockOps over every (i, j) cell of each block."""
     acc = Fraction(0)
     for ma, mb in zip(a.mats, b.mats):
-        for i in range(ma.nrows):
-            for j in range(ma.ncols):
-                if ma.rows[i][j] and mb.rows[j][i]:
-                    acc += ma.rows[i][j] * mb.rows[j][i]
+        ra, rb = _block_rows(ma), _block_rows(mb)
+        for i in range(len(ra)):
+            for j in range(len(ra)):
+                if ra[i][j] and rb[j][i]:
+                    acc += ra[i][j] * rb[j][i]
     return acc
 
 
+def _block_rows(m):
+    """A block (WeightedPerm, Matrix or list of rows) as dense rows."""
+    if isinstance(m, WeightedPerm):
+        m = m.to_matrix()
+    return m.rows if isinstance(m, Matrix) else m
+
+
 # (N, n, x) of the semisimple and localize benchmark cases small enough
-# for the dense oracle; localize also checks the e b e basis of eAe.
+# for the dense oracle; localize also checks the f b f basis of eAe.
 @pytest.mark.parametrize("N,n,x,localize", [
     (2, 4, Fraction(2), False), (2, 4, Fraction(3), False), (3, 3, Fraction(2), False),
     (2, 4, Fraction(2), True)])
@@ -267,8 +278,8 @@ def test_trace_form_matches_dense_oracle(N, n, x, localize):
     blocks, gens, ident, rep = _collapsed_generators(N, n, x)
     basis = _closure(gens, ident)
     if localize:
-        e = _f_blockop(N, blocks, rep).scale(Fraction(1, 2))
-        basis = [e * b * e for b in basis]
+        f = _f_blockop(N, blocks, rep)
+        basis = [f * b * f for b in basis]
     gram = _trace_form(basis)
     assert gram == [[_dense_trace_product(a, b) for b in basis] for a in basis]
     assert any(v for row in gram for v in row)
@@ -501,7 +512,8 @@ def _hom_grid():
 
 
 @pytest.mark.parametrize("x", [Fraction(2), Fraction(3), Fraction(7, 2), Fraction(-1),
-                               Fraction(1)], ids=str)
+                               Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(-3, 2)],
+                         ids=str)
 def test_orbit_walk_matches_union_find_oracle(x):
     dead_cells = {}
     for N, n, pairs in _hom_grid():
@@ -509,6 +521,7 @@ def test_orbit_walk_matches_union_find_oracle(x):
         for src, tgt in pairs:
             args = (src.ops(rep), tgt.ops(rep), src.dim, tgt.dim)
             walk = hom_space(*args)
+            _assert_same_components(walk, _fraction_hom_space(*args))
             oracle = sorted(_union_find_hom_space(*args), key=min)
             assert len(walk) == len(oracle)
             # ordered by least cell and scaled to 1 there
@@ -522,3 +535,223 @@ def test_orbit_walk_matches_union_find_oracle(x):
             dead_cells[N, n] = dead_cells.get((N, n), 0) + dead
     if x == 2:
         assert dead_cells[3, 4] > 0
+
+
+# ---------------------------------------------------------------------------
+# Diff tests of the integer orbit codes in hom_space against the Fraction
+# walk they replaced, kept here as a test-only oracle.
+
+def _fraction_hom_space(ops_src, ops_tgt, d_src, d_tgt):
+    """The orbit walk of hom_space with every value a Fraction."""
+    moves = [(t.tgt, t.wts, s.tgt, [Fraction(1) / w for w in s.wts])
+             for s, t in zip(ops_src, ops_tgt)]
+    value = [None] * (d_src * d_tgt)
+    basis = []
+    for start in range(len(value)):
+        if value[start] is not None:
+            continue
+        value[start] = Fraction(1)
+        orbit = [start]
+        stack = [start]
+        live = True
+        while stack:
+            a, b = divmod(stack.pop(), d_src)
+            v = value[a * d_src + b]
+            for t_tgt, t_wts, s_tgt, s_inv in moves:
+                cell = t_tgt[a] * d_src + s_tgt[b]
+                w = t_wts[a] * s_inv[b] * v
+                if value[cell] is None:
+                    value[cell] = w
+                    orbit.append(cell)
+                    stack.append(cell)
+                elif value[cell] != w:
+                    live = False
+        if live:
+            basis.append({cell: value[cell] for cell in orbit})
+    return basis
+
+
+def _assert_same_components(walk, oracle):
+    """Same components in the same order, each with the same cells in the
+    same order and equal Fraction values."""
+    assert [list(c) for c in walk] == [list(c) for c in oracle]
+    assert walk == oracle
+    assert all(type(v) is Fraction for c in walk for v in c.values())
+
+
+_BASES = [Fraction(2), Fraction(3), Fraction(7, 2), Fraction(-2), Fraction(1, 3),
+          Fraction(-3, 2), Fraction(1), Fraction(-1)]
+
+
+@st.composite
+def _monomial_op_pairs(draw):
+    """Generator pairs (source op, target op) with weights in
+    {+-1, +-b, +-1/b}, b shared by all of them."""
+    b = draw(st.sampled_from(_BASES))
+    weight = st.sampled_from([Fraction(1), Fraction(-1), b, -b, 1 / b, -1 / b])
+    d_src, d_tgt = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def op(d):
+        return WeightedPerm(QQ, draw(st.permutations(range(d))),
+                            draw(st.lists(weight, min_size=d, max_size=d)))
+
+    pairs = [(op(d_src), op(d_tgt)) for _ in range(draw(st.integers(1, 3)))]
+    return [s for s, _ in pairs], [t for _, t in pairs], d_src, d_tgt
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_monomial_op_pairs())
+def test_orbit_codes_match_fraction_walk(args):
+    _assert_same_components(hom_space(*args), _fraction_hom_space(*args))
+
+
+@pytest.mark.parametrize("weights", [(Fraction(2), Fraction(3)), (Fraction(2), Fraction(6)),
+                                     (Fraction(4), Fraction(2)), (Fraction(2), Fraction(0)),
+                                     (Fraction(0),)], ids=str)
+def test_hom_space_refuses_weights_outside_one_base(weights):
+    ops = [WeightedPerm(QQ, [0], [w]) for w in weights]
+    with pytest.raises(InvalidParameters):
+        hom_space(ops, ops, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Diff tests of the integer monomial closure, trace form and centers
+# against the dense Fraction code they replaced, kept here as a test-only
+# oracle.
+
+class _DenseBlockOp:
+    """One dense Fraction Matrix per partition block."""
+
+    def __init__(self, mats):
+        self.mats = list(mats)
+
+    def __mul__(self, other):
+        return _DenseBlockOp([a * b for a, b in zip(self.mats, other.mats)])
+
+    def sub(self, other):
+        return _DenseBlockOp([a - b for a, b in zip(self.mats, other.mats)])
+
+    def scale(self, c):
+        return _DenseBlockOp([m.scale(c) for m in self.mats])
+
+    def vec(self):
+        return [v for m in self.mats for r in m.rows for v in r]
+
+    def __eq__(self, other):
+        return all(a == b for a, b in zip(self.mats, other.mats))
+
+
+def _dense_collapsed_generators(N, n, x):
+    rep = TauRep(N, x)
+    blocks = [partition_block(N, n, lam) for lam, _ in charge_blocks(N, n)[1]]
+    gens = [_DenseBlockOp([op.to_matrix() for op in ops])
+            for ops in zip(*(b.ops(rep) for b in blocks))]
+    ident = _DenseBlockOp([Matrix.identity(QQ, b.dim) for b in blocks])
+    return blocks, gens, ident, rep
+
+
+def _dense_closure(gens, ident):
+    span = RowSpan(len(ident.vec()))
+    basis = []
+    frontier = [ident] + gens
+    while frontier:
+        fresh = []
+        for op in frontier:
+            if span.insert(op.vec()):
+                basis.append(op)
+                fresh.append(op)
+        frontier = [g * b for b in fresh for g in gens]
+    return basis
+
+
+def _dense_radical_dim(basis):
+    gram = [[_dense_trace_product(a, b) for b in basis] for a in basis]
+    return len(basis) - rank(gram)
+
+
+def _dense_center_dim(basis, constraints):
+    cols = [[v for c in constraints for v in (b * c).sub(c * b).vec()] for b in basis]
+    return len(basis) - rank(cols)
+
+
+def _dense_semisimplicity_check(N, n, x):
+    blocks, gens, ident, rep = _dense_collapsed_generators(N, n, x)
+    basis = _dense_closure(gens, ident)
+    return {"radical_dim": _dense_radical_dim(basis),
+            "center_dim": _dense_center_dim(basis, gens), "algebra_dim": len(basis)}
+
+
+def _dense_localization_report(N, n, x):
+    blocks, gens, ident, rep = _dense_collapsed_generators(N, n, x)
+    basis = _dense_closure(gens, ident)
+    e = _DenseBlockOp([f_operator(N, b, rep) for b in blocks]).scale(
+        Fraction(1, math.factorial(N)))
+    if not e * e == e:
+        raise NotIdempotent("f/N! fails to square to itself")
+    radical = _dense_radical_dim(basis)
+    count_a = _dense_center_dim(basis, gens)
+    span_eae = RowSpan(len(ident.vec()))
+    basis_eae = [ebe for ebe in (e * b * e for b in basis) if span_eae.insert(ebe.vec())]
+    count_eae = _dense_center_dim(basis_eae, basis_eae)
+    span_aea = RowSpan(len(ident.vec()))
+    dim_aea = sum(span_aea.insert((ae * b).vec()) for ae in (a * e for a in basis)
+                  for b in basis)
+    cols = [[v for g in gens for v in span_aea.reduce((b * g).sub(g * b).vec())]
+            for b in basis]
+    count_quotient = len(basis) - rank(cols) - dim_aea
+    return {"radical_dim": radical, "simple_count": count_a,
+            "localized_count": count_eae, "quotient_count": count_quotient,
+            "aea_dim": dim_aea, "algebra_dim": len(basis),
+            "triangle_ok": radical == 0 and count_a == count_eae + count_quotient}
+
+
+_ALGEBRA_XS = [Fraction(2), Fraction(3), Fraction(7, 2), Fraction(-1), Fraction(1),
+               Fraction(-1, 3)]
+
+
+@pytest.mark.parametrize("x", _ALGEBRA_XS, ids=str)
+@pytest.mark.parametrize("N,n", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_semisimplicity_check_matches_dense_oracle(N, n, x):
+    assert semisimplicity_check(N, n, x) == _dense_semisimplicity_check(N, n, x)
+
+
+# The dense AeA products cost about 6 s per (3, 4) point at generic x, so
+# that size runs at one generic and one degenerate parameter.
+@pytest.mark.parametrize("N,n,x", [(N, n, x) for N, n in ((2, 3), (2, 4), (3, 3))
+                                   for x in _ALGEBRA_XS]
+                         + [(3, 4, Fraction(2)), (3, 4, Fraction(-1))], ids=str)
+def test_localization_report_matches_dense_oracle(N, n, x):
+    assert localization_report(N, n, x) == _dense_localization_report(N, n, x)
+
+
+def test_closure_basis_is_words_of_scaled_generators():
+    # the closure keeps words as WeightedPerms with int weights; each is a
+    # nonzero multiple of the dense word at the same place in the basis
+    blocks, gens, ident, rep = _collapsed_generators(2, 4, Fraction(7, 2))
+    basis = _closure(gens, ident)
+    dense = _dense_closure(*_dense_collapsed_generators(2, 4, Fraction(7, 2))[1:3])
+    assert len(basis) == len(dense) == 35
+    for mine, theirs in zip(basis, dense):
+        assert all(isinstance(m, WeightedPerm) and all(type(w) is int for w in m.wts)
+                   for m in mine.mats)
+        v, w = mine.vec(), theirs.vec()
+        j = next(i for i, a in enumerate(w) if a)
+        assert [a * w[j] for a in v] == [b * v[j] for b in w]
+
+
+def test_algebra_span_of_rational_generators_matches_dense_closure():
+    # WeightedPerm and Matrix generators with weight 7/2 are scaled to ints;
+    # both bases span the algebra of the dense Fraction words
+    block = partition_block(2, 4, (2, 2))
+    ops = block.ops(TauRep(2, Fraction(7, 2)))
+    oracle = _dense_closure([_DenseBlockOp([op.to_matrix()]) for op in ops],
+                            _DenseBlockOp([Matrix.identity(QQ, block.dim)]))
+    words = RowSpan(block.dim ** 2)
+    for op in oracle:
+        words.insert(op.vec())
+    for gens in (ops, [op.to_matrix() for op in ops]):
+        span = algebra_span(gens)
+        assert span.d == block.dim and len(span.basis) == len(oracle) == words.dim
+        for m in span.basis:
+            assert m.ring is QQ and all(type(v) is Fraction for v in m.entries())
+            assert words.contains([v for r in m.rows for v in r])

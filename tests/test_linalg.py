@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_scale, dense_wperm_product
+from helpers import dense_scale, dense_wperm_product, random_prime_above_2_30
 from loopbraid.errors import IncompleteMatch, NonFieldModulus, SingularImage
-from loopbraid.linalg import Matrix, RowSpan, WeightedPerm
-from loopbraid.rings import LQ, QQ, IntegersMod, LaurentPoly, random_prime_above_2_30
+from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, int_rank, rank
+from loopbraid.rings import LQ, QQ, IntegersMod, LaurentPoly
 
 
 def rank_and_kernel(mat: Matrix):
@@ -701,11 +701,15 @@ def _assert_primitive_rows(span):
 def test_fraction_free_rowspan_matches_fraction_oracle(system):
     width, rows, probes = system
     got, want = RowSpan(width), _FractionRowSpan(width)
+    ints = RowSpan(width)  # fed each row times a common multiple of its denominators
     read = []  # (row handed out earlier, its values then)
     for r, probe in zip(rows, probes):
         before = list(r)
-        assert got.insert(r) == want.insert(r)
-        assert r == before
+        scaled = [int(a * math.lcm(*(b.denominator for b in r)) * 3) for a in r]
+        scaled_before = list(scaled)
+        assert got.insert(r) == want.insert(r) == ints.insert_int(scaled)
+        assert r == before and scaled == scaled_before
+        assert ints.pivot_of == got.pivot_of and ints.int_rows == got.int_rows
         assert got.pivot_of == want.pivot_of and got.dim == want.dim
         assert len(got.rows) == len(want.rows) == len(got.int_rows)
         for g, w in zip(got.rows, want.rows):
@@ -717,6 +721,9 @@ def test_fraction_free_rowspan_matches_fraction_oracle(system):
         for row, values in read:
             assert row == values
         read.extend((row, list(row)) for row in got.rows)
+        read.extend((row, list(row)) for row in ints.int_rows)
+    assert int_rank([[int(a * math.lcm(*(b.denominator for b in r))) for a in r]
+                     for r in rows]) == rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +786,7 @@ def test_weighted_perm_matches_dense_matrix(perms):
     assert p * qm == pm * qm and pm * q == pm * qm
     assert p.kron(r).to_matrix() == pm.kron(rm)
     assert p.trace() == pm.trace()
-    assert p == pm
+    assert p.to_matrix() == pm
     assert (p == q) == (pm == qm)
     try:
         inv = p.inverse()
@@ -795,14 +802,23 @@ def test_weighted_perm_matches_dense_matrix(perms):
 def test_weighted_perm_equality_ignores_targets_of_zero_weights():
     a = WeightedPerm(QQ, [0, 1], [0, 0])
     b = WeightedPerm(QQ, [1, 0], [0, 0])
-    assert a == b.to_matrix() and b == a.to_matrix()
+    assert a.to_matrix() == b.to_matrix() == Matrix.zeros(QQ, 2, 2)
     assert a == b and hash(a) == hash(b)
     # two weights 2 over Z_4 compose to the zero weight
     z4 = IntegersMod(4)
     two = WeightedPerm(z4, [1, 0], [z4.from_int(2)] * 2)
-    assert two * two == WeightedPerm(z4, [1, 0], [z4.zero] * 2) == Matrix.zeros(z4, 2, 2)
+    assert two * two == WeightedPerm(z4, [1, 0], [z4.zero] * 2)
+    assert (two * two).to_matrix() == Matrix.zeros(z4, 2, 2)
     assert hash(two * two) == hash(WeightedPerm(z4, [1, 0], [z4.zero] * 2))
     assert WeightedPerm(QQ, [0, 1], [0, 1]) != WeightedPerm(QQ, [1, 0], [0, 1])
+
+
+def test_weighted_perm_and_matrix_never_compare_equal():
+    # equal objects must hash alike, and the two types hash differently
+    w, m = WeightedPerm.identity(QQ, 2), Matrix.identity(QQ, 2)
+    assert w != m and m != w
+    assert len({w, m}) == 2
+    assert w.to_matrix() == m
 
 
 @st.composite

@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopbraid
-from helpers import dense_scale, dense_wperm_product
+from helpers import dense_scale, dense_wperm_product, random_prime_above_2_30
 from loopbraid.analysis import bmw_check
 from loopbraid.errors import InvalidParameters, NotAUnit
 from loopbraid.linalg import Matrix, WeightedPerm
 from loopbraid.rings import (LQ, QQ, IntegersMod, LaurentPoly, ZmInt,
-                             is_probable_prime, mod_inverse,
-                             random_prime_above_2_30, unit_group)
+                             is_probable_prime, mod_inverse, unit_group)
 
 
 def test_mod_inverse_examples():
@@ -62,14 +61,22 @@ def test_zmint_normalization_and_modulus_guard():
 
 def test_zmint_modulus_guard_without_asserts():
     # python -O strips assert statements, so the guards (the ZmInt modulus
-    # check, Generator's kind and exponent checks) must not use them
+    # check, Generator's kind and exponent checks, hom_dim's module match,
+    # restrict_and_branch's strand count) must not use them
     env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
-    code = ("from loopbraid.errors import InvalidParameters\n"
+    code = ("from loopbraid.analysis import hom_dim, restrict_and_branch\n"
+            "from loopbraid.errors import InvalidParameters\n"
             "from loopbraid.rings import ZmInt\n"
+            "from loopbraid.tensor import TauRep, partition_block, young_module\n"
             "from loopbraid.words import Generator, sigma\n"
+            "block = partition_block(2, 3, (2, 1))\n"
+            "at = lambda x: young_module(block, TauRep(2, x))\n"
             "for call, exc in ((lambda: ZmInt(2, 5) + ZmInt(1, 7), ValueError),\n"
             "                  (lambda: sigma(1, 2), InvalidParameters),\n"
-            "                  (lambda: Generator('foo', 1), InvalidParameters)):\n"
+            "                  (lambda: Generator('foo', 1), InvalidParameters),\n"
+            "                  (lambda: hom_dim(at(2), at(3)), InvalidParameters),\n"
+            "                  (lambda: restrict_and_branch(young_module(\n"
+            "                      partition_block(2, 1, (1,)))), InvalidParameters)):\n"
             "    try:\n        call()\n    except exc:\n        continue\n"
             "    raise SystemExit(1)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
