@@ -19,8 +19,8 @@ import random
 from fractions import Fraction
 
 from .errors import IncompleteMatch, InvalidParameters, NotIdempotent
-from .linalg import Matrix, RowSpan, WeightedPerm, int_rank, op_dim, rank
-from .rings import LQ, QQ, LaurentPoly
+from .linalg import Matrix, RowSpan, WeightedPerm, _nonzero, op_dim, rank
+from .rings import LQ, QQ, ZZ, LaurentPoly
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_wp,
                      charge_blocks, f_operator, harmonic_decompose,
                      partition_block, right_color_action, young_module)
@@ -144,9 +144,11 @@ def _project_hom(components, e_tgt, e_src, d_src, d_tgt):
     sparse, so E_tgt X E_src is accumulated over nonzero entries only.  X
     and the projectors are scaled to integer entries first; nonzero scalars
     leave the dimension unchanged."""
-    tgt_cols = _integral_lines(None if e_tgt is None else e_tgt.transpose(), d_tgt)
-    src_rows = _integral_lines(e_src, d_src)
-    span = RowSpan(d_src * d_tgt)
+    e_tgt, e_src = (Matrix.identity(QQ, d) if e is None else e
+                    for e, d in ((e_tgt, d_tgt), (e_src, d_src)))  # None: the identity
+    tgt_cols = [_nonzero(c) for c in _integral([e_tgt.transpose()])[0].rows]
+    src_rows = [_nonzero(r) for r in _integral([e_src])[0].rows]
+    span = RowSpan(d_src * d_tgt, ZZ)
     dim = 0
     for comp in components:
         den = math.lcm(*(f.denominator for f in comp.values()))
@@ -161,19 +163,9 @@ def _project_hom(components, e_tgt, e_src, d_src, d_tgt):
             if y:
                 for b, e in src_rows[c]:
                     vec[a * d_src + b] += y * e
-        if span.insert_int(vec):
+        if span.insert(vec):
             dim += 1
     return dim
-
-
-def _integral_lines(e, d):
-    """(index, entry) for the nonzero entries of each row of e, times the
-    common denominator of e; the identity's rows for None."""
-    if e is None:
-        return [[(i, 1)] for i in range(d)]
-    den = math.lcm(*(v.denominator for v in e.entries()))
-    return [[(j, v.numerator * (den // v.denominator)) for j, v in enumerate(row) if v]
-            for row in e.rows]
 
 
 def _module_projector(m: ModuleSpec):
@@ -263,10 +255,10 @@ def algebra_span(generators) -> AlgebraSpan:
     if any(op_dim(g) != d or (isinstance(g, Matrix) and g.ncols != d) for g in generators):
         raise InvalidParameters("generators must be square matrices of one size")
     basis = _closure([BlockOp(_integral([g])) for g in generators],
-                     BlockOp([_int_identity(d)]))
+                     BlockOp([WeightedPerm.identity(ZZ, d)]))
     out = []
     for b in basis:
-        flat = [Fraction(v) for v in _flat(b.mats[0])]
+        flat = [Fraction(v) for v in b.mats[0].entries()]
         out.append(Matrix(QQ, [flat[i:i + d] for i in range(0, d * d, d)]))
     return AlgebraSpan(d, out)
 
@@ -275,9 +267,9 @@ class BlockOp:
     """An operator acting block-diagonally on the multiplicity-collapsed sum
     of the partition blocks (one copy per partition).
 
-    Each block is a WeightedPerm with int weights, or a list of int rows.
-    Words in monomial generators stay WeightedPerms, so a generator times
-    a word costs one composition per block."""
+    Each block is a WeightedPerm or a Matrix over ZZ.  Words in monomial
+    generators stay WeightedPerms, so a generator times a word costs one
+    composition per block."""
 
     __slots__ = ("mats",)
 
@@ -285,82 +277,33 @@ class BlockOp:
         self.mats = list(mats)
 
     def __mul__(self, other):
-        return BlockOp([_mul_block(a, b) for a, b in zip(self.mats, other.mats)])
+        return BlockOp([a * b for a, b in zip(self.mats, other.mats)])
 
     def vec(self):
         out = []
         for m in self.mats:
-            out.extend(_flat(m))
+            out.extend(m.entries())
         return out
 
     def commutator_vec(self, other):
         """vec() of self * other - other * self."""
-        out = []
-        for a, b in zip(self.mats, other.mats):
-            out.extend(p - q for p, q in zip(_flat(_mul_block(a, b)), _flat(_mul_block(b, a))))
-        return out
-
-
-def _mul_block(a, b):
-    """a * b for blocks that are WeightedPerms or lists of rows."""
-    if isinstance(a, WeightedPerm):
-        if isinstance(b, WeightedPerm):
-            return a * b
-        # row tgt[j] of a b is wts[j] times row j of b
-        rows = [None] * a.n
-        for r, t, w in zip(b, a.tgt, a.wts):
-            rows[t] = [w * v for v in r]
-        return rows
-    if isinstance(b, WeightedPerm):
-        # column j of a b is wts[j] times column tgt[j] of a
-        return [[w * r[t] for t, w in zip(b.tgt, b.wts)] for r in a]
-    b_nonzero = [[(j, y) for j, y in enumerate(r) if y] for r in b]
-    out = []
-    for r in a:
-        row = [0] * len(b)
-        for k, x in enumerate(r):
-            if x:
-                for j, y in b_nonzero[k]:
-                    row[j] += x * y
-        out.append(row)
-    return out
-
-
-def _flat(m):
-    """The entries of a block in row-major order."""
-    if isinstance(m, WeightedPerm):
-        n = m.n
-        out = [0] * (n * n)
-        for j, t, w in zip(range(n), m.tgt, m.wts):
-            out[t * n + j] = w
-        return out
-    return [v for r in m for v in r]
-
-
-def _entries(m):
-    """(size, [(i, j, entry) for the nonzero entries]) of a block."""
-    if isinstance(m, WeightedPerm):
-        return m.n, [(t, j, w) for j, t, w in zip(range(m.n), m.tgt, m.wts) if w]
-    return len(m), [(i, j, v) for i, r in enumerate(m) for j, v in enumerate(r) if v]
+        return [p - q for p, q in zip((self * other).vec(), (other * self).vec())]
 
 
 def _integral(ops):
-    """Blocks for the Matrix or WeightedPerm operators, all scaled by the
+    """The Matrix or WeightedPerm operators over ZZ, all scaled by the
     least common denominator of their entries."""
     den = math.lcm(*(v.denominator for op in ops
                      for v in (op.wts if isinstance(op, WeightedPerm) else op.entries())))
     out = []
     for op in ops:
         if isinstance(op, WeightedPerm):
-            out.append(WeightedPerm(QQ, op.tgt, [w.numerator * (den // w.denominator)
+            out.append(WeightedPerm(ZZ, op.tgt, [w.numerator * (den // w.denominator)
                                                  for w in op.wts]))
         else:
-            out.append([[v.numerator * (den // v.denominator) for v in r] for r in op.rows])
+            out.append(Matrix._wrap(ZZ, [[v.numerator * (den // v.denominator) if v else 0
+                                          for v in r] for r in op.rows]))
     return out
-
-
-def _int_identity(d):
-    return WeightedPerm(QQ, range(d), [1] * d)
 
 
 def _collapsed_generators(N, n, x):
@@ -370,18 +313,18 @@ def _collapsed_generators(N, n, x):
     rep = TauRep(N, x)
     blocks = [partition_block(N, n, lam) for lam, _ in charge_blocks(N, n)[1]]
     gens = [BlockOp(_integral(ops)) for ops in zip(*(b.ops(rep) for b in blocks))]
-    ident = BlockOp([_int_identity(b.dim) for b in blocks])
+    ident = BlockOp([WeightedPerm.identity(ZZ, b.dim) for b in blocks])
     return blocks, gens, ident, rep
 
 
 def _closure(gens, ident):
     """Word span of the generators: closing the seed under left
     multiplication by generators already spans every product."""
-    span = RowSpan(len(ident.vec()))
+    span = RowSpan(len(ident.vec()), ZZ)
     basis = []
 
     def insert(op):
-        if span.insert_int(op.vec()):
+        if span.insert(op.vec()):
             basis.append(op)
             return True
         return False
@@ -409,17 +352,12 @@ def _trace_form(basis):
     positions where both a and b^T are nonzero.  The form is symmetric, so
     each pair is summed once.
     """
-    plain, transposed = [], []
-    for op in basis:
-        ents, ents_t, off = {}, {}, 0
-        for m in op.mats:
-            n, nonzero = _entries(m)
-            for i, j, v in nonzero:
-                ents[off + i * n + j] = v
-                ents_t[off + j * n + i] = v
-            off += n * n
-        plain.append(ents)
-        transposed.append(ents_t)
+    swap = []  # swap[p]: the position in vec() of the transpose of entry p
+    for m in basis[0].mats:
+        n, off = op_dim(m), len(swap)
+        swap.extend(off + j * n + i for i in range(n) for j in range(n))
+    plain = [{p: v for p, v in enumerate(op.vec()) if v} for op in basis]
+    transposed = [{swap[p]: v for p, v in ents.items()} for ents in plain]
     k = len(basis)
     rows = [[None] * k for _ in range(k)]
     for x, a in enumerate(plain):
@@ -440,7 +378,7 @@ def _center_dim(basis, constraints):
         for c in constraints:
             col.extend(b.commutator_vec(c))
         cols.append(col)
-    return len(basis) - int_rank(cols)
+    return len(basis) - rank(cols, ZZ)
 
 
 def semisimplicity_check(N, n, x) -> dict:
@@ -451,7 +389,7 @@ def semisimplicity_check(N, n, x) -> dict:
     """
     blocks, gens, ident, rep = _collapsed_generators(N, n, x)
     basis = _closure(gens, ident)
-    radical = len(basis) - int_rank(_trace_form(basis))
+    radical = len(basis) - rank(_trace_form(basis), ZZ)
     center = _center_dim(basis, gens)
     return {"radical_dim": radical, "center_dim": center,
             "algebra_dim": len(basis)}
@@ -478,25 +416,25 @@ def localization_report(N, n, x) -> dict:
     fac = math.factorial(N)
     if (f * f).vec() != [fac * v for v in f.vec()]:
         raise NotIdempotent("f/N! fails to square to itself")
-    radical = len(basis) - int_rank(_trace_form(basis))
+    radical = len(basis) - rank(_trace_form(basis), ZZ)
     count_a = _center_dim(basis, gens)
 
     # eAe
-    span_eae = RowSpan(len(ident.vec()))
+    span_eae = RowSpan(len(ident.vec()), ZZ)
     basis_eae = []
     for b in basis:
         fbf = f * b * f
-        if span_eae.insert_int(fbf.vec()):
+        if span_eae.insert(fbf.vec()):
             basis_eae.append(fbf)
     count_eae = _center_dim(basis_eae, basis_eae)
 
     # AeA and the quotient center
-    span_aea = RowSpan(len(ident.vec()))
+    span_aea = RowSpan(len(ident.vec()), ZZ)
     dim_aea = 0
     for a in basis:
         af = a * f
         for b in basis:
-            if span_aea.insert_int((af * b).vec()):
+            if span_aea.insert((af * b).vec()):
                 dim_aea += 1
     cols = []
     for b in basis:

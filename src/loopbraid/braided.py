@@ -232,7 +232,8 @@ def _is_diagonal_type(S, d):
 
 def local_rep(lb: LoopBVS, n: int) -> dict:
     """Images sigma_i -> Id^(i-1) (x) c (x) Id^(n-i-1), s_i -> same with S."""
-    assert n >= 2
+    if n < 2:
+        raise InvalidParameters("a local representation needs at least 2 strands, got %d" % n)
     b = lb.base
     if not isinstance(b.c, WeightedPerm):
         require_assembly(b.d ** n)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -260,8 +261,14 @@ def emit_dot(graph) -> str:
 # Argument parsing: each subcommand is declared once, with its handler.
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument starting with "-" for an option unless
+        # it matches this pattern; its own covers -3 and -1.5 but not -3/2
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
-        self.print_usage(sys.stderr)
+        sys.stderr.write("usage error: %s: %s\n" % (self.prog, message))
         raise SystemExit(2)
 
 

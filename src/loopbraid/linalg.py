@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import InvalidParameters, NonFieldModulus, SingularImage
-from .rings import QQ, IntegersMod
+from .rings import QQ, ZZ, IntegersMod
 
 ASSEMBLY_LIMIT = 10 ** 4  # refuse whole-tensor-power assemblies above this many rows
 
@@ -36,9 +36,21 @@ class Matrix:
         self.rows = [list(r) for r in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
-        assert all(len(r) == self.ncols for r in self.rows), "ragged rows"
+        if any(len(r) != self.ncols for r in self.rows):
+            raise InvalidParameters("ragged rows: %s" % [len(r) for r in self.rows])
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def _wrap(ring, rows):
+        """Take ownership of a list of equal-length row lists, as products
+        build them; no checks."""
+        m = object.__new__(Matrix)
+        m.ring = ring
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = len(rows[0]) if rows else 0
+        return m
 
     @staticmethod
     def identity(ring, n):
@@ -69,8 +81,11 @@ class Matrix:
         return self.rows[rc[0]][rc[1]]
 
     def entries(self):
+        """All entries in row-major order, as one list."""
+        out = []
         for r in self.rows:
-            yield from r
+            out.extend(r)
+        return out
 
     def is_zero(self):
         z = self.ring.zero
@@ -111,10 +126,9 @@ class Matrix:
         if isinstance(other, WeightedPerm):
             # columns of (self*other): column j picks column tgt[j] of self;
             # zero entries stay as they are
-            tgt, wts = other.tgt, other.wts
-            return Matrix(self.ring, [
-                [w * a if a else a for w, a in zip(wts, [r[t] for t in tgt])]
-                for r in self.rows])
+            pairs = list(zip(other.tgt, other.wts))
+            return Matrix._wrap(self.ring, [[w * a if (a := r[t]) else a for t, w in pairs]
+                                            for r in self.rows])
         assert self.ncols == other.nrows, "dimension mismatch"
         # only nonzero a[i][k] * b[k][j] terms, summed in increasing k
         z = self.ring.zero
@@ -127,7 +141,7 @@ class Matrix:
                     for j, b in b_nonzero[k]:
                         row[j] = row[j] + a * b
             out.append(row)
-        return Matrix(self.ring, out)
+        return Matrix._wrap(self.ring, out)
 
     def mul_vec(self, v):
         z = self.ring.zero
@@ -259,7 +273,13 @@ class WeightedPerm:
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            return self.to_matrix() * other
+            assert self.n == other.nrows, "dimension mismatch"
+            # row tgt[j] of (self*other) is wts[j] times row j of other;
+            # zero entries stay as they are
+            rows = [None] * self.n
+            for t, w, r in zip(self.tgt, self.wts, other.rows):
+                rows[t] = [w * a if a else a for a in r]
+            return Matrix._wrap(self.ring, rows)
         assert self.n == other.n
         # (self o other) e_j = other.wts[j] * self.wts[other.tgt[j]] * e_{...}
         return WeightedPerm(
@@ -295,6 +315,14 @@ class WeightedPerm:
 
     def is_identity(self):
         return all(self.tgt[j] == j and self.wts[j] == self.ring.one for j in range(self.n))
+
+    def entries(self):
+        """All n * n entries in row-major order, as one list."""
+        n = self.n
+        out = [self.ring.zero] * (n * n)
+        for j, t, w in zip(range(n), self.tgt, self.wts):
+            out[t * n + j] = w
+        return out
 
     def kron(self, other):
         # basis order: index i*other.n + j  <->  e_i (x) e_j
@@ -350,24 +378,16 @@ def kron_list(ops):
 # ---------------------------------------------------------------------------
 # Elimination.
 
-def rank(rows) -> int:
-    """Rank over QQ of a list of equal-length rows."""
-    span = RowSpan(len(rows[0]) if rows else 0)
+def rank(rows, ring=QQ) -> int:
+    """Rank of a list of equal-length rows with entries in ring."""
+    span = RowSpan(len(rows[0]) if rows else 0, ring)
     for r in rows:
         span.insert(r)
     return span.dim
 
 
-def int_rank(rows) -> int:
-    """rank for rows of ints."""
-    span = RowSpan(len(rows[0]) if rows else 0)
-    for r in rows:
-        span.insert_int(r)
-    return span.dim
-
-
 class RowSpan:
-    """Incremental reduced row form over QQ, Z_m or the Laurent ring.
+    """Incremental reduced row form over QQ, ZZ, Z_m or the Laurent ring.
 
     This is the package's one Gauss-Jordan routine.  Each accepted row is
     back-substituted into the earlier rows, so every pivot column is zero
@@ -376,19 +396,20 @@ class RowSpan:
     row echelon form.  Each row keeps the list of its nonzero entries, and
     reduction and back-substitution work on those alone.
 
-    Over QQ elimination is fraction-free (Bareiss 1968) and uses ints
-    only.  A row is stored in ``int_rows`` as a primitive vector (gcd 1,
-    pivot entry positive); an incoming vector has its denominators cleared
-    once, and ``insert_int`` takes a vector of ints as it is.
-    Back-substituting a new row with pivot entry p replaces a row
-    with entry f in that column by ``(p // g) * row - (f // g) * new``,
-    ``g = gcd(f, p)``, made primitive again.  ``rows``
-    reads the exact reduced rows ``[Fraction(a, p) ...]``, each built on
-    first read; ``int_rows[i]`` is a positive multiple of ``rows[i]``, for
-    callers that need only the span.  Over other rings each row is
-    normalised by the inverse of its pivot entry and ``rows`` holds ring
-    elements.  A row that back-substitution changes is replaced, not
-    mutated, so rows read earlier keep their values.
+    Over QQ and ZZ elimination is fraction-free (Bareiss 1968) and uses
+    ints only; the span is the rational span of the rows in either case.
+    A row is stored in ``int_rows`` as a primitive vector (gcd 1, pivot
+    entry positive); over QQ an incoming vector has its denominators
+    cleared once, over ZZ it is used as it is.  Back-substituting a new
+    row with pivot entry p replaces a row with entry f in that column by
+    ``(p // g) * row - (f // g) * new``, ``g = gcd(f, p)``, made primitive
+    again.  ``rows`` and ``reduce`` read exact reduced rows
+    ``[Fraction(a, p) ...]``, each row built on first read;
+    ``int_rows[i]`` is a positive multiple of ``rows[i]``, for callers
+    that need only the span.  Over other rings each row is normalised by
+    the inverse of its pivot entry and ``rows`` holds ring elements.  A
+    row that back-substitution changes is replaced, not mutated, so rows
+    read earlier keep their values.
     """
 
     def __init__(self, width, ring=QQ):
@@ -397,7 +418,7 @@ class RowSpan:
         self.pivot_of = {}  # pivot column -> row index
         self._pivots = []   # sorted (pivot column, row index)
         self._row_nonzero = []  # _nonzero(row) for each stored row
-        if ring is QQ:
+        if ring is QQ or ring is ZZ:
             self.int_rows = []
             self._lead = []   # pivot entry of each integer row
             self._exact = []  # Fraction form of each row, None until read
@@ -409,7 +430,7 @@ class RowSpan:
     def reduce(self, vec):
         if self.int_rows is None:
             return self._reduce_field(vec)
-        w, den = _clear_denominators(vec)
+        w, den = self._lift(vec)
         v, scale = self._reduce_int(w)
         return [Fraction(a, den * scale) if a else _ZERO for a in v]
 
@@ -421,11 +442,7 @@ class RowSpan:
         """
         if self.int_rows is None:
             return self._insert_field(vec)
-        return self.insert_int(_clear_denominators(vec)[0])
-
-    def insert_int(self, vec) -> bool:
-        """insert for a span over QQ and a vector of ints, which is used as
-        it is: no entry is read for a denominator."""
+        vec = self._lift(vec)[0]
         v = self._reduce_int(vec)[0]
         piv = next((c for c in range(self.width) if v[c]), None)
         if piv is None:
@@ -475,11 +492,17 @@ class RowSpan:
     def contains(self, vec) -> bool:
         if self.int_rows is None:
             return not any(self._reduce_field(vec))
-        return not any(self._reduce_int(_clear_denominators(vec)[0])[0])
+        return not any(self._reduce_int(self._lift(vec)[0])[0])
 
     @property
     def dim(self):
         return len(self.pivot_of)
+
+    def _lift(self, vec):
+        """(w, den): the ints w = den * vec, den 1 over ZZ."""
+        if self.ring is ZZ:
+            return vec, 1
+        return _clear_denominators(vec)
 
     def _add_pivot(self, piv):
         self.pivot_of[piv] = len(self.pivot_of)

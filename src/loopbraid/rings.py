@@ -2,9 +2,9 @@
 
 Every ring element used in the package is a value that is never changed
 after construction, and supports +, -, *, ==; there is no floating point
-anywhere.  Rationals are plain ``fractions.Fraction`` values.  Ring
-*descriptor* objects (``QQ``, ``LQ``, ``IntegersMod(m)``) carry the
-constants and unit tests that matrices need.
+anywhere.  Rationals are plain ``fractions.Fraction`` values and integers
+plain ``int`` values.  Ring *descriptor* objects (``QQ``, ``ZZ``, ``LQ``,
+``IntegersMod(m)``) carry the constants and unit tests that matrices need.
 """
 
 from __future__ import annotations
@@ -397,6 +397,31 @@ class RationalField:
         return "QQ"
 
 
+class IntegerRing:
+    name = "integer"
+    is_field = False
+
+    zero = 0
+    one = 1
+
+    def from_int(self, k):
+        return int(k)
+
+    def is_unit(self, a):
+        return a == 1 or a == -1
+
+    def inv(self, a):
+        if a == 1 or a == -1:
+            return a
+        raise NotAUnit("%d is not a unit" % a)
+
+    def to_json(self, a):
+        return a
+
+    def __repr__(self):
+        return "ZZ"
+
+
 class LaurentRing:
     name = "laurent"
     is_field = False
@@ -455,6 +480,7 @@ class IntegersMod:
 
 
 QQ = RationalField()
+ZZ = IntegerRing()
 LQ = LaurentRing()
 
 

@@ -96,7 +96,8 @@ class ChargeBlock:
             self.comp = self.lam = None
             self.words = list(itertools.product(range(1, N + 1), repeat=n))
         else:
-            assert len(comp) == N and sum(comp) == n
+            if len(comp) != N or sum(comp) != n or min(comp, default=0) < 0:
+                raise InvalidParameters("content %s does not fit N, n = %d, %d" % (comp, N, n))
             self.comp = tuple(comp)
             self.lam = tuple(sorted((c for c in comp if c), reverse=True))
             self.words = _words_with_content(N, comp)
@@ -220,7 +221,8 @@ def f_operator(N: int, block: ChargeBlock, rep: TauRep = None) -> Matrix:
     """Signed sum over S_N of the symmetry-generator actions on the first
     N strands; kills words whose prefix is not a permutation of 1..N and
     symmetrizes the rest.  Kept unnormalized (f^2 = N! f)."""
-    assert block.n >= N, "need at least N strands"
+    if block.n < N:
+        raise InvalidParameters("the symmetrizer needs N = %d strands, got %d" % (N, block.n))
     rep = rep or TauRep(block.N, Fraction(1))
     total = Matrix.zeros(rep.ring, block.dim, block.dim)
     for perm, op in _perm_ops(block, rep, N):

@@ -17,7 +17,7 @@ from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 _project_hom, _trace_form)
 from loopbraid.errors import InvalidParameters, NotIdempotent
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank
-from loopbraid.rings import QQ, LaurentPoly
+from loopbraid.rings import QQ, ZZ, LaurentPoly
 from loopbraid.tensor import (ChargeBlock, TauRep,
                               charge_blocks, f_operator, harmonic_decompose,
                               partition_block, young_module)
@@ -243,7 +243,7 @@ def test_semisimplicity_examples():
 
 def test_identity_algebra_trivial_case():
     # one-dimensional identity algebra: zero radical, center 1
-    ident = BlockOp([WeightedPerm(QQ, range(3), [1] * 3)])
+    ident = BlockOp([WeightedPerm(ZZ, range(3), [1] * 3)])
     basis = _closure([ident], ident)
     assert len(basis) == 1
     assert _trace_form(basis) == [[Fraction(3)]]

@@ -240,6 +240,33 @@ def test_usage_error_exit_two(capsys):
     assert dispatch(["irreducible", "--N", "2", "--n", "3", "--ring", "zp"]) == 2
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (("irreducible", "--N", "2", "--n", "3", "--ring", "zp"), "unrecognized arguments"),
+    (("irreducible", "--N", "3", "--n", "5", "--x"), "expected one argument"),
+    (("affine-image", "--m", "3"), "required"),
+    (("no-such-command",), "invalid choice"),
+])
+def test_parser_errors_print_their_reason(capsys, argv, reason):
+    assert dispatch(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("usage error: ") and reason in captured.err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("semisimple", "--N", "2", "--n", "3"), "--x"),
+    (("irreducible", "--N", "3", "--n", "5"), "--x"),
+    (("check-relations", "--rep", "tau", "--N", "2", "--n", "3"), "--x"),
+    (("ybe", "--bvs", "c2"), "--q"),
+    (("ybe", "--bvs", "tau"), "--x"),
+])
+def test_negative_fraction_is_a_value(capsys, argv, option):
+    # argparse's own pattern for negative numbers does not cover -3/2
+    split = run(capsys, *argv, option, "-3/2")
+    joined = run(capsys, *argv, option + "=-3/2")
+    assert split == joined and split[1]
+
+
 def test_reports_are_byte_identical(capsys):
     _, out1 = run(capsys, "decompose", "--N", "2", "--n", "4", "--x", "2")
     _, out2 = run(capsys, "decompose", "--N", "2", "--n", "4", "--x", "2")

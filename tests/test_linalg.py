@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import dense_scale, dense_wperm_product, random_prime_above_2_30
 from loopbraid.errors import IncompleteMatch, NonFieldModulus, SingularImage
-from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, int_rank, rank
-from loopbraid.rings import LQ, QQ, IntegersMod, LaurentPoly
+from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank
+from loopbraid.rings import LQ, QQ, ZZ, IntegersMod, LaurentPoly
 
 
 def rank_and_kernel(mat: Matrix):
@@ -701,13 +701,13 @@ def _assert_primitive_rows(span):
 def test_fraction_free_rowspan_matches_fraction_oracle(system):
     width, rows, probes = system
     got, want = RowSpan(width), _FractionRowSpan(width)
-    ints = RowSpan(width)  # fed each row times a common multiple of its denominators
+    ints = RowSpan(width, ZZ)  # fed each row times a common multiple of its denominators
     read = []  # (row handed out earlier, its values then)
     for r, probe in zip(rows, probes):
         before = list(r)
         scaled = [int(a * math.lcm(*(b.denominator for b in r)) * 3) for a in r]
         scaled_before = list(scaled)
-        assert got.insert(r) == want.insert(r) == ints.insert_int(scaled)
+        assert got.insert(r) == want.insert(r) == ints.insert(scaled)
         assert r == before and scaled == scaled_before
         assert ints.pivot_of == got.pivot_of and ints.int_rows == got.int_rows
         assert got.pivot_of == want.pivot_of and got.dim == want.dim
@@ -722,8 +722,8 @@ def test_fraction_free_rowspan_matches_fraction_oracle(system):
             assert row == values
         read.extend((row, list(row)) for row in got.rows)
         read.extend((row, list(row)) for row in ints.int_rows)
-    assert int_rank([[int(a * math.lcm(*(b.denominator for b in r))) for a in r]
-                     for r in rows]) == rank(rows)
+    assert rank([[int(a * math.lcm(*(b.denominator for b in r))) for a in r]
+                 for r in rows], ZZ) == rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +797,41 @@ def test_weighted_perm_matches_dense_matrix(perms):
     else:
         assert inv.to_matrix() == pm.inverse()
         assert p * inv == WeightedPerm.identity(ring, p.n) == inv * p
+
+
+_Z4 = IntegersMod(4)
+_RING_ENTRIES = {
+    QQ: st.one_of(st.just(Fraction(0)),
+                  st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))),
+    ZZ: st.integers(-9, 9),
+    _Z4: st.integers(0, 3).map(_Z4.from_int),
+    LQ: st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3).map(LaurentPoly),
+}
+
+
+@st.composite
+def _weighted_perm_times_matrix(draw):
+    """(p, m): p a product of two weighted permutations, so that over Z_4
+    two weights 2 give a zero weight, and m a matrix with p.n rows."""
+    ring = draw(st.sampled_from(list(_RING_ENTRIES)))
+    entry = _RING_ENTRIES[ring]
+    n, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def wperm():
+        return WeightedPerm(ring, draw(st.permutations(range(n))),
+                            draw(st.lists(entry, min_size=n, max_size=n)))
+
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=n, max_size=n))
+    return wperm() * wperm(), Matrix(ring, rows)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_weighted_perm_times_matrix())
+def test_weighted_perm_times_matrix_is_a_weighted_row_permutation(args):
+    p, m = args
+    _same_matrix(p * m, p.to_matrix() * m)
+    assert p.entries() == list(p.to_matrix().entries())
 
 
 def test_weighted_perm_equality_ignores_targets_of_zero_weights():

@@ -15,7 +15,7 @@ from helpers import dense_scale, dense_wperm_product, random_prime_above_2_30
 from loopbraid.analysis import bmw_check
 from loopbraid.errors import InvalidParameters, NotAUnit
 from loopbraid.linalg import Matrix, WeightedPerm
-from loopbraid.rings import (LQ, QQ, IntegersMod, LaurentPoly, ZmInt,
+from loopbraid.rings import (LQ, QQ, ZZ, IntegersMod, LaurentPoly, ZmInt,
                              is_probable_prime, mod_inverse, unit_group)
 
 
@@ -62,12 +62,17 @@ def test_zmint_normalization_and_modulus_guard():
 def test_zmint_modulus_guard_without_asserts():
     # python -O strips assert statements, so the guards (the ZmInt modulus
     # check, Generator's kind and exponent checks, hom_dim's module match,
-    # restrict_and_branch's strand count) must not use them
+    # restrict_and_branch's strand count, Matrix's row lengths, a charge
+    # block's content, the symmetrizer's and local_rep's strand counts)
+    # must not use them
     env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
     code = ("from loopbraid.analysis import hom_dim, restrict_and_branch\n"
+            "from loopbraid.braided import local_rep, tau_loop\n"
             "from loopbraid.errors import InvalidParameters\n"
-            "from loopbraid.rings import ZmInt\n"
-            "from loopbraid.tensor import TauRep, partition_block, young_module\n"
+            "from loopbraid.linalg import Matrix\n"
+            "from loopbraid.rings import QQ, ZmInt\n"
+            "from loopbraid.tensor import (ChargeBlock, TauRep, f_operator,\n"
+            "                              partition_block, young_module)\n"
             "from loopbraid.words import Generator, sigma\n"
             "block = partition_block(2, 3, (2, 1))\n"
             "at = lambda x: young_module(block, TauRep(2, x))\n"
@@ -76,7 +81,12 @@ def test_zmint_modulus_guard_without_asserts():
             "                  (lambda: Generator('foo', 1), InvalidParameters),\n"
             "                  (lambda: hom_dim(at(2), at(3)), InvalidParameters),\n"
             "                  (lambda: restrict_and_branch(young_module(\n"
-            "                      partition_block(2, 1, (1,)))), InvalidParameters)):\n"
+            "                      partition_block(2, 1, (1,)))), InvalidParameters),\n"
+            "                  (lambda: Matrix(QQ, [[1, 2], [3]]), InvalidParameters),\n"
+            "                  (lambda: ChargeBlock(2, 3, (1, 1)), InvalidParameters),\n"
+            "                  (lambda: f_operator(3, partition_block(3, 2, (1, 1))),\n"
+            "                   InvalidParameters),\n"
+            "                  (lambda: local_rep(tau_loop(2), 1), InvalidParameters)):\n"
             "    try:\n        call()\n    except exc:\n        continue\n"
             "    raise SystemExit(1)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
@@ -137,6 +147,16 @@ def test_ring_descriptors():
     assert not z9.is_field
     assert IntegersMod(7).is_field
     assert z9.inv(z9.from_int(2)).residue == 5
+
+
+def test_integer_ring_descriptor():
+    assert [a for a in range(-3, 4) if ZZ.is_unit(a)] == [-1, 1]
+    assert ZZ.inv(1) == 1 and ZZ.inv(-1) == -1
+    for a in (2, 0, -5):
+        with pytest.raises(NotAUnit):
+            ZZ.inv(a)
+    assert ZZ.to_json(-7) == -7 and type(ZZ.to_json(-7)) is int
+    assert (ZZ.zero, ZZ.one, ZZ.from_int(4)) == (0, 1, 4) and not ZZ.is_field
 
 
 def test_prime_utilities():
