@@ -316,8 +316,10 @@ def proof_word_landmarks(p: AffineParams) -> dict:
     """
     ring = p.ring
     n = p.n
-    assert n >= 3, "the landmark words need three strands"
-    assert math.gcd(p.m, (1 - p.t) % p.m) == 1
+    if n < 3:
+        raise InvalidParameters("the landmark words need three strands, got %d" % n)
+    if math.gcd(p.m, (1 - p.t) % p.m) != 1:
+        raise InvalidParameters("1 - t = %d must be a unit mod m = %d" % (1 - p.t, p.m))
     images = rho_generators(p)
     sig_t = to_agl_form(images[("sigma", n - 1)]).to_matrix()
     sig_1 = to_agl_form(images[("s", n - 1)]).to_matrix()

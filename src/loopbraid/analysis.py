@@ -24,6 +24,7 @@ from .rings import LQ, QQ, ZZ, LaurentPoly
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_wp,
                      charge_blocks, f_operator, harmonic_decompose,
                      partition_block, right_color_action, young_module)
+from .words import _first_difference
 
 DEFAULT_SEED = 0xB5EED
 
@@ -254,8 +255,8 @@ def algebra_span(generators) -> AlgebraSpan:
     d = op_dim(generators[0])
     if any(op_dim(g) != d or (isinstance(g, Matrix) and g.ncols != d) for g in generators):
         raise InvalidParameters("generators must be square matrices of one size")
-    basis = _closure([BlockOp(_integral([g])) for g in generators],
-                     BlockOp([WeightedPerm.identity(ZZ, d)]))
+    basis, _ = _closure([BlockOp(_integral([g])) for g in generators],
+                        [BlockOp([WeightedPerm.identity(ZZ, d)])])
     out = []
     for b in basis:
         flat = [Fraction(v) for v in b.mats[0].entries()]
@@ -317,31 +318,23 @@ def _collapsed_generators(N, n, x):
     return blocks, gens, ident, rep
 
 
-def _closure(gens, ident):
-    """Word span of the generators: closing the seed under left
-    multiplication by generators already spans every product."""
-    span = RowSpan(len(ident.vec()), ZZ)
+def _closure(gens, seeds, right=()):
+    """(basis, span): a basis of the span of the seeds closed under left
+    multiplication by gens and right multiplication by right, and the ZZ
+    RowSpan of its vec()s.
+
+    Each accepted element is multiplied once by every generator on either
+    side, which reaches every word in them: with [ident] as the seed this
+    is the algebra A, with [f] and right=gens the two-sided ideal AfA, and
+    with no generators the span of the seeds."""
+    span = RowSpan(len(seeds[0].vec()), ZZ)
     basis = []
-
-    def insert(op):
-        if span.insert(op.vec()):
-            basis.append(op)
-            return True
-        return False
-
-    insert(ident)
-    for g in gens:
-        insert(g)
-    frontier = list(basis)
-    while frontier:
-        fresh = []
-        for b in frontier:
-            for g in gens:
-                prod = g * b
-                if insert(prod):
-                    fresh.append(prod)
-        frontier = fresh
-    return basis
+    fresh = [op for op in seeds if span.insert(op.vec())]
+    while fresh:
+        basis += fresh
+        fresh = [p for b in fresh for p in [g * b for g in gens] + [b * h for h in right]
+                 if span.insert(p.vec())]
+    return basis, span
 
 
 def _trace_form(basis):
@@ -381,16 +374,22 @@ def _center_dim(basis, constraints):
     return len(basis) - rank(cols, ZZ)
 
 
+def _algebra_counts(gens, ident):
+    """(basis, radical_dim, center_dim) of the algebra the generators
+    span: its closure, the radical of its trace form and its center."""
+    basis, _ = _closure(gens, [ident])
+    radical = len(basis) - rank(_trace_form(basis), ZZ)
+    return basis, radical, _center_dim(basis, gens)
+
+
 def semisimplicity_check(N, n, x) -> dict:
     """Trace-form radical and center of the image algebra at (N, n, x).
 
     radical_dim = 0 certifies semisimplicity; center_dim then counts the
     simple summands.
     """
-    blocks, gens, ident, rep = _collapsed_generators(N, n, x)
-    basis = _closure(gens, ident)
-    radical = len(basis) - rank(_trace_form(basis), ZZ)
-    center = _center_dim(basis, gens)
+    _, gens, ident, _ = _collapsed_generators(N, n, x)
+    basis, radical, center = _algebra_counts(gens, ident)
     return {"radical_dim": radical, "center_dim": center,
             "algebra_dim": len(basis)}
 
@@ -411,45 +410,24 @@ def localization_report(N, n, x) -> dict:
     which spans alike.
     """
     blocks, gens, ident, rep = _collapsed_generators(N, n, x)
-    basis = _closure(gens, ident)
     f = _f_blockop(N, blocks, rep)
     fac = math.factorial(N)
     if (f * f).vec() != [fac * v for v in f.vec()]:
         raise NotIdempotent("f/N! fails to square to itself")
-    radical = len(basis) - rank(_trace_form(basis), ZZ)
-    count_a = _center_dim(basis, gens)
-
-    # eAe
-    span_eae = RowSpan(len(ident.vec()), ZZ)
-    basis_eae = []
-    for b in basis:
-        fbf = f * b * f
-        if span_eae.insert(fbf.vec()):
-            basis_eae.append(fbf)
+    basis, radical, count_a = _algebra_counts(gens, ident)
+    basis_eae, _ = _closure([], [f * b * f for b in basis])
     count_eae = _center_dim(basis_eae, basis_eae)
 
     # AeA and the quotient center
-    span_aea = RowSpan(len(ident.vec()), ZZ)
-    dim_aea = 0
-    for a in basis:
-        af = a * f
-        for b in basis:
-            if span_aea.insert((af * b).vec()):
-                dim_aea += 1
-    cols = []
-    for b in basis:
-        col = []
-        for g in gens:
-            col.extend(span_aea.reduce(b.commutator_vec(g)))
-        cols.append(col)
-    dim_solutions = len(basis) - rank(cols)
-    count_quotient = dim_solutions - dim_aea
+    basis_aea, span_aea = _closure(gens, [f], gens)
+    cols = [[v for g in gens for v in span_aea.reduce(b.commutator_vec(g))] for b in basis]
+    count_quotient = len(basis) - rank(cols) - len(basis_aea)
 
     return {"radical_dim": radical,
             "simple_count": count_a,
             "localized_count": count_eae,
             "quotient_count": count_quotient,
-            "aea_dim": dim_aea,
+            "aea_dim": len(basis_aea),
             "algebra_dim": len(basis),
             "triangle_ok": radical == 0 and count_a == count_eae + count_quotient}
 
@@ -767,15 +745,10 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
 
 
 def _laurent_witness(lhs, rhs, words):
-    a = lhs.to_matrix() if isinstance(lhs, WeightedPerm) else lhs
-    bm = rhs.to_matrix() if isinstance(rhs, WeightedPerm) else rhs
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            if a.rows[i][j] != bm.rows[i][j]:
-                return {"row_word": "".join(map(str, words[i])),
-                        "col_word": "".join(map(str, words[j])),
-                        "left": repr(a.rows[i][j]), "right": repr(bm.rows[i][j])}
-    return None
+    diff = _first_difference(lhs, rhs)
+    i, j = diff["position"]
+    return {"row_word": "".join(map(str, words[i])), "col_word": "".join(map(str, words[j])),
+            "left": diff["left"], "right": diff["right"]}
 
 
 # ---------------------------------------------------------------------------

@@ -193,19 +193,22 @@ class Matrix:
     def inverse(self):
         """Exact inverse; SingularImage if not invertible.
 
-        Gauss-Jordan on [A | I].  Over Z_m the integer lift is inverted over
-        QQ and each entry num/den maps to num * den^-1 mod m; A is
-        invertible mod m exactly when every den is a unit mod m.
+        Gauss-Jordan on [A | I].  Over ZZ and Z_m the integer lift is
+        inverted over QQ and each entry num/den maps to num * den^-1 in the
+        ring; A is invertible there exactly when every den is a unit.
         """
-        assert self.nrows == self.ncols
+        if self.nrows != self.ncols:
+            raise InvalidParameters("only square matrices have inverses")
         n = self.nrows
         ring = self.ring
-        if isinstance(ring, IntegersMod):
-            inv = Matrix(QQ, [[Fraction(v.residue) for v in r] for r in self.rows]).inverse()
-            if any(math.gcd(v.denominator, ring.m) != 1 for v in inv.entries()):
-                raise SingularImage("determinant is not a unit mod %d" % ring.m)
-            return Matrix.from_int_rows(ring, [[v.numerator * pow(v.denominator, -1, ring.m)
-                                                for v in r] for r in inv.rows])
+        if ring is ZZ or isinstance(ring, IntegersMod):
+            lift = [[Fraction(v if ring is ZZ else v.residue) for v in r] for r in self.rows]
+            inv = Matrix(QQ, lift).inverse()
+            if not all(ring.is_unit(ring.from_int(v.denominator)) for v in inv.entries()):
+                raise SingularImage("matrix is not invertible over %r" % (ring,))
+            return Matrix(ring, [[ring.from_int(v.numerator)
+                                  * ring.inv(ring.from_int(v.denominator)) for v in r]
+                                 for r in inv.rows])
         span = RowSpan(n, ring)  # pivots in the A half only
         for i, r in enumerate(self.rows):
             span.insert(list(r) + [ring.one if i == j else ring.zero for j in range(n)])

@@ -367,6 +367,9 @@ def _apply_wp(op: WeightedPerm, vec):
 def harmonic_decompose(block: ChargeBlock, rep: TauRep = None) -> list:
     """One ModuleSpec per primary label; dimensions satisfy the weighted
     sum identity sum(dim Delta * dim piece) = dim block."""
+    if block.comp is None or not block.is_partition_block():
+        raise InvalidParameters("harmonic decomposition needs a partition block, got %s"
+                                % (block.comp,))
     rep = rep or TauRep(block.N)
     out = []
     for label in harmonic_labels(block.lam):

@@ -244,7 +244,7 @@ def test_semisimplicity_examples():
 def test_identity_algebra_trivial_case():
     # one-dimensional identity algebra: zero radical, center 1
     ident = BlockOp([WeightedPerm(ZZ, range(3), [1] * 3)])
-    basis = _closure([ident], ident)
+    basis, _ = _closure([ident], [ident])
     assert len(basis) == 1
     assert _trace_form(basis) == [[Fraction(3)]]
     assert _center_dim(basis, basis) == 1
@@ -276,7 +276,7 @@ def _block_rows(m):
     (2, 4, Fraction(2), True)])
 def test_trace_form_matches_dense_oracle(N, n, x, localize):
     blocks, gens, ident, rep = _collapsed_generators(N, n, x)
-    basis = _closure(gens, ident)
+    basis, _ = _closure(gens, [ident])
     if localize:
         f = _f_blockop(N, blocks, rep)
         basis = [f * b * f for b in basis]
@@ -297,7 +297,7 @@ def test_localization_triangle_counts():
 def test_localization_identity_idempotent_trivial():
     # with e = 1 the localized algebra is everything and the quotient dies
     blocks, gens, ident, rep = _collapsed_generators(2, 2, Fraction(2))
-    basis = _closure(gens, ident)
+    basis, _ = _closure(gens, [ident])
     count = _center_dim(basis, gens)
     e = ident
     basis_eae = basis  # e b e = b
@@ -724,11 +724,36 @@ def test_localization_report_matches_dense_oracle(N, n, x):
     assert localization_report(N, n, x) == _dense_localization_report(N, n, x)
 
 
+def _product_ideal_span(basis, f):
+    """RowSpan of every product a f b over a basis of A: the |A|^2 loop that
+    the two-sided closure replaced, kept as its oracle."""
+    span = RowSpan(len(f.vec()), ZZ)
+    for a in basis:
+        af = a * f
+        for b in basis:
+            span.insert((af * b).vec())
+    return span
+
+
+# Sizes beyond the dense localization oracle.
+@pytest.mark.parametrize("N,n,x", [(2, 5, Fraction(2)), (3, 4, Fraction(2)),
+                                   (3, 4, Fraction(-1))], ids=str)
+def test_two_sided_closure_spans_the_product_ideal(N, n, x):
+    blocks, gens, ident, rep = _collapsed_generators(N, n, x)
+    basis, _ = _closure(gens, [ident])
+    f = _f_blockop(N, blocks, rep)
+    aea, span = _closure(gens, [f], gens)
+    oracle = _product_ideal_span(basis, f)
+    assert len(aea) == span.dim == oracle.dim
+    assert all(oracle.contains(op.vec()) for op in aea)
+    assert all(span.contains(row) for row in oracle.int_rows)
+
+
 def test_closure_basis_is_words_of_scaled_generators():
     # the closure keeps words as WeightedPerms with int weights; each is a
     # nonzero multiple of the dense word at the same place in the basis
     blocks, gens, ident, rep = _collapsed_generators(2, 4, Fraction(7, 2))
-    basis = _closure(gens, ident)
+    basis, _ = _closure(gens, [ident])
     dense = _dense_closure(*_dense_collapsed_generators(2, 4, Fraction(7, 2))[1:3])
     assert len(basis) == len(dense) == 35
     for mine, theirs in zip(basis, dense):

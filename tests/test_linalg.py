@@ -99,6 +99,18 @@ def test_matrix_inverse_and_det():
         Matrix.from_int_rows(z6, [[2, 0], [0, 1]]).inverse()
 
 
+def test_integer_matrix_inverse_stays_integral():
+    # over ZZ a matrix is invertible only when its determinant is +-1, and
+    # then the inverse holds plain ints
+    m = Matrix(ZZ, [[2, 1], [1, 1]])
+    inv = m.inverse()
+    assert inv.ring is ZZ and inv.rows == [[1, -1], [-1, 2]]
+    assert all(type(v) is int for v in inv.entries())
+    assert m * inv == Matrix.identity(ZZ, 2)
+    with pytest.raises(SingularImage):
+        Matrix(ZZ, [[2, 0], [0, 1]]).inverse()
+
+
 def test_weighted_perm_roundtrips():
     wp = WeightedPerm(QQ, [1, 2, 0], [Fraction(2), Fraction(1), Fraction(-1)])
     assert wp * wp.inverse() == WeightedPerm.identity(QQ, 3)

@@ -62,17 +62,20 @@ def test_zmint_normalization_and_modulus_guard():
 def test_zmint_modulus_guard_without_asserts():
     # python -O strips assert statements, so the guards (the ZmInt modulus
     # check, Generator's kind and exponent checks, hom_dim's module match,
-    # restrict_and_branch's strand count, Matrix's row lengths, a charge
-    # block's content, the symmetrizer's and local_rep's strand counts)
-    # must not use them
+    # restrict_and_branch's strand count, Matrix's row lengths, the shape of
+    # an inverted matrix, a charge block's content, the symmetrizer's and
+    # local_rep's strand counts, the landmark words' strand count and unit
+    # 1 - t, the harmonic decomposition's partition block) must not use them
     env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
-    code = ("from loopbraid.analysis import hom_dim, restrict_and_branch\n"
+    code = ("from loopbraid.affine import AffineParams, proof_word_landmarks\n"
+            "from loopbraid.analysis import hom_dim, restrict_and_branch\n"
             "from loopbraid.braided import local_rep, tau_loop\n"
             "from loopbraid.errors import InvalidParameters\n"
             "from loopbraid.linalg import Matrix\n"
             "from loopbraid.rings import QQ, ZmInt\n"
             "from loopbraid.tensor import (ChargeBlock, TauRep, f_operator,\n"
-            "                              partition_block, young_module)\n"
+            "                              harmonic_decompose, partition_block,\n"
+            "                              young_module)\n"
             "from loopbraid.words import Generator, sigma\n"
             "block = partition_block(2, 3, (2, 1))\n"
             "at = lambda x: young_module(block, TauRep(2, x))\n"
@@ -83,10 +86,17 @@ def test_zmint_modulus_guard_without_asserts():
             "                  (lambda: restrict_and_branch(young_module(\n"
             "                      partition_block(2, 1, (1,)))), InvalidParameters),\n"
             "                  (lambda: Matrix(QQ, [[1, 2], [3]]), InvalidParameters),\n"
+            "                  (lambda: Matrix(QQ, [[1, 2]]).inverse(), InvalidParameters),\n"
             "                  (lambda: ChargeBlock(2, 3, (1, 1)), InvalidParameters),\n"
             "                  (lambda: f_operator(3, partition_block(3, 2, (1, 1))),\n"
             "                   InvalidParameters),\n"
-            "                  (lambda: local_rep(tau_loop(2), 1), InvalidParameters)):\n"
+            "                  (lambda: local_rep(tau_loop(2), 1), InvalidParameters),\n"
+            "                  (lambda: proof_word_landmarks(AffineParams(5, 2, 2)),\n"
+            "                   InvalidParameters),\n"
+            "                  (lambda: proof_word_landmarks(AffineParams(6, 5, 3)),\n"
+            "                   InvalidParameters),\n"
+            "                  (lambda: harmonic_decompose(ChargeBlock(3, 4, (1, 1, 2))),\n"
+            "                   InvalidParameters)):\n"
             "    try:\n        call()\n    except exc:\n        continue\n"
             "    raise SystemExit(1)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
