@@ -23,8 +23,8 @@ from .affine import (AffineParams, AglElement, agl_order, drinfeld_r_check,
                      generate_image, rho_generators, surjectivity_predicate,
                      to_agl_form)
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep,
-                     charge_blocks, f_operator, harmonic_decompose, localize,
-                     right_color_action)
+                     charge_blocks, f_operator, harmonic_blocks,
+                     harmonic_decompose, localize, right_color_action)
 from .analysis import (algebra_span, bmw_check, branching_graph, end_dim,
                        hom_dim, is_e_null, is_irreducible,
                        localization_triangle_check, restrict_and_branch,

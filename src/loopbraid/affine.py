@@ -114,7 +114,8 @@ class AglElement:
         return len(self.v)
 
     def __mul__(self, other):
-        assert self.m == other.m and self.k == other.k
+        if (self.m, self.k) != (other.m, other.k):
+            raise InvalidParameters("AGL elements of different modulus or rank")
         k, m = self.k, self.m
         a1 = self.A
         a2 = other.A

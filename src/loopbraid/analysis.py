@@ -22,7 +22,7 @@ from .errors import IncompleteMatch, InvalidParameters, NotIdempotent
 from .linalg import Matrix, RowSpan, WeightedPerm, _nonzero, op_dim, rank
 from .rings import LQ, QQ, ZZ, LaurentPoly
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_wp,
-                     charge_blocks, f_operator, harmonic_decompose,
+                     charge_blocks, f_operator, harmonic_blocks, harmonic_decompose,
                      partition_block, right_color_action, young_module)
 from .words import _first_difference
 
@@ -214,10 +214,10 @@ def is_e_null(m: ModuleSpec, f_mat: Matrix) -> bool:
     return True
 
 
-def spin_dimension(block: ChargeBlock, rep: TauRep, vec, max_index=None) -> int:
+def spin_dimension(block: ChargeBlock, rep: TauRep, vec) -> int:
     """Dimension of the submodule generated by a vector, exactly over the
-    rationals; generators up to max_index (default all strands)."""
-    ops = block.ops(rep, max_index)
+    rationals."""
+    ops = block.ops(rep)
     span = RowSpan(block.dim)
     span.insert(vec)
     frontier = list(span.int_rows)  # a nonzero multiple of each row spans alike
@@ -472,28 +472,21 @@ def _trace_with_projector(w: WeightedPerm, e):
     return acc
 
 
+def _reachable_partitions(block: ChargeBlock) -> list:
+    """Partitions reached by forgetting one letter of the block, decreasing."""
+    return sorted(young_branch_rule(block.N, block.comp), reverse=True)
+
+
 def _restriction_candidates(m: ModuleSpec):
-    """Charge contents reachable by forgetting the last strand, and the
-    candidate modules at level n-1 living on them."""
-    block = m.block
-    lams = set()
-    for color in range(1, block.N + 1):
-        cnt = block.comp[color - 1]
-        if cnt:
-            shifted = list(block.comp)
-            shifted[color - 1] -= 1
-            lams.add(tuple(sorted((v for v in shifted if v), reverse=True)))
-    cands = []
-    for lam in sorted(lams, reverse=True):
-        sub = partition_block(block.N, block.n - 1, lam)
-        if m.label is None:
-            cands.append(young_module(sub, m.rep))
-        else:
-            cands.extend(harmonic_decompose(sub, m.rep))
-    return cands
+    """The candidate modules at level n-1 on the reachable partitions."""
+    subs = [partition_block(m.block.N, m.block.n - 1, lam)
+            for lam in _reachable_partitions(m.block)]
+    if m.label is None:
+        return [young_module(sub, m.rep) for sub in subs]
+    return [c for sub in subs for c in harmonic_decompose(sub, m.rep)]
 
 
-def restrict_and_branch(m: ModuleSpec, seed=None, max_words=80) -> BranchReport:
+def restrict_and_branch(m: ModuleSpec, seed=None) -> BranchReport:
     """Decompose the restriction of M to one fewer strand.
 
     Multiplicities are solved exactly from trace identities: the character
@@ -503,18 +496,19 @@ def restrict_and_branch(m: ModuleSpec, seed=None, max_words=80) -> BranchReport:
     matrix has full column rank, then verifying on extra words and on the
     dimension count.
     """
+    if m.block.n < 2:
+        raise InvalidParameters("restriction needs at least 2 strands, got %d" % m.block.n)
+    return _branch(m, _restriction_candidates(m), seed)
+
+
+def _branch(m: ModuleSpec, cands, seed) -> BranchReport:
+    """restrict_and_branch against the given candidates at level n-1."""
     block = m.block
-    n = block.n
-    if n < 2:
-        raise InvalidParameters("restriction needs at least 2 strands, got %d" % n)
     rng = random.Random(seed if seed is not None else default_seed())
-    cands = _restriction_candidates(m)
-    e_m = m.projector
-    if m.projector is None and m.dim != block.dim:
-        raise ValueError("restriction needs a projector or a full block")
+    e_m = _module_projector(m)
 
     # a word is a tuple of indices into the generator lists at level n-1
-    src_ops = block.ops(m.rep, n - 2)
+    src_ops = block.ops(m.rep, block.n - 2)
     cand_ops = [c.block.ops(c.rep) for c in cands]
     keys = range(len(src_ops))
     k = len(cands)
@@ -538,7 +532,7 @@ def restrict_and_branch(m: ModuleSpec, seed=None, max_words=80) -> BranchReport:
 
     add_row(())
     tries = 0
-    while keys and coeff_rank() < k and tries < max_words:
+    while keys and coeff_rank() < k and tries < 80:
         add_row(tuple(rng.choice(keys) for _ in range(rng.randrange(1, 7))))
         tries += 1
     if coeff_rank() < k:
@@ -559,12 +553,11 @@ def restrict_and_branch(m: ModuleSpec, seed=None, max_words=80) -> BranchReport:
         total += int(mult) * c.dim
         summands.append({"label": c.label_json(), "multiplicity": int(mult),
                          "dim": c.dim})
-    report = BranchReport(m.label_json(), m.dim, summands,
-                          verified=(total == m.dim), words_used=words_used)
     if total != m.dim:
         raise IncompleteMatch("summand dimensions %d != module dimension %d"
                               % (total, m.dim))
-    return report
+    return BranchReport(m.label_json(), m.dim, summands, verified=True,
+                        words_used=words_used)
 
 
 def young_branch_rule(N, lam) -> dict:
@@ -628,33 +621,29 @@ def branching_graph(N, n_max, x=Fraction(2), seed=None) -> dict:
         raise InvalidParameters("branching graphs are placed for N = 2 or 3, got %d" % N)
     if n_max < 1:
         raise InvalidParameters("n_max must be at least 1, got %d" % n_max)
-    rep_nodes = []
-    node_ids = {}
+    rep = TauRep(N, x)
+    nodes, edges = [], []
+    below = {}  # partition -> harmonic modules at level n - 1
     for n in range(1, n_max + 1):
-        for lam, _ in charge_blocks(N, n)[1]:
-            block = partition_block(N, n, lam)
-            for mod in harmonic_decompose(block, TauRep(N, x)):
+        level = {}
+        for lam, _, block, mods in harmonic_blocks(N, n, rep):
+            level[lam] = mods
+            cands = [c for mu in _reachable_partitions(block) for c in below[mu]] if n > 1 else []
+            for mod in mods:
                 nid = "n%d:%s" % (n, mod.label.short())
-                node_ids[(n, mod.label)] = nid
-                rep_nodes.append({"id": nid, "n": n,
-                                  "lambda": list(lam),
-                                  "mu": [list(m) for m in mod.label.mu],
-                                  "dim": mod.dim,
-                                  "pos": _weight_pos(N, lam)})
-    edges = []
-    for n in range(2, n_max + 1):
-        for lam, _ in charge_blocks(N, n)[1]:
-            block = partition_block(N, n, lam)
-            for mod in harmonic_decompose(block, TauRep(N, x)):
-                report = restrict_and_branch(mod, seed=seed)
-                for summand in report.summands:
-                    tgt_label = HarmonicLabel(tuple(summand["label"]["lambda"]),
-                                              tuple(tuple(m) for m in summand["label"]["mu"]))
-                    edges.append({"src": node_ids[(n, mod.label)],
-                                  "dst": node_ids[(n - 1, tgt_label)],
+                nodes.append({"id": nid, "n": n, "lambda": list(lam),
+                              "mu": [list(m) for m in mod.label.mu],
+                              "dim": mod.dim, "pos": _weight_pos(N, lam)})
+                if n < 2:
+                    continue
+                for summand in _branch(mod, cands, seed).summands:
+                    label = summand["label"]
+                    dst = HarmonicLabel(tuple(label["lambda"]), tuple(map(tuple, label["mu"])))
+                    edges.append({"src": nid, "dst": "n%d:%s" % (n - 1, dst.short()),
                                   "multiplicity": summand["multiplicity"],
                                   "dim": summand["dim"]})
-    return {"N": N, "n_max": n_max, "nodes": rep_nodes, "edges": edges}
+        below = level
+    return {"N": N, "n_max": n_max, "nodes": nodes, "edges": edges}
 
 
 def _weight_pos(N, lam):
@@ -759,11 +748,10 @@ def harmonic_end_dims(N, n, x) -> list:
     not an assertion."""
     out = []
     rep = TauRep(N, x)
-    for lam, _ in charge_blocks(N, n)[1]:
-        block = partition_block(N, n, lam)
+    for _, _, block, mods in harmonic_blocks(N, n, rep):
         ops = block.ops(rep)
         comps = hom_space(ops, ops, block.dim, block.dim)  # shared by the block's modules
-        for mod in harmonic_decompose(block, rep):
+        for mod in mods:
             out.append({"label": mod.label_json(), "dim": mod.dim,
                         "end_dim": _projected_hom_dim(comps, mod, mod)})
     return out

@@ -10,11 +10,12 @@ satisfy the full SLB relation set.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import GroupTypeViolation, InvalidParameters, NotGroupType
 from .linalg import Matrix, WeightedPerm, kron_list, require_assembly
-from .rings import LQ, QQ, LaurentPoly
+from .rings import LQ, QQ, IntegersMod, LaurentPoly, rational_from_str
 from .words import check_relations, relations_for
 
 
@@ -56,7 +57,7 @@ class BVS:
         return self._ybe
 
     def to_json(self):
-        data = {"d": self.d, "ring": self.ring.name.split(":")[0],
+        data = {"d": self.d, "ring": self.ring.name,
                 "c": (self.c.to_matrix() if isinstance(self.c, WeightedPerm) else self.c).to_json()}
         if self.group_type is not None:
             data["group_type"] = {"side": self.group_type.side,
@@ -197,8 +198,8 @@ def signed_swap_operator(ring, d):
     return WeightedPerm(ring, tgt, wts)
 
 
-def extend_to_loop(b: BVS, side=None, S=None, n_check=3) -> LoopBVS:
-    """Attach the (plain) swap S and certify the loop relations at n_check.
+def extend_to_loop(b: BVS, side=None, S=None) -> LoopBVS:
+    """Attach the (plain) swap S and certify the loop relations at n = 3.
 
     Right group-type data yields the LB relation set, left group-type the
     OLB set.  An explicit diagonal S (e.g. the signed swap) may be passed;
@@ -217,10 +218,10 @@ def extend_to_loop(b: BVS, side=None, S=None, n_check=3) -> LoopBVS:
     diagonal = is_diagonalizable_group_type(b.group_type) and _is_diagonal_type(S, b.d)
     variant = "SLB" if diagonal else ("LB" if side == "right" else "OLB")
     lb = LoopBVS(b, S, variant)
-    report = check_relations(local_rep(lb, n_check), relations_for(n_check, variant))
+    report = check_relations(local_rep(lb, 3), relations_for(3, variant))
     if not report.ok:
-        raise NotGroupType("loop relations %s fail at n=%d: %s"
-                           % (variant, n_check, report.failed_labels()))
+        raise NotGroupType("loop relations %s fail at n=3: %s"
+                           % (variant, report.failed_labels()))
     return lb
 
 
@@ -279,8 +280,8 @@ def affine_bvs(m: int, t: int) -> BVS:
     return b
 
 
-def affine_loop(m: int, t: int, n_check=3) -> LoopBVS:
-    return extend_to_loop(affine_bvs(m, t), n_check=n_check)
+def affine_loop(m: int, t: int) -> LoopBVS:
+    return extend_to_loop(affine_bvs(m, t))
 
 
 def diagonal_bvs(N: int, x, form="x") -> BVS:
@@ -314,11 +315,11 @@ def diagonal_bvs(N: int, x, form="x") -> BVS:
     return b
 
 
-def tau_loop(N: int, x=None, form="x", n_check=3) -> LoopBVS:
+def tau_loop(N: int, x=None, form="x") -> LoopBVS:
     """The diagonal braiding together with the signed swap; satisfies SLB."""
     b = diagonal_bvs(N, x, form)
     S = signed_swap_operator(b.ring, N)
-    return extend_to_loop(b, S=S, n_check=n_check)
+    return extend_to_loop(b, S=S)
 
 
 def c2_hecke(qval=None, alt=False) -> BVS:
@@ -354,7 +355,8 @@ def c2_hecke(qval=None, alt=False) -> BVS:
 
 
 def bvs_from_json(data) -> BVS:
-    from .rings import IntegersMod, rational_from_str
+    """The BVS that to_json wrote; ring is "rational", "laurent" or
+    "zm:<m>"."""
     d, c_rows = data["d"], data["c"]
     if type(d) is not int or d < 1:
         raise InvalidParameters("d must be a positive integer, got %r" % (d,))
@@ -367,10 +369,12 @@ def bvs_from_json(data) -> BVS:
     elif ring_name == "laurent":
         ring = LQ
         parse = LaurentPoly.from_json
-    else:
-        m = int(ring_name.split(":")[1]) if ":" in ring_name else int(data["m"])
-        ring = IntegersMod(m)
+    elif isinstance(ring_name, str) and re.fullmatch(r"zm:[0-9]+", ring_name):
+        ring = IntegersMod(int(ring_name[3:]))
         parse = ring.from_int
+    else:
+        raise InvalidParameters("unknown ring %r (expected rational, laurent or zm:<m>)"
+                                % (ring_name,))
     c = Matrix(ring, [[parse(v) for v in row] for row in c_rows])
     gt = None
     if "group_type" in data:

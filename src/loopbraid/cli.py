@@ -21,10 +21,9 @@ from .analysis import (bmw_check, branching_graph, default_seed,
 from .braided import affine_bvs, c2_hecke, diagonal_bvs, swap_bvs
 from .errors import InvalidParameters, LoopBraidError
 from .rings import rational_from_str
-from .tensor import (TauRep, charge_blocks, f_operator, full_images,
-                     harmonic_decompose, localized_young_dim, localized_harmonic_prediction,
-                     localize, partition_block, tensor_dimension_checks,
-                     young_module)
+from .tensor import (TauRep, f_operator, full_images, harmonic_blocks,
+                     localized_young_dim, localized_harmonic_prediction, localize,
+                     tensor_dimension_checks, young_module)
 from .words import check_relations, relations_for
 
 # Parsed options the manifest leaves out: the subcommand and its handler,
@@ -135,12 +134,11 @@ def _cmd_affine_image(args):
 
 def _cmd_decompose(args):
     x = _frac(args.x)
-    rep = TauRep(args.N, x)
-    checks = tensor_dimension_checks(args.N, args.n)
+    decomposition = harmonic_blocks(args.N, args.n, TauRep(args.N, x))
+    checks = tensor_dimension_checks(decomposition)
     modules = []
-    for lam, mult in charge_blocks(args.N, args.n)[1]:
-        block = partition_block(args.N, args.n, lam)
-        for mod in harmonic_decompose(block, rep):
+    for lam, mult, block, mods in decomposition:
+        for mod in mods:
             entry = {"lambda": list(lam), "mu": [list(m) for m in mod.label.mu],
                      "dim": mod.dim, "block_dim": block.dim,
                      "block_multiplicity": mult,
@@ -211,29 +209,20 @@ def _cmd_localize(args):
         raise InvalidParameters("localize needs more than --N = %d strands, got %d"
                                 % (args.N, args.n))
     entries = []
-    ok = True
-    for lam, _ in charge_blocks(args.N, args.n)[1]:
-        block = partition_block(args.N, args.n, lam)
+    for lam, _, block, mods in harmonic_blocks(args.N, args.n, rep):
         f_mat = f_operator(args.N, block, rep)
-        for mod in harmonic_decompose(block, rep):
+        for mod in mods + [young_module(block, rep)]:
             target, action_ok = localize(f_mat, mod)
             got = 0 if target is None else target.dim
-            pred_label, pred_dim = localized_harmonic_prediction(args.N, mod.label, args.n)
-            entry = {"label": mod.label_json(), "dim": mod.dim,
-                     "localized_dim": got, "predicted_dim": pred_dim,
-                     "predicted_label": pred_label.to_json() if pred_label else None,
-                     "ok": action_ok and got == pred_dim}
-            ok = ok and entry["ok"]
-            entries.append(entry)
-        ymod = young_module(block, rep)
-        target, action_ok = localize(f_mat, ymod)
-        got = 0 if target is None else target.dim
-        pred = localized_young_dim(args.N, lam, args.n)
-        entry = {"label": {"lambda": list(lam), "mu": None}, "dim": block.dim,
-                 "localized_dim": got, "predicted_dim": pred,
-                 "predicted_label": None, "ok": action_ok and got == pred}
-        ok = ok and entry["ok"]
-        entries.append(entry)
+            if mod.label is None:
+                pred_label, pred_dim = None, localized_young_dim(args.N, lam, args.n)
+            else:
+                pred_label, pred_dim = localized_harmonic_prediction(args.N, mod.label, args.n)
+            entries.append({"label": mod.label_json(), "dim": mod.dim,
+                            "localized_dim": got, "predicted_dim": pred_dim,
+                            "predicted_label": pred_label.to_json() if pred_label else None,
+                            "ok": action_ok and got == pred_dim})
+    ok = all(e["ok"] for e in entries)
     report = {"N": args.N, "n": args.n, "x": args.x, "modules": entries}
     return report, ok, "rational"
 
@@ -357,7 +346,7 @@ def dispatch(argv) -> int:
     except InvalidParameters as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 2
-    except (LoopBraidError, AssertionError) as exc:
+    except LoopBraidError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     report["manifest"] = _manifest(args, ring)

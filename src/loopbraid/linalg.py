@@ -102,7 +102,7 @@ class Matrix:
     def __add__(self, other):
         if isinstance(other, WeightedPerm):
             other = other.to_matrix()
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        self._require_shape(other)
         # zero entries of either operand add nothing
         return Matrix(self.ring, [[(a + b if a else b) if b else a for a, b in zip(r1, r2)]
                                   for r1, r2 in zip(self.rows, other.rows)])
@@ -110,10 +110,15 @@ class Matrix:
     def __sub__(self, other):
         if isinstance(other, WeightedPerm):
             other = other.to_matrix()
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        self._require_shape(other)
         # zero entries of either operand subtract nothing
         return Matrix(self.ring, [[(a - b if a else -b) if b else a for a, b in zip(r1, r2)]
                                   for r1, r2 in zip(self.rows, other.rows)])
+
+    def _require_shape(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise InvalidParameters("shapes %dx%d and %dx%d differ"
+                                    % (self.nrows, self.ncols, other.nrows, other.ncols))
 
     def __neg__(self):
         return Matrix(self.ring, [[-a for a in r] for r in self.rows])
@@ -123,13 +128,15 @@ class Matrix:
         return Matrix(self.ring, [[c * a if a else a for a in r] for r in self.rows])
 
     def __mul__(self, other):
+        inner = other.n if isinstance(other, WeightedPerm) else other.nrows
+        if self.ncols != inner:
+            raise InvalidParameters("%d columns times %d rows" % (self.ncols, inner))
         if isinstance(other, WeightedPerm):
             # columns of (self*other): column j picks column tgt[j] of self;
             # zero entries stay as they are
             pairs = list(zip(other.tgt, other.wts))
             return Matrix._wrap(self.ring, [[w * a if (a := r[t]) else a for t, w in pairs]
                                             for r in self.rows])
-        assert self.ncols == other.nrows, "dimension mismatch"
         # only nonzero a[i][k] * b[k][j] terms, summed in increasing k
         z = self.ring.zero
         b_nonzero = [_nonzero(r) for r in other.rows]
@@ -178,7 +185,8 @@ class Matrix:
         """Exact determinant over QQ or Z_m: fraction-free elimination on
         integer lifts, with each rational row cleared of denominators first
         and residues reduced mod m at the end."""
-        assert self.nrows == self.ncols
+        if self.nrows != self.ncols:
+            raise InvalidParameters("determinant of a %dx%d matrix" % (self.nrows, self.ncols))
         if isinstance(self.ring, IntegersMod):
             lift = [[v.residue for v in r] for r in self.rows]
             return self.ring.from_int(_int_det_bareiss(lift))
@@ -276,14 +284,16 @@ class WeightedPerm:
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            assert self.n == other.nrows, "dimension mismatch"
+            if self.n != other.nrows:
+                raise InvalidParameters("size %d times %d rows" % (self.n, other.nrows))
             # row tgt[j] of (self*other) is wts[j] times row j of other;
             # zero entries stay as they are
             rows = [None] * self.n
             for t, w, r in zip(self.tgt, self.wts, other.rows):
                 rows[t] = [w * a if a else a for a in r]
             return Matrix._wrap(self.ring, rows)
-        assert self.n == other.n
+        if self.n != other.n:
+            raise InvalidParameters("sizes %d and %d do not compose" % (self.n, other.n))
         # (self o other) e_j = other.wts[j] * self.wts[other.tgt[j]] * e_{...}
         return WeightedPerm(
             self.ring,

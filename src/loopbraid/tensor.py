@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import InvalidParameters
+from .errors import InvalidParameters, LoopBraidError
 from .linalg import Matrix, RowSpan, WeightedPerm, require_assembly
 from .rings import LQ, QQ, LaurentPoly
 from .symmetric import (hook_dim, multinomial, partitions, perm_words,
@@ -107,9 +107,6 @@ class ChargeBlock:
     def dim(self):
         return len(self.words)
 
-    def is_partition_block(self):
-        return self.comp == tuple(sorted(self.comp, reverse=True))
-
     def _op(self, j, same, swapped, ring) -> WeightedPerm:
         """Generator on strands j, j+1: a word whose two letters agree is
         scaled by `same`, any other is swapped and scaled by `swapped`."""
@@ -178,6 +175,17 @@ def charge_blocks(N, n):
 def partition_block(N, n, lam) -> ChargeBlock:
     comp = tuple(lam) + (0,) * (N - len(lam))
     return ChargeBlock(N, n, comp)
+
+
+def harmonic_blocks(N, n, rep: TauRep = None) -> list:
+    """[(lam, multiplicity, partition block, harmonic modules)] for every
+    partition in the order of the charge index, each block decomposed
+    once."""
+    out = []
+    for lam, mult in charge_blocks(N, n)[1]:
+        block = partition_block(N, n, lam)
+        out.append((lam, mult, block, harmonic_decompose(block, rep)))
+    return out
 
 
 def _compositions(n, N):
@@ -309,9 +317,10 @@ def harmonic_projector(block: ChargeBlock, label: HarmonicLabel) -> Matrix:
     idempotent acting by color relabeling; commutes with every generator
     action.
     """
-    assert block.is_partition_block(), "harmonic decomposition needs the sorted block"
+    _require_partition_block(block)
     classes = multiplicity_classes(block.lam)
-    assert len(classes) == len(label.mu)
+    if len(classes) != len(label.mu):
+        raise InvalidParameters("label %r needs one partition per class" % (label,))
     per_class = []
     for (_, colors), mu in zip(classes, label.mu):
         coeffs = young_symmetrizer_coeffs(mu)
@@ -364,33 +373,32 @@ def _apply_wp(op: WeightedPerm, vec):
     return out
 
 
+def _require_partition_block(block: ChargeBlock):
+    if block.comp is None or block.comp != tuple(sorted(block.comp, reverse=True)):
+        raise InvalidParameters("harmonic decomposition needs a partition block, got %s"
+                                % (block.comp,))
+
+
 def harmonic_decompose(block: ChargeBlock, rep: TauRep = None) -> list:
     """One ModuleSpec per primary label; dimensions satisfy the weighted
     sum identity sum(dim Delta * dim piece) = dim block."""
-    if block.comp is None or not block.is_partition_block():
-        raise InvalidParameters("harmonic decomposition needs a partition block, got %s"
-                                % (block.comp,))
+    _require_partition_block(block)
     rep = rep or TauRep(block.N)
     out = []
+    # with one color per multiplicity class every projector is the identity
+    trivial = all(len(colors) == 1 for _, colors in multiplicity_classes(block.lam))
     for label in harmonic_labels(block.lam):
-        if all(len(colors) == 1 for _, colors in multiplicity_classes(block.lam)):
-            ident_rows = [[QQ.one if i == j else QQ.zero for j in range(block.dim)]
-                          for i in range(block.dim)]
-            out.append(ModuleSpec(block, rep, label, None, ident_rows))
-            continue
-        proj = harmonic_projector(block, label)
-        cols = [[proj.rows[i][j] for i in range(block.dim)] for j in range(block.dim)]
-        out.append(ModuleSpec(block, rep, label, proj, cols))
-    total = sum(m.label.delta_dim() * m.dim for m in out)
-    assert total == block.dim, "idempotent decomposition does not fill the block"
+        proj = None if trivial else harmonic_projector(block, label)
+        rows = (Matrix.identity(QQ, block.dim) if trivial else proj.transpose()).rows
+        out.append(ModuleSpec(block, rep, label, proj, rows))
+    if sum(m.label.delta_dim() * m.dim for m in out) != block.dim:
+        raise LoopBraidError("the harmonic modules do not fill the block %s" % (block.lam,))
     return out
 
 
 def young_module(block: ChargeBlock, rep: TauRep = None) -> ModuleSpec:
-    rep = rep or TauRep(block.N)
-    rows = [[QQ.one if i == j else QQ.zero for j in range(block.dim)]
-            for i in range(block.dim)]
-    return ModuleSpec(block, rep, None, None, rows)
+    return ModuleSpec(block, rep or TauRep(block.N), None, None,
+                      Matrix.identity(QQ, block.dim).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +423,8 @@ def localize(f_mat: Matrix, mspec: ModuleSpec):
     if all(all(v == 0 for v in img) for img in images):
         return None, True  # the module is annihilated
     comp = tuple(v - 1 for v in block.comp)
-    assert all(v >= 0 for v in comp), "nonzero image forces full depth"
+    if min(comp) < 0:
+        raise LoopBraidError("a color missing from %s left a nonzero image" % (block.comp,))
     target = ChargeBlock(N, n - N, comp)
     projected = [_project_prefix(img, block, target, prefix) for img in images]
     span = RowSpan(target.dim)
@@ -488,15 +497,12 @@ def _harmonic_dim(N, label: HarmonicLabel, n) -> int:
     raise KeyError("label %r not found at n=%d" % (label, n))
 
 
-def tensor_dimension_checks(N, n) -> dict:
-    """Bookkeeping identities for the charge decomposition at (N, n)."""
-    blocks, index = charge_blocks(N, n)
-    total = sum(mult * partition_block(N, n, lam).dim for lam, mult in index)
-    harmonic_ok = True
-    for lam, _ in index:
-        block = partition_block(N, n, lam)
-        mods = harmonic_decompose(block)
-        if sum(m.label.delta_dim() * m.dim for m in mods) != block.dim:
-            harmonic_ok = False
-    return {"total": total, "expected": N ** n,
-            "young_ok": total == N ** n, "harmonic_ok": harmonic_ok}
+def tensor_dimension_checks(decomposition) -> dict:
+    """Bookkeeping identities for harmonic_blocks(N, n): the blocks fill
+    the tensor power and each block's modules fill the block."""
+    expected = decomposition[0][2].N ** decomposition[0][2].n
+    total = sum(mult * block.dim for _, mult, block, _ in decomposition)
+    harmonic_ok = all(sum(m.label.delta_dim() * m.dim for m in mods) == block.dim
+                      for _, _, block, mods in decomposition)
+    return {"total": total, "expected": expected,
+            "young_ok": total == expected, "harmonic_ok": harmonic_ok}

@@ -14,11 +14,11 @@ from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 spin_dimension, verify_young_branching,
                                 young_branch_rule, _center_dim, _closure,
                                 _collapsed_generators, _f_blockop,
-                                _project_hom, _trace_form)
-from loopbraid.errors import InvalidParameters, NotIdempotent
+                                _project_hom, _trace_form, _weight_pos)
+from loopbraid.errors import IncompleteMatch, InvalidParameters, NotIdempotent
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank
 from loopbraid.rings import QQ, ZZ, LaurentPoly
-from loopbraid.tensor import (ChargeBlock, TauRep,
+from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep,
                               charge_blocks, f_operator, harmonic_decompose,
                               partition_block, young_module)
 
@@ -223,6 +223,88 @@ def test_branching_graph_rejects_bad_input():
     for N, n_max in ((4, 2), (1, 2), (2, 0), (3, -1)):
         with pytest.raises(InvalidParameters):
             branching_graph(N, n_max)
+
+
+def _two_loop_branching_graph(N, n_max, x, seed=None):
+    """branching_graph as two walks: every level's nodes, then the edges
+    of each module restricted through restrict_and_branch."""
+    rep_nodes = []
+    node_ids = {}
+    for n in range(1, n_max + 1):
+        for lam, _ in charge_blocks(N, n)[1]:
+            for mod in harmonic_decompose(partition_block(N, n, lam), TauRep(N, x)):
+                nid = "n%d:%s" % (n, mod.label.short())
+                node_ids[(n, mod.label)] = nid
+                rep_nodes.append({"id": nid, "n": n, "lambda": list(lam),
+                                  "mu": [list(m) for m in mod.label.mu],
+                                  "dim": mod.dim, "pos": _weight_pos(N, lam)})
+    edges = []
+    for n in range(2, n_max + 1):
+        for lam, _ in charge_blocks(N, n)[1]:
+            for mod in harmonic_decompose(partition_block(N, n, lam), TauRep(N, x)):
+                for summand in restrict_and_branch(mod, seed=seed).summands:
+                    tgt = HarmonicLabel(tuple(summand["label"]["lambda"]),
+                                        tuple(tuple(m) for m in summand["label"]["mu"]))
+                    edges.append({"src": node_ids[(n, mod.label)],
+                                  "dst": node_ids[(n - 1, tgt)],
+                                  "multiplicity": summand["multiplicity"],
+                                  "dim": summand["dim"]})
+    return {"N": N, "n_max": n_max, "nodes": rep_nodes, "edges": edges}
+
+
+def _graph_or_error(build, N, n_max, x):
+    try:
+        return build(N, n_max, x)
+    except IncompleteMatch as exc:
+        return "IncompleteMatch: %s" % exc
+
+
+# at x = -1, sigma_j = -s_j, and from n = 3 on the restriction characters
+# cannot separate the candidates: both sides raise the same IncompleteMatch
+@pytest.mark.parametrize("N,n_max,x", [(N, n_max, x) for N, n_max in ((2, 6), (3, 5))
+                                       for x in (Fraction(2), Fraction(-1), Fraction(7, 2))]
+                         + [(2, 2, Fraction(-1)), (3, 2, Fraction(-1))], ids=str)
+def test_branching_graph_matches_two_loop_oracle(N, n_max, x):
+    graph = _graph_or_error(branching_graph, N, n_max, x)
+    assert graph == _graph_or_error(_two_loop_branching_graph, N, n_max, x)
+    assert isinstance(graph, dict) == (x != -1 or n_max < 3)
+
+
+def _recorded_decompositions(monkeypatch):
+    """(n, lam) of every harmonic_decompose call made through any module
+    that imports it."""
+    from loopbraid import cli, tensor
+    from loopbraid import analysis as analysis_module
+    calls = []
+
+    def recorded(block, rep=None):
+        calls.append((block.n, block.lam))
+        return harmonic_decompose(block, rep)
+
+    for module in (tensor, analysis_module, cli):
+        if hasattr(module, "harmonic_decompose"):
+            monkeypatch.setattr(module, "harmonic_decompose", recorded)
+    return calls
+
+
+def test_branching_graph_decomposes_each_block_once(monkeypatch):
+    calls = _recorded_decompositions(monkeypatch)
+    branching_graph(3, 5, Fraction(2))
+    assert sorted(calls) == sorted({(n, lam) for n in range(1, 6)
+                                    for lam, _ in charge_blocks(3, n)[1]})
+    assert len(calls) == 15
+
+
+@pytest.mark.parametrize("argv,count", [
+    (("branch", "--N", "3", "--nmax", "6"), 22),
+    (("decompose", "--N", "3", "--n", "6", "--basis"), 7),
+])
+def test_commands_decompose_each_block_once(monkeypatch, capsys, argv, count):
+    from loopbraid.cli import dispatch
+    calls = _recorded_decompositions(monkeypatch)
+    assert dispatch(list(argv)) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == count
 
 
 # ---------------------------------------------------------------------------

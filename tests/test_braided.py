@@ -16,7 +16,7 @@ from loopbraid.braided import (BVS, GroupTypeData, affine_bvs, affine_loop,
                                swap_operator, tau_loop)
 from loopbraid.errors import GroupTypeViolation, InvalidParameters, NotGroupType
 from loopbraid.linalg import Matrix, WeightedPerm
-from loopbraid.rings import QQ, LaurentPoly
+from loopbraid.rings import QQ, IntegersMod, LaurentPoly
 from loopbraid.words import check_relations, relations_for
 
 
@@ -177,6 +177,35 @@ def test_bvs_json_roundtrip():
     assert back.c == b.c
     assert back.group_type.side == "right"
     assert back.yang_baxter()
+
+
+def _json_roundtrip(b):
+    return bvs_from_json(json.loads(json.dumps(b.to_json())))
+
+
+def test_bvs_json_roundtrip_over_every_ring():
+    hecke = c2_hecke()  # Laurent entries, no group type
+    back = _json_roundtrip(hecke)
+    assert back.to_json()["ring"] == "laurent" and back.group_type is None
+    assert back.c == hecke.c
+
+    qform = diagonal_bvs(2, None, "q")
+    back = _json_roundtrip(qform)
+    assert back.c == qform.c
+    assert back.group_type.side == "right" and back.group_type.g == qform.group_type.g
+
+    z5 = IntegersMod(5)
+    data = {"d": 2, "ring": "zm:5", "c": swap_operator(z5, 2).to_matrix().to_json()}
+    back = _json_roundtrip(bvs_from_json(data))
+    assert back.to_json() == data
+    assert back.ring == z5 and back.c == swap_operator(z5, 2)
+
+
+@pytest.mark.parametrize("ring", ["foo", "zm", "zm:", "zm:x", "zm:5:1", "zm:1", "zm:-5",
+                                  "integer", 5, None])
+def test_bvs_json_rejects_unknown_ring(ring):
+    with pytest.raises(InvalidParameters):
+        bvs_from_json(dict(swap_bvs(2).to_json(), ring=ring))
 
 
 def _bad_group_type_json():

@@ -65,19 +65,24 @@ def test_zmint_modulus_guard_without_asserts():
     # restrict_and_branch's strand count, Matrix's row lengths, the shape of
     # an inverted matrix, a charge block's content, the symmetrizer's and
     # local_rep's strand counts, the landmark words' strand count and unit
-    # 1 - t, the harmonic decomposition's partition block) must not use them
+    # 1 - t, the harmonic decomposition's partition block, the harmonic
+    # projector's block and label, the operand shapes of Matrix and
+    # WeightedPerm arithmetic and of det, and AGL operands) must not use them
     env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
-    code = ("from loopbraid.affine import AffineParams, proof_word_landmarks\n"
+    code = ("from loopbraid.affine import AffineParams, AglElement, proof_word_landmarks\n"
             "from loopbraid.analysis import hom_dim, restrict_and_branch\n"
             "from loopbraid.braided import local_rep, tau_loop\n"
             "from loopbraid.errors import InvalidParameters\n"
-            "from loopbraid.linalg import Matrix\n"
+            "from loopbraid.linalg import Matrix, WeightedPerm\n"
             "from loopbraid.rings import QQ, ZmInt\n"
-            "from loopbraid.tensor import (ChargeBlock, TauRep, f_operator,\n"
-            "                              harmonic_decompose, partition_block,\n"
-            "                              young_module)\n"
+            "from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep, f_operator,\n"
+            "                              harmonic_decompose, harmonic_projector,\n"
+            "                              partition_block, young_module)\n"
             "from loopbraid.words import Generator, sigma\n"
             "block = partition_block(2, 3, (2, 1))\n"
+            "m22, m23 = Matrix(QQ, [[1, 1], [2, 2]]), Matrix(QQ, [[1, 1, 1], [2, 2, 2]])\n"
+            "p2, p3 = WeightedPerm.identity(QQ, 2), WeightedPerm.identity(QQ, 3)\n"
+            "agl = lambda m: AglElement((1, 0, 0, 1), (0, 0), m)\n"
             "at = lambda x: young_module(block, TauRep(2, x))\n"
             "for call, exc in ((lambda: ZmInt(2, 5) + ZmInt(1, 7), ValueError),\n"
             "                  (lambda: sigma(1, 2), InvalidParameters),\n"
@@ -96,7 +101,20 @@ def test_zmint_modulus_guard_without_asserts():
             "                  (lambda: proof_word_landmarks(AffineParams(6, 5, 3)),\n"
             "                   InvalidParameters),\n"
             "                  (lambda: harmonic_decompose(ChargeBlock(3, 4, (1, 1, 2))),\n"
-            "                   InvalidParameters)):\n"
+            "                   InvalidParameters),\n"
+            "                  (lambda: harmonic_projector(partition_block(3, 4, (2, 1, 1)),\n"
+            "                       HarmonicLabel((2, 1, 1), ((1,),))), InvalidParameters),\n"
+            "                  (lambda: harmonic_projector(ChargeBlock(3, 4, (1, 1, 2)),\n"
+            "                       HarmonicLabel((2, 1, 1), ((1,), (2,)))), InvalidParameters),\n"
+            "                  (lambda: Matrix(QQ, [[1, 2]]) * Matrix(QQ, [[1], [2], [3]]),\n"
+            "                   InvalidParameters),\n"
+            "                  (lambda: m22 + m23, InvalidParameters),\n"
+            "                  (lambda: m22 - m23, InvalidParameters),\n"
+            "                  (lambda: m23.det(), InvalidParameters),\n"
+            "                  (lambda: p2 * p3, InvalidParameters),\n"
+            "                  (lambda: p2 * m23.transpose(), InvalidParameters),\n"
+            "                  (lambda: m22 * p3, InvalidParameters),\n"
+            "                  (lambda: agl(7) * agl(5), InvalidParameters)):\n"
             "    try:\n        call()\n    except exc:\n        continue\n"
             "    raise SystemExit(1)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)

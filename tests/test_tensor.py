@@ -10,7 +10,7 @@ from loopbraid.rings import QQ, LaurentPoly
 from loopbraid.symmetric import all_perms
 from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep,
                               charge_blocks, f_operator, full_images,
-                              harmonic_decompose, harmonic_labels,
+                              harmonic_blocks, harmonic_decompose, harmonic_labels,
                               localized_young_dim, localized_harmonic_prediction, localize,
                               multiplicity_classes, partition_block,
                               right_color_action, symmetrized_seed_vector,
@@ -132,8 +132,8 @@ def test_charge_blocks_examples():
     assert ["".join(map(str, w)) for w in block.words] == ["112", "121", "211"]
     _, index = charge_blocks(2, 3)
     assert dict(index)[(2, 1)] == 2  # compositions (2,1) and (1,2)
-    checks = tensor_dimension_checks(3, 4)
-    assert checks["total"] == 81 and checks["young_ok"]
+    checks = tensor_dimension_checks(harmonic_blocks(3, 4))
+    assert checks == {"total": 81, "expected": 81, "young_ok": True, "harmonic_ok": True}
 
 
 def test_charge_invariance():
