@@ -179,52 +179,75 @@ class ImageResult:
         self.determinants = determinants   # residues mod m of the elements found
 
 
-def _column_update(g: Matrix) -> tuple:
-    """Right multiplication by g on a row-major tuple of residues, as
-    (destination, ((source, coefficient), ...)) entry updates.
+class _RowImages(dict):
+    """Row code -> code of (row) g for one multiplier g, each image computed
+    on its first lookup.
 
-    Only the columns where g differs from the identity are rewritten; a
-    generator image is the identity outside two adjacent columns, so a
-    product costs O(n) multiply-adds.
+    A row code reads the row's residues as base-m digits, first entry most
+    significant.
     """
-    n = g.nrows
-    cols = [[v.residue for v in col] for col in zip(*g.rows)]
-    return tuple((r * n + c, tuple((r * n + k, v) for k, v in enumerate(col) if v))
-                 for r in range(n)
-                 for c, col in enumerate(cols)
-                 if any(v != int(k == c) for k, v in enumerate(col)))
+
+    __slots__ = ("cols", "m")
+
+    def __init__(self, g: Matrix):
+        super().__init__()
+        self.cols = [[v.residue for v in col] for col in zip(*g.rows)]
+        self.m = g.ring.m
+
+    def __missing__(self, code):
+        m = self.m
+        row = _decode(code, m, len(self.cols))
+        image = 0
+        for col in self.cols:
+            image = image * m + sum(x * y for x, y in zip(row, col)) % m
+        self[code] = image
+        return image
+
+
+def _decode(code, m, n):
+    """The n base-m digits of a row code, first digit most significant."""
+    row = [0] * n
+    for c in range(n - 1, -1, -1):
+        code, row[c] = divmod(code, m)
+    return row
 
 
 def generate_image(p: AffineParams, cap: int = 10 ** 7, keep_elements: bool = False,
                    strict: bool = False) -> ImageResult:
     """Breadth-first closure of the generator images under multiplication.
 
-    Elements are row-major tuples of residues mod m.  Expansion multiplies
-    the frontier by the 2(n-1) generators and their inverses only, each
-    applied as a two-column update; the stored element set behaves as an
-    insert-if-absent map from element to its determinant, which is
-    det(a) det(g) for a product a g.  Output ordering is lexicographic on
-    the residues, independent of the expansion schedule.
+    An element is the tuple of its n row codes (the row's residues read as
+    base-m digits, first entry most significant), so comparing elements
+    compares their row-major residues.  Right multiplication by g maps each
+    row on its own: every multiplier keeps a row-image table, filled on
+    first lookup, and a product is one lookup per row.  Expansion multiplies
+    the frontier by the 2(n-1) generators and then their inverses, skipping
+    a multiplier equal to an earlier one (s_i is its own inverse); the
+    skipped product would only find what the equal one inserted just
+    before, so the element set, its insertion order and the cap cut-off do
+    not change.  The stored element set is an insert-if-absent map from
+    element to its determinant, det(a) det(g) for a product a g.  Output
+    ordering is lexicographic on the residues, independent of the
+    expansion schedule.
     """
+    if cap < 1:
+        raise InvalidParameters("cap must be at least 1, got %d" % cap)
     m, n = p.m, p.n
     gens = list(rho_generators(p).values())
-    mults = [(_column_update(g), g.det().residue)
-             for g in gens + [g.inverse() for g in gens]]
-    ident = tuple(int(r == c) for r in range(n) for c in range(n))
+    mults = []
+    for g in gens + [g.inverse() for g in gens]:
+        if g not in mults:
+            mults.append(g)
+    lookups = [(_RowImages(g).__getitem__, g.det().residue) for g in mults]
+    ident = tuple(m ** (n - 1 - r) for r in range(n))
     seen = {ident: 1}
     frontier = [ident]
     while frontier:
         nxt = []
         for a in frontier:
             det_a = seen[a]
-            for updates, det_g in mults:
-                b = list(a)
-                for dst, terms in updates:
-                    acc = 0
-                    for src, v in terms:
-                        acc += a[src] * v
-                    b[dst] = acc % m
-                b = tuple(b)
+            for image, det_g in lookups:
+                b = tuple(map(image, a))
                 if b not in seen:
                     seen[b] = det_a * det_g % m
                     nxt.append(b)
@@ -239,8 +262,8 @@ def generate_image(p: AffineParams, cap: int = 10 ** 7, keep_elements: bool = Fa
 def _image_result(p, seen, complete, keep_elements):
     elements = None
     if keep_elements:
-        ring, n = p.ring, p.n
-        elements = [Matrix.from_int_rows(ring, [key[r * n:(r + 1) * n] for r in range(n)])
+        ring, m, n = p.ring, p.m, p.n
+        elements = [Matrix.from_int_rows(ring, [_decode(code, m, n) for code in key])
                     for key in sorted(seen)]
     return ImageResult(len(seen), complete, elements, frozenset(seen.values()))
 

@@ -22,7 +22,7 @@ from .errors import IncompleteMatch, InvalidParameters, NotIdempotent
 from .linalg import Matrix, RowSpan, WeightedPerm, _nonzero, op_dim, rank
 from .rings import LQ, QQ, ZZ, LaurentPoly
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_wp,
-                     charge_blocks, f_operator, harmonic_blocks, harmonic_decompose,
+                     _charge_index, f_operator, harmonic_blocks, harmonic_decompose,
                      partition_block, right_color_action, young_module)
 from .words import _first_difference
 
@@ -312,7 +312,7 @@ def _collapsed_generators(N, n, x):
     scaled by the denominator of x to int weights; every word changes by a
     nonzero factor, so spans, ranks and centers do not."""
     rep = TauRep(N, x)
-    blocks = [partition_block(N, n, lam) for lam, _ in charge_blocks(N, n)[1]]
+    blocks = [partition_block(N, n, lam) for lam, _ in _charge_index(N, n)]
     gens = [BlockOp(_integral(ops)) for ops in zip(*(b.ops(rep) for b in blocks))]
     ident = BlockOp([WeightedPerm.identity(ZZ, b.dim) for b in blocks])
     return blocks, gens, ident, rep

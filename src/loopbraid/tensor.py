@@ -160,16 +160,19 @@ def _words_with_content(N, comp):
 def charge_blocks(N, n):
     """Blocks for every composition, plus the partition index with
     multiplicities; sum over the index of m_lam * dim equals N^n."""
+    index = _charge_index(N, n)
+    return {comp: ChargeBlock(N, n, comp) for comp in _compositions(n, N)}, index
+
+
+def _charge_index(N, n):
+    """[(lam, number of compositions sorting to lam)], partitions descending."""
     if n < 0:
         raise InvalidParameters("the number of strands must be nonnegative, got %d" % n)
-    blocks = {}
     mult = {}
     for comp in _compositions(n, N):
-        blocks[comp] = ChargeBlock(N, n, comp)
         lam = tuple(sorted((c for c in comp if c), reverse=True))
         mult[lam] = mult.get(lam, 0) + 1
-    index = sorted(mult.items(), reverse=True)
-    return blocks, index
+    return sorted(mult.items(), reverse=True)
 
 
 def partition_block(N, n, lam) -> ChargeBlock:
@@ -182,7 +185,7 @@ def harmonic_blocks(N, n, rep: TauRep = None) -> list:
     partition in the order of the charge index, each block decomposed
     once."""
     out = []
-    for lam, mult in charge_blocks(N, n)[1]:
+    for lam, mult in _charge_index(N, n):
         block = partition_block(N, n, lam)
         out.append((lam, mult, block, harmonic_decompose(block, rep)))
     return out

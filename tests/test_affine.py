@@ -152,6 +152,76 @@ def test_generate_image_matches_matrix_oracle(m, t, n):
             {d.residue for d in determinant_profile(p, elements)}, (cap,)
 
 
+def _column_update(g):
+    """Right multiplication by g on a row-major tuple of residues, as
+    (destination, ((source, coefficient), ...)) entry updates.
+
+    Only the columns where g differs from the identity are rewritten; a
+    generator image is the identity outside two adjacent columns, so a
+    product costs O(n) multiply-adds.
+    """
+    n = g.nrows
+    cols = [[v.residue for v in col] for col in zip(*g.rows)]
+    return tuple((r * n + c, tuple((r * n + k, v) for k, v in enumerate(col) if v))
+                 for r in range(n)
+                 for c, col in enumerate(cols)
+                 if any(v != int(k == c) for k, v in enumerate(col)))
+
+
+def _column_update_closure_oracle(p, cap=10 ** 7):
+    """Breadth-first closure on row-major residue tuples, every generator and
+    every inverse applied as a two-column update: the reference for the
+    row-code closure.  Returns the order, completeness, the sorted elements
+    and the determinant set."""
+    m, n = p.m, p.n
+    gens = list(rho_generators(p).values())
+    mults = [(_column_update(g), g.det().residue)
+             for g in gens + [g.inverse() for g in gens]]
+    ident = tuple(int(r == c) for r in range(n) for c in range(n))
+    seen = {ident: 1}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            det_a = seen[a]
+            for updates, det_g in mults:
+                b = list(a)
+                for dst, terms in updates:
+                    acc = 0
+                    for src, v in terms:
+                        acc += a[src] * v
+                    b[dst] = acc % m
+                b = tuple(b)
+                if b not in seen:
+                    seen[b] = det_a * det_g % m
+                    nxt.append(b)
+                    if len(seen) > cap:
+                        return len(seen), False, sorted(seen), set(seen.values())
+        frontier = nxt
+    return len(seen), True, sorted(seen), set(seen.values())
+
+
+@pytest.mark.parametrize("m,t,n", [(3, 2, 2), (3, 2, 3), (5, 2, 2), (7, 3, 2), (9, 2, 2),
+                                   (13, 3, 2), (4, 3, 2), (4, 3, 3), (8, 3, 2), (6, 5, 3),
+                                   (5, 2, 3), (7, 3, 3)])
+def test_generate_image_matches_column_update_oracle(m, t, n):
+    p = AffineParams(m, t, n)
+    for cap in (1, 10, 100, 1000, None):
+        kwargs = {} if cap is None else {"cap": cap}
+        order, complete, elements, dets = _column_update_closure_oracle(p, **kwargs)
+        result = generate_image(p, keep_elements=True, **kwargs)
+        assert (result.order, result.complete) == (order, complete), (cap,)
+        assert [tuple(v.residue for row in g.rows for v in row)
+                for g in result.elements] == elements, (cap,)
+        assert result.determinants == dets, (cap,)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_generate_image_rejects_cap_below_one(cap):
+    with pytest.raises(InvalidParameters):
+        generate_image(AffineParams(5, 2, 3), cap=cap)
+
+
 def test_generate_image_cap():
     partial = generate_image(AffineParams(5, 2, 3), cap=10)
     assert not partial.complete and partial.order > 10

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -91,10 +92,22 @@ def test_affine_image_report_contract(capsys):
     assert report["complete"] is False
 
 
+def test_affine_image_emit_elements_stdout_pinned(capsys):
+    # the element order and every byte of the report are fixed by the
+    # residues, not by the closure's representation
+    code, out = run(capsys, "affine-image", "--m", "3", "--t", "2", "--n", "3",
+                    "--emit-elements")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "7082f1ea6537d802436ef24227df666b69013d7ad1be1d7aa2dcf3a93ae85460"
+
+
 @pytest.mark.parametrize("argv", [
     ("affine-image", "--m", "4", "--t", "2", "--n", "3"),   # t not a unit
     ("affine-image", "--m", "5", "--t", "2", "--n", "1"),   # one strand
     ("affine-image", "--m", "5", "--t", "6", "--n", "3"),   # t = 1 mod m
+    ("affine-image", "--m", "5", "--t", "2", "--n", "3", "--cap", "0"),
+    ("affine-image", "--m", "5", "--t", "2", "--n", "3", "--cap", "-5"),
     ("ybe", "--bvs", "affine", "--m", "4", "--t", "2"),     # t not a unit
 ])
 def test_invalid_affine_parameters_exit_two(capsys, argv):
