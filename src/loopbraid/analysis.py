@@ -21,8 +21,8 @@ from fractions import Fraction
 from .errors import IncompleteMatch, InvalidParameters, NotIdempotent
 from .linalg import Matrix, RowSpan, WeightedPerm, _nonzero, op_dim, rank
 from .rings import LQ, QQ, ZZ, LaurentPoly
-from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_wp,
-                     _charge_index, f_operator, harmonic_blocks, harmonic_decompose,
+from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_columns,
+                     _apply_wp, _charge_index, f_operator, harmonic_blocks, harmonic_decompose,
                      partition_block, right_color_action, young_module)
 from .words import _first_difference
 
@@ -206,12 +206,10 @@ def is_irreducible(m: ModuleSpec) -> bool:
     return end_dim(m) == 1
 
 
-def is_e_null(m: ModuleSpec, f_mat: Matrix) -> bool:
-    """True iff the symmetrizer annihilates every basis vector."""
-    for row in m.span.int_rows:
-        if any(v != 0 for v in f_mat.mul_vec(row)):
-            return False
-    return True
+def is_e_null(m: ModuleSpec, f_cols) -> bool:
+    """True iff the symmetrizer, given by its f_columns, annihilates every
+    basis vector."""
+    return not any(any(_apply_columns(f_cols, row, m.block.dim)) for row in m.span.int_rows)
 
 
 def spin_dimension(block: ChargeBlock, rep: TauRep, vec) -> int:
@@ -452,7 +450,7 @@ class BranchReport:
 
 
 def _compose_word(ops, word, d):
-    out = WeightedPerm.identity(QQ, d)
+    out = WeightedPerm.identity(ZZ, d)
     for key in word:
         out = ops[key] * out
     return out
@@ -507,9 +505,14 @@ def _branch(m: ModuleSpec, cands, seed) -> BranchReport:
     rng = random.Random(seed if seed is not None else default_seed())
     e_m = _module_projector(m)
 
-    # a word is a tuple of indices into the generator lists at level n-1
-    src_ops = block.ops(m.rep, block.n - 2)
-    cand_ops = [c.block.ops(c.rep) for c in cands]
+    # a word is a tuple of indices into the generator lists at level n-1;
+    # every list is scaled by one common denominator to int weights, so a
+    # word of length L multiplies each trace in its row by den^L, which
+    # leaves the rank and the solved multiplicities unchanged (a scale per
+    # block would not: a block whose weights are all +-1 gets den 1)
+    per_block = [block.ops(m.rep, block.n - 2)] + [c.block.ops(c.rep) for c in cands]
+    scaled = iter(_integral([op for ops in per_block for op in ops]))
+    src_ops, *cand_ops = [[next(scaled) for _ in ops] for ops in per_block]
     keys = range(len(src_ops))
     k = len(cands)
     span = RowSpan(k + 1)  # [candidate traces | trace on M]
@@ -679,7 +682,11 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
 
     The u elements are built both from the displayed closed form and from
     the defining quotient (b - b^-1) / (q - q^-1) with exact polynomial
-    division; the two must agree.
+    division; the two must agree.  Each side of a relation is a short sum
+    of coefficients times products of weighted permutations (u_i = 1 - s_i,
+    so u_i b_k u_i has 4 terms and the cubic 8), compared by its nonzero
+    entries; a dense matrix is built only to read a failing relation's
+    witness.
     """
     if n < 3:
         raise InvalidParameters("the mixed relation needs n >= 3 strands, got %d" % n)
@@ -689,55 +696,96 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
     words = power.words
     q = LaurentPoly.gen()
     qi = q.inverse()
-    ident = Matrix.identity(LQ, d)
+    one = LQ.one
+    ident = [(one, None)]  # None: the identity, composed and summed without a product
 
-    b = {i: power.sigma_op(i, rep) for i in range(1, n)}
+    sigma = {i: power.sigma_op(i, rep) for i in range(1, n)}
+    b = {i: [(one, op)] for i, op in sigma.items()}
+    b_inv = {i: [(one, op.inverse())] for i, op in sigma.items()}
     u = {}
     results = {}
     denom = q - qi
     for i in range(1, n):
-        bm = b[i].to_matrix()
-        bim = b[i].inverse().to_matrix()
-        diff = bm - bim
-        s_div = Matrix(LQ, [[a.divexact(denom) if a else a for a in row]
-                            for row in diff.rows])
-        u_from_def = ident - s_div
-        u_struct = ident - power.s_op(i, rep).to_matrix()
-        u[i] = u_struct
+        u_from_def = _entries(ident, d)
+        for pos, v in _entries(b[i] + _scaled(-one, b_inv[i]), d).items():
+            u_from_def[pos] = u_from_def.get(pos, LQ.zero) - v.divexact(denom)
+        u_from_def = {pos: v for pos, v in u_from_def.items() if v}
+        u[i] = ident + [(-one, power.s_op(i, rep))]
+        u_struct = _entries(u[i], d)
         results.setdefault("u_definition", {"ok": True})
         if u_from_def != u_struct:
             results["u_definition"] = {"ok": False,
-                                       "witness": _laurent_witness(u_from_def, u_struct, words)}
+                                       "witness": _laurent_witness(u_from_def, u_struct, d, words)}
 
     def record(name, lhs, rhs):
         if name in results and not results[name]["ok"]:
             return
+        lhs, rhs = _entries(lhs, d), _entries(rhs, d)
         if lhs == rhs:
             results.setdefault(name, {"ok": True})
         else:
-            results[name] = {"ok": False, "witness": _laurent_witness(lhs, rhs, words)}
+            results[name] = {"ok": False, "witness": _laurent_witness(lhs, rhs, d, words)}
 
     for i in range(1, n):
-        record("r1", u[i] * b[i], u[i].scale(qi))
+        record("r1", _product(u[i], b[i]), _scaled(qi, u[i]))
     for i, k in ((2, 1), (1, 2)):
-        record("r2", (u[i] * b[k]) * u[i], u[i].scale(q))
-        record("r2", (u[i] * b[k].inverse()) * u[i], u[i].scale(qi))
+        record("r2", _product(u[i], b[k], u[i]), _scaled(q, u[i]))
+        record("r2", _product(u[i], b_inv[k], u[i]), _scaled(qi, u[i]))
     for i in range(1, n):
-        bm = b[i].to_matrix()
-        cubic = (bm - ident.scale(qi)) * (bm - ident.scale(q)) * (bm + ident.scale(qi))
-        record("rloc", cubic, Matrix.zeros(LQ, d, d))
+        cubic = _product(b[i] + _scaled(-qi, ident), b[i] + _scaled(-q, ident),
+                         b[i] + _scaled(qi, ident))
+        record("rloc", cubic, [])
     for i in range(1, n):
-        record("u_squared", u[i] * u[i], u[i].scale(LaurentPoly.const(2)))
+        record("u_squared", _product(u[i], u[i]), _scaled(LaurentPoly.const(2), u[i]))
     for i, k in ((1, 2), (2, 1)):
-        record("tl", (u[i] * u[k]) * u[i], u[i])
+        record("tl", _product(u[i], u[k], u[i]), u[i])
     return BmwReport(N, n, results)
 
 
-def _laurent_witness(lhs, rhs, words):
-    diff = _first_difference(lhs, rhs)
+def _scaled(c, terms):
+    """c times a sum of (coefficient, WeightedPerm) terms; a term's
+    WeightedPerm None stands for the identity."""
+    return [(c * a, p) for a, p in terms]
+
+
+def _product(*factors):
+    """The (coefficient, WeightedPerm or None) terms of the product of sums
+    of such terms, the factors multiplied in the given order."""
+    out = factors[0]
+    for factor in factors[1:]:
+        out = [(a * c, r if p is None else p if r is None else p * r)
+               for a, p in out for c, r in factor]
+    return out
+
+
+def _entries(terms, d):
+    """{(row, column): entry} of a sum of d x d (coefficient, WeightedPerm
+    or None) terms over the Laurent ring, zero entries left out."""
+    acc = {}
+    for c, p in terms:
+        if p is None:
+            for j in range(d):
+                acc[j, j] = acc.get((j, j), LQ.zero) + c
+        else:
+            for j, (i, w) in enumerate(zip(p.tgt, p.wts)):
+                acc[i, j] = acc.get((i, j), LQ.zero) + c * w
+    return {pos: v for pos, v in acc.items() if v}
+
+
+def _laurent_witness(lhs, rhs, d, words):
+    """The first differing entry of two {(row, column): entry} maps, read
+    from the d x d matrices they describe."""
+    diff = _first_difference(*(_dense(entries, d) for entries in (lhs, rhs)))
     i, j = diff["position"]
     return {"row_word": "".join(map(str, words[i])), "col_word": "".join(map(str, words[j])),
             "left": diff["left"], "right": diff["right"]}
+
+
+def _dense(entries, d):
+    m = Matrix.zeros(LQ, d, d)
+    for (i, j), v in entries.items():
+        m.rows[i][j] = v
+    return m
 
 
 # ---------------------------------------------------------------------------

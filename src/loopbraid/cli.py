@@ -21,7 +21,7 @@ from .analysis import (bmw_check, branching_graph, default_seed,
 from .braided import affine_bvs, c2_hecke, diagonal_bvs, swap_bvs
 from .errors import InvalidParameters, LoopBraidError
 from .rings import rational_from_str
-from .tensor import (TauRep, f_operator, full_images, harmonic_blocks,
+from .tensor import (TauRep, f_columns, full_images, harmonic_blocks, harmonic_dims,
                      localized_young_dim, localized_harmonic_prediction, localize,
                      tensor_dimension_checks, young_module)
 from .words import check_relations, relations_for
@@ -209,15 +209,17 @@ def _cmd_localize(args):
         raise InvalidParameters("localize needs more than --N = %d strands, got %d"
                                 % (args.N, args.n))
     entries = []
+    dims_below = harmonic_dims(args.N, args.n - args.N)
     for lam, _, block, mods in harmonic_blocks(args.N, args.n, rep):
-        f_mat = f_operator(args.N, block, rep)
+        f_cols = f_columns(args.N, block)
         for mod in mods + [young_module(block, rep)]:
-            target, action_ok = localize(f_mat, mod)
+            target, action_ok = localize(f_cols, mod)
             got = 0 if target is None else target.dim
             if mod.label is None:
                 pred_label, pred_dim = None, localized_young_dim(args.N, lam, args.n)
             else:
-                pred_label, pred_dim = localized_harmonic_prediction(args.N, mod.label, args.n)
+                pred_label, pred_dim = localized_harmonic_prediction(args.N, mod.label,
+                                                                     dims_below)
             entries.append({"label": mod.label_json(), "dim": mod.dim,
                             "localized_dim": got, "predicted_dim": pred_dim,
                             "predicted_label": pred_label.to_json() if pred_label else None,

@@ -150,19 +150,6 @@ class Matrix:
             out.append(row)
         return Matrix._wrap(self.ring, out)
 
-    def mul_vec(self, v):
-        z = self.ring.zero
-        v_nonzero = _nonzero(v)
-        out = []
-        for r in self.rows:
-            acc = z
-            for k, b in v_nonzero:
-                a = r[k]
-                if a:
-                    acc = acc + a * b
-            out.append(acc)
-        return out
-
     def transpose(self):
         return Matrix(self.ring, [list(c) for c in zip(*self.rows)])
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InvalidParameters, LoopBraidError
 from .linalg import Matrix, RowSpan, WeightedPerm, require_assembly
-from .rings import LQ, QQ, LaurentPoly
+from .rings import LQ, QQ, ZZ, LaurentPoly
 from .symmetric import (hook_dim, multinomial, partitions, perm_words,
                         sign, young_symmetrizer_coeffs)
 
@@ -216,11 +216,11 @@ def full_images(rep: TauRep, n: int) -> dict:
 # ---------------------------------------------------------------------------
 # The symmetrizer on the first N strands.
 
-def _perm_ops(block: ChargeBlock, rep: TauRep, k: int):
+def _perm_ops(block: ChargeBlock, ring, k: int):
     """(perm, op) for every perm of S_k, op the product of the symmetry
-    generators along the reduced word of perm."""
-    s_ops = {j: block.s_op(j, rep) for j in range(1, k)}
-    ident = WeightedPerm.identity(rep.ring, block.dim)
+    generators along the reduced word of perm, with weights in ring."""
+    s_ops = {j: block._op(j, ring.one, -ring.one, ring) for j in range(1, k)}
+    ident = WeightedPerm.identity(ring, block.dim)
     for perm, word in perm_words(k).items():
         op = ident
         for letter in word:
@@ -228,20 +228,43 @@ def _perm_ops(block: ChargeBlock, rep: TauRep, k: int):
         yield perm, op
 
 
-def f_operator(N: int, block: ChargeBlock, rep: TauRep = None) -> Matrix:
-    """Signed sum over S_N of the symmetry-generator actions on the first
-    N strands; kills words whose prefix is not a permutation of 1..N and
-    symmetrizes the rest.  Kept unnormalized (f^2 = N! f)."""
+def f_columns(N: int, block: ChargeBlock) -> list:
+    """The signed sum over S_N of the symmetry-generator actions on the
+    first N strands, by its columns: entry j lists the nonzero (row, int
+    entry) pairs of column j in increasing row.  Kills words whose prefix
+    is not a permutation of 1..N and symmetrizes the rest, so a column has
+    at most N! entries.  The symmetry generators carry the weights +-1 in
+    every form, so f does not depend on the representation."""
     if block.n < N:
         raise InvalidParameters("the symmetrizer needs N = %d strands, got %d" % (N, block.n))
-    rep = rep or TauRep(block.N, Fraction(1))
-    total = Matrix.zeros(rep.ring, block.dim, block.dim)
-    for perm, op in _perm_ops(block, rep, N):
+    cols = [{} for _ in range(block.dim)]
+    for perm, op in _perm_ops(block, ZZ, N):
         sgn = sign(perm)
-        for j in range(block.dim):
-            total.rows[op.tgt[j]][j] = total.rows[op.tgt[j]][j] + (
-                op.wts[j] if sgn > 0 else -op.wts[j])
+        for col, i, w in zip(cols, op.tgt, op.wts):
+            col[i] = col.get(i, 0) + sgn * w
+    return [sorted((i, c) for i, c in col.items() if c) for col in cols]
+
+
+def f_operator(N: int, block: ChargeBlock, rep: TauRep = None) -> Matrix:
+    """f_columns as a dense matrix over the ring of rep (the rationals by
+    default).  Kept unnormalized (f^2 = N! f)."""
+    ring = rep.ring if rep else QQ
+    total = Matrix.zeros(ring, block.dim, block.dim)
+    for j, col in enumerate(f_columns(N, block)):
+        for i, c in col:
+            total.rows[i][j] = ring.from_int(c)
     return total
+
+
+def _apply_columns(cols, vec, width) -> list:
+    """The operator with the given columns applied to vec, as a list of
+    width entries."""
+    out = [0] * width
+    for col, v in zip(cols, vec):
+        if v:
+            for i, c in col:
+                out[i] += c * v
+    return out
 
 
 def symmetrized_seed_vector(block: ChargeBlock, rep: TauRep) -> list:
@@ -249,7 +272,7 @@ def symmetrized_seed_vector(block: ChargeBlock, rep: TauRep) -> list:
     lexicographically first basis word (the classical one-dimensional
     seed; spans an invariant line only at the degenerate parameter)."""
     vec = [rep.ring.zero] * block.dim
-    for _, op in _perm_ops(block, rep, block.n):
+    for _, op in _perm_ops(block, rep.ring, block.n):
         vec[op.tgt[0]] = vec[op.tgt[0]] + op.wts[0]
     return vec
 
@@ -407,9 +430,10 @@ def young_module(block: ChargeBlock, rep: TauRep = None) -> ModuleSpec:
 # ---------------------------------------------------------------------------
 # Localization along the symmetrizer.
 
-def localize(f_mat: Matrix, mspec: ModuleSpec):
-    """Image of the module under the first-strand symmetrizer, rewritten
-    as a module for the residual strands (generators reindexed down by N).
+def localize(f_cols, mspec: ModuleSpec):
+    """Image of the module under the first-strand symmetrizer, given by
+    its f_columns, rewritten as a module for the residual strands
+    (generators reindexed down by N).
 
     Returns (localized ModuleSpec at n - N, ok) where ok records that the
     residual generator actions agree with the level n - N block actions.
@@ -419,46 +443,42 @@ def localize(f_mat: Matrix, mspec: ModuleSpec):
     n = block.n
     if n <= N:
         raise InvalidParameters("localizing needs more than N = %d strands, got %d" % (N, n))
-    prefix = tuple(range(1, N + 1))
     # integer rows: a nonzero multiple of each basis row leaves the image
-    # span, its zero test and the residual equalities unchanged
-    images = [f_mat.mul_vec(row) for row in mspec.span.int_rows]
-    if all(all(v == 0 for v in img) for img in images):
+    # span, its zero test and the residual equalities unchanged; f has
+    # integer entries, so the images are integer vectors too
+    images = [_apply_columns(f_cols, row, block.dim) for row in mspec.span.int_rows]
+    if not any(any(img) for img in images):
         return None, True  # the module is annihilated
     comp = tuple(v - 1 for v in block.comp)
     if min(comp) < 0:
         raise LoopBraidError("a color missing from %s left a nonzero image" % (block.comp,))
     target = ChargeBlock(N, n - N, comp)
-    projected = [_project_prefix(img, block, target, prefix) for img in images]
+    # the words 1..N w, in the order of the residual words w in the target
+    prefix = tuple(range(1, N + 1))
+    prefixed = [block.index[prefix + w] for w in target.words]
+    projected = [[img[i] for i in prefixed] for img in images]
     span = RowSpan(target.dim)
     for vec in projected:
         span.insert(vec)
     localized = ModuleSpec(target, mspec.rep, None, None, span.int_rows)
-    ok = _residual_action_ok(f_mat, mspec, target, projected, prefix)
+    # f followed by the prefix projection, its rows renumbered by the target
+    row_of = {i: t for t, i in enumerate(prefixed)}
+    prefix_cols = [[(row_of[i], c) for i, c in col if i in row_of] for col in f_cols]
+    ok = _residual_action_ok(prefix_cols, mspec, target, projected)
     return localized, ok
 
 
-def _residual_action_ok(f_mat, mspec, target, projected, prefix):
+def _residual_action_ok(prefix_cols, mspec, target, projected):
     """Generator j + N on the module, followed by f and the prefix
     projection, equals generator j on the projected image of each row."""
     block = mspec.block
     for src, dst in zip(block.ops(mspec.rep)[2 * block.N:], target.ops(mspec.rep)):
+        # the columns of (f, then the projection) times src
+        cols = [[(i, c * w) for i, c in prefix_cols[t]] for t, w in zip(src.tgt, src.wts)]
         for row, via in zip(mspec.span.int_rows, projected):
-            lhs = _project_prefix(f_mat.mul_vec(_apply_wp(src, row)),
-                                  block, target, prefix)
-            if lhs != _apply_wp(dst, via):
+            if _apply_columns(cols, row, target.dim) != _apply_wp(dst, via):
                 return False
     return True
-
-
-def _project_prefix(vec, block, target, prefix):
-    out = [QQ.zero] * target.dim
-    for j, v in enumerate(vec):
-        if v:
-            w = block.words[j]
-            if w[:block.N] == prefix:
-                out[target.index[w[block.N:]]] = v
-    return out
 
 
 def localized_young_dim(N, lam, n) -> int:
@@ -470,8 +490,15 @@ def localized_young_dim(N, lam, n) -> int:
     return multinomial(n - N, shifted)
 
 
-def localized_harmonic_prediction(N, label: HarmonicLabel, n):
-    """(predicted label at n - N or None, predicted dimension).
+def harmonic_dims(N, n) -> dict:
+    """{label: dimension} of every harmonic module at (N, n), from one
+    harmonic_blocks walk; the dimensions do not depend on x."""
+    return {m.label: m.dim for _, _, _, mods in harmonic_blocks(N, n) for m in mods}
+
+
+def localized_harmonic_prediction(N, label: HarmonicLabel, dims: dict):
+    """(predicted label at n - N or None, predicted dimension), the
+    dimension read from dims = harmonic_dims(N, n - N).
 
     Four cases split on the depth-N row length and, when it is 1, on the
     shape of the component attached to the shortest row length.
@@ -482,22 +509,12 @@ def localized_harmonic_prediction(N, label: HarmonicLabel, n):
     shifted = tuple(v - 1 for v in lam if v > 1)
     if lam[N - 1] > 1:
         target = HarmonicLabel(tuple(v - 1 for v in lam), label.mu)
-        return target, _harmonic_dim(N, target, n - N)
+        return target, dims[target]
     mu_last = label.mu[-1]
     if len(mu_last) > 1:  # (mu_l)_2 > 0
         return None, 0
     target = HarmonicLabel(shifted, label.mu[:-1])
-    return target, _harmonic_dim(N, target, n - N)
-
-
-def _harmonic_dim(N, label: HarmonicLabel, n) -> int:
-    if n == 0:
-        return 1 if not label.lam else 0
-    block = partition_block(N, n, label.lam)
-    for m in harmonic_decompose(block):
-        if m.label == label:
-            return m.dim
-    raise KeyError("label %r not found at n=%d" % (label, n))
+    return target, dims[target]
 
 
 def tensor_dimension_checks(decomposition) -> dict:

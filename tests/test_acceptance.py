@@ -22,8 +22,8 @@ from loopbraid.analysis import (bmw_check, end_dim, hom_dim, is_e_null,
 from loopbraid.braided import affine_bvs, swap_operator
 from loopbraid.linalg import Matrix, RowSpan
 from loopbraid.rings import QQ, IntegersMod
-from loopbraid.tensor import (TauRep, charge_blocks, f_operator, full_images,
-                              harmonic_decompose, localized_young_dim,
+from loopbraid.tensor import (TauRep, charge_blocks, f_columns, f_operator, full_images,
+                              harmonic_decompose, harmonic_dims, localized_young_dim,
                               localized_harmonic_prediction, localize,
                               partition_block, young_module)
 from loopbraid.words import check_relations, relations_for
@@ -173,7 +173,7 @@ def test_c08_null_and_localization_lemmas():
     for n in range(2, 6):
         for lam, _ in charge_blocks(2, n)[1]:
             block = partition_block(2, n, lam)
-            f2 = f_operator(2, block)
+            f2 = f_columns(2, block)
             for mod in harmonic_decompose(block, x2):
                 expected = (len(lam) < 2) or \
                     (lam == (1, 1) and mod.label.mu == ((1, 1),))
@@ -181,7 +181,7 @@ def test_c08_null_and_localization_lemmas():
     # f_3 kills the antisymmetric hook family
     for n in (4, 5, 6):
         block = partition_block(3, n, (n - 2, 1, 1))
-        f3 = f_operator(3, block)
+        f3 = f_columns(3, block)
         mods = harmonic_decompose(block, TauRep(3, Fraction(2)))
         anti = [m for m in mods if m.label.mu == ((1,), (1, 1))][0]
         assert is_e_null(anti, f3)
@@ -191,26 +191,26 @@ def test_c08_null_and_localization_lemmas():
             for lam, _ in charge_blocks(N, n)[1]:
                 block = partition_block(N, n, lam)
                 rep = TauRep(N, Fraction(2))
-                f = f_operator(N, block)
                 pred = localized_young_dim(N, lam, n)
                 if n == N:
-                    got = _rank(f, block.dim)
+                    got = _rank(f_operator(N, block), block.dim)
                 else:
-                    loc, ok = localize(f, young_module(block, rep))
+                    loc, ok = localize(f_columns(N, block), young_module(block, rep))
                     assert ok
                     got = 0 if loc is None else loc.dim
                 assert got == pred, (N, n, lam, got, pred)
     # the four-case table on all harmonic labels at N=3, n <= 6
     for n in range(4, 7):
+        dims = harmonic_dims(3, n - 3)
         for lam, _ in charge_blocks(3, n)[1]:
             block = partition_block(3, n, lam)
             rep = TauRep(3, Fraction(2))
-            f = f_operator(3, block)
+            f = f_columns(3, block)
             for mod in harmonic_decompose(block, rep):
                 loc, ok = localize(f, mod)
                 assert ok
                 got = 0 if loc is None else loc.dim
-                label, pred = localized_harmonic_prediction(3, mod.label, n)
+                label, pred = localized_harmonic_prediction(3, mod.label, dims)
                 assert got == pred, (n, mod.label, got, pred)
     _stamp("C08 null and localization lemmas", 120, started)
 

@@ -1,10 +1,14 @@
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dense_bmw_check, dense_is_e_null, dense_localize, fraction_compose_word
+from loopbraid import analysis as analysis_module
 from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 branching_graph, end_dim, harmonic_end_dims,
                                 hom_dim, hom_space, is_e_null, is_irreducible,
@@ -13,14 +17,15 @@ from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 restrict_and_branch, semisimplicity_check,
                                 spin_dimension, verify_young_branching,
                                 young_branch_rule, _center_dim, _closure,
-                                _collapsed_generators, _f_blockop,
-                                _project_hom, _trace_form, _weight_pos)
+                                _branch, _collapsed_generators, _dense, _f_blockop,
+                                _laurent_witness, _project_hom, _trace_form, _weight_pos)
 from loopbraid.errors import IncompleteMatch, InvalidParameters, NotIdempotent
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank
 from loopbraid.rings import QQ, ZZ, LaurentPoly
 from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep,
-                              charge_blocks, f_operator, harmonic_decompose,
-                              partition_block, young_module)
+                              charge_blocks, f_columns, f_operator, harmonic_blocks,
+                              harmonic_decompose, localize, partition_block, young_module)
+from loopbraid.words import _first_difference
 
 X2 = TauRep(2, Fraction(2))
 X3 = TauRep(3, Fraction(2))
@@ -114,20 +119,20 @@ def test_harmonics_irreducible_small():
 def test_is_e_null_examples():
     block = partition_block(2, 2, (1, 1))
     mods = harmonic_decompose(block, X2)
-    f2 = f_operator(2, block)
+    f2 = f_columns(2, block)
     anti = [m for m in mods if m.label.mu == ((1, 1),)][0]
     sym = [m for m in mods if m.label.mu == ((2,),)][0]
     assert is_e_null(anti, f2)
     assert not is_e_null(sym, f2)
     b21 = partition_block(2, 3, (2, 1))
-    assert not is_e_null(young_module(b21, X2), f_operator(2, b21))
+    assert not is_e_null(young_module(b21, X2), f_columns(2, b21))
 
 
 def test_f3_null_family():
     for n in (4, 5, 6):
         lam = (n - 2, 1, 1)
         block = partition_block(3, n, lam)
-        f3 = f_operator(3, block)
+        f3 = f_columns(3, block)
         mods = harmonic_decompose(block, X3)
         anti = [m for m in mods if m.label.mu == ((1,), (1, 1))][0]
         sym = [m for m in mods if m.label.mu == ((1,), (2,))][0]
@@ -298,6 +303,8 @@ def test_branching_graph_decomposes_each_block_once(monkeypatch):
 @pytest.mark.parametrize("argv,count", [
     (("branch", "--N", "3", "--nmax", "6"), 22),
     (("decompose", "--N", "3", "--n", "6", "--basis"), 7),
+    # the 7 blocks at n = 6, and the 3 at n - N = 3 for the predicted dimensions
+    (("localize", "--N", "3", "--n", "6"), 10),
 ])
 def test_commands_decompose_each_block_once(monkeypatch, capsys, argv, count):
     from loopbraid.cli import dispatch
@@ -390,27 +397,29 @@ def test_lii_multiplicities_match_across_localization():
     # composition multiplicities survive localization: the delta dimension
     # of a surviving label is unchanged, and the localized block dimensions
     # reconcile with the harmonic identity one level down
-    from loopbraid.tensor import localized_harmonic_prediction, localize
+    from loopbraid.tensor import harmonic_dims, localized_harmonic_prediction, localize
     for n in (3, 4):
+        dims = harmonic_dims(2, n - 2)
         for lam, _ in charge_blocks(2, n)[1]:
             block = partition_block(2, n, lam)
-            f2 = f_operator(2, block)
+            f2 = f_columns(2, block)
             for mod in harmonic_decompose(block, X2):
                 loc, ok = localize(f2, mod)
                 assert ok
-                target, pred = localized_harmonic_prediction(2, mod.label, n)
+                target, pred = localized_harmonic_prediction(2, mod.label, dims)
                 assert (0 if loc is None else loc.dim) == pred
                 if target is not None:
                     assert target.delta_dim() == mod.label.delta_dim()
 
 
 def test_li_distinct_simples_localize_distinctly():
-    from loopbraid.tensor import localized_harmonic_prediction
+    from loopbraid.tensor import harmonic_dims, localized_harmonic_prediction
     for n in (3, 4, 5):
         targets = []
+        dims = harmonic_dims(2, n - 2)
         for lam, _ in charge_blocks(2, n)[1]:
             for mod in harmonic_decompose(partition_block(2, n, lam), X2):
-                target, dim = localized_harmonic_prediction(2, mod.label, n)
+                target, dim = localized_harmonic_prediction(2, mod.label, dims)
                 if dim:
                     targets.append(target)
         assert len(targets) == len(set(targets))
@@ -862,3 +871,111 @@ def test_algebra_span_of_rational_generators_matches_dense_closure():
         for m in span.basis:
             assert m.ring is QQ and all(type(v) is Fraction for v in m.entries())
             assert words.contains([v for r in m.rows for v in r])
+
+
+# ---------------------------------------------------------------------------
+# Monomial operators applied term by term, against the dense oracles in
+# helpers.py.
+
+ORACLE_XS = [Fraction(2), Fraction(3), Fraction(7, 2), Fraction(-1), Fraction(1),
+             Fraction(-2, 3)]
+
+
+def _localized(result):
+    loc, ok = result
+    if loc is None:
+        return None, ok
+    return (loc.block.comp, loc.dim, loc.span.int_rows, loc.rep), ok
+
+
+@pytest.mark.parametrize("x", ORACLE_XS, ids=str)
+def test_localize_and_is_e_null_match_dense_oracle(x):
+    compared = 0
+    for N in (2, 3):
+        rep = TauRep(N, x)
+        for n in range(N, 7):
+            for lam, _, block, mods in harmonic_blocks(N, n, rep):
+                f_cols, f_mat = f_columns(N, block), f_operator(N, block)
+                for mod in mods + [young_module(block, rep)]:
+                    assert is_e_null(mod, f_cols) == dense_is_e_null(mod, f_mat)
+                    if n > N:
+                        assert _localized(localize(f_cols, mod)) == \
+                            _localized(dense_localize(f_mat, mod)), (N, n, lam, mod.label)
+                        compared += 1
+    assert compared > 50
+
+
+def test_f_columns_are_the_dense_symmetrizer():
+    for N, n in ((2, 4), (3, 4), (3, 5)):
+        for lam, _ in charge_blocks(N, n)[1]:
+            block = partition_block(N, n, lam)
+            f_mat = f_operator(N, block)
+            cols = f_columns(N, block)
+            assert [[(i, c) for i in range(block.dim) if (c := f_mat.rows[i][j])]
+                    for j in range(block.dim)] == cols
+            assert all(type(c) is int and len(col) <= math.factorial(N)
+                       for col in cols for _, c in col)
+
+
+@pytest.mark.parametrize("N,n", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_bmw_check_matches_dense_oracle(N, n):
+    got = bmw_check(N, n).to_json()
+    assert json.dumps(got, sort_keys=True) == json.dumps(dense_bmw_check(N, n).to_json(),
+                                                         sort_keys=True)
+    assert got["ok"] == (N == 2)
+
+
+def test_laurent_witness_reads_the_first_dense_difference():
+    # the sparse witness of two entry maps is the dense witness of their
+    # matrices, zeros on either side included
+    rng = random.Random(16)
+    q = LaurentPoly.gen()
+    values = [LaurentPoly.const(1), q, -q.inverse(), q + LaurentPoly.const(2)]
+    words = [(a, b) for a in (1, 2) for b in (1, 2)]
+    d = len(words)
+    for _ in range(60):
+        lhs = {(rng.randrange(d), rng.randrange(d)): rng.choice(values) for _ in range(3)}
+        rhs = dict(lhs)
+        pos = (rng.randrange(d), rng.randrange(d))
+        if pos in rhs and rng.random() < 0.5:
+            del rhs[pos]
+        else:
+            rhs[pos] = rhs.get(pos, LaurentPoly()) + q
+        got = _laurent_witness(lhs, rhs, d, words)
+        diff = _first_difference(_dense(lhs, d), _dense(rhs, d))
+        i, j = diff["position"]
+        assert got == {"row_word": "%d%d" % words[i], "col_word": "%d%d" % words[j],
+                       "left": diff["left"], "right": diff["right"]}
+
+
+def _branch_result(m, cands):
+    try:
+        report = _branch(m, cands, 5)
+    except IncompleteMatch as exc:
+        return str(exc)
+    return report.summands, report.words_used
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(-2, 3), Fraction(7, 2)], ids=str)
+def test_branch_integer_words_match_fraction_oracle(x, monkeypatch):
+    # the (1,1,1) block at N = 3 has only distinct-letter words, so every
+    # sigma weight there is 1: a denominator per block would scale its
+    # column of the trace system by 1 and the others by den^len(word)
+    rep = TauRep(3, x)
+    distinct = partition_block(3, 3, (1, 1, 1))
+    assert all(w == 1 for op in distinct.ops(rep)[::2] for w in op.wts)
+    cases = []
+    for N, n in ((3, 4), (3, 5), (2, 5)):
+        rep = TauRep(N, x)
+        below = [c for lam, _, _, mods in harmonic_blocks(N, n - 1, rep) for c in mods]
+        for _, _, block, mods in harmonic_blocks(N, n, rep):
+            for mod in mods:
+                cases.append((mod, [c for c in below if c.block.lam in
+                                    young_branch_rule(N, block.lam)]))
+    assert any(c.block.lam == (1, 1, 1) for _, cands in cases for c in cands)
+    got = [_branch_result(m, cands) for m, cands in cases]
+    monkeypatch.setattr(analysis_module, "_integral", list)
+    monkeypatch.setattr(analysis_module, "_compose_word", fraction_compose_word)
+    want = [_branch_result(m, cands) for m, cands in cases]
+    assert got == want
+    assert all(isinstance(r, tuple) for r in got)

@@ -9,8 +9,8 @@ from loopbraid.linalg import Matrix
 from loopbraid.rings import QQ, LaurentPoly
 from loopbraid.symmetric import all_perms
 from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep,
-                              charge_blocks, f_operator, full_images,
-                              harmonic_blocks, harmonic_decompose, harmonic_labels,
+                              charge_blocks, f_columns, f_operator, full_images,
+                              harmonic_blocks, harmonic_dims, harmonic_decompose, harmonic_labels,
                               localized_young_dim, localized_harmonic_prediction, localize,
                               multiplicity_classes, partition_block,
                               right_color_action, symmetrized_seed_vector,
@@ -124,7 +124,7 @@ def test_invalid_strand_counts():
         charge_blocks(2, -1)
     block = partition_block(2, 2, (1, 1))  # n = N: nothing left to localize
     with pytest.raises(InvalidParameters):
-        localize(f_operator(2, block), young_module(block, X2))
+        localize(f_columns(2, block), young_module(block, X2))
 
 
 def test_charge_blocks_examples():
@@ -299,32 +299,32 @@ def test_antisymmetric_block_sign_property():
 
 def test_localize_examples():
     block = partition_block(2, 3, (2, 1))
-    f2 = f_operator(2, block)
+    f2 = f_columns(2, block)
     loc, ok = localize(f2, young_module(block, X2))
     assert ok and loc.dim == 1 == localized_young_dim(2, (2, 1), 3)
     # single-row content dies
     row_block = partition_block(2, 4, (4,))
-    loc, ok = localize(f_operator(2, row_block), young_module(row_block, X2))
+    loc, ok = localize(f_columns(2, row_block), young_module(row_block, X2))
     assert ok and loc is None
     assert localized_young_dim(2, (4,), 4) == 0
     # the antisymmetric harmonic piece of (2,1,1) is killed by f_3
     blk = partition_block(3, 4, (2, 1, 1))
     mods = harmonic_decompose(blk, X3)
     anti = [m for m in mods if m.label.mu == ((1,), (1, 1))][0]
-    loc, ok = localize(f_operator(3, blk), anti)
+    loc, ok = localize(f_columns(3, blk), anti)
     assert ok and loc is None
-    label, dim = localized_harmonic_prediction(3, anti.label, 4)
+    label, dim = localized_harmonic_prediction(3, anti.label, harmonic_dims(3, 1))
     assert label is None and dim == 0
 
 
 def test_localize_respects_residual_action():
     blk = partition_block(3, 5, (2, 2, 1))
     mods = harmonic_decompose(blk, X3)
-    f3 = f_operator(3, blk)
+    f3 = f_columns(3, blk)
     for mod in mods:
         loc, ok = localize(f3, mod)
         assert ok
-        pred_label, pred_dim = localized_harmonic_prediction(3, mod.label, 5)
+        pred_label, pred_dim = localized_harmonic_prediction(3, mod.label, harmonic_dims(3, 2))
         assert (0 if loc is None else loc.dim) == pred_dim
 
 
@@ -343,18 +343,18 @@ def test_localized_harmonic_case_table():
     # depth > 1 keeps the label, depth 1 with a one-row last component drops
     # it, depth 1 with a taller component dies
     lab = HarmonicLabel((3, 2, 2), ((1,), (2,)))
-    target, dim = localized_harmonic_prediction(3, lab, 7)
+    target, dim = localized_harmonic_prediction(3, lab, harmonic_dims(3, 4))
     assert target == HarmonicLabel((2, 1, 1), ((1,), (2,))) and dim == 6
     lab = HarmonicLabel((2, 2, 1), ((2,), (1,)))
-    target, dim = localized_harmonic_prediction(3, lab, 5)
+    target, dim = localized_harmonic_prediction(3, lab, harmonic_dims(3, 2))
     assert target == HarmonicLabel((1, 1), ((2,),)) and dim == 1
     lab = HarmonicLabel((2, 2, 1), ((1, 1), (1,)))
-    target, dim = localized_harmonic_prediction(3, lab, 5)
+    target, dim = localized_harmonic_prediction(3, lab, harmonic_dims(3, 2))
     assert target == HarmonicLabel((1, 1), ((1, 1),)) and dim == 1
     lab = HarmonicLabel((2, 1, 1), ((1,), (1, 1)))
-    assert localized_harmonic_prediction(3, lab, 4) == (None, 0)
+    assert localized_harmonic_prediction(3, lab, harmonic_dims(3, 1)) == (None, 0)
     lab = HarmonicLabel((2, 2), ((2,),))
-    assert localized_harmonic_prediction(3, lab, 4) == (None, 0)  # depth < N
+    assert localized_harmonic_prediction(3, lab, harmonic_dims(3, 1)) == (None, 0)  # depth < N
 
 
 def f_operator_blocks(N, n):
