@@ -169,14 +169,28 @@ def from_agl_form(el: AglElement) -> Matrix:
 
 
 class ImageResult:
-    __slots__ = ("order", "complete", "elements", "determinants")
+    """residues lists each kept element's n * n residues in row-major order,
+    the elements sorted by them; None unless the closure kept elements."""
 
-    def __init__(self, order: int, complete: bool, elements: list | None,
-                 determinants: frozenset):
+    __slots__ = ("order", "complete", "residues", "determinants", "_params")
+
+    def __init__(self, order: int, complete: bool, residues: list | None,
+                 determinants: frozenset, params: AffineParams):
         self.order = order
         self.complete = complete
-        self.elements = elements
+        self.residues = residues
         self.determinants = determinants   # residues mod m of the elements found
+        self._params = params
+
+    @property
+    def elements(self):
+        """The kept elements as Matrices over Z_m in the order of residues,
+        built on each read; None unless the closure kept elements."""
+        if self.residues is None:
+            return None
+        ring, n = self._params.ring, self._params.n
+        return [Matrix.from_int_rows(ring, [r[i:i + n] for i in range(0, n * n, n)])
+                for r in self.residues]
 
 
 class _RowImages(dict):
@@ -260,12 +274,11 @@ def generate_image(p: AffineParams, cap: int = 10 ** 7, keep_elements: bool = Fa
 
 
 def _image_result(p, seen, complete, keep_elements):
-    elements = None
+    residues = None
     if keep_elements:
-        ring, m, n = p.ring, p.m, p.n
-        elements = [Matrix.from_int_rows(ring, [_decode(code, m, n) for code in key])
-                    for key in sorted(seen)]
-    return ImageResult(len(seen), complete, elements, frozenset(seen.values()))
+        m, n = p.m, p.n
+        residues = [[v for code in key for v in _decode(code, m, n)] for key in sorted(seen)]
+    return ImageResult(len(seen), complete, residues, frozenset(seen.values()), p)
 
 
 def gl_order(m: int, k: int) -> int:

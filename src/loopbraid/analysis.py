@@ -19,8 +19,8 @@ import random
 from fractions import Fraction
 
 from .errors import IncompleteMatch, InvalidParameters, NotIdempotent
-from .linalg import Matrix, RowSpan, WeightedPerm, _nonzero, op_dim, rank
-from .rings import LQ, QQ, ZZ, LaurentPoly
+from .linalg import Matrix, RowSpan, WeightedPerm, op_dim, rank
+from .rings import LQ, QQ, ZZ, LaurentPoly, _monomial_codes
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_columns,
                      _apply_wp, _charge_index, f_operator, harmonic_blocks, harmonic_decompose,
                      partition_block, right_color_action, young_module)
@@ -38,7 +38,8 @@ def default_seed() -> int:
 
 def hom_space(ops_src, ops_tgt, d_src, d_tgt):
     """Basis of {X : X rho_src(g) = rho_tgt(g) X}, each element a dict
-    cell -> Fraction with cell = a * d_src + b meaning X[a, b].
+    cell -> value (a Fraction in form x) with cell = a * d_src + b meaning
+    X[a, b].
 
     Each generator pair (s, t) maps cell (a, b) to (t.tgt[a], s.tgt[b]) and
     forces X there to be t.wts[a] / s.wts[b] times X[a, b].  These maps are
@@ -47,10 +48,11 @@ def hom_space(ops_src, ops_tgt, d_src, d_tgt):
     orbit is a basis element, scaled to 1 at that cell, iff none disagrees.
 
     Every weight is +-b^k for the one weight b that is not +-1 (x in form
-    x; InvalidParameters otherwise), so the walk carries each value as the
-    int 2k + (value < 0): a product adds the exponent parts and xors the
-    sign bits.  Two codes are equal iff the values are; with every weight
-    a sign, the codes are the signs.  Only the live orbits are decoded."""
+    x, q in form q; InvalidParameters otherwise), so the walk carries each
+    value as its rings._monomial_codes int 2k + (value < 0): a product adds
+    the exponent parts and xors the sign bits.  Two codes are equal iff the
+    values are; with every weight a sign, the codes are the signs.  Only
+    the live orbits are decoded."""
     code, base = _monomial_codes([w for op in (*ops_src, *ops_tgt) for w in op.wts])
     moves = []
     for s, t in zip(ops_src, ops_tgt):
@@ -100,55 +102,26 @@ def hom_space(ops_src, ops_tgt, d_src, d_tgt):
     return basis
 
 
-def _monomial_codes(weights):
-    """({weight: 2k + (weight < 0)}, |b|) for weights +-b^k, b the first
-    weight that is not +-1 (|b| = 1 if there is none); InvalidParameters
-    for any other weight."""
-    code = {}
-    base = None
-    for w in weights:
-        if w in code:
-            continue
-        mag = Fraction(abs(w))
-        if mag == 1:
-            k = 0
-        elif mag == 0:
-            raise InvalidParameters("hom_space needs nonzero weights")
-        else:
-            if base is None:
-                base = mag
-            k = _exact_log(mag, base)
-            if k is None:
-                raise InvalidParameters("weight %s is not +-%s^k" % (w, base))
-        code[w] = 2 * k + (w < 0)
-    return code, base or Fraction(1)
-
-
-def _exact_log(mag, base):
-    """k with base^k == mag, for positive Fractions other than 1; None if
-    there is none."""
-    sign = 1
-    if (mag > 1) != (base > 1):
-        mag, sign = Fraction(1) / mag, -1
-    k, p = 1, base
-    while p != mag:
-        if (p > mag) == (base > 1):
-            return None
-        k, p = k + 1, p * base
-    return sign * k
-
-
 def _project_hom(components, e_tgt, e_src, d_src, d_tgt):
     """Dimension of span{E_tgt X E_src} over the hom-space basis.
 
-    X is nonzero only on its component's cells and the projectors are
-    sparse, so E_tgt X E_src is accumulated over nonzero entries only.  X
-    and the projectors are scaled to integer entries first; nonzero scalars
-    leave the dimension unchanged."""
-    e_tgt, e_src = (Matrix.identity(QQ, d) if e is None else e
-                    for e, d in ((e_tgt, d_tgt), (e_src, d_src)))  # None: the identity
-    tgt_cols = [_nonzero(c) for c in _integral([e_tgt.transpose()])[0].rows]
-    src_rows = [_nonzero(r) for r in _integral([e_src])[0].rows]
+    Each projector is given by its integer columns (den, cols) as
+    ModuleSpec.projector holds it, None for the identity.  X is nonzero
+    only on its component's cells and the columns are sparse, so E_tgt X
+    E_src is accumulated over nonzero entries only.  X is scaled to integer
+    entries and the projectors are read as den E; nonzero scalars leave the
+    dimension unchanged."""
+    if e_tgt is None:
+        tgt_cols = [[(c, 1)] for c in range(d_tgt)]
+    else:
+        tgt_cols = [list(col.items()) for col in e_tgt[1]]
+    if e_src is None:
+        src_rows = [[(c, 1)] for c in range(d_src)]
+    else:
+        src_rows = [[] for _ in range(d_src)]  # the columns read by row
+        for b, col in enumerate(e_src[1]):
+            for c, e in col.items():
+                src_rows[c].append((b, e))
     span = RowSpan(d_src * d_tgt, ZZ)
     dim = 0
     for comp in components:
@@ -450,23 +423,26 @@ class BranchReport:
 
 
 def _compose_word(ops, word, d):
-    out = WeightedPerm.identity(ZZ, d)
-    for key in word:
+    if not word:
+        return WeightedPerm.identity(ZZ, d)
+    out = ops[word[0]]
+    for key in word[1:]:
         out = ops[key] * out
     return out
 
 
 def _trace_with_projector(w: WeightedPerm, e):
+    """den tr(W E) for E given by its integer columns (den, cols), read as
+    the sum of w.wts[i] * E[i, w.tgt[i]]; tr(W) for e None (the identity,
+    den 1)."""
     if e is None:
         return w.trace()
-    inv = [0] * w.n
-    for j, t in enumerate(w.tgt):
-        inv[t] = j
-    acc = Fraction(0)
-    for j in range(w.n):
-        i = inv[j]
-        if e.rows[i][j]:
-            acc += w.wts[i] * e.rows[i][j]
+    cols = e[1]
+    acc = 0
+    for i, t, wt in zip(range(w.n), w.tgt, w.wts):
+        c = cols[t].get(i)
+        if c:
+            acc += wt * c
     return acc
 
 
@@ -496,23 +472,38 @@ def restrict_and_branch(m: ModuleSpec, seed=None) -> BranchReport:
     """
     if m.block.n < 2:
         raise InvalidParameters("restriction needs at least 2 strands, got %d" % m.block.n)
-    return _branch(m, _restriction_candidates(m), seed)
+    block_ops = {}
+    cands = []
+    for c in _restriction_candidates(m):
+        if c.block not in block_ops:
+            block_ops[c.block] = c.block.int_ops(c.rep)
+        cands.append((c, block_ops[c.block]))
+    return _branch(m, m.block.int_ops(m.rep, m.block.n - 2), cands, seed)
 
 
-def _branch(m: ModuleSpec, cands, seed) -> BranchReport:
-    """restrict_and_branch against the given candidates at level n-1."""
+def _branch(m: ModuleSpec, src_ops, cands, seed) -> BranchReport:
+    """restrict_and_branch against the given candidates at level n-1:
+    src_ops is m.block.int_ops(m.rep, n - 2) and cands lists (candidate
+    module, its block's int_ops)."""
     block = m.block
     rng = random.Random(seed if seed is not None else default_seed())
-    e_m = _module_projector(m)
-
     # a word is a tuple of indices into the generator lists at level n-1;
-    # every list is scaled by one common denominator to int weights, so a
-    # word of length L multiplies each trace in its row by den^L, which
-    # leaves the rank and the solved multiplicities unchanged (a scale per
-    # block would not: a block whose weights are all +-1 gets den 1)
-    per_block = [block.ops(m.rep, block.n - 2)] + [c.block.ops(c.rep) for c in cands]
-    scaled = iter(_integral([op for ops in per_block for op in ops]))
-    src_ops, *cand_ops = [[next(scaled) for _ in ops] for ops in per_block]
+    # each list is ChargeBlock.int_ops, every sigma scaled by the one
+    # denominator of x, so a word multiplies each trace in its row by
+    # den^(its sigma letters), which leaves the rank and the solved
+    # multiplicities unchanged (a scale per block would not: a block whose
+    # weights are all +-1 would get den 1).  The projected traces come as
+    # den_E tr(W E); each column is brought to the common multiple of the
+    # den_E, one more factor per row.  Consecutive candidates on one block
+    # share its list, so each word is composed once per block.
+    columns = [(c.block.dim, ops, c.projector) for c, ops in cands]
+    columns.append((block.dim, src_ops, _module_projector(m)))
+    scale = math.lcm(*(e[0] for _, _, e in columns if e is not None))
+    groups = []  # (dim, ops, [(projector, column factor)])
+    for d, ops, e in columns:
+        if not groups or groups[-1][1] is not ops:
+            groups.append((d, ops, []))
+        groups[-1][2].append((e, scale if e is None else scale // e[0]))
     keys = range(len(src_ops))
     k = len(cands)
     span = RowSpan(k + 1)  # [candidate traces | trace on M]
@@ -520,12 +511,10 @@ def _branch(m: ModuleSpec, cands, seed) -> BranchReport:
 
     def add_row(word):
         nonlocal words_used
-        wsrc = _compose_word(src_ops, word, block.dim)
         row = []
-        for c, ops in zip(cands, cand_ops):
-            wc = _compose_word(ops, word, c.block.dim)
-            row.append(_trace_with_projector(wc, c.projector))
-        row.append(_trace_with_projector(wsrc, e_m))
+        for d, ops, projectors in groups:
+            w = _compose_word(ops, word, d)
+            row.extend(f * _trace_with_projector(w, e) for e, f in projectors)
         span.insert(row)
         words_used += 1
 
@@ -548,7 +537,7 @@ def _branch(m: ModuleSpec, cands, seed) -> BranchReport:
     mults = [span.rows[span.pivot_of[c]][k] for c in range(k)]
     total = 0
     summands = []
-    for c, mult in zip(cands, mults):
+    for (c, _), mult in zip(cands, mults):
         if mult == 0:
             continue
         if mult.denominator != 1 or mult < 0:
@@ -626,12 +615,18 @@ def branching_graph(N, n_max, x=Fraction(2), seed=None) -> dict:
         raise InvalidParameters("n_max must be at least 1, got %d" % n_max)
     rep = TauRep(N, x)
     nodes, edges = [], []
-    below = {}  # partition -> harmonic modules at level n - 1
+    # partition -> [(harmonic module, its block's int_ops)] at level n - 1;
+    # each block's generator list is built once and shared by its modules
+    below = {}
     for n in range(1, n_max + 1):
         level = {}
         for lam, _, block, mods in harmonic_blocks(N, n, rep):
-            level[lam] = mods
-            cands = [c for mu in _reachable_partitions(block) for c in below[mu]] if n > 1 else []
+            if n < n_max:
+                ops = block.int_ops(rep)
+                level[lam] = [(mod, ops) for mod in mods]
+            if n > 1:
+                src_ops = block.int_ops(rep, n - 2)
+                cands = [c for mu in _reachable_partitions(block) for c in below[mu]]
             for mod in mods:
                 nid = "n%d:%s" % (n, mod.label.short())
                 nodes.append({"id": nid, "n": n, "lambda": list(lam),
@@ -639,7 +634,7 @@ def branching_graph(N, n_max, x=Fraction(2), seed=None) -> dict:
                               "dim": mod.dim, "pos": _weight_pos(N, lam)})
                 if n < 2:
                     continue
-                for summand in _branch(mod, cands, seed).summands:
+                for summand in _branch(mod, src_ops, cands, seed).summands:
                     label = summand["label"]
                     dst = HarmonicLabel(tuple(label["lambda"]), tuple(map(tuple, label["mu"])))
                     edges.append({"src": nid, "dst": "n%d:%s" % (n - 1, dst.short()),

@@ -336,6 +336,8 @@ def c2_hecke(qval=None, alt=False) -> BVS:
     else:
         ring = QQ
         q = Fraction(qval)
+        if q == 0:
+            raise InvalidParameters("q must be nonzero (the braiding has q^-1 entries)")
         qi = Fraction(1) / q
     one = ring.one
     z = ring.zero

@@ -124,8 +124,7 @@ def _cmd_affine_image(args):
               "determinants": det_values,
               "determinants_allowed": allowed}
     if args.emit_elements:
-        report["elements"] = [[v.residue for r in g.rows for v in r]
-                              for g in result.elements]
+        report["elements"] = result.residues
     ok = result.complete and det_ok
     if report["surjective_predicted"] and result.complete:
         ok = ok and result.order == expected

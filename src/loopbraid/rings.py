@@ -485,6 +485,66 @@ LQ = LaurentRing()
 
 
 # ---------------------------------------------------------------------------
+# Monomial weight codes: +-b^k as the int 2k + sign.
+
+def _monomial_codes(weights):
+    """({weight: 2k + (weight < 0)}, b) for weights +-b^k, and
+    InvalidParameters for any other weight.
+
+    For rational weights b > 1 is the magnitude, or its inverse, of the
+    first weight that is not +-1 (1 if there is none), so x and 1/x give
+    the same base; for Laurent weights b is q, and the weights must be the
+    monomials +-q^k.  Two codes are equal iff the weights are; a product
+    of weights with codes c and d has the code ((c & -2) + d) ^ (c & 1)."""
+    code = {}
+    base = None
+    laurent = False
+    for w in weights:
+        if w in code:
+            continue
+        if isinstance(w, LaurentPoly):
+            if len(w.terms) != 1:
+                raise InvalidParameters("weight %s is not +-q^k" % (w,))
+            ((k, c),) = w.terms.items()
+            if c not in (1, -1):
+                raise InvalidParameters("weight %s is not +-q^k" % (w,))
+            laurent = True
+            code[w] = 2 * k + (c < 0)
+            continue
+        mag = Fraction(abs(w))
+        if mag == 1:
+            k = 0
+        elif mag == 0:
+            raise InvalidParameters("monomial codes need nonzero weights")
+        else:
+            if base is None:
+                base = mag if mag > 1 else Fraction(1) / mag
+            k = _exact_log(mag, base)
+            if k is None:
+                raise InvalidParameters("weight %s is not +-%s^k" % (w, base))
+        code[w] = 2 * k + (w < 0)
+    if laurent:
+        if base is not None:
+            raise InvalidParameters("weights mix q^k with the rational %s" % (base,))
+        return code, LaurentPoly.gen()
+    return code, base or Fraction(1)
+
+
+def _exact_log(mag, base):
+    """k with base^k == mag, for positive Fractions mag other than 1 and
+    base > 1; None if there is none."""
+    sign = 1
+    if mag < 1:
+        mag, sign = Fraction(1) / mag, -1
+    k, p = 1, base
+    while p != mag:
+        if p > mag:
+            return None
+        k, p = k + 1, p * base
+    return sign * k
+
+
+# ---------------------------------------------------------------------------
 # Deterministic primality / prime sampling for the Z_p rank oracle.
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

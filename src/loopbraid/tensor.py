@@ -12,10 +12,11 @@ inside a fixed-content charge block.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import InvalidParameters, LoopBraidError
-from .linalg import Matrix, RowSpan, WeightedPerm, require_assembly
+from .linalg import Matrix, RowSpan, WeightedPerm, _clear_denominators, require_assembly
 from .rings import LQ, QQ, ZZ, LaurentPoly
 from .symmetric import (hook_dim, multinomial, partitions, perm_words,
                         sign, young_symmetrizer_coeffs)
@@ -128,9 +129,21 @@ class ChargeBlock:
 
     def ops(self, rep: TauRep, top=None) -> list:
         """[sigma_1, s_1, ..., sigma_top, s_top]; top defaults to n - 1."""
+        return self._gens(top, *rep.weights(), rep.ring)
+
+    def int_ops(self, rep: TauRep, top=None) -> list:
+        """ops(rep, top) over the integers for the x form: each sigma scaled
+        by the denominator of x, each s as it is.  A word in these is the
+        word in ops times den^(its number of sigma letters)."""
+        if rep.form != "x":
+            raise InvalidParameters("integer generator weights need the x form")
+        return self._gens(top, rep.x.numerator, rep.x.denominator, ZZ)
+
+    def _gens(self, top, same, swapped, ring):
         top = self.n - 1 if top is None else top
+        one = ring.one
         return [op for j in range(1, top + 1)
-                for op in (self.sigma_op(j, rep), self.s_op(j, rep))]
+                for op in (self._op(j, same, swapped, ring), self._op(j, one, -one, ring))]
 
     def right_op(self, pi: tuple) -> WeightedPerm:
         """Operator of the color relabeling; needs pi to preserve the content."""
@@ -336,13 +349,10 @@ def harmonic_labels(lam) -> list:
     return [HarmonicLabel(tuple(lam), tuple(mu)) for mu in itertools.product(*label_sets)]
 
 
-def harmonic_projector(block: ChargeBlock, label: HarmonicLabel) -> Matrix:
-    """Idempotent on the block projecting onto one copy of the label.
-
-    Product over the multiplicity classes of a Young-symmetrizer primitive
-    idempotent acting by color relabeling; commutes with every generator
-    action.
-    """
+def _projector_columns(block: ChargeBlock, label: HarmonicLabel):
+    """(den, cols) for the idempotent E of harmonic_projector: den is the
+    least common denominator of its terms c_pi R_pi, and cols[j] maps each
+    row to the nonzero int entry of column j of den * E."""
     _require_partition_block(block)
     classes = multiplicity_classes(block.lam)
     if len(classes) != len(label.mu):
@@ -351,7 +361,7 @@ def harmonic_projector(block: ChargeBlock, label: HarmonicLabel) -> Matrix:
     for (_, colors), mu in zip(classes, label.mu):
         coeffs = young_symmetrizer_coeffs(mu)
         per_class.append((colors, coeffs))
-    total = Matrix.zeros(QQ, block.dim, block.dim)
+    terms = []
     for combo in itertools.product(*(c.items() for _, c in per_class)):
         pi = list(range(1, block.N + 1))
         coeff = Fraction(1)
@@ -359,22 +369,42 @@ def harmonic_projector(block: ChargeBlock, label: HarmonicLabel) -> Matrix:
             coeff *= c
             for a, b in zip(colors, (colors[perm[i]] for i in range(len(colors)))):
                 pi[a - 1] = b
-        op = block.right_op(tuple(pi))
-        for j in range(block.dim):
-            total.rows[op.tgt[j]][j] = total.rows[op.tgt[j]][j] + coeff
+        terms.append((coeff, block.right_op(tuple(pi))))
+    den = math.lcm(*(coeff.denominator for coeff, _ in terms))
+    cols = [{} for _ in range(block.dim)]
+    for coeff, op in terms:
+        c = coeff.numerator * (den // coeff.denominator)
+        for col, i in zip(cols, op.tgt):
+            col[i] = col.get(i, 0) + c
+    return den, [{i: c for i, c in col.items() if c} for col in cols]
+
+
+def harmonic_projector(block: ChargeBlock, label: HarmonicLabel) -> Matrix:
+    """Idempotent on the block projecting onto one copy of the label.
+
+    Product over the multiplicity classes of a Young-symmetrizer primitive
+    idempotent acting by color relabeling; commutes with every generator
+    action.  The dense form of _projector_columns.
+    """
+    den, cols = _projector_columns(block, label)
+    total = Matrix.zeros(QQ, block.dim, block.dim)
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            total.rows[i][j] = Fraction(c, den)
     return total
 
 
 class ModuleSpec:
-    """A charge block together with a spanning basis (and, when it comes
-    from an idempotent, the projector)."""
+    """A charge block together with a spanning basis of integer rows (and,
+    when it comes from an idempotent E, its projector as (den, cols), the
+    integer columns of den * E from _projector_columns)."""
 
     def __init__(self, block: ChargeBlock, rep: TauRep, label, projector, basis_rows):
         self.block = block
         self.rep = rep
         self.label = label          # HarmonicLabel, or None for the full block
-        self.projector = projector  # Matrix or None (identity)
-        self.span = RowSpan(block.dim)
+        self.projector = projector  # (den, cols), or None (identity)
+        self.span = RowSpan(block.dim, ZZ)
         for row in basis_rows:
             self.span.insert(row)
 
@@ -388,7 +418,7 @@ class ModuleSpec:
         return {"lambda": list(self.block.lam), "mu": None}
 
     def contains(self, vec) -> bool:
-        return self.span.contains(vec)
+        return self.span.contains(_clear_denominators(vec)[0])
 
 
 def _apply_wp(op: WeightedPerm, vec):
@@ -414,8 +444,12 @@ def harmonic_decompose(block: ChargeBlock, rep: TauRep = None) -> list:
     # with one color per multiplicity class every projector is the identity
     trivial = all(len(colors) == 1 for _, colors in multiplicity_classes(block.lam))
     for label in harmonic_labels(block.lam):
-        proj = None if trivial else harmonic_projector(block, label)
-        rows = (Matrix.identity(QQ, block.dim) if trivial else proj.transpose()).rows
+        if trivial:
+            proj, rows = None, _unit_rows(block.dim)
+        else:
+            # the rows of den * E^T: positive multiples of the rows of E^T
+            proj = _projector_columns(block, label)
+            rows = (_dense_column(col, block.dim) for col in proj[1])
         out.append(ModuleSpec(block, rep, label, proj, rows))
     if sum(m.label.delta_dim() * m.dim for m in out) != block.dim:
         raise LoopBraidError("the harmonic modules do not fill the block %s" % (block.lam,))
@@ -423,8 +457,18 @@ def harmonic_decompose(block: ChargeBlock, rep: TauRep = None) -> list:
 
 
 def young_module(block: ChargeBlock, rep: TauRep = None) -> ModuleSpec:
-    return ModuleSpec(block, rep or TauRep(block.N), None, None,
-                      Matrix.identity(QQ, block.dim).rows)
+    return ModuleSpec(block, rep or TauRep(block.N), None, None, _unit_rows(block.dim))
+
+
+def _unit_rows(d):
+    return ([int(i == j) for j in range(d)] for i in range(d))
+
+
+def _dense_column(col, d):
+    out = [0] * d
+    for i, c in col.items():
+        out[i] = c
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
 """Helpers shared by several test files; nothing in the package calls them."""
 
+import itertools
+import random
+from fractions import Fraction
+
 from loopbraid.affine import AffineParams
 from loopbraid.analysis import BmwReport
 from loopbraid.errors import InvalidParameters, LoopBraidError
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm
 from loopbraid.rings import LQ, QQ, LaurentPoly, ZmInt, is_probable_prime
-from loopbraid.tensor import ChargeBlock, ModuleSpec, TauRep, _apply_wp
-from loopbraid.words import _first_difference
+from loopbraid.symmetric import young_symmetrizer_coeffs
+from loopbraid.tensor import (ChargeBlock, ModuleSpec, TauRep, _apply_wp, harmonic_projector,
+                              multiplicity_classes)
+from loopbraid.words import (RelationReport, RelationResult, _first_difference,
+                             evaluate_word)
 
 
 def determinant_profile(p: AffineParams, elements) -> set:
@@ -154,3 +161,109 @@ def dense_bmw_check(N, n=3):
     for i, k in ((1, 2), (2, 1)):
         record("tl", (u[i] * u[k]) * u[i], u[i])
     return BmwReport(N, n, results)
+
+
+# ---------------------------------------------------------------------------
+# Dense and rational oracles of the kernels that now read a harmonic
+# projector by its integer columns, and of the relation check that now
+# compares weight codes.
+
+def dense_harmonic_projector(block, label):
+    """The harmonic projector summed term by term into a dense rational
+    matrix."""
+    classes = multiplicity_classes(block.lam)
+    per_class = [(colors, young_symmetrizer_coeffs(mu))
+                 for (_, colors), mu in zip(classes, label.mu)]
+    total = Matrix.zeros(QQ, block.dim, block.dim)
+    for combo in itertools.product(*(c.items() for _, c in per_class)):
+        pi = list(range(1, block.N + 1))
+        coeff = Fraction(1)
+        for (colors, _), (perm, c) in zip(per_class, combo):
+            coeff *= c
+            for a, b in zip(colors, (colors[perm[i]] for i in range(len(colors)))):
+                pi[a - 1] = b
+        op = block.right_op(tuple(pi))
+        for j in range(block.dim):
+            total.rows[op.tgt[j]][j] = total.rows[op.tgt[j]][j] + coeff
+    return total
+
+
+def dense_trace_with_projector(w, e):
+    """tr(W E) with W multiplied out against the dense projector E (None:
+    the identity)."""
+    wm = w.to_matrix()
+    return (wm if e is None else wm * e).trace()
+
+
+def fraction_branch(m, cands, seed):
+    """restrict_and_branch against the given candidate modules with the
+    rational generator lists, rational words and dense projectors:
+    (summands, words used), or the IncompleteMatch text."""
+    block = m.block
+    rng = random.Random(seed)
+    dense = {}
+
+    def projector(mod):
+        if mod.label is None or mod.projector is None:
+            return None
+        if id(mod) not in dense:
+            dense[id(mod)] = harmonic_projector(mod.block, mod.label)
+        return dense[id(mod)]
+
+    src_ops = block.ops(m.rep, block.n - 2)
+    cand_ops = [c.block.ops(c.rep) for c in cands]
+    keys = range(len(src_ops))
+    k = len(cands)
+    span = RowSpan(k + 1)
+    rows = 0
+
+    def add_row(word):
+        nonlocal rows
+        row = [dense_trace_with_projector(fraction_compose_word(ops, word, c.block.dim),
+                                          projector(c))
+               for c, ops in zip(cands, cand_ops)]
+        row.append(dense_trace_with_projector(fraction_compose_word(src_ops, word, block.dim),
+                                              projector(m)))
+        span.insert(row)
+        rows += 1
+
+    def coeff_rank():
+        return span.dim - (k in span.pivot_of)
+
+    add_row(())
+    tries = 0
+    while keys and coeff_rank() < k and tries < 80:
+        add_row(tuple(rng.choice(keys) for _ in range(rng.randrange(1, 7))))
+        tries += 1
+    if coeff_rank() < k:
+        return "could not separate %d candidates" % k
+    if keys:
+        for _ in range(6):
+            add_row(tuple(rng.choice(keys) for _ in range(rng.randrange(1, 7))))
+    if k in span.pivot_of:
+        return "trace system is inconsistent"
+    summands = []
+    total = 0
+    for c, col in zip(cands, range(k)):
+        mult = span.rows[span.pivot_of[col]][k]
+        if mult == 0:
+            continue
+        if mult.denominator != 1 or mult < 0:
+            return "non-integral multiplicity %s" % mult
+        total += int(mult) * c.dim
+        summands.append({"label": c.label_json(), "multiplicity": int(mult), "dim": c.dim})
+    if total != m.dim:
+        return "summand dimensions %d != module dimension %d" % (total, m.dim)
+    return summands, rows
+
+
+def evaluated_check_relations(images, rels, transposed=False):
+    """check_relations with both sides of every relation multiplied out by
+    evaluate_word."""
+    report = RelationReport(rels.variant, rels.n)
+    for rel in rels.relations:
+        lhs = evaluate_word(images, rel.left, transposed)
+        rhs = evaluate_word(images, rel.right, transposed)
+        report.results.append(RelationResult(rel.label, True) if lhs == rhs else
+                              RelationResult(rel.label, False, _first_difference(lhs, rhs)))
+    return report

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_bmw_check, dense_is_e_null, dense_localize, fraction_compose_word
-from loopbraid import analysis as analysis_module
+from helpers import (dense_bmw_check, dense_harmonic_projector, dense_is_e_null, dense_localize,
+                     dense_trace_with_projector, fraction_branch)
 from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 branching_graph, end_dim, harmonic_end_dims,
                                 hom_dim, hom_space, is_e_null, is_irreducible,
@@ -18,13 +18,15 @@ from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 spin_dimension, verify_young_branching,
                                 young_branch_rule, _center_dim, _closure,
                                 _branch, _collapsed_generators, _dense, _f_blockop,
-                                _laurent_witness, _project_hom, _trace_form, _weight_pos)
+                                _laurent_witness, _project_hom, _trace_form, _trace_with_projector,
+                                _weight_pos)
 from loopbraid.errors import IncompleteMatch, InvalidParameters, NotIdempotent
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank
 from loopbraid.rings import QQ, ZZ, LaurentPoly
 from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep,
                               charge_blocks, f_columns, f_operator, harmonic_blocks,
-                              harmonic_decompose, localize, partition_block, young_module)
+                              harmonic_decompose, harmonic_projector, localize, partition_block,
+                              young_module)
 from loopbraid.words import _first_difference
 
 X2 = TauRep(2, Fraction(2))
@@ -522,14 +524,17 @@ def test_sparse_projection_matches_dense_oracle(N, n):
         ops = block.ops(rep)
         comps = hom_space(ops, ops, d, d)
         # End of every module; Hom between every pair of modules and the
-        # whole block (projector None) where the block is small
-        pairs = [(m.projector, m.projector) for m in mods]
+        # whole block (projector None) where the block is small.  Each
+        # projector as (integer columns, dense harmonic_projector).
+        projectors = [(m.projector, None if m.projector is None
+                       else harmonic_projector(block, m.label)) for m in mods]
+        pairs = [(e, e) for e in projectors]
         if d <= 12:
-            projectors = [m.projector for m in mods] + [None]
+            projectors.append((None, None))
             pairs = [(a, b) for a in projectors for b in projectors]
-        for e_tgt, e_src in pairs:
+        for (e_tgt, dense_tgt), (e_src, dense_src) in pairs:
             assert _project_hom(comps, e_tgt, e_src, d, d) == \
-                _dense_project_hom(comps, e_tgt, e_src, d, d)
+                _dense_project_hom(comps, dense_tgt, dense_src, d, d)
             projected += e_tgt is not None or e_src is not None
     assert projected > 0 or N == 2
 
@@ -949,15 +954,18 @@ def test_laurent_witness_reads_the_first_dense_difference():
 
 
 def _branch_result(m, cands):
+    """_branch against the candidate modules, each with its block's
+    int_ops."""
+    pairs = [(c, c.block.int_ops(c.rep)) for c in cands]
     try:
-        report = _branch(m, cands, 5)
+        report = _branch(m, m.block.int_ops(m.rep, m.block.n - 2), pairs, 5)
     except IncompleteMatch as exc:
         return str(exc)
     return report.summands, report.words_used
 
 
 @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(-2, 3), Fraction(7, 2)], ids=str)
-def test_branch_integer_words_match_fraction_oracle(x, monkeypatch):
+def test_branch_integer_words_match_fraction_oracle(x):
     # the (1,1,1) block at N = 3 has only distinct-letter words, so every
     # sigma weight there is 1: a denominator per block would scale its
     # column of the trace system by 1 and the others by den^len(word)
@@ -974,8 +982,66 @@ def test_branch_integer_words_match_fraction_oracle(x, monkeypatch):
                                     young_branch_rule(N, block.lam)]))
     assert any(c.block.lam == (1, 1, 1) for _, cands in cases for c in cands)
     got = [_branch_result(m, cands) for m, cands in cases]
-    monkeypatch.setattr(analysis_module, "_integral", list)
-    monkeypatch.setattr(analysis_module, "_compose_word", fraction_compose_word)
-    want = [_branch_result(m, cands) for m, cands in cases]
+    want = [fraction_branch(m, cands, 5) for m, cands in cases]
     assert got == want
     assert all(isinstance(r, tuple) for r in got)
+
+
+@pytest.mark.parametrize("x", [Fraction(2), Fraction(-1), Fraction(7, 2), Fraction(1, 3)],
+                         ids=str)
+def test_trace_with_projector_matches_dense_oracle(x):
+    # den tr(W E) from the integer columns against W multiplied out with the
+    # dense projector, over random words in the rational generators
+    rng = random.Random(17)
+    compared = 0
+    for N, n in ((2, 4), (3, 4), (3, 5)):
+        rep = TauRep(N, x)
+        for _, _, block, mods in harmonic_blocks(N, n, rep):
+            ops = block.ops(rep)
+            for mod in mods:
+                dense = None if mod.projector is None else harmonic_projector(block, mod.label)
+                den = 1 if mod.projector is None else mod.projector[0]
+                for _ in range(4):
+                    w = WeightedPerm.identity(QQ, block.dim)
+                    for _ in range(rng.randrange(0, 5)):
+                        w = rng.choice(ops) * w
+                    assert Fraction(_trace_with_projector(w, mod.projector), den) == \
+                        dense_trace_with_projector(w, dense)
+                    compared += 1
+    assert compared == 68
+
+
+def test_branch_builds_each_block_op_list_once(monkeypatch, capsys):
+    # branch --N 3 --nmax 6 builds each block's generator list once per use:
+    # the sources at n = 3..6 (7 blocks at n = 6) with 2(n - 2) generators
+    # and the candidate blocks at n = 2..5 with all 2(n - 1)
+    from loopbraid.cli import dispatch
+    calls = []
+    original = ChargeBlock._op
+
+    def counted(self, *args):
+        calls.append(self.comp)
+        return original(self, *args)
+
+    monkeypatch.setattr(ChargeBlock, "_op", counted)
+    assert dispatch(["branch", "--N", "3", "--nmax", "6"]) == 0
+    capsys.readouterr()
+    sources = sum(2 * (n - 2) * len(charge_blocks(3, n)[1]) for n in range(3, 7))
+    candidates = sum(2 * (n - 1) * len(charge_blocks(3, n)[1]) for n in range(2, 6))
+    assert (sources, candidates) == (108, 80)
+    assert len(calls) == sources + candidates
+
+
+def test_int_ops_scale_sigma_by_the_denominator_of_x():
+    block = partition_block(3, 4, (2, 1, 1))
+    for x in (Fraction(7, 2), Fraction(-2, 3), Fraction(1)):
+        rep = TauRep(3, x)
+        int_ops = block.int_ops(rep)
+        for k, (op, int_op) in enumerate(zip(block.ops(rep), int_ops)):
+            scale = x.denominator if k % 2 == 0 else 1  # sigma, then s
+            assert int_op.ring is ZZ and int_op.tgt == op.tgt
+            assert all(type(w) is int for w in int_op.wts)
+            assert [Fraction(w, scale) for w in int_op.wts] == list(op.wts)
+        assert len(int_ops) == 6 and len(block.int_ops(rep, 1)) == 2
+    with pytest.raises(InvalidParameters):
+        block.int_ops(TauRep(3, None, "q"))

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import loopbraid
-from loopbraid.affine import AffineParams, AglElement
+from loopbraid.affine import AffineParams, AglElement, generate_image
 from loopbraid.cli import dispatch, emit_dot
 from loopbraid.linalg import Matrix
 from loopbraid.rings import IntegersMod, ZmInt
@@ -92,6 +92,16 @@ def test_affine_image_report_contract(capsys):
     assert report["complete"] is False
 
 
+def test_image_result_residues_are_the_elements():
+    # residues are decoded from the row codes; elements are built from them
+    result = generate_image(AffineParams(3, 2, 3), keep_elements=True)
+    assert len(result.residues) == result.order == 432
+    assert result.residues == sorted(result.residues)
+    assert [[v.residue for r in g.rows for v in r] for g in result.elements] == result.residues
+    assert generate_image(AffineParams(3, 2, 3)).residues is None
+    assert generate_image(AffineParams(3, 2, 3)).elements is None
+
+
 def test_affine_image_emit_elements_stdout_pinned(capsys):
     # the element order and every byte of the report are fixed by the
     # residues, not by the closure's representation
@@ -148,6 +158,8 @@ def test_invalid_affine_parameters_exit_two(capsys, argv):
     ("semisimple", "--N", "2", "--n", "3", "--x", "0"),
     ("check-relations", "--rep", "tau", "--N", "2", "--n", "3", "--x", "0"),
     ("ybe", "--bvs", "tau", "--x", "0"),
+    ("ybe", "--bvs", "c2", "--q", "0"),                     # the braiding has q^-1 entries
+    ("ybe", "--bvs", "c2alt", "--q", "0"),
 ])
 def test_missing_or_malformed_parameters_exit_two(capsys, argv):
     _assert_one_usage_line(capsys, argv)

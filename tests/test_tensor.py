@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import dense_harmonic_projector
+
 from loopbraid.braided import local_rep, tau_loop
 from loopbraid.errors import InvalidParameters
-from loopbraid.linalg import Matrix
+from loopbraid.linalg import Matrix, RowSpan
 from loopbraid.rings import QQ, LaurentPoly
 from loopbraid.symmetric import all_perms
-from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep,
+from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep, _projector_columns,
                               charge_blocks, f_columns, f_operator, full_images,
                               harmonic_blocks, harmonic_dims, harmonic_decompose, harmonic_labels,
+                              harmonic_projector,
                               localized_young_dim, localized_harmonic_prediction, localize,
                               multiplicity_classes, partition_block,
                               right_color_action, symmetrized_seed_vector,
@@ -277,11 +280,68 @@ def test_projector_commutes_with_actions():
     for mod in harmonic_decompose(block, X3):
         if mod.projector is None:
             continue
-        e = mod.projector
+        e = harmonic_projector(block, mod.label)
         assert e * e == e
         for j in range(1, 4):
             for op in (block.sigma_op(j, X3), block.s_op(j, X3)):
                 assert (op.to_matrix() * e) == (e * op.to_matrix())
+
+
+def _projector_blocks():
+    """(block, label) for every harmonic label of every partition block
+    with a class of more than one color, at N = 2, 3, 4 and small n."""
+    for N, n_max in ((2, 6), (3, 6), (4, 5)):
+        for n in range(2, n_max + 1):
+            for lam, _ in charge_blocks(N, n)[1]:
+                if all(len(colors) == 1 for _, colors in multiplicity_classes(lam)):
+                    continue
+                block = partition_block(N, n, lam)
+                for label in harmonic_labels(lam):
+                    yield block, label
+
+
+def test_projector_columns_are_the_dense_projector():
+    # den * E by its columns, the dense projector summed term by term as
+    # the oracle; harmonic_projector is the dense form of the columns
+    compared = 0
+    for block, label in _projector_blocks():
+        den, cols = _projector_columns(block, label)
+        dense = dense_harmonic_projector(block, label)
+        assert den >= 1 and all(type(c) is int and c for col in cols for c in col.values())
+        assert [{i: Fraction(c, den) for i, c in col.items()} for col in cols] == \
+            [{i: v for i in range(block.dim) if (v := dense.rows[i][j])}
+             for j in range(block.dim)]
+        assert harmonic_projector(block, label) == dense
+        compared += 1
+    assert compared > 40
+
+
+def test_module_spans_match_rational_projector_rows():
+    # the integer rows den * E^T span exactly as the rational rows of E^T:
+    # the same primitive int_rows and the same reduced rows
+    for block, label in _projector_blocks():
+        if block.dim > 90:
+            continue
+        (mod,) = [m for m in harmonic_decompose(block) if m.label == label]
+        want = RowSpan(block.dim)
+        for row in dense_harmonic_projector(block, label).transpose().rows:
+            want.insert(row)
+        assert mod.span.int_rows == want.int_rows
+        assert list(mod.span.rows) == list(want.rows)
+        probe = [Fraction(1, 3) * v for v in want.rows[0]]
+        assert mod.contains(probe) and mod.contains(want.int_rows[-1])
+    block = partition_block(3, 3, (1, 1, 1))
+    young = young_module(block, X3)
+    assert young.span.int_rows == [[int(i == j) for j in range(6)] for i in range(6)]
+
+
+def test_projector_columns_reject_bad_input():
+    with pytest.raises(InvalidParameters):
+        _projector_columns(ChargeBlock(2, 3, (1, 2)), HarmonicLabel((2, 1), ((1,), (1,))))
+    with pytest.raises(InvalidParameters):
+        _projector_columns(partition_block(2, 2, (1, 1)), HarmonicLabel((1, 1), ()))
+    with pytest.raises(InvalidParameters):
+        harmonic_projector(partition_block(2, 2, (1, 1)), HarmonicLabel((1, 1), ((2,), (1,))))
 
 
 def test_antisymmetric_block_sign_property():

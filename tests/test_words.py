@@ -1,14 +1,18 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import evaluated_check_relations
 from loopbraid.affine import AffineParams, rho_generators
 from loopbraid.errors import InvalidParameters
-from loopbraid.linalg import Matrix
-from loopbraid.rings import QQ, IntegersMod
+from loopbraid.linalg import Matrix, WeightedPerm
+from loopbraid.rings import LQ, QQ, IntegersMod, LaurentPoly, _monomial_codes
 from loopbraid.tensor import TauRep, full_images
-from loopbraid.words import (Generator, check_relations, evaluate_word,
-                             relations_for, s_, sigma)
+from loopbraid.words import (Generator, Relation, RelationSet, _coded_images, _coded_word,
+                             _ImageTable,
+                             check_relations, evaluate_word, relations_for, s_, sigma)
 
 
 def test_generator_normalization():
@@ -125,3 +129,123 @@ def test_report_json_shape():
     report = check_relations(images, relations_for(2, "SLB")).to_json()
     assert set(report) == {"variant", "n", "results", "ok"}
     assert all(set(r) >= {"label", "ok"} for r in report["results"])
+
+
+# ---------------------------------------------------------------------------
+# The coded relation check against both sides multiplied out by
+# evaluate_word, kept in helpers as the oracle.
+
+def _broken(images, rep, rng):
+    """Three broken copies of the tau images: sigma_2 conjugated by a random
+    permutation of the whole basis, one weight of s_1 multiplied by the
+    braid weight, and one weight of sigma_1 negated."""
+    d = images[("s", 1)].n
+    perm = list(range(d))
+    rng.shuffle(perm)
+    p = WeightedPerm(rep.ring, perm, [rep.ring.one] * d)
+    conjugated = dict(images)
+    conjugated[("sigma", 2)] = p.inverse() * images[("sigma", 2)] * p
+    out = [conjugated]
+    for key, factor in ((("s", 1), rep.weights()[0]), (("sigma", 1), -rep.ring.one)):
+        op = images[key]
+        wts = list(op.wts)
+        k = rng.randrange(d)
+        wts[k] = wts[k] * factor
+        out.append(dict(images))
+        out[-1][key] = WeightedPerm(rep.ring, op.tgt, wts)
+    return out
+
+
+@pytest.mark.parametrize("rep", [TauRep(2, Fraction(2)), TauRep(3, Fraction(-1)),
+                                 TauRep(2, Fraction(7, 2)), TauRep(3, Fraction(1, 3)),
+                                 TauRep(2, Fraction(-2, 3)), TauRep(2, None, "q"),
+                                 TauRep(3, None, "q")], ids=lambda r: "%s-%s" % (r.form, r.x))
+def test_coded_relations_match_evaluated_oracle(rep):
+    rng = random.Random(23)
+    failed = 0
+    for n in (3, 4):
+        intact = full_images(rep, n)
+        for images in [intact] + _broken(intact, rep, rng):
+            for variant in ("LB", "OLB", "VB", "SLB"):
+                rels = relations_for(n, variant)
+                assert _coded_images(_ImageTable(images), rels) is not None
+                for transposed in (False, True):
+                    got = check_relations(images, rels, transposed).to_json()
+                    want = evaluated_check_relations(images, rels, transposed).to_json()
+                    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+                    failed += not got["ok"]
+                    assert got["ok"] or images is not intact
+    assert failed > 0
+
+
+@pytest.mark.parametrize("rep", [TauRep(3, Fraction(7, 2)), TauRep(2, Fraction(-1)),
+                                 TauRep(2, None, "q")], ids=lambda r: "%s-%s" % (r.form, r.x))
+def test_coded_words_match_evaluate_word(rep):
+    # random words, inverse letters included, composed on codes against the
+    # product of the images, each code decoded to the weight +-b^k
+    rng = random.Random(29)
+    images = _broken(full_images(rep, 4), rep, rng)[0]
+    letters = [g for kind, i in images for g in ((sigma(i), sigma(i, -1)) if kind == "sigma"
+                                                 else (s_(i),))]
+    rels = RelationSet("words", 4, [Relation("all", tuple(letters), ())])
+    table = _ImageTable(images)
+    coded = _coded_images(table, rels)
+    _, base = _monomial_codes([w for g in letters for w in table.get(g).wts])
+    for _ in range(40):
+        word = tuple(rng.choice(letters) for _ in range(rng.randrange(0, 6)))
+        for transposed in (False, True):
+            want = evaluate_word(images, word, transposed)
+            tgt, codes = _coded_word(coded, word, transposed)
+            assert tgt == want.tgt
+            assert [(-1) ** (c & 1) * base ** (c >> 1) for c in codes] == list(want.wts)
+
+
+def test_coded_relations_with_inverse_letters():
+    rep = TauRep(2, Fraction(7, 2))
+    images = full_images(rep, 3)
+    rels = RelationSet("custom", 3, [
+        Relation("inv", (sigma(1), sigma(1, -1)), ()),
+        Relation("conj", (sigma(1, -1), sigma(2), sigma(1)), (sigma(2), sigma(1), sigma(2, -1))),
+        Relation("bad", (sigma(1, -1),), (sigma(1),))])
+    got = check_relations(images, rels)
+    assert got.to_json() == evaluated_check_relations(images, rels).to_json()
+    assert got.failed_labels() == ["bad"]
+
+
+def test_uncoded_images_take_the_evaluated_path():
+    # weights {2, 3} are not the powers of one base; a Laurent weight 2q is
+    # not +-q^k; affine images are matrices
+    d = 4
+    swap = [1, 0, 3, 2]
+    cases = [{("sigma", 1): WeightedPerm(QQ, swap, [Fraction(2), Fraction(3)] * 2),
+              ("s", 1): WeightedPerm(QQ, swap, [Fraction(1)] * d)},
+             {("sigma", 1): WeightedPerm(LQ, swap, [LaurentPoly.monomial(1, 2)] * d),
+              ("s", 1): WeightedPerm(LQ, swap, [LQ.one] * d)},
+             rho_generators(AffineParams(5, 2, 2))]
+    for images in cases:
+        rels = relations_for(2, "SLB")
+        rels = RelationSet("custom", 2, rels.relations + [
+            Relation("sq", (sigma(1), sigma(1)), ()),
+            Relation("comm", (sigma(1), s_(1)), (s_(1), sigma(1)))])
+        assert _coded_images(_ImageTable(images), rels) is None
+        assert check_relations(images, rels).to_json() == \
+            evaluated_check_relations(images, rels).to_json()
+
+
+def test_monomial_codes():
+    q = LaurentPoly.gen()
+    code, base = _monomial_codes([q, q.inverse(), -q ** 3, LQ.one, -LQ.one, Fraction(1)])
+    assert base == q
+    assert code == {q: 2, q.inverse(): -2, -q ** 3: 7, LQ.one: 0, -LQ.one: 1}
+    code, base = _monomial_codes([Fraction(-7, 2), Fraction(4, 49), 1, -1])
+    assert base == Fraction(7, 2)
+    assert code == {Fraction(-7, 2): 3, Fraction(4, 49): -4, 1: 0, -1: 1}
+    # x and 1/x give the same base, whichever comes first
+    assert _monomial_codes([Fraction(2, 7), Fraction(-7, 2)]) == \
+        _monomial_codes([Fraction(-7, 2), Fraction(2, 7)]) == \
+        ({Fraction(2, 7): -2, Fraction(-7, 2): 3}, Fraction(7, 2))
+    assert _monomial_codes([1, -1]) == ({1: 0, -1: 1}, 1)
+    for bad in ([Fraction(2), Fraction(3)], [0], [q + 1], [LaurentPoly.monomial(1, 2)],
+                [q, Fraction(2)]):
+        with pytest.raises(InvalidParameters):
+            _monomial_codes(bad)
