@@ -22,8 +22,9 @@ from .errors import IncompleteMatch, InvalidParameters, NotIdempotent
 from .linalg import Matrix, RowSpan, WeightedPerm, op_dim, rank
 from .rings import LQ, QQ, ZZ, LaurentPoly, _monomial_codes
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_columns,
-                     _apply_wp, _charge_index, f_operator, harmonic_blocks, harmonic_decompose,
-                     partition_block, right_color_action, young_module)
+                     _apply_wp, _charge_index, f_columns, f_operator, harmonic_blocks,
+                     harmonic_decompose, multiplicity_classes, partition_block,
+                     right_color_action, young_module)
 from .words import _first_difference
 
 DEFAULT_SEED = 0xB5EED
@@ -345,22 +346,103 @@ def _center_dim(basis, constraints):
     return len(basis) - rank(cols, ZZ)
 
 
-def _algebra_counts(gens, ident):
-    """(basis, radical_dim, center_dim) of the algebra the generators
-    span: its closure, the radical of its trace form and its center."""
+def _radical_and_center(basis, gens):
+    """(radical_dim, center_dim) of the algebra spanned by the basis and
+    generated by gens: the radical of its trace form and its center."""
+    return len(basis) - rank(_trace_form(basis), ZZ), _center_dim(basis, gens)
+
+
+def _wedderburn_pieces(blocks, gens, algebra_dim, pieces):
+    """[(block index, module)] for the nonzero pieces when the algebra A of
+    the collapsed generators, of dimension algebra_dim, is certified
+    isomorphic to the sum of End(M_i) over them; None when a check fails.
+
+    pieces[k] lists candidate submodules M_i of blocks[k] (its harmonic
+    modules).  The certificate rests on three exact checks:
+      1. dim A equals c = sum (dim M_i)^2, the dimension of the sum of the
+         End(M_i);
+      2. every generator maps every M_i into itself, so restriction is an
+         algebra map A -> sum End(M_i);
+      3. on each block the color swaps within a multiplicity class commute
+         with every generator, and the translates of the block's M_i under
+         them span the block.  Everything in A commutes with the swaps, so
+         an element of A that kills every M_i kills every block: the
+         restriction is injective.
+    An injective linear map between spaces of one dimension is onto, so
+    A is the sum of the End(M_i) (Wedderburn-Artin): it is semisimple,
+    its center has one dimension per piece, and the M_i are absolutely
+    irreducible and pairwise non-isomorphic."""
+    nonzero = [(k, m) for k, mods in enumerate(pieces) for m in mods if m.dim]
+    if algebra_dim != sum(m.dim ** 2 for _, m in nonzero):
+        return None
+    for g in gens:
+        for k, m in nonzero:
+            op = g.mats[k]
+            if not all(m.span.contains(_apply_wp(op, row)) for row in m.span.int_rows):
+                return None
+    for k, block in enumerate(blocks):
+        swaps = _color_swaps(block)
+        if not all(all(op.tgt[r[j]] == r[op.tgt[j]] and op.wts[r[j]] == op.wts[j]
+                       for j in range(block.dim))
+                   for r in swaps for op in (g.mats[k] for g in gens)):
+            return None
+        span = RowSpan(block.dim, ZZ)
+        frontier = [row for m in pieces[k] for row in m.span.int_rows]
+        while frontier and span.dim < block.dim:
+            fresh = [v for v in frontier if span.insert(v)]
+            frontier = [_permuted(r, v) for v in fresh for r in swaps]
+        if span.dim != block.dim:
+            return None
+    return nonzero
+
+
+def _color_swaps(block: ChargeBlock) -> list:
+    """The swaps of two neighbouring colors of one multiplicity class, as
+    target lists on the block's words; they generate the color relabelings
+    that fix the block's content."""
+    out = []
+    for _, colors in multiplicity_classes(block.lam):
+        for a, b in zip(colors, colors[1:]):
+            pi = list(range(1, block.N + 1))
+            pi[a - 1], pi[b - 1] = b, a
+            out.append(block.right_op(tuple(pi)).tgt)
+    return out
+
+
+def _permuted(tgt, vec):
+    """The permutation sending e_j to e_tgt[j] applied to vec."""
+    out = [0] * len(vec)
+    for t, v in zip(tgt, vec):
+        out[t] = v
+    return out
+
+
+def _certified_image(blocks, gens, ident, rep):
+    """(basis, pieces): a basis of the algebra A the collapsed generators
+    span, and _wedderburn_pieces over the harmonic modules of each block
+    (None when A is not certified to be the sum of their endomorphism
+    algebras)."""
     basis, _ = _closure(gens, [ident])
-    radical = len(basis) - rank(_trace_form(basis), ZZ)
-    return basis, radical, _center_dim(basis, gens)
+    pieces = _wedderburn_pieces(blocks, gens, len(basis),
+                                [harmonic_decompose(b, rep) for b in blocks])
+    return basis, pieces
 
 
 def semisimplicity_check(N, n, x) -> dict:
-    """Trace-form radical and center of the image algebra at (N, n, x).
+    """Radical and center of the image algebra A at (N, n, x).
 
     radical_dim = 0 certifies semisimplicity; center_dim then counts the
-    simple summands.
+    simple summands.  When _wedderburn_pieces certifies A as the sum of
+    End(M_i) over the harmonic modules, both are read from it (radical 0,
+    one center dimension per nonzero module); otherwise they come from the
+    radical of the trace form and the center equations.
     """
-    _, gens, ident, _ = _collapsed_generators(N, n, x)
-    basis, radical, center = _algebra_counts(gens, ident)
+    blocks, gens, ident, rep = _collapsed_generators(N, n, x)
+    basis, pieces = _certified_image(blocks, gens, ident, rep)
+    if pieces is not None:
+        radical, center = 0, len(pieces)
+    else:
+        radical, center = _radical_and_center(basis, gens)
     return {"radical_dim": radical, "center_dim": center,
             "algebra_dim": len(basis)}
 
@@ -376,29 +458,43 @@ def localization_triangle_check(N, n, x) -> bool:
 def localization_report(N, n, x) -> dict:
     """Simple counts of A, eAe and A/AeA with e the normalized symmetrizer.
 
-    Counts are center dimensions, valid under a zero radical; requires
-    e^2 = e exactly (NotIdempotent otherwise).  The products use f = N! e,
-    which spans alike.
+    Requires e^2 = e exactly (NotIdempotent otherwise).  The products use
+    f = N! e, which spans alike.  When _wedderburn_pieces certifies A as the
+    sum of End(M_i), f lies in A (it is a signed sum of words in the s_j),
+    so eAe is the sum of End(e M_i) and AeA the sum of End(M_i) over the
+    pieces that e does not kill, and A/AeA the sum over the rest: the
+    counts are read from is_e_null.  Otherwise the counts are center
+    dimensions, valid under a zero radical.
     """
     blocks, gens, ident, rep = _collapsed_generators(N, n, x)
     f = _f_blockop(N, blocks, rep)
     fac = math.factorial(N)
     if (f * f).vec() != [fac * v for v in f.vec()]:
         raise NotIdempotent("f/N! fails to square to itself")
-    basis, radical, count_a = _algebra_counts(gens, ident)
-    basis_eae, _ = _closure([], [f * b * f for b in basis])
-    count_eae = _center_dim(basis_eae, basis_eae)
+    basis, pieces = _certified_image(blocks, gens, ident, rep)
+    if pieces is not None:
+        f_cols = [f_columns(N, b) for b in blocks]
+        kept = [m for k, m in pieces if not is_e_null(m, f_cols[k])]
+        radical, count_a = 0, len(pieces)
+        count_eae, count_quotient = len(kept), len(pieces) - len(kept)
+        aea_dim = sum(m.dim ** 2 for m in kept)
+    else:
+        radical, count_a = _radical_and_center(basis, gens)
+        basis_eae, _ = _closure([], [f * b * f for b in basis])
+        count_eae = _center_dim(basis_eae, basis_eae)
 
-    # AeA and the quotient center
-    basis_aea, span_aea = _closure(gens, [f], gens)
-    cols = [[v for g in gens for v in span_aea.reduce(b.commutator_vec(g))] for b in basis]
-    count_quotient = len(basis) - rank(cols) - len(basis_aea)
+        # AeA and the quotient center
+        basis_aea, span_aea = _closure(gens, [f], gens)
+        cols = [[v for g in gens for v in span_aea.reduce(b.commutator_vec(g))]
+                for b in basis]
+        count_quotient = len(basis) - rank(cols) - len(basis_aea)
+        aea_dim = len(basis_aea)
 
     return {"radical_dim": radical,
             "simple_count": count_a,
             "localized_count": count_eae,
             "quotient_count": count_quotient,
-            "aea_dim": len(basis_aea),
+            "aea_dim": aea_dim,
             "algebra_dim": len(basis),
             "triangle_ok": radical == 0 and count_a == count_eae + count_quotient}
 
@@ -678,10 +774,10 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
     The u elements are built both from the displayed closed form and from
     the defining quotient (b - b^-1) / (q - q^-1) with exact polynomial
     division; the two must agree.  Each side of a relation is a short sum
-    of coefficients times products of weighted permutations (u_i = 1 - s_i,
-    so u_i b_k u_i has 4 terms and the cubic 8), compared by its nonzero
-    entries; a dense matrix is built only to read a failing relation's
-    witness.
+    of terms a q^k P, a an int and P a weighted permutation with weights
+    +-q^k (u_i = 1 - s_i, so u_i b_k u_i has 4 terms and the cubic 8),
+    compared by its nonzero int coefficients; Laurent entries are built
+    only for the division and for a failing relation's witness.
     """
     if n < 3:
         raise InvalidParameters("the mixed relation needs n >= 3 strands, got %d" % n)
@@ -690,27 +786,29 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
     d = power.dim
     words = power.words
     q = LaurentPoly.gen()
-    qi = q.inverse()
-    one = LQ.one
-    ident = [(one, None)]  # None: the identity, composed and summed without a product
+    denom = q - q.inverse()
+    ident = [(1, 0, None)]  # None: the identity, composed and summed without a product
 
-    sigma = {i: power.sigma_op(i, rep) for i in range(1, n)}
-    b = {i: [(one, op)] for i, op in sigma.items()}
-    b_inv = {i: [(one, op.inverse())] for i, op in sigma.items()}
+    sigma = {i: _coded(power.sigma_op(i, rep)) for i in range(1, n)}
+    b = {i: [(1, 0, p)] for i, p in sigma.items()}
+    b_inv = {i: [(1, 0, _inverse_coded(p))] for i, p in sigma.items()}
     u = {}
     results = {}
-    denom = q - qi
     for i in range(1, n):
         u_from_def = _entries(ident, d)
-        for pos, v in _entries(b[i] + _scaled(-one, b_inv[i]), d).items():
-            u_from_def[pos] = u_from_def.get(pos, LQ.zero) - v.divexact(denom)
-        u_from_def = {pos: v for pos, v in u_from_def.items() if v}
-        u[i] = ident + [(-one, power.s_op(i, rep))]
+        quotients = {}  # each distinct entry of b - b^-1 is divided once
+        for (r, c), terms in _grouped(_entries(b[i] + _scaled(-1, 0, b_inv[i]), d)).items():
+            if terms not in quotients:
+                quotients[terms] = LaurentPoly(terms).divexact(denom).terms
+            for k, v in quotients[terms].items():
+                u_from_def[r, c, k] = u_from_def.get((r, c, k), 0) - v
+        u_from_def = {key: v for key, v in u_from_def.items() if v}
+        u[i] = ident + [(-1, 0, _coded(power.s_op(i, rep)))]
         u_struct = _entries(u[i], d)
         results.setdefault("u_definition", {"ok": True})
         if u_from_def != u_struct:
-            results["u_definition"] = {"ok": False,
-                                       "witness": _laurent_witness(u_from_def, u_struct, d, words)}
+            results["u_definition"] = {"ok": False, "witness": _laurent_witness(
+                _laurent(u_from_def), _laurent(u_struct), d, words)}
 
     def record(name, lhs, rhs):
         if name in results and not results[name]["ok"]:
@@ -719,52 +817,99 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
         if lhs == rhs:
             results.setdefault(name, {"ok": True})
         else:
-            results[name] = {"ok": False, "witness": _laurent_witness(lhs, rhs, d, words)}
+            results[name] = {"ok": False, "witness": _laurent_witness(_laurent(lhs), _laurent(rhs),
+                                                                      d, words)}
 
     for i in range(1, n):
-        record("r1", _product(u[i], b[i]), _scaled(qi, u[i]))
+        record("r1", _product(u[i], b[i]), _scaled(1, -1, u[i]))
     for i, k in ((2, 1), (1, 2)):
-        record("r2", _product(u[i], b[k], u[i]), _scaled(q, u[i]))
-        record("r2", _product(u[i], b_inv[k], u[i]), _scaled(qi, u[i]))
+        record("r2", _product(u[i], b[k], u[i]), _scaled(1, 1, u[i]))
+        record("r2", _product(u[i], b_inv[k], u[i]), _scaled(1, -1, u[i]))
     for i in range(1, n):
-        cubic = _product(b[i] + _scaled(-qi, ident), b[i] + _scaled(-q, ident),
-                         b[i] + _scaled(qi, ident))
+        cubic = _product(b[i] + _scaled(-1, -1, ident), b[i] + _scaled(-1, 1, ident),
+                         b[i] + _scaled(1, -1, ident))
         record("rloc", cubic, [])
     for i in range(1, n):
-        record("u_squared", _product(u[i], u[i]), _scaled(LaurentPoly.const(2), u[i]))
+        record("u_squared", _product(u[i], u[i]), _scaled(2, 0, u[i]))
     for i, k in ((1, 2), (2, 1)):
         record("tl", _product(u[i], u[k], u[i]), u[i])
     return BmwReport(N, n, results)
 
 
-def _scaled(c, terms):
-    """c times a sum of (coefficient, WeightedPerm) terms; a term's
-    WeightedPerm None stands for the identity."""
-    return [(c * a, p) for a, p in terms]
+def _coded(op: WeightedPerm):
+    """(tgt, codes) of a WeightedPerm with weights +-q^k, each weight as its
+    rings._monomial_codes int 2k + (sign bit)."""
+    code, _ = _monomial_codes(op.wts)
+    return op.tgt, tuple(map(code.get, op.wts))
+
+
+def _inverse_coded(p):
+    """The coded inverse permutation: e_tgt[j] goes back to e_j with the
+    inverse weight, whose code has the exponent part negated."""
+    tgt, codes = p
+    inv_tgt, inv_codes = [0] * len(tgt), [0] * len(tgt)
+    for j, (t, c) in enumerate(zip(tgt, codes)):
+        inv_tgt[t] = j
+        inv_codes[t] = (c & 1) - (c & -2)
+    return tuple(inv_tgt), tuple(inv_codes)
+
+
+def _scaled(a, k, terms):
+    """a q^k times a sum of (int coefficient, q exponent, coded permutation)
+    terms; a term's permutation None stands for the identity."""
+    return [(a * c, k + e, p) for c, e, p in terms]
 
 
 def _product(*factors):
-    """The (coefficient, WeightedPerm or None) terms of the product of sums
-    of such terms, the factors multiplied in the given order."""
+    """The terms of the product of sums of terms, the factors multiplied in
+    the given order."""
     out = factors[0]
     for factor in factors[1:]:
-        out = [(a * c, r if p is None else p if r is None else p * r)
-               for a, p in out for c, r in factor]
+        out = [(a * c, k + e, _compose_coded(p, r)) for a, k, p in out for c, e, r in factor]
     return out
 
 
+def _compose_coded(p, r):
+    """The coded permutation p r (r applied first): e_j goes to
+    e_{p.tgt[r.tgt[j]]} with the product of the two weights, whose codes
+    combine as ((c & -2) + d) ^ (c & 1)."""
+    if p is None:
+        return r
+    if r is None:
+        return p
+    p_tgt, p_codes = p
+    r_tgt, r_codes = r
+    return (tuple(p_tgt[t] for t in r_tgt),
+            tuple(((c & -2) + p_codes[t]) ^ (c & 1) for t, c in zip(r_tgt, r_codes)))
+
+
 def _entries(terms, d):
-    """{(row, column): entry} of a sum of d x d (coefficient, WeightedPerm
-    or None) terms over the Laurent ring, zero entries left out."""
+    """{(row, column, q exponent): int coefficient} of a sum of d x d terms,
+    zero coefficients left out."""
     acc = {}
-    for c, p in terms:
+    for a, k, p in terms:
         if p is None:
             for j in range(d):
-                acc[j, j] = acc.get((j, j), LQ.zero) + c
+                acc[j, j, k] = acc.get((j, j, k), 0) + a
         else:
-            for j, (i, w) in enumerate(zip(p.tgt, p.wts)):
-                acc[i, j] = acc.get((i, j), LQ.zero) + c * w
-    return {pos: v for pos, v in acc.items() if v}
+            for j, (i, c) in enumerate(zip(*p)):
+                key = i, j, k + (c >> 1)
+                acc[key] = acc.get(key, 0) + (-a if c & 1 else a)
+    return {key: v for key, v in acc.items() if v}
+
+
+def _grouped(entries):
+    """{(row, column): ((q exponent, coefficient), ...)} of an _entries map,
+    the exponents increasing."""
+    terms = {}
+    for (i, j, k), v in sorted(entries.items()):
+        terms.setdefault((i, j), []).append((k, v))
+    return {pos: tuple(t) for pos, t in terms.items()}
+
+
+def _laurent(entries):
+    """{(row, column): LaurentPoly} of an _entries map."""
+    return {pos: LaurentPoly(t) for pos, t in _grouped(entries).items()}
 
 
 def _laurent_witness(lhs, rhs, d, words):

@@ -22,7 +22,7 @@ from .braided import affine_bvs, c2_hecke, diagonal_bvs, swap_bvs
 from .errors import InvalidParameters, LoopBraidError
 from .rings import rational_from_str
 from .tensor import (TauRep, f_columns, full_images, harmonic_blocks, harmonic_dims,
-                     localized_young_dim, localized_harmonic_prediction, localize,
+                     localized_young_dim, localized_harmonic_prediction, localize_modules,
                      tensor_dimension_checks, young_module)
 from .words import check_relations, relations_for
 
@@ -210,9 +210,9 @@ def _cmd_localize(args):
     entries = []
     dims_below = harmonic_dims(args.N, args.n - args.N)
     for lam, _, block, mods in harmonic_blocks(args.N, args.n, rep):
-        f_cols = f_columns(args.N, block)
-        for mod in mods + [young_module(block, rep)]:
-            target, action_ok = localize(f_cols, mod)
+        mods = mods + [young_module(block, rep)]
+        localized = localize_modules(f_columns(args.N, block), mods)
+        for mod, (target, action_ok) in zip(mods, localized):
             got = 0 if target is None else target.dim
             if mod.label is None:
                 pred_label, pred_dim = None, localized_young_dim(args.N, lam, args.n)

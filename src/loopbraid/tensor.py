@@ -131,18 +131,19 @@ class ChargeBlock:
         """[sigma_1, s_1, ..., sigma_top, s_top]; top defaults to n - 1."""
         return self._gens(top, *rep.weights(), rep.ring)
 
-    def int_ops(self, rep: TauRep, top=None) -> list:
-        """ops(rep, top) over the integers for the x form: each sigma scaled
-        by the denominator of x, each s as it is.  A word in these is the
-        word in ops times den^(its number of sigma letters)."""
+    def int_ops(self, rep: TauRep, top=None, bottom=1) -> list:
+        """ops(rep, top) over the integers for the x form, from sigma_bottom
+        on: each sigma scaled by the denominator of x, each s as it is.  A
+        word in these is the word in ops times den^(its number of sigma
+        letters)."""
         if rep.form != "x":
             raise InvalidParameters("integer generator weights need the x form")
-        return self._gens(top, rep.x.numerator, rep.x.denominator, ZZ)
+        return self._gens(top, rep.x.numerator, rep.x.denominator, ZZ, bottom)
 
-    def _gens(self, top, same, swapped, ring):
+    def _gens(self, top, same, swapped, ring, bottom=1):
         top = self.n - 1 if top is None else top
         one = ring.one
-        return [op for j in range(1, top + 1)
+        return [op for j in range(bottom, top + 1)
                 for op in (self._op(j, same, swapped, ring), self._op(j, one, -one, ring))]
 
     def right_op(self, pi: tuple) -> WeightedPerm:
@@ -482,47 +483,68 @@ def localize(f_cols, mspec: ModuleSpec):
     Returns (localized ModuleSpec at n - N, ok) where ok records that the
     residual generator actions agree with the level n - N block actions.
     """
-    block = mspec.block
+    return localize_modules(f_cols, [mspec])[0]
+
+
+def localize_modules(f_cols, mods) -> list:
+    """localize for each module of the block f_cols was built for.
+
+    The target block, its prefix words and the residual generator checks
+    do not depend on the module, so they are built once, at the first
+    module that the symmetrizer does not annihilate."""
+    out = []
+    residual = None
+    for mspec in mods:
+        block = mspec.block
+        N = block.N
+        if block.n <= N:
+            raise InvalidParameters("localizing needs more than N = %d strands, got %d"
+                                    % (N, block.n))
+        # integer rows: a nonzero multiple of each basis row leaves the image
+        # span, its zero test and the residual equalities unchanged; f has
+        # integer entries, so the images are integer vectors too
+        images = [_apply_columns(f_cols, row, block.dim) for row in mspec.span.int_rows]
+        if not any(any(img) for img in images):
+            out.append((None, True))  # the module is annihilated
+            continue
+        if residual is None:
+            residual = _residual_checks(f_cols, block, mspec.rep)
+        target, prefixed, checks = residual
+        projected = [[img[i] for i in prefixed] for img in images]
+        ok = all(_apply_columns(cols, row, target.dim) == _apply_wp(dst, via)
+                 for cols, dst in checks for row, via in zip(mspec.span.int_rows, projected))
+        out.append((ModuleSpec(target, mspec.rep, None, None, projected), ok))
+    return out
+
+
+def _residual_checks(f_cols, block: ChargeBlock, rep: TauRep):
+    """(target, prefixed, checks) for localizing modules of the block.
+
+    target is the level n - N block of the residual words, prefixed[t] the
+    index in the block of the word 1..N followed by the t-th target word,
+    and checks pairs the columns of P f G_{j+N} (P the projection onto
+    those words) with the generator G_j of the target, for each j where
+    P f G_{j+N} = G_j P f fails on the whole block: where it holds, it
+    holds on every module, and only the failing pairs are tested module
+    by module.  Both generator lists are ChargeBlock.int_ops, which scale
+    the two sides of each equality by one factor."""
     N = block.N
-    n = block.n
-    if n <= N:
-        raise InvalidParameters("localizing needs more than N = %d strands, got %d" % (N, n))
-    # integer rows: a nonzero multiple of each basis row leaves the image
-    # span, its zero test and the residual equalities unchanged; f has
-    # integer entries, so the images are integer vectors too
-    images = [_apply_columns(f_cols, row, block.dim) for row in mspec.span.int_rows]
-    if not any(any(img) for img in images):
-        return None, True  # the module is annihilated
     comp = tuple(v - 1 for v in block.comp)
     if min(comp) < 0:
         raise LoopBraidError("a color missing from %s left a nonzero image" % (block.comp,))
-    target = ChargeBlock(N, n - N, comp)
-    # the words 1..N w, in the order of the residual words w in the target
+    target = ChargeBlock(N, block.n - N, comp)
     prefix = tuple(range(1, N + 1))
     prefixed = [block.index[prefix + w] for w in target.words]
-    projected = [[img[i] for i in prefixed] for img in images]
-    span = RowSpan(target.dim)
-    for vec in projected:
-        span.insert(vec)
-    localized = ModuleSpec(target, mspec.rep, None, None, span.int_rows)
     # f followed by the prefix projection, its rows renumbered by the target
     row_of = {i: t for t, i in enumerate(prefixed)}
     prefix_cols = [[(row_of[i], c) for i, c in col if i in row_of] for col in f_cols]
-    ok = _residual_action_ok(prefix_cols, mspec, target, projected)
-    return localized, ok
-
-
-def _residual_action_ok(prefix_cols, mspec, target, projected):
-    """Generator j + N on the module, followed by f and the prefix
-    projection, equals generator j on the projected image of each row."""
-    block = mspec.block
-    for src, dst in zip(block.ops(mspec.rep)[2 * block.N:], target.ops(mspec.rep)):
-        # the columns of (f, then the projection) times src
+    checks = []
+    for src, dst in zip(block.int_ops(rep, bottom=N + 1), target.int_ops(rep)):
         cols = [[(i, c * w) for i, c in prefix_cols[t]] for t, w in zip(src.tgt, src.wts)]
-        for row, via in zip(mspec.span.int_rows, projected):
-            if _apply_columns(cols, row, target.dim) != _apply_wp(dst, via):
-                return False
-    return True
+        if any(sorted(col) != sorted((dst.tgt[i], dst.wts[i] * c) for i, c in p_col)
+               for col, p_col in zip(cols, prefix_cols)):
+            checks.append((cols, dst))
+    return target, prefixed, checks
 
 
 def localized_young_dim(N, lam, n) -> int:

@@ -5,13 +5,13 @@ import random
 from fractions import Fraction
 
 from loopbraid.affine import AffineParams
-from loopbraid.analysis import BmwReport
+from loopbraid.analysis import BmwReport, _laurent_witness
 from loopbraid.errors import InvalidParameters, LoopBraidError
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm
 from loopbraid.rings import LQ, QQ, LaurentPoly, ZmInt, is_probable_prime
 from loopbraid.symmetric import young_symmetrizer_coeffs
-from loopbraid.tensor import (ChargeBlock, ModuleSpec, TauRep, _apply_wp, harmonic_projector,
-                              multiplicity_classes)
+from loopbraid.tensor import (ChargeBlock, ModuleSpec, TauRep, _apply_columns, _apply_wp,
+                              harmonic_projector, multiplicity_classes)
 from loopbraid.words import (RelationReport, RelationResult, _first_difference,
                              evaluate_word)
 
@@ -267,3 +267,143 @@ def evaluated_check_relations(images, rels, transposed=False):
         report.results.append(RelationResult(rel.label, True) if lhs == rhs else
                               RelationResult(rel.label, False, _first_difference(lhs, rhs)))
     return report
+
+
+# ---------------------------------------------------------------------------
+# Oracles of the kernels that now work on int codes: the BMW relations with
+# Laurent term coefficients, and the localize residual check with rational
+# generator weights.
+
+def laurent_bmw_check(N, n=3):
+    """bmw_check with every term coefficient and weight a LaurentPoly and
+    every entry summed as one: the Laurent-term kernel that the int-coded
+    terms replaced."""
+    rep = TauRep(N, None, "q")
+    power = ChargeBlock(N, n)
+    d = power.dim
+    words = power.words
+    q = LaurentPoly.gen()
+    qi = q.inverse()
+    one = LQ.one
+    ident = [(one, None)]  # None: the identity, composed and summed without a product
+
+    sigma = {i: power.sigma_op(i, rep) for i in range(1, n)}
+    b = {i: [(one, op)] for i, op in sigma.items()}
+    b_inv = {i: [(one, op.inverse())] for i, op in sigma.items()}
+    u = {}
+    results = {}
+    denom = q - qi
+    for i in range(1, n):
+        u_from_def = _laurent_entries(ident, d)
+        for pos, v in _laurent_entries(b[i] + _laurent_scaled(-one, b_inv[i]), d).items():
+            u_from_def[pos] = u_from_def.get(pos, LQ.zero) - v.divexact(denom)
+        u_from_def = {pos: v for pos, v in u_from_def.items() if v}
+        u[i] = ident + [(-one, power.s_op(i, rep))]
+        u_struct = _laurent_entries(u[i], d)
+        results.setdefault("u_definition", {"ok": True})
+        if u_from_def != u_struct:
+            results["u_definition"] = {"ok": False,
+                                       "witness": _laurent_witness(u_from_def, u_struct, d, words)}
+
+    def record(name, lhs, rhs):
+        if name in results and not results[name]["ok"]:
+            return
+        lhs, rhs = _laurent_entries(lhs, d), _laurent_entries(rhs, d)
+        if lhs == rhs:
+            results.setdefault(name, {"ok": True})
+        else:
+            results[name] = {"ok": False, "witness": _laurent_witness(lhs, rhs, d, words)}
+
+    for i in range(1, n):
+        record("r1", _laurent_product(u[i], b[i]), _laurent_scaled(qi, u[i]))
+    for i, k in ((2, 1), (1, 2)):
+        record("r2", _laurent_product(u[i], b[k], u[i]), _laurent_scaled(q, u[i]))
+        record("r2", _laurent_product(u[i], b_inv[k], u[i]), _laurent_scaled(qi, u[i]))
+    for i in range(1, n):
+        cubic = _laurent_product(b[i] + _laurent_scaled(-qi, ident),
+                                 b[i] + _laurent_scaled(-q, ident),
+                                 b[i] + _laurent_scaled(qi, ident))
+        record("rloc", cubic, [])
+    for i in range(1, n):
+        record("u_squared", _laurent_product(u[i], u[i]),
+               _laurent_scaled(LaurentPoly.const(2), u[i]))
+    for i, k in ((1, 2), (2, 1)):
+        record("tl", _laurent_product(u[i], u[k], u[i]), u[i])
+    return BmwReport(N, n, results)
+
+
+def _laurent_scaled(c, terms):
+    """c times a sum of (coefficient, WeightedPerm) terms; a term's
+    WeightedPerm None stands for the identity."""
+    return [(c * a, p) for a, p in terms]
+
+
+def _laurent_product(*factors):
+    """The (coefficient, WeightedPerm or None) terms of the product of sums
+    of such terms, the factors multiplied in the given order."""
+    out = factors[0]
+    for factor in factors[1:]:
+        out = [(a * c, r if p is None else p if r is None else p * r)
+               for a, p in out for c, r in factor]
+    return out
+
+
+def _laurent_entries(terms, d):
+    """{(row, column): entry} of a sum of d x d (coefficient, WeightedPerm
+    or None) terms over the Laurent ring, zero entries left out."""
+    acc = {}
+    for c, p in terms:
+        if p is None:
+            for j in range(d):
+                acc[j, j] = acc.get((j, j), LQ.zero) + c
+        else:
+            for j, (i, w) in enumerate(zip(p.tgt, p.wts)):
+                acc[i, j] = acc.get((i, j), LQ.zero) + c * w
+    return {pos: v for pos, v in acc.items() if v}
+
+
+def fraction_localize(f_cols, mspec):
+    """localize with the residual generators in their rational weights,
+    rebuilt for every module, and the (f, projection) columns multiplied
+    by them in Fractions: the kernel that the int_ops checks replaced."""
+    block = mspec.block
+    N = block.N
+    n = block.n
+    if n <= N:
+        raise InvalidParameters("localizing needs more than N = %d strands, got %d" % (N, n))
+    # integer rows: a nonzero multiple of each basis row leaves the image
+    # span, its zero test and the residual equalities unchanged; f has
+    # integer entries, so the images are integer vectors too
+    images = [_apply_columns(f_cols, row, block.dim) for row in mspec.span.int_rows]
+    if not any(any(img) for img in images):
+        return None, True  # the module is annihilated
+    comp = tuple(v - 1 for v in block.comp)
+    if min(comp) < 0:
+        raise LoopBraidError("a color missing from %s left a nonzero image" % (block.comp,))
+    target = ChargeBlock(N, n - N, comp)
+    # the words 1..N w, in the order of the residual words w in the target
+    prefix = tuple(range(1, N + 1))
+    prefixed = [block.index[prefix + w] for w in target.words]
+    projected = [[img[i] for i in prefixed] for img in images]
+    span = RowSpan(target.dim)
+    for vec in projected:
+        span.insert(vec)
+    localized = ModuleSpec(target, mspec.rep, None, None, span.int_rows)
+    # f followed by the prefix projection, its rows renumbered by the target
+    row_of = {i: t for t, i in enumerate(prefixed)}
+    prefix_cols = [[(row_of[i], c) for i, c in col if i in row_of] for col in f_cols]
+    ok = _fraction_residual_action_ok(prefix_cols, mspec, target, projected)
+    return localized, ok
+
+
+def _fraction_residual_action_ok(prefix_cols, mspec, target, projected):
+    """Generator j + N on the module, followed by f and the prefix
+    projection, equals generator j on the projected image of each row."""
+    block = mspec.block
+    for src, dst in zip(block.ops(mspec.rep)[2 * block.N:], target.ops(mspec.rep)):
+        # the columns of (f, then the projection) times src
+        cols = [[(i, c * w) for i, c in prefix_cols[t]] for t, w in zip(src.tgt, src.wts)]
+        for row, via in zip(mspec.span.int_rows, projected):
+            if _apply_columns(cols, row, target.dim) != _apply_wp(dst, via):
+                return False
+    return True

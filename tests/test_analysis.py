@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (dense_bmw_check, dense_harmonic_projector, dense_is_e_null, dense_localize,
-                     dense_trace_with_projector, fraction_branch)
+                     dense_trace_with_projector, fraction_branch, fraction_localize,
+                     laurent_bmw_check)
+from loopbraid import analysis
 from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 branching_graph, end_dim, harmonic_end_dims,
                                 hom_dim, hom_space, is_e_null, is_irreducible,
@@ -18,15 +20,15 @@ from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 spin_dimension, verify_young_branching,
                                 young_branch_rule, _center_dim, _closure,
                                 _branch, _collapsed_generators, _dense, _f_blockop,
-                                _laurent_witness, _project_hom, _trace_form, _trace_with_projector,
-                                _weight_pos)
+                                _certified_image, _laurent_witness, _project_hom, _trace_form,
+                                _trace_with_projector, _wedderburn_pieces, _weight_pos)
 from loopbraid.errors import IncompleteMatch, InvalidParameters, NotIdempotent
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank
 from loopbraid.rings import QQ, ZZ, LaurentPoly
-from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep,
+from loopbraid.tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_wp,
                               charge_blocks, f_columns, f_operator, harmonic_blocks,
-                              harmonic_decompose, harmonic_projector, localize, partition_block,
-                              young_module)
+                              harmonic_decompose, harmonic_projector, localize, localize_modules,
+                              partition_block, young_module)
 from loopbraid.words import _first_difference
 
 X2 = TauRep(2, Fraction(2))
@@ -802,7 +804,7 @@ def _dense_localization_report(N, n, x):
 
 
 _ALGEBRA_XS = [Fraction(2), Fraction(3), Fraction(7, 2), Fraction(-1), Fraction(1),
-               Fraction(-1, 3)]
+               Fraction(-1, 3), Fraction(-1, 2), Fraction(1, 3), Fraction(-3, 2)]
 
 
 @pytest.mark.parametrize("x", _ALGEBRA_XS, ids=str)
@@ -1045,3 +1047,144 @@ def test_int_ops_scale_sigma_by_the_denominator_of_x():
         assert len(int_ops) == 6 and len(block.int_ops(rep, 1)) == 2
     with pytest.raises(InvalidParameters):
         block.int_ops(TauRep(3, None, "q"))
+
+
+# ---------------------------------------------------------------------------
+# The Wedderburn count, against the trace-form path it skips; the dense
+# oracle tests above run it on the smaller sizes.
+
+def _trace_form_path(monkeypatch, check, *args):
+    """check(*args) with the Wedderburn count refused."""
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_wedderburn_pieces", lambda *a: None)
+        return check(*args)
+
+
+# The points of the count grid that the dense oracles do not reach: (2, 2)
+# and (2, 5) for both reports, and the localization report at (3, 4); the
+# next test adds the semisimplicity check at (4, 4, 2).
+@pytest.mark.parametrize("x", _ALGEBRA_XS, ids=str)
+@pytest.mark.parametrize("N,n,reports", [(2, 2, "both"), (2, 5, "both"), (3, 4, "localize")])
+def test_wedderburn_count_matches_the_trace_form_path(monkeypatch, N, n, x, reports):
+    _, pieces = _certified_image(*_collapsed_generators(N, n, x))
+    assert (pieces is None) == (x == -1)
+    checks = [localization_report] if reports == "localize" else \
+        [semisimplicity_check, localization_report]
+    for check in checks:
+        assert check(N, n, x) == _trace_form_path(monkeypatch, check, N, n, x)
+
+
+def test_wedderburn_count_at_four_colors(monkeypatch):
+    got = semisimplicity_check(4, 4, Fraction(2))
+    assert got == {"radical_dim": 0, "center_dim": 11, "algebra_dim": 131}
+    assert got == _trace_form_path(monkeypatch, semisimplicity_check, 4, 4, Fraction(2))
+
+
+def test_degenerate_x_takes_the_trace_form_path(monkeypatch):
+    calls = []
+    original = analysis._trace_form
+
+    def counted(basis):
+        calls.append(len(basis))
+        return original(basis)
+
+    monkeypatch.setattr(analysis, "_trace_form", counted)
+    # dim A = 23 < c = 107 at x = -1: the count fails and the trace form runs
+    assert _certified_image(*_collapsed_generators(3, 4, Fraction(-1)))[1] is None
+    assert semisimplicity_check(3, 4, Fraction(-1)) == \
+        {"radical_dim": 0, "center_dim": 4, "algebra_dim": 23}
+    assert calls == [23]
+    assert semisimplicity_check(3, 4, Fraction(2)) == \
+        {"radical_dim": 0, "center_dim": 6, "algebra_dim": 107}
+    assert localization_report(3, 4, Fraction(2))["aea_dim"] == 36
+    assert calls == [23]
+
+
+def _pieces_at(N, n, x):
+    """(blocks, gens, dim A, harmonic modules of each block)."""
+    blocks, gens, ident, rep = _collapsed_generators(N, n, x)
+    basis, _ = _closure(gens, [ident])
+    return blocks, gens, len(basis), [harmonic_decompose(b, rep) for b in blocks]
+
+
+def test_wedderburn_count_refuses_a_non_invariant_piece():
+    blocks, gens, dim, pieces = _pieces_at(3, 4, Fraction(2))
+    assert len(_wedderburn_pieces(blocks, gens, dim, pieces)) == 6
+    k = [b.lam for b in blocks].index((2, 1, 1))
+    m = pieces[k][0]
+    # the first m.dim unit vectors: same dimension, so the count still holds
+    units = ModuleSpec(m.block, m.rep, None, None,
+                       ([int(i == j) for j in range(m.block.dim)] for i in range(m.dim)))
+    assert not all(units.span.contains(_apply_wp(g.mats[k], row))
+                   for g in gens for row in units.span.int_rows)
+    bad = list(pieces)
+    bad[k] = [units] + pieces[k][1:]
+    assert sum(p.dim ** 2 for mods in bad for p in mods) == dim
+    assert _wedderburn_pieces(blocks, gens, dim, bad) is None
+
+
+def test_wedderburn_count_refuses_pieces_that_miss_part_of_a_block():
+    # the (2, 1, 1) block holds two 6-dimensional pieces; two copies of the
+    # first are invariant and keep the count, but with their translates
+    # they span only half of the block, so A is not known to act faithfully
+    blocks, gens, dim, pieces = _pieces_at(3, 4, Fraction(2))
+    k = [b.lam for b in blocks].index((2, 1, 1))
+    assert [m.dim for m in pieces[k]] == [6, 6]
+    bad = list(pieces)
+    bad[k] = [pieces[k][0], pieces[k][0]]
+    assert _wedderburn_pieces(blocks, gens, dim, bad) is None
+    bad[k] = [pieces[k][0]]  # and without the second piece the count fails
+    assert _wedderburn_pieces(blocks, gens, dim, bad) is None
+
+
+# ---------------------------------------------------------------------------
+# bmw_check on int codes and localize on int_ops, against the kernels they
+# replaced.
+
+@pytest.mark.parametrize("N,n", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (4, 3)])
+def test_bmw_int_codes_match_laurent_oracle(N, n):
+    got = bmw_check(N, n).to_json()
+    assert json.dumps(got, sort_keys=True) == json.dumps(laurent_bmw_check(N, n).to_json(),
+                                                         sort_keys=True)
+    assert got["ok"] == (N == 2)
+
+
+@pytest.mark.parametrize("x", [Fraction(2), Fraction(3), Fraction(7, 2), Fraction(-1),
+                               Fraction(1)], ids=str)
+def test_localize_int_checks_match_fraction_oracle(x):
+    compared = 0
+    for N in (2, 3):
+        rep = TauRep(N, x)
+        for n in range(N + 1, 7):
+            for lam, _, block, mods in harmonic_blocks(N, n, rep):
+                f_cols = f_columns(N, block)
+                mods = mods + [young_module(block, rep)]
+                for mod, got in zip(mods, localize_modules(f_cols, mods)):
+                    assert _localized(got) == _localized(fraction_localize(f_cols, mod))
+                    compared += 1
+    assert compared == 66
+
+
+def test_residual_check_with_a_wrong_target_action_matches_fraction_oracle(monkeypatch):
+    # give every level-3 block its generators crossed (s_j where sigma_j
+    # belongs): the identity fails on the whole block, so each module is
+    # checked row by row, and the verdicts are the oracle's
+    def crossed(original):
+        def ops(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            return [out[k ^ 1] for k in range(len(out))] if self.n == 3 else out
+        return ops
+
+    monkeypatch.setattr(ChargeBlock, "int_ops", crossed(ChargeBlock.int_ops))
+    monkeypatch.setattr(ChargeBlock, "ops", crossed(ChargeBlock.ops))
+    verdicts = set()
+    for x in (Fraction(2), Fraction(1)):  # at x = 1 both are the identity on (3, 0)
+        rep = TauRep(2, x)
+        for lam, _, block, mods in harmonic_blocks(2, 5, rep):
+            f_cols = f_columns(2, block)
+            mods = mods + [young_module(block, rep)]
+            for mod, got in zip(mods, localize_modules(f_cols, mods)):
+                assert _localized(got) == _localized(fraction_localize(f_cols, mod))
+                if got[0] is not None:
+                    verdicts.add(got[1])
+    assert verdicts == {False, True}
