@@ -228,6 +228,109 @@ def _decode(code, m, n):
 
 def generate_image(p: AffineParams, cap: int = 10 ** 7, keep_elements: bool = False,
                    strict: bool = False) -> ImageResult:
+    """The image of the generators: its order, its determinant set and,
+    with keep_elements, its elements.
+
+    Unless elements are kept, the order comes from a stabilizer chain
+    (_chain_order) on the m^(n-1) rows of Z_m^n whose residues sum to 1,
+    on which every image acts by right multiplication; the base is the n
+    unit rows, which only the identity fixes.  The determinant set is the
+    subgroup of Z_m^x the generators' determinants generate (det is a
+    homomorphism).  An order of at most cap is returned complete without
+    listing an element; above cap, strict raises CapExceeded.  Otherwise,
+    and whenever elements are kept, the breadth-first closure runs
+    (_closure): the cut-off report and the element list come from it.
+    """
+    if cap < 1:
+        raise InvalidParameters("cap must be at least 1, got %d" % cap)
+    gens = list(rho_generators(p).values())
+    if not keep_elements:
+        order = _image_order(p, gens)
+        if order <= cap:
+            dets = frozenset(subgroup_generated(p.m, [g.det().residue for g in gens]))
+            return ImageResult(order, True, None, dets, p)
+        if strict:
+            raise CapExceeded("closure passed cap %d" % cap)
+    return _closure(p, gens, cap, keep_elements, strict)
+
+
+def _image_order(p, gens):
+    """|<gens>| by their action on the rows of Z_m^n with residue sum 1."""
+    m, n = p.m, p.n
+    # the last residue of each such row is fixed by the others
+    points = [code * m + (1 - sum(_decode(code, m, n - 1))) % m
+              for code in range(m ** (n - 1))]
+    index = {code: i for i, code in enumerate(points)}
+    perms = []
+    for g in gens:
+        image = _RowImages(g).__getitem__
+        perms.append(tuple([index[image(code)] for code in points]))
+    return _chain_order(perms, [index[m ** (n - 1 - r)] for r in range(n)])
+
+
+def _chain_order(perms, base):
+    """The order of the group the permutations generate, from a
+    deterministic Schreier-Sims stabilizer chain along base (Sims 1970;
+    the procedure is Knuth's, "Efficient representation of perm groups",
+    1991).
+
+    A permutation is a tuple sending point x to perm[x]; a product g h
+    applies g first.  Level i holds generators that fix base[:i] and, for
+    each point of the orbit of base[i] under them, an element taking
+    base[i] there with its inverse.  An element joins the generators of
+    level i only when it does not sift through the levels from i on.  Each
+    pair of an orbit representative u and a level generator s then either
+    reaches a new orbit point, u s becoming its representative, or gives
+    the Schreier generator u s v^-1 (v the representative of the point u s
+    reaches), which is added to level i + 1 the same way.  By Schreier's
+    lemma the generators of level i + 1 then generate the stabilizer of
+    base[i] in the group of level i, so the order is the product of the
+    orbit lengths, provided only the identity fixes every base point: a
+    non-identity element that sifts through every level raises
+    InvalidParameters.
+    """
+    k = len(base)
+    ident = tuple(range(len(perms[0])))
+    gens = [[] for _ in range(k)]
+    reps = [{b: (ident, ident)} for b in base]  # orbit point -> (u, u^-1)
+
+    def add(i, g):
+        h, j = g, i
+        while j < k:
+            rep = reps[j].get(h[base[j]])
+            if rep is None:
+                break
+            h = tuple(map(rep[1].__getitem__, h))
+            j += 1
+        if j == k:
+            if h != ident:
+                raise InvalidParameters("a non-identity element fixes every base point")
+            return
+        gens[i].append(g)
+        level, b = reps[i], base[i]
+        todo = [tuple(map(g.__getitem__, u)) for u, _ in level.values()]
+        while todo:
+            h = todo.pop()
+            rep = level.get(h[b])
+            if rep is None:
+                level[h[b]] = (h, _perm_inverse(h))
+                todo.extend(tuple(map(s.__getitem__, h)) for s in gens[i])
+            else:
+                add(i + 1, tuple(map(rep[1].__getitem__, h)))
+
+    for g in perms:
+        add(0, g)
+    return math.prod(len(level) for level in reps)
+
+
+def _perm_inverse(g):
+    inv = [0] * len(g)
+    for x, y in enumerate(g):
+        inv[y] = x
+    return tuple(inv)
+
+
+def _closure(p, gens, cap, keep_elements, strict):
     """Breadth-first closure of the generator images under multiplication.
 
     An element is the tuple of its n row codes (the row's residues read as
@@ -244,10 +347,7 @@ def generate_image(p: AffineParams, cap: int = 10 ** 7, keep_elements: bool = Fa
     ordering is lexicographic on the residues, independent of the
     expansion schedule.
     """
-    if cap < 1:
-        raise InvalidParameters("cap must be at least 1, got %d" % cap)
     m, n = p.m, p.n
-    gens = list(rho_generators(p).values())
     mults = []
     for g in gens + [g.inverse() for g in gens]:
         if g not in mults:

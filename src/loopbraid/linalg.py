@@ -427,6 +427,24 @@ class RowSpan:
             self.int_rows = None
             self.rows = []
 
+    @classmethod
+    def identity(cls, width, ring=QQ):
+        """The span of the width unit rows, built in its reduced form: the
+        rows, pivots and dimension that inserting them one by one gives."""
+        span = cls(width, ring)
+        units = [[int(i == j) for j in range(width)] for i in range(width)]
+        if span.int_rows is None:
+            units = [[ring.one if a else ring.zero for a in row] for row in units]
+            span.rows.extend(units)
+        else:
+            span.int_rows.extend(units)
+            span._lead.extend([1] * width)
+            span._exact.extend([None] * width)
+        span._row_nonzero.extend([(i, row[i])] for i, row in enumerate(units))
+        span.pivot_of = {i: i for i in range(width)}
+        span._pivots = list(span.pivot_of.items())
+        return span
+
     def reduce(self, vec):
         if self.int_rows is None:
             return self._reduce_field(vec)

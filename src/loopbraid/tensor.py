@@ -396,18 +396,22 @@ def harmonic_projector(block: ChargeBlock, label: HarmonicLabel) -> Matrix:
 
 
 class ModuleSpec:
-    """A charge block together with a spanning basis of integer rows (and,
-    when it comes from an idempotent E, its projector as (den, cols), the
-    integer columns of den * E from _projector_columns)."""
+    """A charge block together with a spanning basis of integer rows, None
+    for the whole block (and, when it comes from an idempotent E, its
+    projector as (den, cols), the integer columns of den * E from
+    _projector_columns)."""
 
-    def __init__(self, block: ChargeBlock, rep: TauRep, label, projector, basis_rows):
+    def __init__(self, block: ChargeBlock, rep: TauRep, label, projector, basis_rows=None):
         self.block = block
         self.rep = rep
         self.label = label          # HarmonicLabel, or None for the full block
         self.projector = projector  # (den, cols), or None (identity)
-        self.span = RowSpan(block.dim, ZZ)
-        for row in basis_rows:
-            self.span.insert(row)
+        if basis_rows is None:
+            self.span = RowSpan.identity(block.dim, ZZ)
+        else:
+            self.span = RowSpan(block.dim, ZZ)
+            for row in basis_rows:
+                self.span.insert(row)
 
     @property
     def dim(self):
@@ -446,7 +450,7 @@ def harmonic_decompose(block: ChargeBlock, rep: TauRep = None) -> list:
     trivial = all(len(colors) == 1 for _, colors in multiplicity_classes(block.lam))
     for label in harmonic_labels(block.lam):
         if trivial:
-            proj, rows = None, _unit_rows(block.dim)
+            proj, rows = None, None
         else:
             # the rows of den * E^T: positive multiples of the rows of E^T
             proj = _projector_columns(block, label)
@@ -458,11 +462,7 @@ def harmonic_decompose(block: ChargeBlock, rep: TauRep = None) -> list:
 
 
 def young_module(block: ChargeBlock, rep: TauRep = None) -> ModuleSpec:
-    return ModuleSpec(block, rep or TauRep(block.N), None, None, _unit_rows(block.dim))
-
-
-def _unit_rows(d):
-    return ([int(i == j) for j in range(d)] for i in range(d))
+    return ModuleSpec(block, rep or TauRep(block.N), None, None)
 
 
 def _dense_column(col, d):

@@ -2,13 +2,17 @@ import math
 import os
 import subprocess
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopbraid
 from helpers import determinant_profile
+from loopbraid import affine
 from loopbraid.affine import (AffineParams, AglElement, agl_order, drinfeld_r_check,
                               drinfeld_r_permutation, drinfeld_report,
                               from_agl_form, generate_image, gl_order,
@@ -227,6 +231,110 @@ def test_generate_image_cap():
     assert not partial.complete and partial.order > 10
     with pytest.raises(CapExceeded):
         generate_image(AffineParams(5, 2, 3), cap=10, strict=True)
+
+
+# The 54 valid (m, t, n) with m <= 11 and |AGL_{n-1}(Z_m)| <= 4 * 10^5.
+_CHAIN_GRID = [(m, t, n) for m in range(3, 12) for t in range(2, m) if math.gcd(m, t) == 1
+               for n in range(2, 6) if agl_order(m, n - 1) <= 4 * 10 ** 5]
+
+
+@pytest.mark.parametrize("m,t,n", _CHAIN_GRID)
+def test_chain_order_matches_closure(m, t, n):
+    # the stabilizer chain against the element-listing closure it replaces
+    p = AffineParams(m, t, n)
+    got = generate_image(p)
+    want = generate_image(p, keep_elements=True)
+    assert (got.order, got.complete, got.determinants) == \
+        (want.order, want.complete, want.determinants)
+    assert got.residues is None and len(want.residues) == want.order
+
+
+def test_chain_cap_boundaries():
+    p = AffineParams(5, 2, 3)
+    at = generate_image(p, cap=12000)
+    assert (at.order, at.complete, at.residues) == (12000, True, None)
+    below = generate_image(p, cap=11999)
+    oracle = generate_image(p, cap=11999, keep_elements=True)
+    # the cut-off report is the closure's: order cap + 1, same determinants
+    assert (below.order, below.complete) == (oracle.order, oracle.complete) == (12000, False)
+    assert below.determinants == oracle.determinants == at.determinants
+    with pytest.raises(CapExceeded, match="^closure passed cap 11999$"):
+        generate_image(p, cap=11999, strict=True)
+    with pytest.raises(CapExceeded, match="^closure passed cap 11999$"):
+        generate_image(p, cap=11999, keep_elements=True, strict=True)
+
+
+def _perm_closure_order(perms):
+    seen = {tuple(range(len(perms[0])))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in perms:
+                b = tuple(g[x] for x in a)
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return len(seen)
+
+
+def test_chain_refuses_a_base_fixed_by_a_non_identity_element(monkeypatch):
+    # S_4: the base (0, 1, 2) is fixed by the identity only, (0, 1) by (2 3) too
+    s4 = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    assert affine._chain_order(s4, [0, 1, 2]) == 24
+    with pytest.raises(InvalidParameters):
+        affine._chain_order(s4, [0, 1])
+    # the affine action without its last unit row: AGL_2(Z_5) fixes a line
+    # through two points pointwise with 20 elements
+    chain = affine._chain_order
+    monkeypatch.setattr(affine, "_chain_order", lambda perms, base: chain(perms, base[:-1]))
+    with pytest.raises(InvalidParameters):
+        generate_image(AffineParams(5, 2, 3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(1, 6).flatmap(
+    lambda d: st.lists(st.permutations(range(d)).map(tuple), min_size=1, max_size=3)))
+def test_chain_order_of_random_permutation_groups(perms):
+    # with every point in the base only the identity fixes it
+    d = len(perms[0])
+    assert affine._chain_order(perms, list(range(d))) == _perm_closure_order(perms)
+    # so does every point in the reverse order
+    assert affine._chain_order(perms, list(range(d))[::-1]) == _perm_closure_order(perms)
+
+
+def _valid_params(max_points):
+    """(m, t, n) for AffineParams with at most max_points stochastic rows."""
+    cases = [(m, t, n) for m in range(3, 14) for t in range(2, m) if math.gcd(m, t) == 1
+             for n in range(2, 7) if m ** (n - 1) <= max_points]
+    return st.sampled_from(cases)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(_valid_params(130))
+def test_chain_order_against_agl_and_determinants(case):
+    m, t, n = case
+    result = generate_image(AffineParams(m, t, n), cap=10 ** 12)
+    assert result.complete and result.residues is None
+    full = agl_order(m, n - 1)
+    pred = surjectivity_predicate(m, t)
+    if pred["units_ok"] and pred["generates"]:
+        assert result.order == full
+    else:
+        assert full % result.order == 0
+    # det sigma_i = -t and det s_i = -1
+    assert result.determinants == {v.residue for v in signed_power_set(m, t)}
+
+
+@pytest.mark.parametrize("m,t,n,order", [(5, 2, 4, 186000000), (3, 2, 5, 1965150720),
+                                         (7, 3, 4, 11587955904)])
+def test_chain_certifies_surjectivity_at_scale(m, t, n, order):
+    started = time.process_time()
+    result = generate_image(AffineParams(m, t, n), cap=10 ** 11)
+    elapsed = time.process_time() - started
+    assert result.complete and result.order == agl_order(m, n - 1) == order
+    assert elapsed < 2.0, elapsed
 
 
 def test_all_generated_elements_stochastic_invertible():

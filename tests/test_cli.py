@@ -62,6 +62,17 @@ def test_affine_image_small(capsys):
     assert report["complete"] is True
 
 
+def test_affine_image_certifies_surjectivity_past_the_default_cap(capsys):
+    code, out = run(capsys, "affine-image", "--m", "7", "--t", "3", "--n", "4",
+                    "--cap", "100000000000")
+    assert code == 0
+    report = json.loads(out)
+    validate(report, "affine_image")
+    assert report["complete"] is True
+    assert report["order"] == report["expected_order"] == 11587955904
+    assert report["determinants"] == report["determinants_allowed"] == [1, 2, 3, 4, 5, 6]
+
+
 def test_affine_image_emit_elements(capsys):
     code, out = run(capsys, "affine-image", "--m", "3", "--t", "2", "--n", "2",
                     "--emit-elements")

@@ -602,6 +602,23 @@ def test_sparse_rowspan_matches_dense_oracle(ring):
     assert raised > 0 or ring.is_field
 
 
+@pytest.mark.parametrize("ring", [QQ, ZZ, LQ, IntegersMod(5), IntegersMod(12)], ids=repr)
+@pytest.mark.parametrize("width", [0, 1, 2, 7])
+def test_rowspan_identity_matches_inserted_unit_rows(ring, width):
+    got, want = RowSpan.identity(width, ring), RowSpan(width, ring)
+    for i in range(width):
+        if ring is QQ or ring is ZZ:
+            want.insert([int(i == j) for j in range(width)])
+        else:
+            want.insert([ring.one if i == j else ring.zero for j in range(width)])
+    assert got.int_rows == want.int_rows
+    assert list(got.rows) == list(want.rows)
+    assert got.pivot_of == want.pivot_of and got.dim == want.dim == width
+    probe = [ring.from_int(j + 1) for j in range(width)]
+    assert got.reduce(probe) == want.reduce(probe)
+    assert got.insert(probe) is want.insert(probe) is False
+
+
 def test_rowspan_back_substitution_replaces_rows():
     # callers keep rows they read (spin_dimension's frontier); a later
     # insert must not change them

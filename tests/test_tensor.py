@@ -8,7 +8,7 @@ from helpers import dense_harmonic_projector
 from loopbraid.braided import local_rep, tau_loop
 from loopbraid.errors import InvalidParameters
 from loopbraid.linalg import Matrix, RowSpan
-from loopbraid.rings import QQ, LaurentPoly
+from loopbraid.rings import QQ, ZZ, LaurentPoly
 from loopbraid.symmetric import all_perms
 from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep, _projector_columns,
                               charge_blocks, f_columns, f_operator, full_images,
@@ -234,6 +234,25 @@ def test_harmonic_decompose_trivial_group():
     block = partition_block(2, 3, (2, 1))
     mods = harmonic_decompose(block, X2)
     assert len(mods) == 1 and mods[0].dim == 3
+
+
+@pytest.mark.parametrize("N,n", [(2, 4), (3, 6), (4, 4)])
+def test_whole_block_spans_match_inserted_unit_rows(N, n):
+    # young_module and the one-color-per-class pieces start from the
+    # identity span; it must be the span the unit rows insert one by one
+    trivial = 0
+    for lam, _, block, mods in harmonic_blocks(N, n, TauRep(N, Fraction(2))):
+        want = RowSpan(block.dim, ZZ)
+        for i in range(block.dim):
+            want.insert([int(i == j) for j in range(block.dim)])
+        spans = [young_module(block).span]
+        if all(len(colors) == 1 for _, colors in multiplicity_classes(lam)):
+            trivial += 1
+            spans += [m.span for m in mods]
+        for got in spans:
+            assert got.int_rows == want.int_rows and list(got.rows) == list(want.rows)
+            assert got.pivot_of == want.pivot_of and got.dim == want.dim
+    assert trivial > 0
 
 
 def test_harmonic_decompose_two_colors():
