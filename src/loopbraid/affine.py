@@ -1,6 +1,6 @@
 """The affine mod-m representation family: stochastic images, affine normal
-form, exhaustive image closure, surjectivity prediction and the quantum
-double cross-check.
+form, the image order and elements from a stabilizer chain, surjectivity
+prediction and the quantum double cross-check.
 
 The braid generator maps to a block placement of M = [[0, 1], [t, 1-t]]
 and the symmetry generator to the corresponding placement of the plain
@@ -10,10 +10,11 @@ Z_m, i.e. an element of the affine group AGL_{n-1}(Z_m).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .braided import affine_bvs, swap_operator
-from .errors import CapExceeded, InvalidParameters, NotStochastic
+from .errors import InvalidParameters, NotStochastic
 from .linalg import Matrix, WeightedPerm
 from .rings import IntegersMod, ZmInt, subgroup_generated, unit_group
 
@@ -160,17 +161,10 @@ def to_agl_form(g: Matrix) -> AglElement:
     return AglElement(a, v, ring.m)
 
 
-def from_agl_form(el: AglElement) -> Matrix:
-    """Inverse of to_agl_form; round-trips exactly."""
-    h = el.to_matrix()
-    ring = h.ring
-    b = _basis_change(ring, el.k + 1)
-    return (b.inverse() * h * b).transpose()
-
-
 class ImageResult:
-    """residues lists each kept element's n * n residues in row-major order,
-    the elements sorted by them; None unless the closure kept elements."""
+    """residues lists each element's n * n residues in row-major order, the
+    elements sorted by them; None unless elements were kept and the order
+    is at most the cap."""
 
     __slots__ = ("order", "complete", "residues", "determinants", "_params")
 
@@ -179,13 +173,13 @@ class ImageResult:
         self.order = order
         self.complete = complete
         self.residues = residues
-        self.determinants = determinants   # residues mod m of the elements found
+        self.determinants = determinants   # generated by the generators' determinants
         self._params = params
 
     @property
     def elements(self):
         """The kept elements as Matrices over Z_m in the order of residues,
-        built on each read; None unless the closure kept elements."""
+        built on each read; None unless elements were kept."""
         if self.residues is None:
             return None
         ring, n = self._params.ring, self._params.n
@@ -193,86 +187,57 @@ class ImageResult:
                 for r in self.residues]
 
 
-class _RowImages(dict):
-    """Row code -> code of (row) g for one multiplier g, each image computed
-    on its first lookup.
-
-    A row code reads the row's residues as base-m digits, first entry most
-    significant.
-    """
-
-    __slots__ = ("cols", "m")
-
-    def __init__(self, g: Matrix):
-        super().__init__()
-        self.cols = [[v.residue for v in col] for col in zip(*g.rows)]
-        self.m = g.ring.m
-
-    def __missing__(self, code):
-        m = self.m
-        row = _decode(code, m, len(self.cols))
-        image = 0
-        for col in self.cols:
-            image = image * m + sum(x * y for x, y in zip(row, col)) % m
-        self[code] = image
-        return image
-
-
-def _decode(code, m, n):
-    """The n base-m digits of a row code, first digit most significant."""
-    row = [0] * n
-    for c in range(n - 1, -1, -1):
-        code, row[c] = divmod(code, m)
-    return row
-
-
-def generate_image(p: AffineParams, cap: int = 10 ** 7, keep_elements: bool = False,
-                   strict: bool = False) -> ImageResult:
+def generate_image(p: AffineParams, cap: int = 10 ** 7,
+                   keep_elements: bool = False) -> ImageResult:
     """The image of the generators: its order, its determinant set and,
     with keep_elements, its elements.
 
-    Unless elements are kept, the order comes from a stabilizer chain
-    (_chain_order) on the m^(n-1) rows of Z_m^n whose residues sum to 1,
-    on which every image acts by right multiplication; the base is the n
-    unit rows, which only the identity fixes.  The determinant set is the
-    subgroup of Z_m^x the generators' determinants generate (det is a
-    homomorphism).  An order of at most cap is returned complete without
-    listing an element; above cap, strict raises CapExceeded.  Otherwise,
-    and whenever elements are kept, the breadth-first closure runs
-    (_closure): the cut-off report and the element list come from it.
+    The order comes from a stabilizer chain (_chain_order) on the m^(n-1)
+    rows of Z_m^n whose residues sum to 1, on which every image acts by
+    right multiplication; the base is the n unit rows, which only the
+    identity fixes.  The determinant set is the subgroup of Z_m^x the
+    generators' determinants generate (det is a homomorphism).  The result
+    is complete when the order is at most cap.  With keep_elements and a
+    complete order, each element u_{k-1} ... u_0 (one representative u_i
+    of each chain level) is listed by its rows, the images of the unit
+    rows, and the list is sorted by residues.
     """
     if cap < 1:
         raise InvalidParameters("cap must be at least 1, got %d" % cap)
-    gens = list(rho_generators(p).values())
-    if not keep_elements:
-        order = _image_order(p, gens)
-        if order <= cap:
-            dets = frozenset(subgroup_generated(p.m, [g.det().residue for g in gens]))
-            return ImageResult(order, True, None, dets, p)
-        if strict:
-            raise CapExceeded("closure passed cap %d" % cap)
-    return _closure(p, gens, cap, keep_elements, strict)
-
-
-def _image_order(p, gens):
-    """|<gens>| by their action on the rows of Z_m^n with residue sum 1."""
     m, n = p.m, p.n
-    # the last residue of each such row is fixed by the others
-    points = [code * m + (1 - sum(_decode(code, m, n - 1))) % m
-              for code in range(m ** (n - 1))]
-    index = {code: i for i, code in enumerate(points)}
+    gens = list(rho_generators(p).values())
+    # the last residue of each such row is fixed by the others; the rows are
+    # listed in lexicographic order, so point indices compare as the rows do
+    rows = [(*head, (1 - sum(head)) % m) for head in itertools.product(range(m), repeat=n - 1)]
+    index = {row: i for i, row in enumerate(rows)}
     perms = []
     for g in gens:
-        image = _RowImages(g).__getitem__
-        perms.append(tuple([index[image(code)] for code in points]))
-    return _chain_order(perms, [index[m ** (n - 1 - r)] for r in range(n)])
+        cols = [[v.residue for v in col] for col in zip(*g.rows)]
+        perms.append(tuple([index[_row_times(row, cols, m)] for row in rows]))
+    base = [index[tuple(int(c == r) for c in range(n))] for r in range(n)]
+    order, levels = _chain_order(perms, base)
+    dets = frozenset(subgroup_generated(m, [g.det().residue for g in gens]))
+    complete = order <= cap
+    residues = None
+    if keep_elements and complete:
+        images = [tuple(base)]
+        for level in reversed(levels):
+            images = [tuple(map(u.__getitem__, x)) for x in images for u in level]
+        images.sort()
+        residues = [[v for x in image for v in rows[x]] for image in images]
+    return ImageResult(order, complete, residues, dets, p)
+
+
+def _row_times(row, cols, m):
+    """The row times the matrix with the given columns, mod m."""
+    return tuple(sum(x * y for x, y in zip(row, col)) % m for col in cols)
 
 
 def _chain_order(perms, base):
-    """The order of the group the permutations generate, from a
-    deterministic Schreier-Sims stabilizer chain along base (Sims 1970;
-    the procedure is Knuth's, "Efficient representation of perm groups",
-    1991).
+    """The order of the group the permutations generate and its transversals,
+    from a deterministic Schreier-Sims stabilizer chain along base (Sims
+    1970; the procedure is Knuth's, "Efficient representation of perm
+    groups", 1991).
 
     A permutation is a tuple sending point x to perm[x]; a product g h
     applies g first.  Level i holds generators that fix base[:i] and, for
@@ -287,7 +252,9 @@ def _chain_order(perms, base):
     base[i] in the group of level i, so the order is the product of the
     orbit lengths, provided only the identity fixes every base point: a
     non-identity element that sifts through every level raises
-    InvalidParameters.
+    InvalidParameters.  Then every element is u_{k-1} ... u_0 for exactly
+    one representative u_i of each level i; levels lists each level's
+    representatives.
     """
     k = len(base)
     ident = tuple(range(len(perms[0])))
@@ -320,7 +287,8 @@ def _chain_order(perms, base):
 
     for g in perms:
         add(0, g)
-    return math.prod(len(level) for level in reps)
+    levels = [[u for u, _ in level.values()] for level in reps]
+    return math.prod(map(len, levels)), levels
 
 
 def _perm_inverse(g):
@@ -328,57 +296,6 @@ def _perm_inverse(g):
     for x, y in enumerate(g):
         inv[y] = x
     return tuple(inv)
-
-
-def _closure(p, gens, cap, keep_elements, strict):
-    """Breadth-first closure of the generator images under multiplication.
-
-    An element is the tuple of its n row codes (the row's residues read as
-    base-m digits, first entry most significant), so comparing elements
-    compares their row-major residues.  Right multiplication by g maps each
-    row on its own: every multiplier keeps a row-image table, filled on
-    first lookup, and a product is one lookup per row.  Expansion multiplies
-    the frontier by the 2(n-1) generators and then their inverses, skipping
-    a multiplier equal to an earlier one (s_i is its own inverse); the
-    skipped product would only find what the equal one inserted just
-    before, so the element set, its insertion order and the cap cut-off do
-    not change.  The stored element set is an insert-if-absent map from
-    element to its determinant, det(a) det(g) for a product a g.  Output
-    ordering is lexicographic on the residues, independent of the
-    expansion schedule.
-    """
-    m, n = p.m, p.n
-    mults = []
-    for g in gens + [g.inverse() for g in gens]:
-        if g not in mults:
-            mults.append(g)
-    lookups = [(_RowImages(g).__getitem__, g.det().residue) for g in mults]
-    ident = tuple(m ** (n - 1 - r) for r in range(n))
-    seen = {ident: 1}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            det_a = seen[a]
-            for image, det_g in lookups:
-                b = tuple(map(image, a))
-                if b not in seen:
-                    seen[b] = det_a * det_g % m
-                    nxt.append(b)
-                    if len(seen) > cap:
-                        if strict:
-                            raise CapExceeded("closure passed cap %d" % cap)
-                        return _image_result(p, seen, False, keep_elements)
-        frontier = nxt
-    return _image_result(p, seen, True, keep_elements)
-
-
-def _image_result(p, seen, complete, keep_elements):
-    residues = None
-    if keep_elements:
-        m, n = p.m, p.n
-        residues = [[v for code in key for v in _decode(code, m, n)] for key in sorted(seen)]
-    return ImageResult(len(seen), complete, residues, frozenset(seen.values()), p)
 
 
 def gl_order(m: int, k: int) -> int:
@@ -513,9 +430,3 @@ def drinfeld_report(m: int, t: int) -> dict:
         "literal_transpose_equal": r_hat.to_matrix() == literal,
         "t_inverse": t_inv,
     }
-
-
-def drinfeld_r_check(m: int, t: int) -> bool:
-    """True iff the double's braiding is the factor-transposed affine braiding."""
-    rep = drinfeld_report(m, t)
-    return rep["swap_conjugate_equal"] and rep["transpose_at_inverse_t_equal"]

@@ -451,10 +451,6 @@ def _f_blockop(N, blocks, rep):
     return BlockOp(_integral([f_operator(N, b, rep) for b in blocks]))
 
 
-def localization_triangle_check(N, n, x) -> bool:
-    return localization_report(N, n, x)["triangle_ok"]
-
-
 def localization_report(N, n, x) -> dict:
     """Simple counts of A, eAe and A/AeA with e the normalized symmetrizer.
 

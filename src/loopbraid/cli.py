@@ -123,7 +123,7 @@ def _cmd_affine_image(args):
               "units_ok": pred["units_ok"], "generates": pred["generates"],
               "determinants": det_values,
               "determinants_allowed": allowed}
-    if args.emit_elements:
+    if result.residues is not None:   # kept only with --emit-elements, up to --cap
         report["elements"] = result.residues
     ok = result.complete and det_ok
     if report["surjective_predicted"] and result.complete:

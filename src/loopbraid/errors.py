@@ -38,10 +38,6 @@ class NotStochastic(LoopBraidError):
     pass
 
 
-class CapExceeded(LoopBraidError):
-    """Closure grew past the element cap."""
-
-
 class IncompleteMatch(LoopBraidError):
     """A restriction could not be fully resolved into known summands."""
 

@@ -4,7 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from loopbraid.affine import AffineParams
+from loopbraid.affine import AffineParams, AglElement, _basis_change
 from loopbraid.analysis import BmwReport, _laurent_witness
 from loopbraid.errors import InvalidParameters, LoopBraidError
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm
@@ -19,6 +19,14 @@ from loopbraid.words import (RelationReport, RelationResult, _first_difference,
 def determinant_profile(p: AffineParams, elements) -> set:
     """Determinants of the given image elements, as residues mod m."""
     return {ZmInt(g.det().residue, p.m) for g in elements}
+
+
+def from_agl_form(el: AglElement) -> Matrix:
+    """Inverse of to_agl_form: the oracle of its round trip."""
+    h = el.to_matrix()
+    ring = h.ring
+    b = _basis_change(ring, el.k + 1)
+    return (b.inverse() * h * b).transpose()
 
 
 def dense_scale(mat, c):

@@ -11,16 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopbraid
-from helpers import determinant_profile
+from helpers import determinant_profile, from_agl_form
 from loopbraid import affine
-from loopbraid.affine import (AffineParams, AglElement, agl_order, drinfeld_r_check,
-                              drinfeld_r_permutation, drinfeld_report,
-                              from_agl_form, generate_image, gl_order,
+from loopbraid.affine import (AffineParams, AglElement, agl_order, drinfeld_r_permutation,
+                              drinfeld_report, generate_image, gl_order,
                               is_row_stochastic, proof_word_landmarks,
                               rho_generators, signed_power_set,
                               surjectivity_predicate, to_agl_form)
 from loopbraid.braided import affine_bvs, swap_operator
-from loopbraid.errors import CapExceeded, InvalidParameters, NotStochastic
+from loopbraid.errors import InvalidParameters, NotStochastic
 from loopbraid.linalg import Matrix
 from loopbraid.rings import IntegersMod
 
@@ -92,6 +91,26 @@ def test_agl_multiplication_matches_matrices():
                 assert to_agl_form(a * b) == gb * ga
 
 
+def _word_image(images, letters, p):
+    g = Matrix.identity(p.ring, p.n)
+    for letter in letters:
+        g = g * images[letter]
+    return g
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data())
+def test_agl_form_round_trip_and_reversed_products_on_random_words(data):
+    p = AffineParams(*data.draw(_valid_params(130)))
+    images = rho_generators(p)
+    words = st.lists(st.sampled_from(sorted(images)), max_size=6)
+    a = _word_image(images, data.draw(words), p)
+    b = _word_image(images, data.draw(words), p)
+    for g in (a, b, a * b):
+        assert from_agl_form(to_agl_form(g)) == g
+    assert to_agl_form(a * b) == to_agl_form(b) * to_agl_form(a)
+
+
 def _affine_maps_oracle(m):
     """Brute-force count of x -> ax + b with a a unit mod m."""
     return sum(1 for a in range(m) if math.gcd(a, m) == 1 for _ in range(m))
@@ -146,12 +165,17 @@ def _matrix_closure_oracle(p, cap):
 @pytest.mark.parametrize("m,t,n", [(3, 2, 2), (3, 2, 3), (5, 2, 2), (7, 3, 2), (9, 2, 2),
                                    (13, 3, 2), (4, 3, 2), (4, 3, 3), (8, 3, 2), (6, 5, 3)])
 def test_generate_image_matches_matrix_oracle(m, t, n):
+    # above the cap the order and determinants stay exact and no element is kept
     p = AffineParams(m, t, n)
+    order, complete, elements = _matrix_closure_oracle(p, 10 ** 7)
+    assert complete
     for cap in (10, 100, 10 ** 7):
-        order, complete, elements = _matrix_closure_oracle(p, cap)
         result = generate_image(p, cap=cap, keep_elements=True)
-        assert (result.order, result.complete) == (order, complete), (cap,)
-        assert [res(g) for g in result.elements] == [res(g) for g in elements], (cap,)
+        assert (result.order, result.complete) == (order, order <= cap), (cap,)
+        if order <= cap:
+            assert [res(g) for g in result.elements] == [res(g) for g in elements], (cap,)
+        else:
+            assert result.elements is None, (cap,)
         assert set(result.determinants) == \
             {d.residue for d in determinant_profile(p, elements)}, (cap,)
 
@@ -175,7 +199,7 @@ def _column_update(g):
 def _column_update_closure_oracle(p, cap=10 ** 7):
     """Breadth-first closure on row-major residue tuples, every generator and
     every inverse applied as a two-column update: the reference for the
-    row-code closure.  Returns the order, completeness, the sorted elements
+    chain's element list.  Returns the order, completeness, the sorted elements
     and the determinant set."""
     m, n = p.m, p.n
     gens = list(rho_generators(p).values())
@@ -209,14 +233,20 @@ def _column_update_closure_oracle(p, cap=10 ** 7):
                                    (13, 3, 2), (4, 3, 2), (4, 3, 3), (8, 3, 2), (6, 5, 3),
                                    (5, 2, 3), (7, 3, 3)])
 def test_generate_image_matches_column_update_oracle(m, t, n):
+    # above the cap the order and determinants stay exact and no element is kept
     p = AffineParams(m, t, n)
+    order, complete, elements, dets = _column_update_closure_oracle(p)
+    assert complete
     for cap in (1, 10, 100, 1000, None):
         kwargs = {} if cap is None else {"cap": cap}
-        order, complete, elements, dets = _column_update_closure_oracle(p, **kwargs)
         result = generate_image(p, keep_elements=True, **kwargs)
-        assert (result.order, result.complete) == (order, complete), (cap,)
-        assert [tuple(v.residue for row in g.rows for v in row)
-                for g in result.elements] == elements, (cap,)
+        kept = cap is None or order <= cap
+        assert (result.order, result.complete) == (order, kept), (cap,)
+        if kept:
+            assert [tuple(v.residue for row in g.rows for v in row)
+                    for g in result.elements] == elements, (cap,)
+        else:
+            assert result.elements is None, (cap,)
         assert result.determinants == dets, (cap,)
 
 
@@ -228,9 +258,7 @@ def test_generate_image_rejects_cap_below_one(cap):
 
 def test_generate_image_cap():
     partial = generate_image(AffineParams(5, 2, 3), cap=10)
-    assert not partial.complete and partial.order > 10
-    with pytest.raises(CapExceeded):
-        generate_image(AffineParams(5, 2, 3), cap=10, strict=True)
+    assert not partial.complete and partial.order == 12000
 
 
 # The 54 valid (m, t, n) with m <= 11 and |AGL_{n-1}(Z_m)| <= 4 * 10^5.
@@ -240,28 +268,27 @@ _CHAIN_GRID = [(m, t, n) for m in range(3, 12) for t in range(2, m) if math.gcd(
 
 @pytest.mark.parametrize("m,t,n", _CHAIN_GRID)
 def test_chain_order_matches_closure(m, t, n):
-    # the stabilizer chain against the element-listing closure it replaces
+    # the stabilizer chain's elements against the breadth-first closure it replaced
     p = AffineParams(m, t, n)
-    got = generate_image(p)
-    want = generate_image(p, keep_elements=True)
-    assert (got.order, got.complete, got.determinants) == \
-        (want.order, want.complete, want.determinants)
-    assert got.residues is None and len(want.residues) == want.order
+    order, complete, elements, dets = _column_update_closure_oracle(p)
+    assert complete
+    got = generate_image(p, keep_elements=True)
+    assert (got.order, got.complete, got.determinants) == (order, True, dets)
+    assert [tuple(r) for r in got.residues] == elements
+    below = generate_image(p, cap=order - 1, keep_elements=True)
+    assert (below.order, below.complete, below.residues, below.determinants) == \
+        (order, False, None, dets)
 
 
 def test_chain_cap_boundaries():
     p = AffineParams(5, 2, 3)
     at = generate_image(p, cap=12000)
     assert (at.order, at.complete, at.residues) == (12000, True, None)
-    below = generate_image(p, cap=11999)
-    oracle = generate_image(p, cap=11999, keep_elements=True)
-    # the cut-off report is the closure's: order cap + 1, same determinants
-    assert (below.order, below.complete) == (oracle.order, oracle.complete) == (12000, False)
-    assert below.determinants == oracle.determinants == at.determinants
-    with pytest.raises(CapExceeded, match="^closure passed cap 11999$"):
-        generate_image(p, cap=11999, strict=True)
-    with pytest.raises(CapExceeded, match="^closure passed cap 11999$"):
-        generate_image(p, cap=11999, keep_elements=True, strict=True)
+    # the cut-off report is exact: the order and the determinant subgroup
+    for keep_elements in (False, True):
+        below = generate_image(p, cap=11999, keep_elements=keep_elements)
+        assert (below.order, below.complete, below.residues) == (12000, False, None)
+        assert below.determinants == at.determinants
 
 
 def _perm_closure_order(perms):
@@ -282,7 +309,7 @@ def _perm_closure_order(perms):
 def test_chain_refuses_a_base_fixed_by_a_non_identity_element(monkeypatch):
     # S_4: the base (0, 1, 2) is fixed by the identity only, (0, 1) by (2 3) too
     s4 = [(1, 0, 2, 3), (1, 2, 3, 0)]
-    assert affine._chain_order(s4, [0, 1, 2]) == 24
+    assert affine._chain_order(s4, [0, 1, 2])[0] == 24
     with pytest.raises(InvalidParameters):
         affine._chain_order(s4, [0, 1])
     # the affine action without its last unit row: AGL_2(Z_5) fixes a line
@@ -299,9 +326,9 @@ def test_chain_refuses_a_base_fixed_by_a_non_identity_element(monkeypatch):
 def test_chain_order_of_random_permutation_groups(perms):
     # with every point in the base only the identity fixes it
     d = len(perms[0])
-    assert affine._chain_order(perms, list(range(d))) == _perm_closure_order(perms)
+    assert affine._chain_order(perms, list(range(d)))[0] == _perm_closure_order(perms)
     # so does every point in the reverse order
-    assert affine._chain_order(perms, list(range(d))[::-1]) == _perm_closure_order(perms)
+    assert affine._chain_order(perms, list(range(d))[::-1])[0] == _perm_closure_order(perms)
 
 
 def _valid_params(max_points):
@@ -410,7 +437,6 @@ def test_drinfeld_report():
     assert rep["transpose_at_inverse_t_equal"]
     # the literal same-parameter transpose is a different operator
     assert not rep["literal_transpose_equal"]
-    assert drinfeld_r_check(5, 2)
     # check the 25x25 identities explicitly
     c = affine_bvs(5, 2).c
     s = swap_operator(c.ring, 5)

@@ -14,9 +14,7 @@ from loopbraid import analysis
 from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
                                 branching_graph, end_dim, harmonic_end_dims,
                                 hom_dim, hom_space, is_e_null, is_irreducible,
-                                localization_report,
-                                localization_triangle_check,
-                                restrict_and_branch, semisimplicity_check,
+                                localization_report, restrict_and_branch, semisimplicity_check,
                                 spin_dimension, verify_young_branching,
                                 young_branch_rule, _center_dim, _closure,
                                 _branch, _collapsed_generators, _dense, _f_blockop,
@@ -384,7 +382,7 @@ def test_localization_triangle_counts():
     assert rep["localized_count"] == 1
     assert rep["quotient_count"] == 2
     assert rep["triangle_ok"]
-    assert localization_triangle_check(2, 3, Fraction(2))
+    assert localization_report(2, 3, Fraction(2))["triangle_ok"]
 
 
 def test_localization_identity_idempotent_trivial():

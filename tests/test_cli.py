@@ -103,6 +103,17 @@ def test_affine_image_report_contract(capsys):
     assert report["complete"] is False
 
 
+def test_affine_image_cut_off_is_exact_and_lists_no_elements(capsys):
+    code, out = run(capsys, "affine-image", "--m", "5", "--t", "2", "--n", "3",
+                    "--cap", "10", "--emit-elements")
+    assert code == 1
+    report = json.loads(out)
+    validate(report, "affine_image")
+    assert "elements" not in report
+    assert (report["order"], report["complete"]) == (12000, False)
+    assert report["determinants"] == report["determinants_allowed"]
+
+
 def test_image_result_residues_are_the_elements():
     # residues are decoded from the row codes; elements are built from them
     result = generate_image(AffineParams(3, 2, 3), keep_elements=True)
