@@ -23,6 +23,5 @@ from .affine import (AffineParams, AglElement, agl_order, generate_image,
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep,
                      charge_blocks, f_operator, harmonic_blocks,
                      harmonic_decompose, localize, right_color_action)
-from .analysis import (algebra_span, bmw_check, branching_graph, end_dim,
-                       hom_dim, is_e_null, is_irreducible, restrict_and_branch,
-                       semisimplicity_check)
+from .analysis import (bmw_check, branching_graph, end_dim, hom_dim, is_e_null,
+                       is_irreducible, restrict_and_branch, semisimplicity_check)

@@ -9,6 +9,9 @@ are therefore computed exactly by propagating scalars over the orbit
 graph of matrix cells, with a component forced to zero when a cycle
 product disagrees.  Everything downstream (Schur tests, multiplicity
 solving) stays in exact rational arithmetic.
+The generators are symmetric matrices (_require_symmetric), so the image
+algebra is semisimple without computation, and the Schur test
+end_dim == 1 certifies absolute irreducibility.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import os
 import random
 from fractions import Fraction
 
-from .errors import IncompleteMatch, InvalidParameters, NotIdempotent
-from .linalg import Matrix, RowSpan, WeightedPerm, op_dim, rank
-from .rings import LQ, QQ, ZZ, LaurentPoly, _monomial_codes
+from .errors import IncompleteMatch, InvalidParameters, LoopBraidError, NotIdempotent
+from .linalg import Matrix, RowSpan, WeightedPerm, rank
+from .rings import LQ, ZZ, LaurentPoly, _monomial_codes
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_columns,
                      _apply_wp, _charge_index, f_columns, f_operator, harmonic_blocks,
                      harmonic_decompose, multiplicity_classes, partition_block,
@@ -175,8 +178,9 @@ def _projected_hom_dim(comps, m1, m2):
 
 
 def is_irreducible(m: ModuleSpec) -> bool:
-    """end_dim == 1; valid as an irreducibility certificate in the
-    semisimple regime."""
+    """end_dim == 1.  For a module whose generators are symmetric matrices
+    (the x form, as _require_symmetric checks) this certifies absolute
+    irreducibility; end_dim > 1 always rules it out."""
     return end_dim(m) == 1
 
 
@@ -205,36 +209,7 @@ def spin_dimension(block: ChargeBlock, rep: TauRep, vec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Algebra spans.
-
-class AlgebraSpan:
-    __slots__ = ("d", "basis")
-
-    def __init__(self, d: int, basis: list):
-        self.d = d
-        self.basis = basis
-
-
-def algebra_span(generators) -> AlgebraSpan:
-    """Linear basis of the unital algebra generated by square rational
-    matrices (Matrix or WeightedPerm).  Each generator is first scaled to
-    integer entries, which leaves the algebra unchanged, so the basis
-    consists of words in the scaled generators."""
-    if not generators:
-        raise InvalidParameters("need at least one generator")
-    if any(g.ring is not QQ for g in generators):
-        raise InvalidParameters("algebra spans are computed over the rationals")
-    d = op_dim(generators[0])
-    if any(op_dim(g) != d or (isinstance(g, Matrix) and g.ncols != d) for g in generators):
-        raise InvalidParameters("generators must be square matrices of one size")
-    basis, _ = _closure([BlockOp(_integral([g])) for g in generators],
-                        [BlockOp([WeightedPerm.identity(ZZ, d)])])
-    out = []
-    for b in basis:
-        flat = [Fraction(v) for v in b.mats[0].entries()]
-        out.append(Matrix(QQ, [flat[i:i + d] for i in range(0, d * d, d)]))
-    return AlgebraSpan(d, out)
-
+# The image algebra of the collapsed generators.
 
 class BlockOp:
     """An operator acting block-diagonally on the multiplicity-collapsed sum
@@ -279,13 +254,33 @@ def _integral(ops):
     return out
 
 
+def _require_symmetric(ops):
+    """Raise LoopBraidError unless every WeightedPerm in ops is a symmetric
+    matrix: its permutation an involution, equal weights on each swap.
+
+    Symmetric generators span an algebra A closed under transpose.  For a
+    in the radical of A, a a^T is in the radical, so nilpotent, and
+    symmetric, so 0; its trace is the sum of the squares of the entries
+    of a, so a = 0.  Over the rationals A is therefore semisimple, as is
+    every module it acts on (Lam, GTM 131, sections 3-4)."""
+    for op in ops:
+        tgt, wts = op.tgt, op.wts
+        if [tgt[t] for t in tgt] != list(range(len(tgt))) or [wts[t] for t in tgt] != list(wts):
+            raise LoopBraidError("a generator image is not a symmetric matrix, so the "
+                                 "image algebra is not certified semisimple")
+
+
 def _collapsed_generators(N, n, x):
     """Generator images on the direct sum of one block per partition, each
     scaled by the denominator of x to int weights; every word changes by a
-    nonzero factor, so spans, ranks and centers do not."""
+    nonzero factor, so spans, ranks and centers do not.  The unscaled
+    images must pass _require_symmetric, so the algebra they span has
+    radical 0."""
     rep = TauRep(N, x)
     blocks = [partition_block(N, n, lam) for lam, _ in _charge_index(N, n)]
-    gens = [BlockOp(_integral(ops)) for ops in zip(*(b.ops(rep) for b in blocks))]
+    block_ops = [b.ops(rep) for b in blocks]
+    _require_symmetric([op for ops in block_ops for op in ops])
+    gens = [BlockOp(_integral(ops)) for ops in zip(*block_ops)]
     ident = BlockOp([WeightedPerm.identity(ZZ, b.dim) for b in blocks])
     return blocks, gens, ident, rep
 
@@ -309,32 +304,6 @@ def _closure(gens, seeds, right=()):
     return basis, span
 
 
-def _trace_form(basis):
-    """Gram rows tr(a b) over a basis of BlockOps.
-
-    Each operand's nonzero entries are collected once, keyed by their
-    position in vec(), and b's under its transpose: tr(a b) sums over the
-    positions where both a and b^T are nonzero.  The form is symmetric, so
-    each pair is summed once.
-    """
-    swap = []  # swap[p]: the position in vec() of the transpose of entry p
-    for m in basis[0].mats:
-        n, off = op_dim(m), len(swap)
-        swap.extend(off + j * n + i for i in range(n) for j in range(n))
-    plain = [{p: v for p, v in enumerate(op.vec()) if v} for op in basis]
-    transposed = [{swap[p]: v for p, v in ents.items()} for ents in plain]
-    k = len(basis)
-    rows = [[None] * k for _ in range(k)]
-    for x, a in enumerate(plain):
-        for y in range(x, k):
-            bt = transposed[y]
-            acc = 0
-            for pos in a.keys() & bt.keys():
-                acc += a[pos] * bt[pos]
-            rows[x][y] = rows[y][x] = acc
-    return rows
-
-
 def _center_dim(basis, constraints):
     """dim of {x in span(basis) : [x, c] = 0 for all constraints}."""
     cols = []
@@ -344,12 +313,6 @@ def _center_dim(basis, constraints):
             col.extend(b.commutator_vec(c))
         cols.append(col)
     return len(basis) - rank(cols, ZZ)
-
-
-def _radical_and_center(basis, gens):
-    """(radical_dim, center_dim) of the algebra spanned by the basis and
-    generated by gens: the radical of its trace form and its center."""
-    return len(basis) - rank(_trace_form(basis), ZZ), _center_dim(basis, gens)
 
 
 def _wedderburn_pieces(blocks, gens, algebra_dim, pieces):
@@ -431,20 +394,16 @@ def _certified_image(blocks, gens, ident, rep):
 def semisimplicity_check(N, n, x) -> dict:
     """Radical and center of the image algebra A at (N, n, x).
 
-    radical_dim = 0 certifies semisimplicity; center_dim then counts the
-    simple summands.  When _wedderburn_pieces certifies A as the sum of
-    End(M_i) over the harmonic modules, both are read from it (radical 0,
-    one center dimension per nonzero module); otherwise they come from the
-    radical of the trace form and the center equations.
+    The radical is 0 by the symmetry certificate of _collapsed_generators
+    (LoopBraidError when it fails), so center_dim counts the simple
+    summands.  When _wedderburn_pieces certifies A as the sum of End(M_i)
+    over the harmonic modules, it is one per nonzero module; otherwise it
+    is solved from the center equations.
     """
     blocks, gens, ident, rep = _collapsed_generators(N, n, x)
     basis, pieces = _certified_image(blocks, gens, ident, rep)
-    if pieces is not None:
-        radical, center = 0, len(pieces)
-    else:
-        radical, center = _radical_and_center(basis, gens)
-    return {"radical_dim": radical, "center_dim": center,
-            "algebra_dim": len(basis)}
+    center = len(pieces) if pieces is not None else _center_dim(basis, gens)
+    return {"radical_dim": 0, "center_dim": center, "algebra_dim": len(basis)}
 
 
 def _f_blockop(N, blocks, rep):
@@ -460,7 +419,8 @@ def localization_report(N, n, x) -> dict:
     so eAe is the sum of End(e M_i) and AeA the sum of End(M_i) over the
     pieces that e does not kill, and A/AeA the sum over the rest: the
     counts are read from is_e_null.  Otherwise the counts are center
-    dimensions, valid under a zero radical.
+    dimensions, which count simple summands because the radical is 0 by
+    the symmetry certificate of _collapsed_generators.
     """
     blocks, gens, ident, rep = _collapsed_generators(N, n, x)
     f = _f_blockop(N, blocks, rep)
@@ -471,11 +431,11 @@ def localization_report(N, n, x) -> dict:
     if pieces is not None:
         f_cols = [f_columns(N, b) for b in blocks]
         kept = [m for k, m in pieces if not is_e_null(m, f_cols[k])]
-        radical, count_a = 0, len(pieces)
+        count_a = len(pieces)
         count_eae, count_quotient = len(kept), len(pieces) - len(kept)
         aea_dim = sum(m.dim ** 2 for m in kept)
     else:
-        radical, count_a = _radical_and_center(basis, gens)
+        count_a = _center_dim(basis, gens)
         basis_eae, _ = _closure([], [f * b * f for b in basis])
         count_eae = _center_dim(basis_eae, basis_eae)
 
@@ -486,13 +446,13 @@ def localization_report(N, n, x) -> dict:
         count_quotient = len(basis) - rank(cols) - len(basis_aea)
         aea_dim = len(basis_aea)
 
-    return {"radical_dim": radical,
+    return {"radical_dim": 0,
             "simple_count": count_a,
             "localized_count": count_eae,
             "quotient_count": count_quotient,
             "aea_dim": aea_dim,
             "algebra_dim": len(basis),
-            "triangle_ok": radical == 0 and count_a == count_eae + count_quotient}
+            "triangle_ok": count_a == count_eae + count_quotient}
 
 
 # ---------------------------------------------------------------------------
@@ -928,12 +888,16 @@ def _dense(entries, d):
 # Exploratory sweep used by the higher-rank conjecture probe.
 
 def harmonic_end_dims(N, n, x) -> list:
-    """end_dim for every harmonic module at (N, n, x); reported evidence,
-    not an assertion."""
+    """end_dim for every harmonic module at (N, n, x).
+
+    Each block's generators must pass _require_symmetric (LoopBraidError
+    otherwise), so every module is semisimple: end_dim == 1 certifies that
+    it is absolutely irreducible, and end_dim > 1 that it is not."""
     out = []
     rep = TauRep(N, x)
     for _, _, block, mods in harmonic_blocks(N, n, rep):
         ops = block.ops(rep)
+        _require_symmetric(ops)
         comps = hom_space(ops, ops, block.dim, block.dim)  # shared by the block's modules
         for mod in mods:
             out.append({"label": mod.label_json(), "dim": mod.dim,

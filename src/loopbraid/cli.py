@@ -326,7 +326,7 @@ def _build_parser():
     p.add_argument("--n", type=int, default=3)
 
     p = sub.add_parser("semisimple", parents=[tensor_power],
-                       help="trace-form radical and center")
+                       help="radical and center of the image algebra")
     p.set_defaults(handler=_cmd_semisimple)
 
     p = sub.add_parser("localize", parents=[tensor_power],

@@ -37,10 +37,6 @@ def sign(p):
     return sgn
 
 
-def all_perms(k):
-    return [tuple(p) for p in itertools.permutations(range(k))]
-
-
 def perm_words(k):
     """Each element of S_k with one factorization into adjacent
     transpositions; word letters are 1-based positions i meaning (i, i+1)."""
@@ -76,10 +72,6 @@ def partitions(k):
 
     rec(k, k, [])
     return out
-
-
-def partitions_max_rows(k, rows):
-    return [p for p in partitions(k) if len(p) <= rows]
 
 
 def hook_dim(mu) -> int:

@@ -281,16 +281,6 @@ def _apply_columns(cols, vec, width) -> list:
     return out
 
 
-def symmetrized_seed_vector(block: ChargeBlock, rep: TauRep) -> list:
-    """Sum over all of S_n of the signed symmetry action applied to the
-    lexicographically first basis word (the classical one-dimensional
-    seed; spans an invariant line only at the degenerate parameter)."""
-    vec = [rep.ring.zero] * block.dim
-    for _, op in _perm_ops(block, rep.ring, block.n):
-        vec[op.tgt[0]] = vec[op.tgt[0]] + op.wts[0]
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # Harmonic labels and projectors.
 

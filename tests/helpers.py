@@ -5,13 +5,13 @@ import random
 from fractions import Fraction
 
 from loopbraid.affine import AffineParams, AglElement, _basis_change
-from loopbraid.analysis import BmwReport, _laurent_witness
+from loopbraid.analysis import BlockOp, BmwReport, _closure, _integral, _laurent_witness
 from loopbraid.errors import InvalidParameters, LoopBraidError
-from loopbraid.linalg import Matrix, RowSpan, WeightedPerm
-from loopbraid.rings import LQ, QQ, LaurentPoly, ZmInt, is_probable_prime
-from loopbraid.symmetric import young_symmetrizer_coeffs
+from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, op_dim, rank
+from loopbraid.rings import LQ, QQ, ZZ, LaurentPoly, ZmInt, is_probable_prime
+from loopbraid.symmetric import partitions, young_symmetrizer_coeffs
 from loopbraid.tensor import (ChargeBlock, ModuleSpec, TauRep, _apply_columns, _apply_wp,
-                              harmonic_projector, multiplicity_classes)
+                              _perm_ops, harmonic_projector, multiplicity_classes)
 from loopbraid.words import (RelationReport, RelationResult, _first_difference,
                              evaluate_word)
 
@@ -47,6 +47,91 @@ def random_prime_above_2_30(rng) -> int:
         n = rng.randrange(2 ** 30 + 1, 2 ** 31) | 1
         if is_probable_prime(n):
             return n
+
+
+def all_perms(k):
+    return [tuple(p) for p in itertools.permutations(range(k))]
+
+
+def partitions_max_rows(k, rows):
+    return [p for p in partitions(k) if len(p) <= rows]
+
+
+def symmetrized_seed_vector(block: ChargeBlock, rep: TauRep) -> list:
+    """Sum over all of S_n of the signed symmetry action applied to the
+    lexicographically first basis word (the classical one-dimensional
+    seed; spans an invariant line only at the degenerate parameter)."""
+    vec = [rep.ring.zero] * block.dim
+    for _, op in _perm_ops(block, rep.ring, block.n):
+        vec[op.tgt[0]] = vec[op.tgt[0]] + op.wts[0]
+    return vec
+
+
+# ---------------------------------------------------------------------------
+# Algebra spans of arbitrary rational generators, and the trace-form Gram
+# that certified the radical of the image algebra before the symmetry
+# certificate replaced it.
+
+class AlgebraSpan:
+    __slots__ = ("d", "basis")
+
+    def __init__(self, d: int, basis: list):
+        self.d = d
+        self.basis = basis
+
+
+def algebra_span(generators) -> AlgebraSpan:
+    """Linear basis of the unital algebra generated by square rational
+    matrices (Matrix or WeightedPerm).  Each generator is first scaled to
+    integer entries, which leaves the algebra unchanged, so the basis
+    consists of words in the scaled generators."""
+    if not generators:
+        raise InvalidParameters("need at least one generator")
+    if any(g.ring is not QQ for g in generators):
+        raise InvalidParameters("algebra spans are computed over the rationals")
+    d = op_dim(generators[0])
+    if any(op_dim(g) != d or (isinstance(g, Matrix) and g.ncols != d) for g in generators):
+        raise InvalidParameters("generators must be square matrices of one size")
+    basis, _ = _closure([BlockOp(_integral([g])) for g in generators],
+                        [BlockOp([WeightedPerm.identity(ZZ, d)])])
+    out = []
+    for b in basis:
+        flat = [Fraction(v) for v in b.mats[0].entries()]
+        out.append(Matrix(QQ, [flat[i:i + d] for i in range(0, d * d, d)]))
+    return AlgebraSpan(d, out)
+
+
+def trace_form(basis):
+    """Gram rows tr(a b) over a basis of BlockOps.
+
+    Each operand's nonzero entries are collected once, keyed by their
+    position in vec(), and b's under its transpose: tr(a b) sums over the
+    positions where both a and b^T are nonzero.  The form is symmetric, so
+    each pair is summed once.
+    """
+    swap = []  # swap[p]: the position in vec() of the transpose of entry p
+    for m in basis[0].mats:
+        n, off = op_dim(m), len(swap)
+        swap.extend(off + j * n + i for i in range(n) for j in range(n))
+    plain = [{p: v for p, v in enumerate(op.vec()) if v} for op in basis]
+    transposed = [{swap[p]: v for p, v in ents.items()} for ents in plain]
+    k = len(basis)
+    rows = [[None] * k for _ in range(k)]
+    for x, a in enumerate(plain):
+        for y in range(x, k):
+            bt = transposed[y]
+            acc = 0
+            for pos in a.keys() & bt.keys():
+                acc += a[pos] * bt[pos]
+            rows[x][y] = rows[y][x] = acc
+    return rows
+
+
+def gram_radical_dim(basis):
+    """The nullity of the trace-form Gram over a basis of BlockOps: in
+    characteristic 0 the dimension of the radical of the algebra they
+    span."""
+    return len(basis) - rank(trace_form(basis), ZZ)
 
 
 # ---------------------------------------------------------------------------

@@ -459,9 +459,10 @@ def test_params_validation():
 
 
 # Calls that must raise InvalidParameters, also under python -O (which
-# strips assert statements), evaluated with this prelude.
+# strips assert statements), evaluated with this prelude; algebra_span is
+# the test-only closure of arbitrary rational generators in helpers.py.
 _BAD_CALLS_PRELUDE = ("from loopbraid.affine import agl_order, gl_order, surjectivity_predicate\n"
-                      "from loopbraid.analysis import algebra_span\n"
+                      "from helpers import algebra_span\n"
                       "from loopbraid.linalg import Matrix, WeightedPerm\n"
                       "from loopbraid.rings import QQ, IntegersMod, subgroup_generated\n")
 _BAD_CALLS = ["surjectivity_predicate(6, 3)", "surjectivity_predicate(9, 0)",
@@ -482,7 +483,8 @@ def test_exported_functions_reject_bad_input(call):
 
 
 def test_exported_functions_reject_bad_input_without_asserts():
-    env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(loopbraid.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]))
     code = (_BAD_CALLS_PRELUDE +
             "import sys\n"
             "from loopbraid.errors import InvalidParameters\n"

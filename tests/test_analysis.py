@@ -7,20 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (dense_bmw_check, dense_harmonic_projector, dense_is_e_null, dense_localize,
-                     dense_trace_with_projector, fraction_branch, fraction_localize,
-                     laurent_bmw_check)
+from helpers import (algebra_span, dense_bmw_check, dense_harmonic_projector, dense_is_e_null,
+                     dense_localize, dense_trace_with_projector, fraction_branch,
+                     fraction_localize, gram_radical_dim, laurent_bmw_check, trace_form)
 from loopbraid import analysis
-from loopbraid.analysis import (BlockOp, algebra_span, bmw_check,
+from loopbraid.analysis import (BlockOp, bmw_check,
                                 branching_graph, end_dim, harmonic_end_dims,
                                 hom_dim, hom_space, is_e_null, is_irreducible,
                                 localization_report, restrict_and_branch, semisimplicity_check,
                                 spin_dimension, verify_young_branching,
                                 young_branch_rule, _center_dim, _closure,
                                 _branch, _collapsed_generators, _dense, _f_blockop,
-                                _certified_image, _laurent_witness, _project_hom, _trace_form,
+                                _certified_image, _laurent_witness, _project_hom,
                                 _trace_with_projector, _wedderburn_pieces, _weight_pos)
-from loopbraid.errors import IncompleteMatch, InvalidParameters, NotIdempotent
+from loopbraid.errors import IncompleteMatch, InvalidParameters, LoopBraidError, NotIdempotent
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank
 from loopbraid.rings import QQ, ZZ, LaurentPoly
 from loopbraid.tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_wp,
@@ -337,7 +337,8 @@ def test_identity_algebra_trivial_case():
     ident = BlockOp([WeightedPerm(ZZ, range(3), [1] * 3)])
     basis, _ = _closure([ident], [ident])
     assert len(basis) == 1
-    assert _trace_form(basis) == [[Fraction(3)]]
+    assert trace_form(basis) == [[Fraction(3)]]
+    assert gram_radical_dim(basis) == 0
     assert _center_dim(basis, basis) == 1
 
 
@@ -371,7 +372,7 @@ def test_trace_form_matches_dense_oracle(N, n, x, localize):
     if localize:
         f = _f_blockop(N, blocks, rep)
         basis = [f * b * f for b in basis]
-    gram = _trace_form(basis)
+    gram = trace_form(basis)
     assert gram == [[_dense_trace_product(a, b) for b in basis] for a in basis]
     assert any(v for row in gram for v in row)
 
@@ -1048,10 +1049,10 @@ def test_int_ops_scale_sigma_by_the_denominator_of_x():
 
 
 # ---------------------------------------------------------------------------
-# The Wedderburn count, against the trace-form path it skips; the dense
+# The Wedderburn count, against the closure fallback it skips; the dense
 # oracle tests above run it on the smaller sizes.
 
-def _trace_form_path(monkeypatch, check, *args):
+def _closure_fallback(monkeypatch, check, *args):
     """check(*args) with the Wedderburn count refused."""
     with monkeypatch.context() as m:
         m.setattr(analysis, "_wedderburn_pieces", lambda *a: None)
@@ -1069,25 +1070,25 @@ def test_wedderburn_count_matches_the_trace_form_path(monkeypatch, N, n, x, repo
     checks = [localization_report] if reports == "localize" else \
         [semisimplicity_check, localization_report]
     for check in checks:
-        assert check(N, n, x) == _trace_form_path(monkeypatch, check, N, n, x)
+        assert check(N, n, x) == _closure_fallback(monkeypatch, check, N, n, x)
 
 
 def test_wedderburn_count_at_four_colors(monkeypatch):
     got = semisimplicity_check(4, 4, Fraction(2))
     assert got == {"radical_dim": 0, "center_dim": 11, "algebra_dim": 131}
-    assert got == _trace_form_path(monkeypatch, semisimplicity_check, 4, 4, Fraction(2))
+    assert got == _closure_fallback(monkeypatch, semisimplicity_check, 4, 4, Fraction(2))
 
 
-def test_degenerate_x_takes_the_trace_form_path(monkeypatch):
+def test_degenerate_x_takes_the_closure_fallback(monkeypatch):
     calls = []
-    original = analysis._trace_form
+    original = analysis._center_dim
 
-    def counted(basis):
+    def counted(basis, constraints):
         calls.append(len(basis))
-        return original(basis)
+        return original(basis, constraints)
 
-    monkeypatch.setattr(analysis, "_trace_form", counted)
-    # dim A = 23 < c = 107 at x = -1: the count fails and the trace form runs
+    monkeypatch.setattr(analysis, "_center_dim", counted)
+    # dim A = 23 < c = 107 at x = -1: the count fails and the center is solved
     assert _certified_image(*_collapsed_generators(3, 4, Fraction(-1)))[1] is None
     assert semisimplicity_check(3, 4, Fraction(-1)) == \
         {"radical_dim": 0, "center_dim": 4, "algebra_dim": 23}
@@ -1133,6 +1134,48 @@ def test_wedderburn_count_refuses_pieces_that_miss_part_of_a_block():
     assert _wedderburn_pieces(blocks, gens, dim, bad) is None
     bad[k] = [pieces[k][0]]  # and without the second piece the count fails
     assert _wedderburn_pieces(blocks, gens, dim, bad) is None
+
+
+# ---------------------------------------------------------------------------
+# The symmetry certificate of a zero radical, against the trace-form Gram
+# it replaced (helpers.gram_radical_dim), where the Wedderburn count fails.
+
+@pytest.mark.parametrize("N,n", [(2, 2), (2, 5), (3, 4), (4, 4), (3, 5), (2, 6)])
+def test_symmetry_certificate_matches_the_gram_radical(N, n):
+    x = Fraction(-1)
+    blocks, gens, ident, rep = _collapsed_generators(N, n, x)
+    basis, pieces = _certified_image(blocks, gens, ident, rep)
+    assert pieces is None
+    assert gram_radical_dim(basis) == semisimplicity_check(N, n, x)["radical_dim"] == \
+        localization_report(N, n, x)["radical_dim"] == 0
+
+
+def test_a_non_symmetric_generator_is_refused(monkeypatch, capsys):
+    from loopbraid.cli import dispatch
+    # sigma_1 with the weight of one swapped word doubled on every block
+    original = ChargeBlock.ops
+
+    def ops(self, *args, **kwargs):
+        out = original(self, *args, **kwargs)
+        op = out[0]
+        i = next((i for i, t in enumerate(op.tgt) if t != i), None)
+        if i is not None:
+            wts = list(op.wts)
+            wts[i] = 2 * wts[i]
+            out[0] = WeightedPerm(op.ring, op.tgt, wts)
+        return out
+
+    monkeypatch.setattr(ChargeBlock, "ops", ops)
+    for call in (lambda: semisimplicity_check(2, 3, Fraction(2)),
+                 lambda: localization_report(2, 3, Fraction(-1)),
+                 lambda: harmonic_end_dims(2, 3, Fraction(2))):
+        with pytest.raises(LoopBraidError, match="not a symmetric matrix"):
+            call()
+    assert dispatch(["semisimple", "--N", "2", "--n", "3", "--x", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 import math
 from fractions import Fraction
 
-from loopbraid.symmetric import (compose, hook_dim, inverse, multinomial,
-                                 partitions, partitions_max_rows,
+from helpers import partitions_max_rows
+from loopbraid.symmetric import (compose, hook_dim, inverse, multinomial, partitions,
                                  perm_words, sign, young_symmetrizer_coeffs)
 
 

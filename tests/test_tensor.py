@@ -3,20 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import dense_harmonic_projector
+from helpers import all_perms, dense_harmonic_projector, symmetrized_seed_vector
 
 from loopbraid.braided import local_rep, tau_loop
 from loopbraid.errors import InvalidParameters
 from loopbraid.linalg import Matrix, RowSpan
 from loopbraid.rings import QQ, ZZ, LaurentPoly
-from loopbraid.symmetric import all_perms
 from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep, _projector_columns,
                               charge_blocks, f_columns, f_operator, full_images,
                               harmonic_blocks, harmonic_dims, harmonic_decompose, harmonic_labels,
                               harmonic_projector,
                               localized_young_dim, localized_harmonic_prediction, localize,
                               multiplicity_classes, partition_block,
-                              right_color_action, symmetrized_seed_vector,
+                              right_color_action,
                               tensor_dimension_checks, young_module)
 
 X2 = TauRep(2, Fraction(2))
