@@ -22,8 +22,8 @@ import random
 from fractions import Fraction
 
 from .errors import IncompleteMatch, InvalidParameters, LoopBraidError, NotIdempotent
-from .linalg import Matrix, RowSpan, WeightedPerm, rank
-from .rings import LQ, ZZ, LaurentPoly, _monomial_codes
+from .linalg import CodedPerm, Matrix, RowSpan, WeightedPerm, rank
+from .rings import LQ, ZZ, LaurentPoly
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_columns,
                      _apply_wp, _charge_index, f_columns, f_operator, harmonic_blocks,
                      harmonic_decompose, multiplicity_classes, partition_block,
@@ -52,19 +52,18 @@ def hom_space(ops_src, ops_tgt, d_src, d_tgt):
     orbit is a basis element, scaled to 1 at that cell, iff none disagrees.
 
     Every weight is +-b^k for the one weight b that is not +-1 (x in form
-    x, q in form q; InvalidParameters otherwise), so the walk carries each
-    value as its rings._monomial_codes int 2k + (value < 0): a product adds
-    the exponent parts and xors the sign bits.  Two codes are equal iff the
-    values are; with every weight a sign, the codes are the signs.  Only
-    the live orbits are decoded."""
-    code, base = _monomial_codes([w for op in (*ops_src, *ops_tgt) for w in op.wts])
+    x, q in form q; InvalidParameters otherwise), so the generators are
+    coded as linalg.CodedPerms and the walk carries each value as its code
+    2k + (value < 0): a product adds the exponent parts and xors the sign
+    bits.  Two codes are equal iff the values are; with every weight a
+    sign, the codes are the signs.  Only the live orbits are decoded."""
+    coded = CodedPerm.from_ops([*ops_src, *ops_tgt])
     moves = []
-    for s, t in zip(ops_src, ops_tgt):
+    for s, t in zip(coded[:len(ops_src)], coded[len(ops_src):]):
         # (row offset of the target, exponent part, sign bit); the weight of
         # s enters inverted, which negates its exponent
-        t_side = [(a * d_src, c & -2, c & 1)
-                  for a, c in zip(t.tgt, map(code.get, t.wts))]
-        s_side = [(b, -(c & -2), c & 1) for b, c in zip(s.tgt, map(code.get, s.wts))]
+        t_side = [(a * d_src, c & -2, c & 1) for a, c in zip(t.tgt, t.codes)]
+        s_side = [(b, -(c & -2), c & 1) for b, c in zip(s.tgt, s.codes)]
         moves.append((t_side, s_side))
     value = [None] * (d_src * d_tgt)
     live_orbits = []
@@ -92,6 +91,7 @@ def hom_space(ops_src, ops_tgt, d_src, d_tgt):
                     live = False
         if live:
             live_orbits.append(orbit)
+    weight = coded[0].weight if coded else lambda c: Fraction(1)  # no generators
     decoded = {}
     basis = []
     for orbit in live_orbits:
@@ -100,7 +100,7 @@ def hom_space(ops_src, ops_tgt, d_src, d_tgt):
             c = value[cell]
             f = decoded.get(c)
             if f is None:
-                f = decoded[c] = -base ** (c >> 1) if c & 1 else base ** (c >> 1)
+                f = decoded[c] = weight(c)
             comp[cell] = f
         basis.append(comp)
     return basis
@@ -730,10 +730,10 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
     The u elements are built both from the displayed closed form and from
     the defining quotient (b - b^-1) / (q - q^-1) with exact polynomial
     division; the two must agree.  Each side of a relation is a short sum
-    of terms a q^k P, a an int and P a weighted permutation with weights
-    +-q^k (u_i = 1 - s_i, so u_i b_k u_i has 4 terms and the cubic 8),
-    compared by its nonzero int coefficients; Laurent entries are built
-    only for the division and for a failing relation's witness.
+    of terms a q^k P, a an int and P a linalg.CodedPerm with weights +-q^k
+    (u_i = 1 - s_i, so u_i b_k u_i has 4 terms and the cubic 8), compared
+    by its nonzero int coefficients; Laurent entries are built only for the
+    division and for a failing relation's witness.
     """
     if n < 3:
         raise InvalidParameters("the mixed relation needs n >= 3 strands, got %d" % n)
@@ -743,11 +743,10 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
     words = power.words
     q = LaurentPoly.gen()
     denom = q - q.inverse()
-    ident = [(1, 0, None)]  # None: the identity, composed and summed without a product
-
-    sigma = {i: _coded(power.sigma_op(i, rep)) for i in range(1, n)}
-    b = {i: [(1, 0, p)] for i, p in sigma.items()}
-    b_inv = {i: [(1, 0, _inverse_coded(p))] for i, p in sigma.items()}
+    ops = CodedPerm.from_ops(power.ops(rep))  # sigma_1, s_1, sigma_2, s_2, ...
+    ident = [(1, 0, CodedPerm.identity(d, q))]
+    b = {i: [(1, 0, ops[2 * i - 2])] for i in range(1, n)}
+    b_inv = {i: [(1, 0, ops[2 * i - 2].inverse())] for i in range(1, n)}
     u = {}
     results = {}
     for i in range(1, n):
@@ -759,7 +758,7 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
             for k, v in quotients[terms].items():
                 u_from_def[r, c, k] = u_from_def.get((r, c, k), 0) - v
         u_from_def = {key: v for key, v in u_from_def.items() if v}
-        u[i] = ident + [(-1, 0, _coded(power.s_op(i, rep)))]
+        u[i] = ident + [(-1, 0, ops[2 * i - 1])]
         u_struct = _entries(u[i], d)
         results.setdefault("u_definition", {"ok": True})
         if u_from_def != u_struct:
@@ -792,27 +791,8 @@ def bmw_check(N: int, n: int = 3) -> BmwReport:
     return BmwReport(N, n, results)
 
 
-def _coded(op: WeightedPerm):
-    """(tgt, codes) of a WeightedPerm with weights +-q^k, each weight as its
-    rings._monomial_codes int 2k + (sign bit)."""
-    code, _ = _monomial_codes(op.wts)
-    return op.tgt, tuple(map(code.get, op.wts))
-
-
-def _inverse_coded(p):
-    """The coded inverse permutation: e_tgt[j] goes back to e_j with the
-    inverse weight, whose code has the exponent part negated."""
-    tgt, codes = p
-    inv_tgt, inv_codes = [0] * len(tgt), [0] * len(tgt)
-    for j, (t, c) in enumerate(zip(tgt, codes)):
-        inv_tgt[t] = j
-        inv_codes[t] = (c & 1) - (c & -2)
-    return tuple(inv_tgt), tuple(inv_codes)
-
-
 def _scaled(a, k, terms):
-    """a q^k times a sum of (int coefficient, q exponent, coded permutation)
-    terms; a term's permutation None stands for the identity."""
+    """a q^k times a sum of (int coefficient, q exponent, CodedPerm) terms."""
     return [(a * c, k + e, p) for c, e, p in terms]
 
 
@@ -821,22 +801,8 @@ def _product(*factors):
     the given order."""
     out = factors[0]
     for factor in factors[1:]:
-        out = [(a * c, k + e, _compose_coded(p, r)) for a, k, p in out for c, e, r in factor]
+        out = [(a * c, k + e, p * r) for a, k, p in out for c, e, r in factor]
     return out
-
-
-def _compose_coded(p, r):
-    """The coded permutation p r (r applied first): e_j goes to
-    e_{p.tgt[r.tgt[j]]} with the product of the two weights, whose codes
-    combine as ((c & -2) + d) ^ (c & 1)."""
-    if p is None:
-        return r
-    if r is None:
-        return p
-    p_tgt, p_codes = p
-    r_tgt, r_codes = r
-    return (tuple(p_tgt[t] for t in r_tgt),
-            tuple(((c & -2) + p_codes[t]) ^ (c & 1) for t, c in zip(r_tgt, r_codes)))
 
 
 def _entries(terms, d):
@@ -844,13 +810,9 @@ def _entries(terms, d):
     zero coefficients left out."""
     acc = {}
     for a, k, p in terms:
-        if p is None:
-            for j in range(d):
-                acc[j, j, k] = acc.get((j, j, k), 0) + a
-        else:
-            for j, (i, c) in enumerate(zip(*p)):
-                key = i, j, k + (c >> 1)
-                acc[key] = acc.get(key, 0) + (-a if c & 1 else a)
+        for j, (i, c) in enumerate(zip(p.tgt, p.codes)):
+            key = i, j, k + (c >> 1)
+            acc[key] = acc.get(key, 0) + (-a if c & 1 else a)
     return {key: v for key, v in acc.items() if v}
 
 

@@ -7,6 +7,7 @@ overridden with the LBREP_SEED environment variable."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -42,7 +43,13 @@ def _manifest(args, ring):
 
 
 def _emit(report):
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=1) + "\n")
+    """Write the report to sys.stdout in batches of encoder chunks, so that
+    neither the chunks of a large report nor its whole text are held at
+    once."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(report)
+    for first in chunks:
+        sys.stdout.write(first + "".join(itertools.islice(chunks, (1 << 14) - 1)))
+    sys.stdout.write("\n")
 
 
 def _frac(text):

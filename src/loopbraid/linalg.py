@@ -1,11 +1,13 @@
 """Dense matrices over an exact ring, weighted permutations, and elimination.
 
-Two operator representations are used throughout the package:
+Three operator representations are used throughout the package:
 
 * ``Matrix`` - dense row-major storage over any ring descriptor;
 * ``WeightedPerm`` - an operator with exactly one nonzero entry per column
   (all the braid and symmetry generator images are of this shape), where
-  products, inverses, Kronecker products and traces cost O(dimension).
+  products, inverses, Kronecker products and traces cost O(dimension);
+* ``CodedPerm`` - a WeightedPerm whose weights are +-b^k for one base b,
+  each weight held as an int code, so that words compose on ints.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import InvalidParameters, NonFieldModulus, SingularImage
-from .rings import QQ, ZZ, IntegersMod
+from .rings import LQ, QQ, ZZ, IntegersMod, LaurentPoly, _monomial_codes
 
 ASSEMBLY_LIMIT = 10 ** 4  # refuse whole-tensor-power assemblies above this many rows
 
@@ -358,14 +360,81 @@ class WeightedPerm:
         return "WeightedPerm(n=%d)" % self.n
 
 
+class CodedPerm:
+    """A WeightedPerm with weights +-base^k, each weight held as its
+    rings._monomial_codes int 2k + (weight < 0).  On one base two codes are
+    equal iff the weights are; weights with codes c and d multiply to the
+    code ((c & -2) + d) ^ (c & 1), and c inverts to (c & 1) - (c & -2)."""
+
+    __slots__ = ("tgt", "codes", "base")
+
+    def __init__(self, tgt, codes, base):
+        self.tgt = tgt      # tuple: e_j goes to e_tgt[j]
+        self.codes = codes  # tuple: the code of the weight of column j
+        self.base = base
+
+    @staticmethod
+    def from_ops(ops):
+        """The CodedPerms of WeightedPerms over QQ or LQ, all on one base;
+        InvalidParameters unless every weight is +-b^k for that base."""
+        if not all(isinstance(op, WeightedPerm) and op.ring in (QQ, LQ) for op in ops):
+            raise InvalidParameters("only weighted permutations over QQ or LQ are coded")
+        # an op repeats a few weight objects d times: key them by identity,
+        # so each distinct object is coded (and hashed) once
+        distinct = {}
+        for op in ops:
+            distinct.update(zip(map(id, op.wts), op.wts))
+        code, base = _monomial_codes(distinct.values())
+        code_of = {i: code[w] for i, w in distinct.items()}
+        return [CodedPerm(op.tgt, tuple(map(code_of.__getitem__, map(id, op.wts))), base)
+                for op in ops]
+
+    @staticmethod
+    def identity(n, base):
+        return CodedPerm(tuple(range(n)), (0,) * n, base)
+
+    def __mul__(self, other):
+        # (self o other) e_j = e_{self.tgt[t]}, t = other.tgt[j], with the
+        # product of the weights of column j of other and column t of self
+        tgt, codes = self.tgt, self.codes
+        return CodedPerm(tuple([tgt[t] for t in other.tgt]),
+                         tuple([((c & -2) + codes[t]) ^ (c & 1)
+                                for t, c in zip(other.tgt, other.codes)]),
+                         self.base)
+
+    def inverse(self):
+        tgt, codes = [0] * len(self.tgt), [0] * len(self.tgt)
+        for j, (t, c) in enumerate(zip(self.tgt, self.codes)):
+            tgt[t] = j
+            codes[t] = (c & 1) - (c & -2)
+        return CodedPerm(tuple(tgt), tuple(codes), self.base)
+
+    def __eq__(self, other):
+        # the same operator whenever the bases agree, as from_ops makes them
+        if not isinstance(other, CodedPerm):
+            return NotImplemented
+        return self.codes == other.codes and self.tgt == other.tgt and self.base == other.base
+
+    def weight(self, code):
+        """The weight +-base^k of the code 2k + sign."""
+        w = self.base ** (code >> 1)
+        return -w if code & 1 else w
+
+    def to_matrix(self):
+        ring = LQ if isinstance(self.base, LaurentPoly) else QQ
+        return WeightedPerm(ring, self.tgt, map(self.weight, self.codes)).to_matrix()
+
+
 def op_identity_like(op):
-    if isinstance(op, WeightedPerm):
-        return WeightedPerm.identity(op.ring, op.n)
-    return Matrix.identity(op.ring, op.nrows)
+    if isinstance(op, Matrix):
+        return Matrix.identity(op.ring, op.nrows)
+    if isinstance(op, CodedPerm):
+        return CodedPerm.identity(len(op.tgt), op.base)
+    return WeightedPerm.identity(op.ring, op.n)
 
 
 def op_dim(op):
-    return op.n if isinstance(op, WeightedPerm) else op.nrows
+    return op.nrows if isinstance(op, Matrix) else len(op.tgt)
 
 
 def kron_list(ops):

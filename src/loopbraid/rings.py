@@ -374,7 +374,6 @@ def subgroup_generated(m: int, gens) -> set:
 
 class RationalField:
     name = "rational"
-    is_field = True
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -399,7 +398,6 @@ class RationalField:
 
 class IntegerRing:
     name = "integer"
-    is_field = False
 
     zero = 0
     one = 1
@@ -424,7 +422,6 @@ class IntegerRing:
 
 class LaurentRing:
     name = "laurent"
-    is_field = False
 
     zero = LaurentPoly()
     one = LaurentPoly.const(1)
@@ -446,8 +443,6 @@ class LaurentRing:
 
 
 class IntegersMod:
-    is_field = False  # set per instance when m is prime
-
     def __init__(self, m: int):
         if m < 2:
             raise InvalidParameters("modulus must be at least 2, got %d" % m)
@@ -455,7 +450,6 @@ class IntegersMod:
         self.name = "zm:%d" % m
         self.zero = ZmInt(0, m)
         self.one = ZmInt(1, m)
-        self.is_field = is_probable_prime(m)
 
     def from_int(self, k):
         return ZmInt(k, self.m)
@@ -542,33 +536,3 @@ def _exact_log(mag, base):
             return None
         k, p = k + 1, p * base
     return sign * k
-
-
-# ---------------------------------------------------------------------------
-# Deterministic primality / prime sampling for the Z_p rank oracle.
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic for n < 3.3e24 with the fixed base set."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True

@@ -10,8 +10,7 @@ convention becomes the corresponding L3 relation under the other.
 from __future__ import annotations
 
 from .errors import InvalidParameters, SingularImage
-from .linalg import WeightedPerm, op_dim, op_identity_like
-from .rings import LQ, QQ, _monomial_codes
+from .linalg import CodedPerm, op_dim, op_identity_like
 
 VARIANTS = ("LB", "OLB", "VB", "SLB")
 
@@ -241,21 +240,15 @@ def check_relations(images, rels: RelationSet, transposed=False) -> RelationRepo
     """Evaluate both sides of every relation; witness the first bad entry.
 
     When every image is a WeightedPerm over the rationals or the Laurent
-    ring whose weights are +-b^k (rings._monomial_codes), the sides are
-    composed as (targets, weight codes) and compared by codes; otherwise,
-    and for the witness of a failing relation, they are multiplied out by
-    evaluate_word."""
-    table = _ImageTable(images)
+    ring whose weights are +-b^k for one base b, the words are composed as
+    linalg.CodedPerms, on weight codes; otherwise the images are used as
+    given."""
+    table = _ImageTable(_coded(images) or images)
     report = RelationReport(rels.variant, rels.n)
-    coded = _coded_images(table, rels)
     for rel in rels.relations:
-        ok = coded is not None and \
-            _coded_word(coded, rel.left, transposed) == _coded_word(coded, rel.right, transposed)
-        if not ok:
-            lhs = evaluate_word(table, rel.left, transposed)
-            rhs = evaluate_word(table, rel.right, transposed)
-            ok = lhs == rhs
-        if ok:
+        lhs = evaluate_word(table, rel.left, transposed)
+        rhs = evaluate_word(table, rel.right, transposed)
+        if lhs == rhs:
             report.results.append(RelationResult(rel.label, True))
         else:
             report.results.append(RelationResult(rel.label, False,
@@ -263,40 +256,9 @@ def check_relations(images, rels: RelationSet, transposed=False) -> RelationRepo
     return report
 
 
-def _coded_images(table: _ImageTable, rels: RelationSet):
-    """{generator: (tgt, codes)} for every generator the relations use, the
-    empty word under None; None unless each image is a WeightedPerm over QQ
-    or LQ whose weights all code."""
-    if not all(isinstance(op, WeightedPerm) and op.ring in (QQ, LQ)
-               for op in table.images.values()):
-        return None
-    gens = {g for rel in rels.relations for side in (rel.left, rel.right) for g in side}
-    ops = {g: table.get(g) for g in gens}
-    # an image repeats a few weight objects d times: key them by identity,
-    # so each distinct object is coded (and hashed) once
-    distinct = {id(w): w for op in ops.values() for w in op.wts}
+def _coded(images):
+    """The images as CodedPerms, or None unless they all code."""
     try:
-        code, _ = _monomial_codes(distinct.values())
+        return dict(zip(images, CodedPerm.from_ops(list(images.values()))))
     except InvalidParameters:
         return None
-    code_of = {i: code[w] for i, w in distinct.items()}
-    coded = {g: (op.tgt, tuple([code_of[id(w)] for w in op.wts])) for g, op in ops.items()}
-    d = op_dim(table.some_image())
-    coded[None] = (tuple(range(d)), (0,) * d)
-    return coded
-
-
-def _coded_word(coded, word: GroupWord, transposed):
-    """The (tgt, codes) of evaluate_word over coded images: the product
-    p * r sends j to t = r.tgt[j] and on to p.tgt[t], with the weight code
-    ((c & -2) + p.codes[t]) ^ (c & 1) for c = r.codes[j]."""
-    if transposed:
-        word = tuple(reversed(word))
-    if not word:
-        return coded[None]
-    pt, pc = coded[word[0]]
-    for g in word[1:]:
-        rt, rc = coded[g]
-        pt, pc = (tuple([pt[t] for t in rt]),
-                  tuple([((c & -2) + pc[t]) ^ (c & 1) for t, c in zip(rt, rc)]))
-    return pt, pc

@@ -8,7 +8,7 @@ from loopbraid.affine import AffineParams, AglElement, _basis_change
 from loopbraid.analysis import BlockOp, BmwReport, _closure, _integral, _laurent_witness
 from loopbraid.errors import InvalidParameters, LoopBraidError
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, op_dim, rank
-from loopbraid.rings import LQ, QQ, ZZ, LaurentPoly, ZmInt, is_probable_prime
+from loopbraid.rings import LQ, QQ, ZZ, IntegersMod, LaurentPoly, ZmInt
 from loopbraid.symmetric import partitions, young_symmetrizer_coeffs
 from loopbraid.tensor import (ChargeBlock, ModuleSpec, TauRep, _apply_columns, _apply_wp,
                               _perm_ops, harmonic_projector, multiplicity_classes)
@@ -39,6 +39,38 @@ def dense_wperm_product(mat, wp):
     column tgt[j] of mat, zeros included."""
     return Matrix(mat.ring, [[wp.wts[j] * r[wp.tgt[j]] for j in range(wp.n)]
                              for r in mat.rows])
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin; deterministic for n < 3.3e24 with the fixed base set."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def is_field(ring) -> bool:
+    """Whether a ring descriptor is a field: QQ, or Z_m with m prime."""
+    return ring is QQ or (isinstance(ring, IntegersMod) and is_probable_prime(ring.m))
 
 
 def random_prime_above_2_30(rng) -> int:

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import loopbraid
 from loopbraid.affine import AffineParams, AglElement, generate_image
-from loopbraid.cli import dispatch, emit_dot
+from loopbraid.cli import _build_parser, dispatch, emit_dot
 from loopbraid.linalg import Matrix
 from loopbraid.rings import IntegersMod, ZmInt
 from loopbraid.tensor import HarmonicLabel, TauRep
@@ -432,3 +434,53 @@ def test_value_class_reprs_are_unchanged():
     assert repr(ZmInt(7, 5)) == "2 (mod 5)"
     assert repr(HarmonicLabel((2, 1), ((1,), (1,)))) == \
         "HarmonicLabel(lam=(2, 1), mu=((1,), (1,)))"
+
+
+# ---------------------------------------------------------------------------
+# Grammar fuzz: argv built from the parser's own subcommands and options,
+# with small bounded values, run in-process.
+
+_RATIONALS = ["0", "1", "-1", "2", "7/2", "-3/2", "1/0", "abc"]
+_VALUES = {"N": st.integers(-1, 3), "n": st.integers(-1, 4), "nmax": st.integers(-1, 4),
+           "m": st.integers(-1, 8), "t": st.integers(-2, 8), "d": st.integers(-1, 3),
+           "cap": st.sampled_from([-1, 0, 1, 10]), "x": st.sampled_from(_RATIONALS),
+           "q": st.sampled_from(_RATIONALS), "dot": st.just("graph.dot")}
+_SUBCOMMANDS = next(a for a in _build_parser()._actions if a.dest == "command").choices
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand and a draw of its options, each required one left out
+    now and then."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [command]
+    for action in _SUBCOMMANDS[command]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if not draw(st.integers(0, 7) if action.required else st.booleans()):
+            continue
+        argv.append(action.option_strings[0])
+        if action.choices is not None:
+            argv.append(str(draw(st.sampled_from(list(action.choices)))))
+        elif action.nargs != 0:
+            argv.append(str(draw(_VALUES[action.dest])))
+    if "--emit-elements" in argv and "--cap" not in argv:
+        # the default cap would list up to 10^7 elements
+        argv += ["--cap", str(draw(_VALUES["cap"]))]
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cli_argv())
+def test_cli_grammar_fuzz(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # --dot writes here
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in captured.err, argv
+    if code == 2:
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+    else:
+        validate(json.loads(captured.out), {"bmw-check": "bmw"}.get(
+            argv[0], argv[0].replace("-", "_")))

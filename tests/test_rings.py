@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopbraid
-from helpers import dense_scale, dense_wperm_product, random_prime_above_2_30
+from helpers import (dense_scale, dense_wperm_product, is_field, is_probable_prime,
+                     random_prime_above_2_30)
 from loopbraid.analysis import bmw_check
 from loopbraid.errors import InvalidParameters, NotAUnit
 from loopbraid.linalg import Matrix, WeightedPerm
-from loopbraid.rings import (LQ, QQ, ZZ, IntegersMod, LaurentPoly, ZmInt,
-                             is_probable_prime, mod_inverse, unit_group)
+from loopbraid.rings import LQ, QQ, ZZ, IntegersMod, LaurentPoly, ZmInt, mod_inverse, unit_group
 
 
 def test_mod_inverse_examples():
@@ -172,8 +172,8 @@ def test_ring_descriptors():
     assert LQ.is_unit(LaurentPoly.monomial(-3, 5))
     assert not LQ.is_unit(LaurentPoly.gen() + 1)
     z9 = IntegersMod(9)
-    assert not z9.is_field
-    assert IntegersMod(7).is_field
+    assert not is_field(z9)
+    assert is_field(IntegersMod(7)) and is_field(QQ) and not is_field(LQ)
     assert z9.inv(z9.from_int(2)).residue == 5
 
 
@@ -184,7 +184,7 @@ def test_integer_ring_descriptor():
         with pytest.raises(NotAUnit):
             ZZ.inv(a)
     assert ZZ.to_json(-7) == -7 and type(ZZ.to_json(-7)) is int
-    assert (ZZ.zero, ZZ.one, ZZ.from_int(4)) == (0, 1, 4) and not ZZ.is_field
+    assert (ZZ.zero, ZZ.one, ZZ.from_int(4)) == (0, 1, 4) and not is_field(ZZ)
 
 
 def test_prime_utilities():
@@ -455,7 +455,7 @@ def test_zmint_ring_axioms(triple, k):
     assert a - k == a - ZmInt(k, m) and k - a == ZmInt(k, m) - a
     assert bool(a) == (raw[0] % m != 0)
     ring = IntegersMod(m)
-    assert ring.is_field == is_probable_prime(m)
+    assert is_field(ring) == (m in (2, 3, 7, 13, 101))
     if math.gcd(raw[0], m) == 1:
         assert ring.is_unit(a)
         inv = mod_inverse(a)

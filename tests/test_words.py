@@ -3,16 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import evaluated_check_relations
 from loopbraid.affine import AffineParams, rho_generators
 from loopbraid.errors import InvalidParameters
-from loopbraid.linalg import Matrix, WeightedPerm
+from loopbraid.linalg import CodedPerm, Matrix, WeightedPerm
 from loopbraid.rings import LQ, QQ, IntegersMod, LaurentPoly, _monomial_codes
 from loopbraid.tensor import TauRep, full_images
-from loopbraid.words import (Generator, Relation, RelationSet, _coded_images, _coded_word,
-                             _ImageTable,
-                             check_relations, evaluate_word, relations_for, s_, sigma)
+from loopbraid.words import (Generator, Relation, RelationSet, check_relations,
+                             evaluate_word, relations_for, s_, sigma)
 
 
 def test_generator_normalization():
@@ -132,8 +133,18 @@ def test_report_json_shape():
 
 
 # ---------------------------------------------------------------------------
-# The coded relation check against both sides multiplied out by
-# evaluate_word, kept in helpers as the oracle.
+# The relation check on CodedPerm words against both sides multiplied out
+# by evaluate_word on the images as given, kept in helpers as the oracle.
+
+def _coded(images):
+    """The images as CodedPerms; InvalidParameters unless they all code."""
+    return dict(zip(images, CodedPerm.from_ops(list(images.values()))))
+
+
+def _decoded(p: CodedPerm, ring):
+    """The WeightedPerm of a CodedPerm, each code decoded to +-b^k."""
+    return WeightedPerm(ring, p.tgt, [p.weight(c) for c in p.codes])
+
 
 def _broken(images, rep, rng):
     """Three broken copies of the tau images: sigma_2 conjugated by a random
@@ -168,7 +179,7 @@ def test_coded_relations_match_evaluated_oracle(rep):
         for images in [intact] + _broken(intact, rep, rng):
             for variant in ("LB", "OLB", "VB", "SLB"):
                 rels = relations_for(n, variant)
-                assert _coded_images(_ImageTable(images), rels) is not None
+                assert len(_coded(images)) == len(images)
                 for transposed in (False, True):
                     got = check_relations(images, rels, transposed).to_json()
                     want = evaluated_check_relations(images, rels, transposed).to_json()
@@ -181,23 +192,23 @@ def test_coded_relations_match_evaluated_oracle(rep):
 @pytest.mark.parametrize("rep", [TauRep(3, Fraction(7, 2)), TauRep(2, Fraction(-1)),
                                  TauRep(2, None, "q")], ids=lambda r: "%s-%s" % (r.form, r.x))
 def test_coded_words_match_evaluate_word(rep):
-    # random words, inverse letters included, composed on codes against the
-    # product of the images, each code decoded to the weight +-b^k
+    # random words, inverse letters included, evaluated on CodedPerms
+    # against the product of the images, each code decoded to the weight
+    # +-b^k
     rng = random.Random(29)
     images = _broken(full_images(rep, 4), rep, rng)[0]
     letters = [g for kind, i in images for g in ((sigma(i), sigma(i, -1)) if kind == "sigma"
                                                  else (s_(i),))]
-    rels = RelationSet("words", 4, [Relation("all", tuple(letters), ())])
-    table = _ImageTable(images)
-    coded = _coded_images(table, rels)
-    _, base = _monomial_codes([w for g in letters for w in table.get(g).wts])
+    coded = _coded(images)
     for _ in range(40):
         word = tuple(rng.choice(letters) for _ in range(rng.randrange(0, 6)))
         for transposed in (False, True):
             want = evaluate_word(images, word, transposed)
-            tgt, codes = _coded_word(coded, word, transposed)
-            assert tgt == want.tgt
-            assert [(-1) ** (c & 1) * base ** (c >> 1) for c in codes] == list(want.wts)
+            got = evaluate_word(coded, word, transposed)
+            assert type(got) is CodedPerm
+            assert got.tgt == want.tgt
+            assert list(_decoded(got, rep.ring).wts) == list(want.wts)
+            assert got.to_matrix() == want.to_matrix()
 
 
 def test_coded_relations_with_inverse_letters():
@@ -227,7 +238,8 @@ def test_uncoded_images_take_the_evaluated_path():
         rels = RelationSet("custom", 2, rels.relations + [
             Relation("sq", (sigma(1), sigma(1)), ()),
             Relation("comm", (sigma(1), s_(1)), (s_(1), sigma(1)))])
-        assert _coded_images(_ImageTable(images), rels) is None
+        with pytest.raises(InvalidParameters):
+            _coded(images)
         assert check_relations(images, rels).to_json() == \
             evaluated_check_relations(images, rels).to_json()
 
@@ -249,3 +261,40 @@ def test_monomial_codes():
                 [q, Fraction(2)]):
         with pytest.raises(InvalidParameters):
             _monomial_codes(bad)
+
+
+@st.composite
+def _tau_words(draw):
+    """(ring, images, word): the tau images at N = 2 or 3 on 3 strands, at
+    x in {2, 7/2, -2/3, -1, 1/3} or in the q form, and a word of up to 8
+    letters, inverse letters included."""
+    x = draw(st.sampled_from([Fraction(2), Fraction(7, 2), Fraction(-2, 3), Fraction(-1),
+                              Fraction(1, 3), None]))
+    rep = TauRep(draw(st.sampled_from([2, 3])), x, "x" if x is not None else "q")
+    letters = [sigma(1), sigma(1, -1), sigma(2), sigma(2, -1), s_(1), s_(2)]
+    word = tuple(draw(st.lists(st.sampled_from(letters), max_size=8)))
+    return rep.ring, full_images(rep, 3), word
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_tau_words())
+def test_coded_perm_products_and_inverses_decode_to_weighted_perms(case):
+    ring, images, word = case
+    coded = _coded(images)
+    want = evaluate_word(images, word)
+    got = evaluate_word(coded, word)
+    for g, w in ((got, want), (got.inverse(), want.inverse())):
+        decoded = _decoded(g, ring)
+        assert decoded.tgt == w.tgt and decoded.wts == w.wts
+        assert all(type(a) is type(b) for a, b in zip(decoded.wts, w.wts))
+    assert got * got.inverse() == CodedPerm.identity(len(got.tgt), got.base)
+
+
+@pytest.mark.parametrize("weights", [[Fraction(2), Fraction(3)],
+                                     [LaurentPoly.monomial(1, 2)],
+                                     [Fraction(0)], [LQ.zero]], ids=str)
+def test_from_ops_refuses_weights_outside_one_base(weights):
+    ring = LQ if isinstance(weights[0], LaurentPoly) else QQ
+    ops = [WeightedPerm(ring, [0], [w]) for w in weights]
+    with pytest.raises(InvalidParameters):
+        CodedPerm.from_ops(ops)
