@@ -7,8 +7,9 @@ column, so an intertwiner system X rho(g) = rho(g) X links entries in
 pairs: X[pi(a), pi(b)] = (w_a / w_b) X[a, b].  Commutant and Hom spaces
 are therefore computed exactly by propagating scalars over the orbit
 graph of matrix cells, with a component forced to zero when a cycle
-product disagrees.  Everything downstream (Schur tests, multiplicity
-solving) stays in exact rational arithmetic.
+product disagrees.  Everything downstream (the Schur tests) stays in
+exact rational arithmetic; restriction multiplicities are read off the
+color-group rule and certified by fiber isomorphisms (restrict_and_branch).
 The generators are symmetric matrices (_require_symmetric), so the image
 algebra is semisimple without computation, and the Schur test
 end_dim == 1 certifies absolute irreducibility.
@@ -17,8 +18,6 @@ end_dim == 1 certifies absolute irreducibility.
 from __future__ import annotations
 
 import math
-import os
-import random
 from fractions import Fraction
 
 from .errors import IncompleteMatch, InvalidParameters, LoopBraidError, NotIdempotent
@@ -29,13 +28,6 @@ from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_colu
                      harmonic_decompose, multiplicity_classes, partition_block,
                      right_color_action, young_module)
 from .words import _first_difference
-
-DEFAULT_SEED = 0xB5EED
-
-
-def default_seed() -> int:
-    return int(os.environ.get("LBREP_SEED", DEFAULT_SEED))
-
 
 # ---------------------------------------------------------------------------
 # Hom spaces by orbit propagation.
@@ -459,43 +451,17 @@ def localization_report(N, n, x) -> dict:
 # Restriction and branching.
 
 class BranchReport:
-    __slots__ = ("source", "dim", "summands", "verified", "words_used")
+    __slots__ = ("source", "dim", "summands", "verified")
 
-    def __init__(self, source: dict, dim: int, summands: list, verified: bool,
-                 words_used: int):
+    def __init__(self, source: dict, dim: int, summands: list, verified: bool):
         self.source = source
         self.dim = dim
         self.summands = summands
         self.verified = verified
-        self.words_used = words_used
 
     def to_json(self):
         return {"source": self.source, "dim": self.dim,
                 "summands": self.summands, "verified": self.verified}
-
-
-def _compose_word(ops, word, d):
-    if not word:
-        return WeightedPerm.identity(ZZ, d)
-    out = ops[word[0]]
-    for key in word[1:]:
-        out = ops[key] * out
-    return out
-
-
-def _trace_with_projector(w: WeightedPerm, e):
-    """den tr(W E) for E given by its integer columns (den, cols), read as
-    the sum of w.wts[i] * E[i, w.tgt[i]]; tr(W) for e None (the identity,
-    den 1)."""
-    if e is None:
-        return w.trace()
-    cols = e[1]
-    acc = 0
-    for i, t, wt in zip(range(w.n), w.tgt, w.wts):
-        c = cols[t].get(i)
-        if c:
-            acc += wt * c
-    return acc
 
 
 def _reachable_partitions(block: ChargeBlock) -> list:
@@ -503,105 +469,147 @@ def _reachable_partitions(block: ChargeBlock) -> list:
     return sorted(young_branch_rule(block.N, block.comp), reverse=True)
 
 
-def _restriction_candidates(m: ModuleSpec):
-    """The candidate modules at level n-1 on the reachable partitions."""
-    subs = [partition_block(m.block.N, m.block.n - 1, lam)
-            for lam in _reachable_partitions(m.block)]
+def _blocks_below(block: ChargeBlock, rep: TauRep) -> dict:
+    """{lam': (its level n-1 partition block, that block's int_ops)} over
+    the reachable partitions, in decreasing order."""
+    below = {}
+    for lam in _reachable_partitions(block):
+        sub = partition_block(block.N, block.n - 1, lam)
+        below[lam] = (sub, sub.int_ops(rep))
+    return below
+
+
+def _restriction_candidates(m: ModuleSpec, below: dict):
+    """The candidate modules at level n-1 on the blocks of _blocks_below."""
     if m.label is None:
-        return [young_module(sub, m.rep) for sub in subs]
-    return [c for sub in subs for c in harmonic_decompose(sub, m.rep)]
+        return [young_module(sub, m.rep) for sub, _ in below.values()]
+    return [c for sub, _ in below.values() for c in harmonic_decompose(sub, m.rep)]
 
 
-def restrict_and_branch(m: ModuleSpec, seed=None) -> BranchReport:
+def restrict_and_branch(m: ModuleSpec) -> BranchReport:
     """Decompose the restriction of M to one fewer strand.
 
-    Multiplicities are solved exactly from trace identities: the character
-    of the restricted module is matched against the characters of all
-    candidate modules at level n-1 (harmonic projectors supply the
-    candidate traces), sampling random words until the candidate character
-    matrix has full column rank, then verifying on extra words and on the
-    dimension count.
+    The words of the block B_lam ending in the color c span a submodule
+    F_c of the restriction, and "delete the last letter, then sort the
+    colors" maps F_c onto the block of lam' = lam - e_c; _check_fibers
+    certifies that this map is a bijection intertwining every generator.
+    The color group permutes the fibers, so by Frobenius reciprocity and
+    the S_k branching rule the multiplicity of each candidate at level
+    n-1 is read off the labels (_rule_multiplicity), with no dependence
+    on x; the summand dimensions must then add up to dim M
+    (IncompleteMatch otherwise).
     """
-    if m.block.n < 2:
-        raise InvalidParameters("restriction needs at least 2 strands, got %d" % m.block.n)
-    block_ops = {}
-    cands = []
-    for c in _restriction_candidates(m):
-        if c.block not in block_ops:
-            block_ops[c.block] = c.block.int_ops(c.rep)
-        cands.append((c, block_ops[c.block]))
-    return _branch(m, m.block.int_ops(m.rep, m.block.n - 2), cands, seed)
-
-
-def _branch(m: ModuleSpec, src_ops, cands, seed) -> BranchReport:
-    """restrict_and_branch against the given candidates at level n-1:
-    src_ops is m.block.int_ops(m.rep, n - 2) and cands lists (candidate
-    module, its block's int_ops)."""
     block = m.block
-    rng = random.Random(seed if seed is not None else default_seed())
-    # a word is a tuple of indices into the generator lists at level n-1;
-    # each list is ChargeBlock.int_ops, every sigma scaled by the one
-    # denominator of x, so a word multiplies each trace in its row by
-    # den^(its sigma letters), which leaves the rank and the solved
-    # multiplicities unchanged (a scale per block would not: a block whose
-    # weights are all +-1 would get den 1).  The projected traces come as
-    # den_E tr(W E); each column is brought to the common multiple of the
-    # den_E, one more factor per row.  Consecutive candidates on one block
-    # share its list, so each word is composed once per block.
-    columns = [(c.block.dim, ops, c.projector) for c, ops in cands]
-    columns.append((block.dim, src_ops, _module_projector(m)))
-    scale = math.lcm(*(e[0] for _, _, e in columns if e is not None))
-    groups = []  # (dim, ops, [(projector, column factor)])
-    for d, ops, e in columns:
-        if not groups or groups[-1][1] is not ops:
-            groups.append((d, ops, []))
-        groups[-1][2].append((e, scale if e is None else scale // e[0]))
-    keys = range(len(src_ops))
-    k = len(cands)
-    span = RowSpan(k + 1)  # [candidate traces | trace on M]
-    words_used = 0
+    if block.n < 2:
+        raise InvalidParameters("restriction needs at least 2 strands, got %d" % block.n)
+    below = _blocks_below(block, m.rep)
+    _check_fibers(block, block.int_ops(m.rep, block.n - 2), below)
+    return _branch_by_rule(m, _restriction_candidates(m, below))
 
-    def add_row(word):
-        nonlocal words_used
-        row = []
-        for d, ops, projectors in groups:
-            w = _compose_word(ops, word, d)
-            row.extend(f * _trace_with_projector(w, e) for e, f in projectors)
-        span.insert(row)
-        words_used += 1
 
-    def coeff_rank():
-        # pivots left of the rhs column
-        return span.dim - (k in span.pivot_of)
+def _check_fibers(block: ChargeBlock, src_ops, below: dict):
+    """Certify the fibers of the block's restriction to n - 1 strands.
 
-    add_row(())
-    tries = 0
-    while keys and coeff_rank() < k and tries < 80:
-        add_row(tuple(rng.choice(keys) for _ in range(rng.randrange(1, 7))))
-        tries += 1
-    if coeff_rank() < k:
-        raise IncompleteMatch("could not separate %d candidates" % k)
-    if keys:
-        for _ in range(6):  # extra verification rows
-            add_row(tuple(rng.choice(keys) for _ in range(rng.randrange(1, 7))))
-    if k in span.pivot_of:
-        raise IncompleteMatch("trace system is inconsistent")
-    mults = [span.rows[span.pivot_of[c]][k] for c in range(k)]
+    src_ops is block.int_ops(rep, n - 2), and below maps (at least) each
+    partition of young_branch_rule to (its level n-1 block, that block's
+    int_ops), as _blocks_below does.  For each last letter c, the words
+    ending in c are mapped by deleting the letter and relabeling the
+    colors so that the content sorts to lam'; the map is injective, so
+    equal sizes make it a bijection onto the block of lam'.  Every source
+    generator must carry the fiber into itself with the weights of the
+    matching target generator, and the fibers per lam' must be counted by
+    young_branch_rule.  Raises LoopBraidError otherwise."""
+    N = block.N
+    by_color = {}
+    for i, w in enumerate(block.words):
+        by_color.setdefault(w[-1], []).append(i)
+    code = [0] * block.dim  # offset of the fiber plus the target index
+    fibers = []  # (target int_ops, fiber indices in target order, offset)
+    counts = {}
+    offset = 0
+    for c, indices in sorted(by_color.items()):
+        shifted = list(block.comp)
+        shifted[c - 1] -= 1
+        lam = tuple(sorted((v for v in shifted if v), reverse=True))
+        target, ops = below[lam]
+        if len(indices) != target.dim:
+            raise LoopBraidError("the fiber of color %d in %s has %d words, the block %s %d"
+                                 % (c, block.lam, len(indices), lam, target.dim))
+        relabel = [0] * N
+        for new, old in enumerate(sorted(range(N), key=lambda k: (-shifted[k], k)), 1):
+            relabel[old] = new
+        order = [0] * target.dim
+        for i in indices:
+            t = target.index[right_color_action(block.words[i][:-1], tuple(relabel))]
+            order[t] = i
+            code[i] = offset + t
+        fibers.append((ops, order, offset))
+        counts[lam] = counts.get(lam, 0) + 1
+        offset += target.dim
+    for g, src in enumerate(src_ops):
+        for ops, order, off in fibers:
+            dst = ops[g]
+            if [code[src.tgt[i]] for i in order] != [off + t for t in dst.tgt] or \
+                    tuple(src.wts[i] for i in order) != dst.wts:
+                raise LoopBraidError("the fiber map of %s does not intertwine generator %d"
+                                     % (block.lam, g))
+    if counts != young_branch_rule(N, block.comp):
+        raise LoopBraidError("the fibers of %s do not follow the Young branching rule"
+                             % (block.lam,))
+
+
+def _branch_by_rule(m: ModuleSpec, cands) -> BranchReport:
+    """The summands of the restriction of m among the candidates, in
+    their order, with the multiplicities of _rule_multiplicity."""
+    if m.label is None:
+        young = young_branch_rule(m.block.N, m.block.comp)
+        mults = [young.get(c.block.lam, 0) for c in cands]
+    else:
+        mults = [_rule_multiplicity(m.label, c.label) for c in cands]
     total = 0
     summands = []
-    for (c, _), mult in zip(cands, mults):
-        if mult == 0:
-            continue
-        if mult.denominator != 1 or mult < 0:
-            raise IncompleteMatch("non-integral multiplicity %s" % mult)
-        total += int(mult) * c.dim
-        summands.append({"label": c.label_json(), "multiplicity": int(mult),
-                         "dim": c.dim})
+    for c, mult in zip(cands, mults):
+        if mult:
+            total += mult * c.dim
+            summands.append({"label": c.label_json(), "multiplicity": mult, "dim": c.dim})
     if total != m.dim:
         raise IncompleteMatch("summand dimensions %d != module dimension %d"
                               % (total, m.dim))
-    return BranchReport(m.label_json(), m.dim, summands, verified=True,
-                        words_used=words_used)
+    return BranchReport(m.label_json(), m.dim, summands, verified=True)
+
+
+def _rule_multiplicity(label: HarmonicLabel, sub: HarmonicLabel) -> int:
+    """Multiplicity of the harmonic module sub at level n-1 in the
+    restriction of the one of label: 1 when sub.lam takes one box from a
+    row of length L of label.lam, sub's partition on length L is label's
+    minus one box (none left when that class had one color), its
+    partition on length L - 1 is label's plus one box ((1) when label.lam
+    has no row of length L - 1), and the other classes agree; else 0."""
+    mu = {length: p for (length, _), p in zip(multiplicity_classes(label.lam), label.mu)}
+    nu = {length: p for (length, _), p in zip(multiplicity_classes(sub.lam), sub.mu)}
+    for L in mu:
+        k = len(label.lam) - label.lam[::-1].index(L) - 1  # the last row of length L
+        if sub.lam == tuple(v for v in label.lam[:k] + (L - 1,) + label.lam[k + 1:] if v):
+            break
+    else:
+        return 0
+    for length in set(mu) | set(nu):
+        have, want = mu.get(length, ()), nu.get(length, ())
+        if length == L:
+            ok = have in _add_box(want)
+        elif length == L - 1:
+            ok = want in _add_box(have)
+        else:
+            ok = want == have
+        if not ok:
+            return 0
+    return 1
+
+
+def _add_box(p: tuple) -> list:
+    """The partitions one box larger than p."""
+    return [p[:i] + (p[i] + 1,) + p[i + 1:] for i in range(len(p))
+            if i == 0 or p[i - 1] > p[i]] + [p + (1,)]
 
 
 def young_branch_rule(N, lam) -> dict:
@@ -620,65 +628,40 @@ def young_branch_rule(N, lam) -> dict:
 
 def verify_young_branching(N, lam, x=Fraction(2)) -> bool:
     """Certify the branching of a Young module by explicit fiber
-    isomorphisms: the words ending in a fixed color form a submodule of
-    the restriction, and deleting the last letter then sorting the colors
-    intertwines all generator actions with the level n-1 block."""
+    isomorphisms (_check_fibers, which raises LoopBraidError where one
+    fails)."""
     n = sum(lam)
-    if n < 2:
-        return True
-    rep = TauRep(N, x)
-    block = partition_block(N, n, lam)
-    fibers = {}
-    for idx, w in enumerate(block.words):
-        fibers.setdefault(w[-1], []).append(idx)
-    seen = {}
-    for color, indices in sorted(fibers.items()):
-        shifted = list(block.comp)
-        shifted[color - 1] -= 1
-        order = sorted(range(N), key=lambda c: (-shifted[c], c))
-        relabel = [0] * N
-        for newc, oldc in enumerate(order):
-            relabel[oldc] = newc + 1
-        target_lam = tuple(sorted((v for v in shifted if v), reverse=True))
-        target = partition_block(N, n - 1, target_lam)
-        mapping = {}
-        for idx in indices:
-            w = block.words[idx]
-            tw = right_color_action(w[:-1], tuple(relabel))
-            mapping[idx] = target.index[tw]
-        for src, dst in zip(block.ops(rep, n - 2), target.ops(rep)):
-            for idx in indices:
-                ti = mapping[idx]
-                if src.tgt[idx] not in mapping:
-                    return False  # fiber not invariant
-                if (mapping[src.tgt[idx]], src.wts[idx]) != \
-                        (dst.tgt[ti], dst.wts[ti]):
-                    return False
-        seen[target_lam] = seen.get(target_lam, 0) + 1
-    return seen == young_branch_rule(N, lam)
+    if n >= 2:
+        rep = TauRep(N, x)
+        block = partition_block(N, n, lam)
+        _check_fibers(block, block.int_ops(rep, n - 2), _blocks_below(block, rep))
+    return True
 
 
-def branching_graph(N, n_max, x=Fraction(2), seed=None) -> dict:
+def branching_graph(N, n_max, x=Fraction(2)) -> dict:
     """Nodes are harmonic labels up to n_max, placed by the weight-space
-    projection; edges are the computed restriction summands."""
+    projection; edges are the restriction summands of restrict_and_branch:
+    each block's fibers are certified once by _check_fibers against the
+    blocks one level down, and each module's multiplicities are read off
+    the rule."""
     if N not in (2, 3):
         raise InvalidParameters("branching graphs are placed for N = 2 or 3, got %d" % N)
     if n_max < 1:
         raise InvalidParameters("n_max must be at least 1, got %d" % n_max)
     rep = TauRep(N, x)
     nodes, edges = [], []
-    # partition -> [(harmonic module, its block's int_ops)] at level n - 1;
-    # each block's generator list is built once and shared by its modules
-    below = {}
+    # partition -> (block, its int_ops) and -> its harmonic modules at level
+    # n - 1; each block's generator list is built once
+    below, mods_below = {}, {}
     for n in range(1, n_max + 1):
-        level = {}
+        level, level_mods = {}, {}
         for lam, _, block, mods in harmonic_blocks(N, n, rep):
             if n < n_max:
-                ops = block.int_ops(rep)
-                level[lam] = [(mod, ops) for mod in mods]
+                level[lam] = (block, block.int_ops(rep))
+                level_mods[lam] = mods
             if n > 1:
-                src_ops = block.int_ops(rep, n - 2)
-                cands = [c for mu in _reachable_partitions(block) for c in below[mu]]
+                _check_fibers(block, block.int_ops(rep, n - 2), below)
+                cands = [c for mu in _reachable_partitions(block) for c in mods_below[mu]]
             for mod in mods:
                 nid = "n%d:%s" % (n, mod.label.short())
                 nodes.append({"id": nid, "n": n, "lambda": list(lam),
@@ -686,13 +669,13 @@ def branching_graph(N, n_max, x=Fraction(2), seed=None) -> dict:
                               "dim": mod.dim, "pos": _weight_pos(N, lam)})
                 if n < 2:
                     continue
-                for summand in _branch(mod, src_ops, cands, seed).summands:
+                for summand in _branch_by_rule(mod, cands).summands:
                     label = summand["label"]
                     dst = HarmonicLabel(tuple(label["lambda"]), tuple(map(tuple, label["mu"])))
                     edges.append({"src": nid, "dst": "n%d:%s" % (n - 1, dst.short()),
                                   "multiplicity": summand["multiplicity"],
                                   "dim": summand["dim"]})
-        below = level
+        below, mods_below = level, level_mods
     return {"N": N, "n_max": n_max, "nodes": nodes, "edges": edges}
 
 

@@ -321,9 +321,11 @@ def dense_trace_with_projector(w, e):
 
 
 def fraction_branch(m, cands, seed):
-    """restrict_and_branch against the given candidate modules with the
-    rational generator lists, rational words and dense projectors:
-    (summands, words used), or the IncompleteMatch text."""
+    """The restriction of m against the given candidate modules, solved
+    from trace identities over random words in the rational generator
+    lists, with dense projectors: (summands, words used), or the text of
+    the failure.  The sampling oracle of restrict_and_branch, which reads
+    the multiplicities off the color-group rule instead."""
     block = m.block
     rng = random.Random(seed)
     dense = {}

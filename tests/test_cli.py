@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import loopbraid
 from loopbraid.affine import AffineParams, AglElement, generate_image
-from loopbraid.cli import _build_parser, dispatch, emit_dot
+from loopbraid.cli import DEFAULT_SEED, _build_parser, dispatch, emit_dot
 from loopbraid.linalg import Matrix
 from loopbraid.rings import IntegersMod, ZmInt
 from loopbraid.tensor import HarmonicLabel, TauRep
@@ -329,6 +329,23 @@ def test_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("LBREP_SEED", "12345")
     _, out = run(capsys, "affine-image", "--m", "3", "--t", "2", "--n", "2")
     assert json.loads(out)["manifest"]["seed"] == 12345
+
+
+@pytest.mark.parametrize("sizes", [("--N", "3", "--nmax", "7"), ("--N", "2", "--nmax", "9")],
+                         ids=" ".join)
+def test_branch_verdict_ignores_the_seed(capsys, monkeypatch, sizes):
+    # these sizes exit 1 at some seeds when multiplicities are sampled
+    reports = []
+    monkeypatch.delenv("LBREP_SEED", raising=False)
+    for seed in (DEFAULT_SEED, 1, 5):
+        if seed != DEFAULT_SEED:
+            monkeypatch.setenv("LBREP_SEED", str(seed))
+        code, out = run(capsys, "branch", *sizes)
+        assert code == 0
+        report = json.loads(out)
+        assert report["manifest"].pop("seed") == seed
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_emit_dot_empty():

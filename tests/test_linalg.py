@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (dense_scale, dense_wperm_product, is_field, mul_vec,
+from helpers import (dense_scale, dense_wperm_product, fraction_branch, is_field, mul_vec,
                      random_prime_above_2_30)
 from loopbraid.errors import IncompleteMatch, NonFieldModulus, SingularImage
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank
@@ -362,78 +362,44 @@ def test_rowspan_solves_trace_shaped_systems():
         assert want == x or trial % 3 == 1
 
 
-@pytest.fixture
-def trace_spans(monkeypatch):
-    """Every RowSpan that analysis builds, with the rows inserted into it."""
+def _candidates(mod):
     from loopbraid import analysis
-
-    spans = []
-
-    class RecordingSpan(RowSpan):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.inserted = []
-            spans.append(self)
-
-        def insert(self, vec):
-            self.inserted.append(list(vec))
-            return super().insert(vec)
-
-    monkeypatch.setattr(analysis, "RowSpan", RecordingSpan)
-    return spans
-
-
-def _sampled_rows(rows, k):
-    """Rows up to the first one giving full coefficient rank, by the oracle."""
-    ranks = [_oracle_rank_and_kernel(Matrix(QQ, [r[:k] for r in rows[:i]]))[0]
-             for i in range(1, len(rows) + 1)]
-    return ranks.index(k) + 1
+    return analysis._restriction_candidates(mod, analysis._blocks_below(mod.block, mod.rep))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_branching_trace_systems_match_oracle(trace_spans, n):
+def test_branching_trace_systems_match_oracle(n):
+    # the multiplicities of restrict_and_branch solve the trace system that
+    # the oracle samples, at two seeds; six verification rows follow the
+    # sampling when words exist
     from loopbraid import analysis
-    from loopbraid.tensor import TauRep, charge_blocks, harmonic_decompose, partition_block
+    from loopbraid.tensor import TauRep, harmonic_blocks
 
-    rep = TauRep(3, Fraction(2))
-    for lam, _ in charge_blocks(3, n)[1]:
-        for mod in harmonic_decompose(partition_block(3, n, lam), rep):
+    for _, _, _, mods in harmonic_blocks(3, n, TauRep(3, Fraction(2))):
+        for mod in mods:
+            report = analysis.restrict_and_branch(mod)
             for seed in (7, 401):
-                trace_spans.clear()
-                report = analysis.restrict_and_branch(mod, seed=seed)
-                (span,) = trace_spans
-                rows = span.inserted
-                k = span.width - 1
-                assert report.words_used == len(rows)
-                # six verification rows follow the sampling when words exist
-                assert len(rows) == _sampled_rows(rows, k) + (6 if n > 2 else 0)
-                mults = _oracle_solve_unique(rows, k)
-                assert [span.rows[span.pivot_of[c]][k] for c in range(k)] == mults
-                got = {str(s["label"]): s["multiplicity"] for s in report.summands}
-                cands = analysis._restriction_candidates(mod)
-                assert got == {str(c.label_json()): int(v)
-                               for c, v in zip(cands, mults) if v}
+                summands, rows = fraction_branch(mod, _candidates(mod), seed)
+                assert summands == report.summands
+                assert rows > (6 if n > 2 else 0)
 
 
-def test_branching_inconsistent_trace_system(trace_spans, monkeypatch):
+def test_branching_inconsistent_trace_system(monkeypatch):
     # without its first summand the restriction of this module cannot be
-    # matched: sampling must still stop on the coefficient rank alone, and
-    # the verdict comes after the verification rows
+    # matched: the oracle's trace system is inconsistent, and the summands
+    # of the rule fail the dimension check
     from loopbraid import analysis
     from loopbraid.tensor import TauRep, harmonic_decompose, partition_block
 
     rep = TauRep(3, Fraction(2))
     (mod,) = [m for m in harmonic_decompose(partition_block(3, 4, (2, 1, 1)), rep)
               if m.label.mu == ((1,), (2,))]
+    assert fraction_branch(mod, _candidates(mod)[1:], 7) == "trace system is inconsistent"
     full = analysis._restriction_candidates
-    monkeypatch.setattr(analysis, "_restriction_candidates", lambda m: full(m)[1:])
-    with pytest.raises(IncompleteMatch, match="inconsistent"):
-        analysis.restrict_and_branch(mod, seed=7)
-    (span,) = trace_spans
-    k = span.width - 1
-    assert len(span.inserted) == _sampled_rows(span.inserted, k) + 6
-    with pytest.raises(IncompleteMatch, match="inconsistent"):
-        _oracle_solve_unique(span.inserted, k)
+    monkeypatch.setattr(analysis, "_restriction_candidates",
+                        lambda m, below: full(m, below)[1:])
+    with pytest.raises(IncompleteMatch, match="summand dimensions 3 != module dimension 6"):
+        analysis.restrict_and_branch(mod)
 
 
 # ---------------------------------------------------------------------------
