@@ -7,12 +7,14 @@ column, so an intertwiner system X rho(g) = rho(g) X links entries in
 pairs: X[pi(a), pi(b)] = (w_a / w_b) X[a, b].  Commutant and Hom spaces
 are therefore computed exactly by propagating scalars over the orbit
 graph of matrix cells, with a component forced to zero when a cycle
-product disagrees.  Everything downstream (the Schur tests) stays in
-exact rational arithmetic; restriction multiplicities are read off the
-color-group rule and certified by fiber isomorphisms (restrict_and_branch).
-The generators are symmetric matrices (_require_symmetric), so the image
-algebra is semisimple without computation, and the Schur test
-end_dim == 1 certifies absolute irreducibility.
+product disagrees.  The generators are symmetric matrices
+(_require_symmetric), so the image algebra A is semisimple without
+computation.  One orbit count per partition block certifies A as the sum
+of End(M_i) over the harmonic modules (_count_holds, _wedderburn_pieces):
+semisimplicity_check, localization_report and harmonic_end_dims read their
+verdicts off it, and build A (_closure) or project hom spaces only where
+it fails.  Restriction multiplicities are read off the color-group rule
+and certified by fiber isomorphisms (restrict_and_branch).
 """
 
 from __future__ import annotations
@@ -262,21 +264,6 @@ def _require_symmetric(ops):
                                  "image algebra is not certified semisimple")
 
 
-def _collapsed_generators(N, n, x):
-    """Generator images on the direct sum of one block per partition, each
-    scaled by the denominator of x to int weights; every word changes by a
-    nonzero factor, so spans, ranks and centers do not.  The unscaled
-    images must pass _require_symmetric, so the algebra they span has
-    radical 0."""
-    rep = TauRep(N, x)
-    blocks = [partition_block(N, n, lam) for lam, _ in _charge_index(N, n)]
-    block_ops = [b.ops(rep) for b in blocks]
-    _require_symmetric([op for ops in block_ops for op in ops])
-    gens = [BlockOp(_integral(ops)) for ops in zip(*block_ops)]
-    ident = BlockOp([WeightedPerm.identity(ZZ, b.dim) for b in blocks])
-    return blocks, gens, ident, rep
-
-
 def _closure(gens, seeds, right=()):
     """(basis, span): a basis of the span of the seeds closed under left
     multiplication by gens and right multiplication by right, and the ZZ
@@ -307,48 +294,47 @@ def _center_dim(basis, constraints):
     return len(basis) - rank(cols, ZZ)
 
 
-def _wedderburn_pieces(blocks, gens, algebra_dim, pieces):
-    """[(block index, module)] for the nonzero pieces when the algebra A of
-    the collapsed generators, of dimension algebra_dim, is certified
-    isomorphic to the sum of End(M_i) over them; None when a check fails.
+def _count_holds(block: ChargeBlock, ops, mods, comps=None) -> bool:
+    """True when the block B is certified to be a sum of copies of its
+    harmonic modules mods, pairwise non-isomorphic with End(M_i) = Q.
 
-    pieces[k] lists candidate submodules M_i of blocks[k] (its harmonic
-    modules).  The certificate rests on three exact checks:
-      1. dim A equals c = sum (dim M_i)^2, the dimension of the sum of the
-         End(M_i);
-      2. every generator maps every M_i into itself, so restriction is an
-         algebra map A -> sum End(M_i);
-      3. on each block the color swaps within a multiplicity class commute
-         with every generator, and the translates of the block's M_i under
-         them span the block.  Everything in A commutes with the swaps, so
-         an element of A that kills every M_i kills every block: the
-         restriction is injective.
-    An injective linear map between spaces of one dimension is onto, so
-    A is the sum of the End(M_i) (Wedderburn-Artin): it is semisimple,
-    its center has one dimension per piece, and the M_i are absolutely
-    irreducible and pairwise non-isomorphic."""
-    nonzero = [(k, m) for k, mods in enumerate(pieces) for m in mods if m.dim]
-    if algebra_dim != sum(m.dim ** 2 for _, m in nonzero):
-        return None
-    for g in gens:
-        for k, m in nonzero:
-            op = g.mats[k]
-            if not all(m.span.contains(_apply_wp(op, row)) for row in m.span.int_rows):
+    The color swaps of each multiplicity class must commute with every
+    generator in ops.  The harmonic projectors are combinations of color
+    relabelings, so they then commute with the algebra A the generators
+    span, and B = sum M_i^(m_i) with m_i = dim Delta_i.  Hence dim End_A(B)
+    = sum m_i m_j dim Hom(M_i, M_j) >= sum m_i^2 over the nonzero M_i, with
+    equality iff every End(M_i) = Q and no two M_i are isomorphic; dim
+    End_A(B) is the number of hom_space components (comps when given)."""
+    for r in _color_swaps(block):
+        if not all(op.tgt[r[j]] == r[op.tgt[j]] and op.wts[r[j]] == op.wts[j]
+                   for op in ops for j in range(block.dim)):
+            return False
+    if comps is None:
+        comps = hom_space(ops, ops, block.dim, block.dim)
+    return len(comps) == sum(m.label.delta_dim() ** 2 for m in mods if m.dim)
+
+
+def _wedderburn_pieces(blocks, block_ops, pieces):
+    """[(block index, module)] for the nonzero pieces when the algebra A of
+    the generators, block_ops[k] on blocks[k], is certified isomorphic to
+    the sum of End(M_i) over them; None when a check fails.
+
+    pieces[k] lists the harmonic modules of blocks[k].  _count_holds must
+    hold on every block, and hom_space must find no intertwiner between two
+    different blocks, so no piece of one is isomorphic to a piece of
+    another.  The pieces are then pairwise non-isomorphic and absolutely
+    irreducible, A is semisimple (_require_symmetric) and acts faithfully
+    on the sum of the blocks, so by density A is the sum of the End(M_i)
+    (Lam, GTM 131, section 11): dim A = sum (dim M_i)^2, and its center
+    has one dimension per piece."""
+    for block, ops, mods in zip(blocks, block_ops, pieces):
+        if not _count_holds(block, ops, mods):
+            return None
+    for k, (src, ops_src) in enumerate(zip(blocks, block_ops)):
+        for tgt, ops_tgt in zip(blocks[k + 1:], block_ops[k + 1:]):
+            if hom_space(ops_src, ops_tgt, src.dim, tgt.dim):
                 return None
-    for k, block in enumerate(blocks):
-        swaps = _color_swaps(block)
-        if not all(all(op.tgt[r[j]] == r[op.tgt[j]] and op.wts[r[j]] == op.wts[j]
-                       for j in range(block.dim))
-                   for r in swaps for op in (g.mats[k] for g in gens)):
-            return None
-        span = RowSpan(block.dim, ZZ)
-        frontier = [row for m in pieces[k] for row in m.span.int_rows]
-        while frontier and span.dim < block.dim:
-            fresh = [v for v in frontier if span.insert(v)]
-            frontier = [_permuted(r, v) for v in fresh for r in swaps]
-        if span.dim != block.dim:
-            return None
-    return nonzero
+    return [(k, m) for k, mods in enumerate(pieces) for m in mods if m.dim]
 
 
 def _color_swaps(block: ChargeBlock) -> list:
@@ -364,38 +350,41 @@ def _color_swaps(block: ChargeBlock) -> list:
     return out
 
 
-def _permuted(tgt, vec):
-    """The permutation sending e_j to e_tgt[j] applied to vec."""
-    out = [0] * len(vec)
-    for t, v in zip(tgt, vec):
-        out[t] = v
-    return out
-
-
-def _certified_image(blocks, gens, ident, rep):
-    """(basis, pieces): a basis of the algebra A the collapsed generators
-    span, and _wedderburn_pieces over the harmonic modules of each block
-    (None when A is not certified to be the sum of their endomorphism
-    algebras)."""
-    basis, _ = _closure(gens, [ident])
-    pieces = _wedderburn_pieces(blocks, gens, len(basis),
-                                [harmonic_decompose(b, rep) for b in blocks])
-    return basis, pieces
+def _certified_image(N, n, x):
+    """(blocks, rep, algebra_dim, pieces, closure) for the image algebra A
+    at (N, n, x): one partition block per partition, in the order of the
+    charge index; dim A; pieces from _wedderburn_pieces over the blocks'
+    harmonic modules; and, only when pieces is None, (basis, gens): a basis
+    of A and the generators on the sum of the blocks, scaled by the
+    denominator of x to int weights (every word changes by a nonzero
+    factor, so spans, ranks and centers do not).  The generator images
+    must pass _require_symmetric, so A has radical 0."""
+    rep = TauRep(N, x)
+    blocks = [partition_block(N, n, lam) for lam, _ in _charge_index(N, n)]
+    block_ops = [b.ops(rep) for b in blocks]
+    _require_symmetric([op for ops in block_ops for op in ops])
+    pieces = _wedderburn_pieces(blocks, block_ops, [harmonic_decompose(b, rep) for b in blocks])
+    if pieces is not None:
+        return blocks, rep, sum(m.dim ** 2 for _, m in pieces), pieces, None
+    gens = [BlockOp(_integral(ops)) for ops in zip(*block_ops)]
+    basis, _ = _closure(gens, [BlockOp([WeightedPerm.identity(ZZ, b.dim) for b in blocks])])
+    return blocks, rep, len(basis), None, (basis, gens)
 
 
 def semisimplicity_check(N, n, x) -> dict:
     """Radical and center of the image algebra A at (N, n, x).
 
-    The radical is 0 by the symmetry certificate of _collapsed_generators
+    The radical is 0 by the symmetry certificate of _certified_image
     (LoopBraidError when it fails), so center_dim counts the simple
-    summands.  When _wedderburn_pieces certifies A as the sum of End(M_i)
-    over the harmonic modules, it is one per nonzero module; otherwise it
-    is solved from the center equations.
+    summands.  Where the orbit count of _wedderburn_pieces certifies A as
+    the sum of End(M_i) over the harmonic modules, it is the number of
+    nonzero modules and no element of A is built; where the count fails
+    (x = -1, for one), A is built by _closure and the center equations
+    are solved.
     """
-    blocks, gens, ident, rep = _collapsed_generators(N, n, x)
-    basis, pieces = _certified_image(blocks, gens, ident, rep)
-    center = len(pieces) if pieces is not None else _center_dim(basis, gens)
-    return {"radical_dim": 0, "center_dim": center, "algebra_dim": len(basis)}
+    _, _, algebra_dim, pieces, closure = _certified_image(N, n, x)
+    center = len(pieces) if pieces is not None else _center_dim(*closure)
+    return {"radical_dim": 0, "center_dim": center, "algebra_dim": algebra_dim}
 
 
 def _f_blockop(N, blocks, rep):
@@ -406,20 +395,20 @@ def localization_report(N, n, x) -> dict:
     """Simple counts of A, eAe and A/AeA with e the normalized symmetrizer.
 
     Requires e^2 = e exactly (NotIdempotent otherwise).  The products use
-    f = N! e, which spans alike.  When _wedderburn_pieces certifies A as the
-    sum of End(M_i), f lies in A (it is a signed sum of words in the s_j),
-    so eAe is the sum of End(e M_i) and AeA the sum of End(M_i) over the
-    pieces that e does not kill, and A/AeA the sum over the rest: the
-    counts are read from is_e_null.  Otherwise the counts are center
-    dimensions, which count simple summands because the radical is 0 by
-    the symmetry certificate of _collapsed_generators.
+    f = N! e, which spans alike.  Where the orbit count of
+    _wedderburn_pieces certifies A as the sum of End(M_i), f lies in A (it
+    is a signed sum of words in the s_j), so eAe is the sum of End(e M_i)
+    and AeA the sum of End(M_i) over the pieces that e does not kill, and
+    A/AeA the sum over the rest: the counts are read from is_e_null and no
+    element of A is built.  Where the count fails, A and AeA are built by
+    _closure and the counts are center dimensions, which count simple
+    summands because the radical is 0 by the symmetry certificate.
     """
-    blocks, gens, ident, rep = _collapsed_generators(N, n, x)
+    blocks, rep, algebra_dim, pieces, closure = _certified_image(N, n, x)
     f = _f_blockop(N, blocks, rep)
     fac = math.factorial(N)
     if (f * f).vec() != [fac * v for v in f.vec()]:
         raise NotIdempotent("f/N! fails to square to itself")
-    basis, pieces = _certified_image(blocks, gens, ident, rep)
     if pieces is not None:
         f_cols = [f_columns(N, b) for b in blocks]
         kept = [m for k, m in pieces if not is_e_null(m, f_cols[k])]
@@ -427,6 +416,7 @@ def localization_report(N, n, x) -> dict:
         count_eae, count_quotient = len(kept), len(pieces) - len(kept)
         aea_dim = sum(m.dim ** 2 for m in kept)
     else:
+        basis, gens = closure
         count_a = _center_dim(basis, gens)
         basis_eae, _ = _closure([], [f * b * f for b in basis])
         count_eae = _center_dim(basis_eae, basis_eae)
@@ -443,7 +433,7 @@ def localization_report(N, n, x) -> dict:
             "localized_count": count_eae,
             "quotient_count": count_quotient,
             "aea_dim": aea_dim,
-            "algebra_dim": len(basis),
+            "algebra_dim": algebra_dim,
             "triangle_ok": count_a == count_eae + count_quotient}
 
 
@@ -837,14 +827,19 @@ def harmonic_end_dims(N, n, x) -> list:
 
     Each block's generators must pass _require_symmetric (LoopBraidError
     otherwise), so every module is semisimple: end_dim == 1 certifies that
-    it is absolutely irreducible, and end_dim > 1 that it is not."""
+    it is absolutely irreducible, and end_dim > 1 that it is not.  Where
+    the orbit count of _count_holds holds on a block, each of its nonzero
+    modules has end_dim 1 with no projection; elsewhere (x = -1, for one)
+    end_dim is the projected hom space of _projected_hom_dim."""
     out = []
     rep = TauRep(N, x)
     for _, _, block, mods in harmonic_blocks(N, n, rep):
         ops = block.ops(rep)
         _require_symmetric(ops)
         comps = hom_space(ops, ops, block.dim, block.dim)  # shared by the block's modules
+        counted = _count_holds(block, ops, mods, comps)
         for mod in mods:
             out.append({"label": mod.label_json(), "dim": mod.dim,
-                        "end_dim": _projected_hom_dim(comps, mod, mod)})
+                        "end_dim": int(mod.dim > 0) if counted
+                        else _projected_hom_dim(comps, mod, mod)})
     return out

@@ -309,7 +309,7 @@ def _build_parser():
     p.add_argument("--t", type=int)
     p.add_argument("--drinfeld", action="store_true")
 
-    p = sub.add_parser("affine-image", help="closure of the affine image")
+    p = sub.add_parser("affine-image", help="order of the affine image by stabilizer chain")
     p.set_defaults(handler=_cmd_affine_image)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=int, required=True)

@@ -5,13 +5,17 @@ import random
 from fractions import Fraction
 
 from loopbraid.affine import AffineParams, AglElement, _basis_change
-from loopbraid.analysis import BlockOp, BmwReport, _closure, _integral, _laurent_witness
+from loopbraid.analysis import (BlockOp, BmwReport, _center_dim, _closure, _color_swaps,
+                                _f_blockop, _integral, _laurent_witness, _projected_hom_dim,
+                                _require_symmetric, hom_space, is_e_null)
 from loopbraid.errors import InvalidParameters, LoopBraidError
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, op_dim, rank
 from loopbraid.rings import LQ, QQ, ZZ, IntegersMod, LaurentPoly, ZmInt
 from loopbraid.symmetric import partitions, young_symmetrizer_coeffs
 from loopbraid.tensor import (ChargeBlock, ModuleSpec, TauRep, _apply_columns, _apply_wp,
-                              _perm_ops, harmonic_projector, multiplicity_classes)
+                              _charge_index, _perm_ops, f_columns, harmonic_blocks,
+                              harmonic_decompose, harmonic_projector, multiplicity_classes,
+                              partition_block)
 from loopbraid.words import (RelationReport, RelationResult, _first_difference,
                              evaluate_word)
 
@@ -534,3 +538,111 @@ def _fraction_residual_action_ok(prefix_cols, mspec, target, projected):
             if _apply_columns(cols, row, target.dim) != _apply_wp(dst, via):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The closure certificate of the image algebra that the hom-space orbit
+# count replaced: A is built as the closure of the collapsed generators and
+# compared by dimension with the sum of the End(M_i); and the irreducibility
+# verdicts from projected hom spaces, module by module.
+
+def collapsed_generators(N, n, x):
+    """(blocks, gens, ident, rep): one partition block per partition, the
+    generators on their direct sum as BlockOps scaled by the denominator of
+    x to int weights, and the identity BlockOp."""
+    rep = TauRep(N, x)
+    blocks = [partition_block(N, n, lam) for lam, _ in _charge_index(N, n)]
+    block_ops = [b.ops(rep) for b in blocks]
+    _require_symmetric([op for ops in block_ops for op in ops])
+    gens = [BlockOp(_integral(ops)) for ops in zip(*block_ops)]
+    ident = BlockOp([WeightedPerm.identity(ZZ, b.dim) for b in blocks])
+    return blocks, gens, ident, rep
+
+
+def closure_wedderburn_pieces(blocks, gens, algebra_dim, pieces):
+    """[(block index, module)] for the nonzero pieces when the algebra A of
+    the collapsed generators, of dimension algebra_dim, is certified
+    isomorphic to the sum of End(M_i) over them; None when a check fails.
+
+    The certificate rests on three exact checks:
+      1. dim A equals c = sum (dim M_i)^2;
+      2. every generator maps every M_i into itself, so restriction is an
+         algebra map A -> sum End(M_i);
+      3. on each block the color swaps within a multiplicity class commute
+         with every generator, and the translates of the block's M_i under
+         them span the block, so the restriction is injective.
+    An injective linear map between spaces of one dimension is onto."""
+    nonzero = [(k, m) for k, mods in enumerate(pieces) for m in mods if m.dim]
+    if algebra_dim != sum(m.dim ** 2 for _, m in nonzero):
+        return None
+    for g in gens:
+        for k, m in nonzero:
+            op = g.mats[k]
+            if not all(m.span.contains(_apply_wp(op, row)) for row in m.span.int_rows):
+                return None
+    for k, block in enumerate(blocks):
+        swaps = _color_swaps(block)
+        if not all(all(op.tgt[r[j]] == r[op.tgt[j]] and op.wts[r[j]] == op.wts[j]
+                       for j in range(block.dim))
+                   for r in swaps for op in (g.mats[k] for g in gens)):
+            return None
+        span = RowSpan(block.dim, ZZ)
+        frontier = [row for m in pieces[k] for row in m.span.int_rows]
+        while frontier and span.dim < block.dim:
+            fresh = [v for v in frontier if span.insert(v)]
+            frontier = [_permuted(r, v) for v in fresh for r in swaps]
+        if span.dim != block.dim:
+            return None
+    return nonzero
+
+
+def _permuted(tgt, vec):
+    """The permutation sending e_j to e_tgt[j] applied to vec."""
+    out = [0] * len(vec)
+    for t, v in zip(tgt, vec):
+        out[t] = v
+    return out
+
+
+def closure_reports(N, n, x):
+    """(semisimplicity_check, localization_report) from one closure of A,
+    the counts read off the closure certificate where it holds and solved
+    from the center equations where it fails; the second is None for
+    n < N, where the symmetrizer is not defined."""
+    blocks, gens, ident, rep = collapsed_generators(N, n, x)
+    basis, _ = _closure(gens, [ident])
+    pieces = closure_wedderburn_pieces(blocks, gens, len(basis),
+                                       [harmonic_decompose(b, rep) for b in blocks])
+    count_a = len(pieces) if pieces is not None else _center_dim(basis, gens)
+    semisimple = {"radical_dim": 0, "center_dim": count_a, "algebra_dim": len(basis)}
+    if n < N:
+        return semisimple, None
+    f = _f_blockop(N, blocks, rep)
+    if pieces is not None:
+        kept = [m for k, m in pieces if not is_e_null(m, f_columns(N, blocks[k]))]
+        count_eae, count_quotient = len(kept), len(pieces) - len(kept)
+        aea_dim = sum(m.dim ** 2 for m in kept)
+    else:
+        basis_eae, _ = _closure([], [f * b * f for b in basis])
+        count_eae = _center_dim(basis_eae, basis_eae)
+        basis_aea, span_aea = _closure(gens, [f], gens)
+        cols = [[v for g in gens for v in span_aea.reduce(b.commutator_vec(g))]
+                for b in basis]
+        count_quotient = len(basis) - rank(cols) - len(basis_aea)
+        aea_dim = len(basis_aea)
+    return semisimple, {"radical_dim": 0, "simple_count": count_a,
+                        "localized_count": count_eae, "quotient_count": count_quotient,
+                        "aea_dim": aea_dim, "algebra_dim": len(basis),
+                        "triangle_ok": count_a == count_eae + count_quotient}
+
+
+def projected_end_dims(N, n, x):
+    """harmonic_end_dims with every end_dim from the projected hom space."""
+    rep = TauRep(N, x)
+    out = []
+    for _, _, block, mods in harmonic_blocks(N, n, rep):
+        ops = block.ops(rep)
+        comps = hom_space(ops, ops, block.dim, block.dim)
+        out += [{"label": m.label_json(), "dim": m.dim,
+                 "end_dim": _projected_hom_dim(comps, m, m)} for m in mods]
+    return out

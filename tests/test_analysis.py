@@ -7,26 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (algebra_span, dense_bmw_check, dense_is_e_null, dense_localize,
+from helpers import (algebra_span, closure_reports, closure_wedderburn_pieces,
+                     collapsed_generators, dense_bmw_check, dense_is_e_null, dense_localize,
                      fraction_branch, fraction_localize, gram_radical_dim, laurent_bmw_check,
-                     trace_form)
+                     projected_end_dims, trace_form)
 from loopbraid import analysis
 from loopbraid.analysis import (BlockOp, bmw_check,
                                 branching_graph, end_dim, harmonic_end_dims,
                                 hom_dim, hom_space, is_e_null, is_irreducible,
                                 localization_report, restrict_and_branch, semisimplicity_check,
                                 spin_dimension, verify_young_branching,
-                                young_branch_rule, _center_dim, _closure,
-                                _collapsed_generators, _dense, _f_blockop,
+                                young_branch_rule, _center_dim, _closure, _dense, _f_blockop,
                                 _certified_image, _laurent_witness, _project_hom,
                                 _wedderburn_pieces, _weight_pos)
 from loopbraid.errors import InvalidParameters, LoopBraidError, NotIdempotent
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank
 from loopbraid.rings import QQ, ZZ, LaurentPoly
-from loopbraid.tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_wp,
-                              charge_blocks, f_columns, f_operator, harmonic_blocks,
-                              harmonic_decompose, harmonic_projector, localize, localize_modules,
-                              partition_block, young_module)
+from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep, charge_blocks, f_columns,
+                              f_operator, harmonic_blocks, harmonic_decompose, harmonic_projector,
+                              localize, localize_modules, partition_block, young_module)
 from loopbraid.words import _first_difference
 
 X2 = TauRep(2, Fraction(2))
@@ -358,7 +357,7 @@ def _block_rows(m):
     (2, 4, Fraction(2), False), (2, 4, Fraction(3), False), (3, 3, Fraction(2), False),
     (2, 4, Fraction(2), True)])
 def test_trace_form_matches_dense_oracle(N, n, x, localize):
-    blocks, gens, ident, rep = _collapsed_generators(N, n, x)
+    blocks, gens, ident, rep = collapsed_generators(N, n, x)
     basis, _ = _closure(gens, [ident])
     if localize:
         f = _f_blockop(N, blocks, rep)
@@ -379,7 +378,7 @@ def test_localization_triangle_counts():
 
 def test_localization_identity_idempotent_trivial():
     # with e = 1 the localized algebra is everything and the quotient dies
-    blocks, gens, ident, rep = _collapsed_generators(2, 2, Fraction(2))
+    blocks, gens, ident, rep = collapsed_generators(2, 2, Fraction(2))
     basis, _ = _closure(gens, [ident])
     count = _center_dim(basis, gens)
     e = ident
@@ -827,7 +826,7 @@ def _product_ideal_span(basis, f):
 @pytest.mark.parametrize("N,n,x", [(2, 5, Fraction(2)), (3, 4, Fraction(2)),
                                    (3, 4, Fraction(-1))], ids=str)
 def test_two_sided_closure_spans_the_product_ideal(N, n, x):
-    blocks, gens, ident, rep = _collapsed_generators(N, n, x)
+    blocks, gens, ident, rep = collapsed_generators(N, n, x)
     basis, _ = _closure(gens, [ident])
     f = _f_blockop(N, blocks, rep)
     aea, span = _closure(gens, [f], gens)
@@ -840,7 +839,7 @@ def test_two_sided_closure_spans_the_product_ideal(N, n, x):
 def test_closure_basis_is_words_of_scaled_generators():
     # the closure keeps words as WeightedPerms with int weights; each is a
     # nonzero multiple of the dense word at the same place in the basis
-    blocks, gens, ident, rep = _collapsed_generators(2, 4, Fraction(7, 2))
+    blocks, gens, ident, rep = collapsed_generators(2, 4, Fraction(7, 2))
     basis, _ = _closure(gens, [ident])
     dense = _dense_closure(*_dense_collapsed_generators(2, 4, Fraction(7, 2))[1:3])
     assert len(basis) == len(dense) == 35
@@ -1045,8 +1044,9 @@ def test_int_ops_scale_sigma_by_the_denominator_of_x():
 
 
 # ---------------------------------------------------------------------------
-# The Wedderburn count, against the closure fallback it skips; the dense
-# oracle tests above run it on the smaller sizes.
+# The orbit count, against the closure certificate it replaced
+# (helpers.closure_reports) and the projected hom spaces
+# (helpers.projected_end_dims), and against the closure fallback it skips.
 
 def _closure_fallback(monkeypatch, check, *args):
     """check(*args) with the Wedderburn count refused."""
@@ -1055,13 +1055,42 @@ def _closure_fallback(monkeypatch, check, *args):
         return check(*args)
 
 
+_GRID_XS = [Fraction(2), Fraction(7, 2), Fraction(1), Fraction(-1, 2), Fraction(-1),
+            Fraction(1, 3), Fraction(-2, 3), Fraction(-3, 2)]
+
+
+def _assert_reports_match_the_oracles(N, n, x):
+    semisimple, localized = closure_reports(N, n, x)
+    assert semisimplicity_check(N, n, x) == semisimple
+    assert harmonic_end_dims(N, n, x) == projected_end_dims(N, n, x)
+    if localized is None:
+        with pytest.raises(InvalidParameters):
+            localization_report(N, n, x)
+    else:
+        assert localization_report(N, n, x) == localized
+
+
+# (4, 5) costs about 10 s per point in the oracles, 35 s at x = -1, so
+# the larger sizes run at x = 2 only.
+@pytest.mark.parametrize("x", _GRID_XS, ids=str)
+@pytest.mark.parametrize("N,n", [(N, n) for N in range(1, 5) for n in range(5)]
+                         + [(1, 5), (2, 5), (3, 5)])
+def test_reports_match_the_closure_certificate(N, n, x):
+    _assert_reports_match_the_oracles(N, n, x)
+
+
+@pytest.mark.parametrize("N,n", [(4, 5), (2, 6), (2, 7)])
+def test_reports_match_the_closure_certificate_at_larger_sizes(N, n):
+    _assert_reports_match_the_oracles(N, n, Fraction(2))
+
+
 # The points of the count grid that the dense oracles do not reach: (2, 2)
 # and (2, 5) for both reports, and the localization report at (3, 4); the
 # next test adds the semisimplicity check at (4, 4, 2).
 @pytest.mark.parametrize("x", _ALGEBRA_XS, ids=str)
 @pytest.mark.parametrize("N,n,reports", [(2, 2, "both"), (2, 5, "both"), (3, 4, "localize")])
 def test_wedderburn_count_matches_the_trace_form_path(monkeypatch, N, n, x, reports):
-    _, pieces = _certified_image(*_collapsed_generators(N, n, x))
+    pieces = _certified_image(N, n, x)[3]
     assert (pieces is None) == (x == -1)
     checks = [localization_report] if reports == "localize" else \
         [semisimplicity_check, localization_report]
@@ -1084,8 +1113,10 @@ def test_degenerate_x_takes_the_closure_fallback(monkeypatch):
         return original(basis, constraints)
 
     monkeypatch.setattr(analysis, "_center_dim", counted)
-    # dim A = 23 < c = 107 at x = -1: the count fails and the center is solved
-    assert _certified_image(*_collapsed_generators(3, 4, Fraction(-1)))[1] is None
+    # at x = -1 the orbit count exceeds sum m_i^2: A is built (dim 23 < 107)
+    # and the center is solved
+    pieces, (basis, gens) = _certified_image(3, 4, Fraction(-1))[3:]
+    assert pieces is None and len(basis) == 23
     assert semisimplicity_check(3, 4, Fraction(-1)) == \
         {"radical_dim": 0, "center_dim": 4, "algebra_dim": 23}
     assert calls == [23]
@@ -1095,41 +1126,89 @@ def test_degenerate_x_takes_the_closure_fallback(monkeypatch):
     assert calls == [23]
 
 
-def _pieces_at(N, n, x):
-    """(blocks, gens, dim A, harmonic modules of each block)."""
-    blocks, gens, ident, rep = _collapsed_generators(N, n, x)
+def test_the_count_path_builds_no_closure_and_projects_nothing(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the count path called a fallback")
+
+    monkeypatch.setattr(analysis, "_closure", refused)
+    monkeypatch.setattr(analysis, "_project_hom", refused)
+    assert semisimplicity_check(3, 5, Fraction(2)) == \
+        {"radical_dim": 0, "center_dim": 7, "algebra_dim": 776}
+    assert localization_report(3, 4, Fraction(2)) == \
+        {"radical_dim": 0, "simple_count": 6, "localized_count": 1, "quotient_count": 5,
+         "aea_dim": 36, "algebra_dim": 107, "triangle_ok": True}
+    ends = harmonic_end_dims(4, 5, Fraction(2))
+    assert len(ends) == 10 and all(e["end_dim"] == 1 for e in ends)
+
+
+def test_the_count_agrees_with_the_closure_certificate_on_its_pieces():
+    blocks, gens, ident, rep = collapsed_generators(3, 4, Fraction(2))
     basis, _ = _closure(gens, [ident])
-    return blocks, gens, len(basis), [harmonic_decompose(b, rep) for b in blocks]
+    pieces = [harmonic_decompose(b, rep) for b in blocks]
+    counted = _wedderburn_pieces(blocks, [b.ops(rep) for b in blocks], pieces)
+    assert len(counted) == 6
+    assert counted == closure_wedderburn_pieces(blocks, gens, len(basis), pieces)
 
 
-def test_wedderburn_count_refuses_a_non_invariant_piece():
-    blocks, gens, dim, pieces = _pieces_at(3, 4, Fraction(2))
-    assert len(_wedderburn_pieces(blocks, gens, dim, pieces)) == 6
-    k = [b.lam for b in blocks].index((2, 1, 1))
-    m = pieces[k][0]
-    # the first m.dim unit vectors: same dimension, so the count still holds
-    units = ModuleSpec(m.block, m.rep, None, None,
-                       ([int(i == j) for j in range(m.block.dim)] for i in range(m.dim)))
-    assert not all(units.span.contains(_apply_wp(g.mats[k], row))
-                   for g in gens for row in units.span.int_rows)
-    bad = list(pieces)
-    bad[k] = [units] + pieces[k][1:]
-    assert sum(p.dim ** 2 for mods in bad for p in mods) == dim
-    assert _wedderburn_pieces(blocks, gens, dim, bad) is None
+# Each sabotage makes one check of the count fail on (3, 4, 2), where the
+# count holds: the (2, 1, 1) block (dim 12, harmonic projectors that are not
+# the identity) gets a hom-space component too many, some pair of blocks
+# an intertwiner, or every block a color swap that does not commute with
+# the generators.
+
+def _extra_self_component(original):
+    def hom_space(ops_src, ops_tgt, d_src, d_tgt):
+        out = original(ops_src, ops_tgt, d_src, d_tgt)
+        return out + [dict(out[0])] if ops_src is ops_tgt and d_src == 12 else out
+    return hom_space
 
 
-def test_wedderburn_count_refuses_pieces_that_miss_part_of_a_block():
-    # the (2, 1, 1) block holds two 6-dimensional pieces; two copies of the
-    # first are invariant and keep the count, but with their translates
-    # they span only half of the block, so A is not known to act faithfully
-    blocks, gens, dim, pieces = _pieces_at(3, 4, Fraction(2))
-    k = [b.lam for b in blocks].index((2, 1, 1))
-    assert [m.dim for m in pieces[k]] == [6, 6]
-    bad = list(pieces)
-    bad[k] = [pieces[k][0], pieces[k][0]]
-    assert _wedderburn_pieces(blocks, gens, dim, bad) is None
-    bad[k] = [pieces[k][0]]  # and without the second piece the count fails
-    assert _wedderburn_pieces(blocks, gens, dim, bad) is None
+def _cross_block_component(original):
+    def hom_space(ops_src, ops_tgt, d_src, d_tgt):
+        out = original(ops_src, ops_tgt, d_src, d_tgt)
+        return out if ops_src is ops_tgt else out + [{}]
+    return hom_space
+
+
+def _non_commuting_swap(original):
+    def color_swaps(block):
+        out = original(block)
+        if block.dim > 1:  # the words 0 and 1 exchanged
+            out.append([1, 0] + list(range(2, block.dim)))
+        return out
+    return color_swaps
+
+
+def _cli_report(capsys, argv):
+    from loopbraid.cli import dispatch
+    code = dispatch(list(argv))
+    return code, capsys.readouterr().out
+
+
+# The cross-block check does not enter harmonic_end_dims: an end_dim needs
+# only the count on its own block.
+@pytest.mark.parametrize("name,sabotage,commands", [
+    ("hom_space", _extra_self_component, ("semisimple", "irreducible")),
+    ("hom_space", _cross_block_component, ("semisimple",)),
+    ("_color_swaps", _non_commuting_swap, ("semisimple", "irreducible"))],
+    ids=["extra_self_component", "cross_block_component", "non_commuting_swap"])
+def test_a_failed_count_takes_the_fallback_with_the_same_report(monkeypatch, capsys, name,
+                                                                 sabotage, commands):
+    fallbacks = {"semisimple": {"_closure", "_center_dim"}, "irreducible": {"_projected_hom_dim"}}
+    for command in commands:
+        argv = (command, "--N", "3", "--n", "4", "--x", "2")
+        want = _cli_report(capsys, argv)
+        with monkeypatch.context() as m:
+            calls = set()
+            for fallback in ("_closure", "_center_dim", "_projected_hom_dim"):
+                def counted(*args, _name=fallback, _original=getattr(analysis, fallback)):
+                    calls.add(_name)
+                    return _original(*args)
+                m.setattr(analysis, fallback, counted)
+            assert _cli_report(capsys, argv) == want and not calls
+            m.setattr(analysis, name, sabotage(getattr(analysis, name)))
+            assert _cli_report(capsys, argv) == want
+            assert calls == fallbacks[command]
 
 
 # ---------------------------------------------------------------------------
@@ -1139,8 +1218,7 @@ def test_wedderburn_count_refuses_pieces_that_miss_part_of_a_block():
 @pytest.mark.parametrize("N,n", [(2, 2), (2, 5), (3, 4), (4, 4), (3, 5), (2, 6)])
 def test_symmetry_certificate_matches_the_gram_radical(N, n):
     x = Fraction(-1)
-    blocks, gens, ident, rep = _collapsed_generators(N, n, x)
-    basis, pieces = _certified_image(blocks, gens, ident, rep)
+    pieces, (basis, gens) = _certified_image(N, n, x)[3:]
     assert pieces is None
     assert gram_radical_dim(basis) == semisimplicity_check(N, n, x)["radical_dim"] == \
         localization_report(N, n, x)["radical_dim"] == 0
