@@ -320,9 +320,12 @@ def _wedderburn_pieces(blocks, block_ops, pieces):
     the sum of End(M_i) over them; None when a check fails.
 
     pieces[k] lists the harmonic modules of blocks[k].  _count_holds must
-    hold on every block, and hom_space must find no intertwiner between two
-    different blocks, so no piece of one is isomorphic to a piece of
-    another.  The pieces are then pairwise non-isomorphic and absolutely
+    hold on every block, so each block is a sum of copies of its pieces,
+    which are absolutely irreducible and pairwise non-isomorphic.  No piece
+    of one block may be isomorphic to a piece of another.  An isomorphism
+    preserves dimension, so hom_space must find no intertwiner only between
+    blocks whose nonzero pieces share a dimension; between any other two,
+    Hom = 0.  The pieces are then pairwise non-isomorphic and absolutely
     irreducible, A is semisimple (_require_symmetric) and acts faithfully
     on the sum of the blocks, so by density A is the sum of the End(M_i)
     (Lam, GTM 131, section 11): dim A = sum (dim M_i)^2, and its center
@@ -330,9 +333,10 @@ def _wedderburn_pieces(blocks, block_ops, pieces):
     for block, ops, mods in zip(blocks, block_ops, pieces):
         if not _count_holds(block, ops, mods):
             return None
+    dims = [{m.dim for m in mods if m.dim} for mods in pieces]
     for k, (src, ops_src) in enumerate(zip(blocks, block_ops)):
-        for tgt, ops_tgt in zip(blocks[k + 1:], block_ops[k + 1:]):
-            if hom_space(ops_src, ops_tgt, src.dim, tgt.dim):
+        for tgt, ops_tgt, tgt_dims in zip(blocks[k + 1:], block_ops[k + 1:], dims[k + 1:]):
+            if dims[k] & tgt_dims and hom_space(ops_src, ops_tgt, src.dim, tgt.dim):
                 return None
     return [(k, m) for k, mods in enumerate(pieces) for m in mods if m.dim]
 

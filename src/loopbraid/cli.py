@@ -1,12 +1,13 @@
 """Command-line front end: JSON reports on stdout, wall time on stderr,
-exit code 0 when every asserted check passed, 1 when a check failed, 2 on
-usage errors.  Reports are deterministic byte-for-byte for equal manifests
+exit code 0 when every asserted check passed, 1 when a check failed or
+stdout closed early, 2 on usage errors.  Reports are deterministic byte-for-byte for equal manifests
 and inputs.  Every manifest records a seed, LBREP_SEED when set; no
 computation reads it."""
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -35,15 +36,21 @@ DEFAULT_SEED = 0xB5EED
 
 
 def default_seed() -> int:
-    return int(os.environ.get("LBREP_SEED", DEFAULT_SEED))
+    text = os.environ.get("LBREP_SEED")
+    if text is None:
+        return DEFAULT_SEED
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameters("LBREP_SEED=%r is not an integer" % text) from None
 
 
-def _manifest(args, ring):
+def _manifest(args, ring, seed):
     """Every parsed option that is set, except _UNRECORDED."""
     return {"command": args.command,
             "parameters": {k: v for k, v in sorted(vars(args).items())
                            if v is not None and k not in _UNRECORDED},
-            "seed": default_seed(),
+            "seed": seed,
             "ring": ring,
             "version": __version__}
 
@@ -191,6 +198,7 @@ def _cmd_branch(args):
 
 
 def _cmd_irreducible(args):
+    args.ring = "rational"  # the only ring; the report and the manifest record it
     x = _frac(args.x)
     entries = harmonic_end_dims(args.N, args.n, x)
     all_simple = all(e["end_dim"] == 1 for e in entries)
@@ -261,7 +269,55 @@ def emit_dot(graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing: each subcommand is declared once, with its handler.
+# Argument parsing: each subcommand is declared once, with its handler, as
+# (help, handler, parent arguments, arguments); an argument is (flag, keywords).
+
+_TENSOR_POWER = (("--N", dict(type=int, required=True)),
+                 ("--n", dict(type=int, required=True)),
+                 ("--x", dict(default="2")))
+
+_COMMANDS = {
+    "check-relations": ("verify a relation suite", _cmd_check_relations, (), (
+        ("--rep", dict(choices=("affine", "tau"), required=True)),
+        ("--variant", dict(choices=("LB", "OLB", "VB", "SLB"), default="LB")),
+        ("--n", dict(type=int, required=True)),
+        ("--m", dict(type=int)),
+        ("--t", dict(type=int)),
+        ("--N", dict(type=int)),
+        ("--x", dict(default="2")),
+        ("--form", dict(choices=("x", "q"), default="x")),
+        ("--transposed", dict(action="store_true")))),
+    "ybe": ("check the Yang-Baxter equation", _cmd_ybe, (), (
+        ("--bvs", dict(choices=("swap", "c2", "c2alt", "tau", "affine"), required=True)),
+        ("--d", dict(type=int)),
+        ("--q", {}),
+        ("--N", dict(type=int)),
+        ("--x", {}),
+        ("--m", dict(type=int)),
+        ("--t", dict(type=int)),
+        ("--drinfeld", dict(action="store_true")))),
+    "affine-image": ("order of the affine image by stabilizer chain", _cmd_affine_image, (), (
+        ("--m", dict(type=int, required=True)),
+        ("--t", dict(type=int, required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--cap", dict(type=int, default=10 ** 7)),
+        ("--emit-elements", dict(action="store_true")))),
+    "decompose": ("charge and harmonic decomposition", _cmd_decompose, _TENSOR_POWER, (
+        ("--basis", dict(action="store_true")),)),
+    "branch": ("branching graph of harmonic modules", _cmd_branch, (), (
+        ("--N", dict(type=int, required=True, choices=(2, 3))),
+        ("--nmax", dict(type=int, required=True)),
+        ("--x", dict(default="2")),
+        ("--dot", {}))),
+    "irreducible": ("Schur test for harmonic modules", _cmd_irreducible, _TENSOR_POWER, ()),
+    "bmw-check": ("cubic algebra relation certificates", _cmd_bmw, (), (
+        ("--N", dict(type=int, required=True)),
+        ("--n", dict(type=int, default=3)))),
+    "semisimple": ("radical and center of the image algebra", _cmd_semisimple,
+                   _TENSOR_POWER, ()),
+    "localize": ("symmetrizer localization dimensions", _cmd_localize, _TENSOR_POWER, ()),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
@@ -275,87 +331,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _build_parser():
+def _build_parser(command=None):
+    """The parser of every subcommand, or of the named one only: building
+    one subparser is most of the cost of a parser, and each run uses one."""
     parser = _Parser(prog="loopbraid",
                      description="Exact computations with loop braid group "
                                  "representations.")
     sub = parser.add_subparsers(dest="command", required=True)
-    tensor_power = argparse.ArgumentParser(add_help=False)
-    tensor_power.add_argument("--N", type=int, required=True)
-    tensor_power.add_argument("--n", type=int, required=True)
-    tensor_power.add_argument("--x", default="2")
-
-    p = sub.add_parser("check-relations", help="verify a relation suite")
-    p.set_defaults(handler=_cmd_check_relations)
-    p.add_argument("--rep", choices=("affine", "tau"), required=True)
-    p.add_argument("--variant", choices=("LB", "OLB", "VB", "SLB"), default="LB")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--x", default="2")
-    p.add_argument("--form", choices=("x", "q"), default="x")
-    p.add_argument("--transposed", action="store_true")
-
-    p = sub.add_parser("ybe", help="check the Yang-Baxter equation")
-    p.set_defaults(handler=_cmd_ybe)
-    p.add_argument("--bvs", choices=("swap", "c2", "c2alt", "tau", "affine"),
-                   required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--q")
-    p.add_argument("--N", type=int)
-    p.add_argument("--x")
-    p.add_argument("--m", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--drinfeld", action="store_true")
-
-    p = sub.add_parser("affine-image", help="order of the affine image by stabilizer chain")
-    p.set_defaults(handler=_cmd_affine_image)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=10 ** 7)
-    p.add_argument("--emit-elements", action="store_true")
-
-    p = sub.add_parser("decompose", parents=[tensor_power],
-                       help="charge and harmonic decomposition")
-    p.set_defaults(handler=_cmd_decompose)
-    p.add_argument("--basis", action="store_true")
-
-    p = sub.add_parser("branch", help="branching graph of harmonic modules")
-    p.set_defaults(handler=_cmd_branch)
-    p.add_argument("--N", type=int, required=True, choices=(2, 3))
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--x", default="2")
-    p.add_argument("--dot")
-
-    p = sub.add_parser("irreducible", parents=[tensor_power],
-                       help="Schur test for harmonic modules")
-    p.set_defaults(handler=_cmd_irreducible, ring="rational")
-
-    p = sub.add_parser("bmw-check", help="cubic algebra relation certificates")
-    p.set_defaults(handler=_cmd_bmw)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, default=3)
-
-    p = sub.add_parser("semisimple", parents=[tensor_power],
-                       help="radical and center of the image algebra")
-    p.set_defaults(handler=_cmd_semisimple)
-
-    p = sub.add_parser("localize", parents=[tensor_power],
-                       help="symmetrizer localization dimensions")
-    p.set_defaults(handler=_cmd_localize)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, handler, parent, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        for flag, keywords in parent + arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def dispatch(argv) -> int:
-    parser = _build_parser()
+    # argv[0] selects the one subparser to build; any other first word
+    # (--help, an unknown or missing command) gets the full parser and its
+    # top-level usage
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     start = time.monotonic()
     try:
+        seed = default_seed()  # a malformed LBREP_SEED stops the run before any work
         report, ok, ring = args.handler(args)
     except InvalidParameters as exc:
         sys.stderr.write("usage error: %s\n" % exc)
@@ -363,14 +366,27 @@ def dispatch(argv) -> int:
     except LoopBraidError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    report["manifest"] = _manifest(args, ring)
+    report["manifest"] = _manifest(args, ring, seed)
     _emit(report)
     sys.stderr.write("wall_time_ms=%d\n" % int((time.monotonic() - start) * 1000))
     return 0 if ok else 1
 
 
 def main():
-    raise SystemExit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        # flush here, so that a closed pipe raises inside this try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`| head`): send what is left, including the
+        # flush at exit, to devnull, and exit 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    # every object still alive lives until the process ends; frozen, the
+    # collections at interpreter shutdown skip them
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

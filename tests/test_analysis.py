@@ -1150,11 +1150,13 @@ def test_the_count_agrees_with_the_closure_certificate_on_its_pieces():
     assert counted == closure_wedderburn_pieces(blocks, gens, len(basis), pieces)
 
 
-# Each sabotage makes one check of the count fail on (3, 4, 2), where the
-# count holds: the (2, 1, 1) block (dim 12, harmonic projectors that are not
-# the identity) gets a hom-space component too many, some pair of blocks
-# an intertwiner, or every block a color swap that does not commute with
-# the generators.
+# Each sabotage makes one check of the count fail where the count holds:
+# on (3, 4, 2) the (2, 1, 1) block (dim 12, harmonic projectors that are not
+# the identity) gets a hom-space component too many, or every block a color
+# swap that does not commute with the generators; on (4, 4, 2), where the
+# (1, 1, 1, 1) block shares piece dimensions with two other blocks, a pair
+# of blocks gets an intertwiner.  (No two blocks of (3, 4, 2) share a piece
+# dimension, so there the cross-block check calls no hom_space.)
 
 def _extra_self_component(original):
     def hom_space(ops_src, ops_tgt, d_src, d_tgt):
@@ -1187,16 +1189,16 @@ def _cli_report(capsys, argv):
 
 # The cross-block check does not enter harmonic_end_dims: an end_dim needs
 # only the count on its own block.
-@pytest.mark.parametrize("name,sabotage,commands", [
-    ("hom_space", _extra_self_component, ("semisimple", "irreducible")),
-    ("hom_space", _cross_block_component, ("semisimple",)),
-    ("_color_swaps", _non_commuting_swap, ("semisimple", "irreducible"))],
+@pytest.mark.parametrize("name,sabotage,commands,N", [
+    ("hom_space", _extra_self_component, ("semisimple", "irreducible"), "3"),
+    ("hom_space", _cross_block_component, ("semisimple",), "4"),
+    ("_color_swaps", _non_commuting_swap, ("semisimple", "irreducible"), "3")],
     ids=["extra_self_component", "cross_block_component", "non_commuting_swap"])
 def test_a_failed_count_takes_the_fallback_with_the_same_report(monkeypatch, capsys, name,
-                                                                 sabotage, commands):
+                                                                 sabotage, commands, N):
     fallbacks = {"semisimple": {"_closure", "_center_dim"}, "irreducible": {"_projected_hom_dim"}}
     for command in commands:
-        argv = (command, "--N", "3", "--n", "4", "--x", "2")
+        argv = (command, "--N", N, "--n", "4", "--x", "2")
         want = _cli_report(capsys, argv)
         with monkeypatch.context() as m:
             calls = set()
@@ -1209,6 +1211,49 @@ def test_a_failed_count_takes_the_fallback_with_the_same_report(monkeypatch, cap
             m.setattr(analysis, name, sabotage(getattr(analysis, name)))
             assert _cli_report(capsys, argv) == want
             assert calls == fallbacks[command]
+
+
+# Two blocks whose nonzero pieces share no dimension have Hom = 0 once the
+# per-block counts hold, so the cross-block check walks only the pairs that
+# share one: at (3, 8, 2) 2 of the 45 pairs.
+@pytest.mark.parametrize("N,n,walked,pairs", [
+    (3, 4, [], 6), (4, 3, [(1, 6)], 3), (3, 5, [(10, 20)], 10),
+    (4, 5, [(10, 20), (10, 60), (20, 60)], 15),
+    (3, 8, [(28, 56), (280, 560)], 45)], ids=["3,4", "4,3", "3,5", "4,5", "3,8"])
+def test_the_cross_block_check_walks_only_pairs_that_share_a_piece_dimension(
+        monkeypatch, N, n, walked, pairs):
+    x = Fraction(2)
+    blocks = [partition_block(N, n, lam) for lam, _ in analysis._charge_index(N, n)]
+    assert len(blocks) * (len(blocks) - 1) // 2 == pairs
+    calls = []
+    original = analysis.hom_space
+
+    def counted(ops_src, ops_tgt, d_src, d_tgt):
+        out = original(ops_src, ops_tgt, d_src, d_tgt)
+        if ops_src is not ops_tgt:
+            calls.append((d_src, d_tgt))
+            assert out == []
+        return out
+
+    monkeypatch.setattr(analysis, "hom_space", counted)
+    pieces = _certified_image(N, n, x)[3]
+    assert pieces is not None and calls == walked
+
+
+@pytest.mark.parametrize("N,n", [(3, 4), (4, 3), (3, 5), (2, 6)], ids=str)
+def test_blocks_with_no_piece_dimension_in_common_have_no_intertwiner(N, n):
+    # the skip of the cross-block check, against the walk it saves
+    rep = TauRep(N, Fraction(2))
+    blocks = [partition_block(N, n, lam) for lam, _ in analysis._charge_index(N, n)]
+    ops = [b.ops(rep) for b in blocks]
+    dims = [{m.dim for m in harmonic_decompose(b, rep) if m.dim} for b in blocks]
+    skipped = 0
+    for k in range(len(blocks)):
+        for j in range(k + 1, len(blocks)):
+            if not dims[k] & dims[j]:
+                skipped += 1
+                assert hom_space(ops[k], ops[j], blocks[k].dim, blocks[j].dim) == []
+    assert skipped
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import loopbraid
+from loopbraid import cli
 from loopbraid.affine import AffineParams, AglElement, generate_image
 from loopbraid.cli import DEFAULT_SEED, _build_parser, dispatch, emit_dot
 from loopbraid.linalg import Matrix
@@ -420,6 +421,119 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     new = proc.stdout.split()
     assert "loopbraid.cli" in new
     assert "dataclasses" not in new and "inspect" not in new
+
+
+# dispatch builds the subparser of argv[0] only; every argv behaves as with
+# the full parser.
+
+def _parse(parser, capsys, argv):
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_one_subcommand_parser_reads_argv_as_the_full_parser(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    required = next(flag for flag, keywords in
+                    cli._COMMANDS[command][2] + cli._COMMANDS[command][3]
+                    if keywords.get("required"))
+    for argv in ([command, "--help"], [command, "--no-such-option"], [command],
+                 [command, required]):
+        full = _parse(_build_parser(), capsys, argv)
+        one = _parse(_build_parser(command), capsys, argv)
+        assert full == one and full[0] in (0, 2), argv
+        assert (full[1] if full[0] == 0 else full[2]).startswith(
+            "usage" if full[0] == 0 else "usage error: loopbraid %s: " % command)
+
+
+def test_dispatch_builds_only_the_named_subcommand(capsys, monkeypatch):
+    built = []
+
+    def counted(command=None):
+        built.append(command)
+        return _build_parser(command)
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    assert dispatch(["bmw-check", "--N", "2"]) == 0
+    assert dispatch(["bmw-check"]) == 2
+    for argv in ([], ["--help"], ["no-such-command"], ["--", "bmw-check"]):
+        assert dispatch(argv) in (0, 2)
+    capsys.readouterr()
+    assert built == ["bmw-check", "bmw-check", None, None, None, None]
+
+
+def _child(argv, *options, env=None, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]),
+               **(env or {}))
+    return subprocess.run([sys.executable, *options, "-m", "loopbraid.cli", *argv],
+                          capture_output=True, env=env, timeout=120, **kwargs)
+
+
+def test_a_child_process_keeps_exit_codes_and_complete_output(capsys, tmp_path, monkeypatch):
+    # main() freezes every live object before exit; the report, the --dot
+    # file and the exit code must all come through
+    monkeypatch.chdir(tmp_path)
+    elements = ["affine-image", "--m", "5", "--t", "2", "--n", "3", "--emit-elements"]
+    for code, argv, in_process in (
+            (0, elements, elements),
+            (1, ["bmw-check", "--N", "3"], ["bmw-check", "--N", "3"]),
+            (0, ["branch", "--N", "3", "--nmax", "4", "--dot", "child.dot"],
+             ["branch", "--N", "3", "--nmax", "4", "--dot", "self.dot"])):
+        proc = _child(argv, cwd=tmp_path)
+        assert proc.returncode == dispatch(in_process) == code
+        assert proc.stdout.decode() == capsys.readouterr().out
+        assert proc.stderr.startswith(b"wall_time_ms=") and proc.stderr.count(b"\n") == 1
+        if argv == elements:
+            # 12,000 elements of 9 residues: many encoder batches
+            assert proc.stdout.count(b"\n") > 12000 * 9
+    assert (tmp_path / "child.dot").read_text() == (tmp_path / "self.dot").read_text()
+    assert (tmp_path / "child.dot").read_text().count("->") > 1
+    proc = _child(["bmw-check", "--N", "2", "--n", "2"])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"usage error: ") and proc.stderr.count(b"\n") == 1
+
+
+def test_a_closed_pipe_exits_one_without_a_traceback():
+    # the report (about 0.6 MB) outgrows the pipe buffer, so the child is
+    # still writing when the reader goes away
+    env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "loopbraid.cli", "affine-image", "--m", "5",
+                             "--t", "2", "--n", "3", "--emit-elements"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
+
+
+@pytest.mark.parametrize("seed", ["abc", "", "1.5"])
+def test_a_malformed_seed_is_a_usage_error_before_any_work(capsys, monkeypatch, seed):
+    def refused(*args):
+        raise AssertionError("the computation ran")
+
+    monkeypatch.setenv("LBREP_SEED", seed)
+    monkeypatch.setattr(cli, "semisimplicity_check", refused)
+    assert dispatch(["semisimple", "--N", "2", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: LBREP_SEED=%r is not an integer\n" % seed
+
+
+def test_a_malformed_seed_is_a_usage_error_without_asserts():
+    proc = _child(["bmw-check", "--N", "2"], "-O", env={"LBREP_SEED": "abc"})
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"usage error: LBREP_SEED='abc' is not an integer\n"
 
 
 # (an instance, an equal one built separately, a different one)
