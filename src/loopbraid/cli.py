@@ -6,8 +6,7 @@ computation reads it."""
 
 from __future__ import annotations
 
-import argparse
-import gc
+import atexit
 import itertools
 import json
 import os
@@ -15,18 +14,11 @@ import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
-from .affine import (AffineParams, agl_order, drinfeld_report, generate_image,
-                     rho_generators, signed_power_set, surjectivity_predicate)
-from .analysis import bmw_check, branching_graph, harmonic_end_dims, semisimplicity_check
-from .braided import affine_bvs, c2_hecke, diagonal_bvs, swap_bvs
 from .errors import InvalidParameters, LoopBraidError
 from .rings import rational_from_str
-from .tensor import (TauRep, f_columns, full_images, harmonic_blocks, harmonic_dims,
-                     localized_young_dim, localized_harmonic_prediction, localize_modules,
-                     tensor_dimension_checks, young_module)
-from .words import check_relations, relations_for
 
 # Parsed options the manifest leaves out: the subcommand and its handler,
 # and flags that only add to the report or move part of it to a file.
@@ -80,17 +72,21 @@ def _require(args, names, what):
 
 # ---------------------------------------------------------------------------
 # Handlers; each returns (report dict, whether every check passed, ring).
-# dispatch adds the manifest.
+# dispatch adds the manifest.  Each imports the modules it calls, so a run
+# loads no module that its command does not use.
 
 def _cmd_check_relations(args):
+    from .words import check_relations, relations_for
     rels = relations_for(args.n, args.variant)
     if args.rep == "affine":
+        from .affine import AffineParams, rho_generators
         _require(args, ("m", "t"), "--rep affine")
         args.N = args.x = args.form = None  # tau options: ignored, not recorded
         p = AffineParams(args.m, args.t, args.n)
         images = rho_generators(p)
         ring = "zm"
     else:
+        from .tensor import TauRep, full_images
         _require(args, ("N",), "--rep tau")
         args.m = args.t = None  # affine options: ignored, not recorded
         form = args.form
@@ -102,6 +98,7 @@ def _cmd_check_relations(args):
 
 
 def _build_bvs(args):
+    from .braided import affine_bvs, c2_hecke, diagonal_bvs, swap_bvs
     if args.bvs == "swap":
         return swap_bvs(2 if args.d is None else args.d), "rational"
     if args.bvs in ("c2", "c2alt"):
@@ -122,6 +119,7 @@ def _cmd_ybe(args):
     ok = bvs.yang_baxter()
     report = {"bvs": bvs.name, "d": bvs.d, "ybe_ok": ok}
     if args.drinfeld:
+        from .affine import drinfeld_report
         rep = drinfeld_report(args.m, args.t)
         report["drinfeld"] = rep
         ok = ok and rep["swap_conjugate_equal"] and rep["transpose_at_inverse_t_equal"]
@@ -129,6 +127,8 @@ def _cmd_ybe(args):
 
 
 def _cmd_affine_image(args):
+    from .affine import (AffineParams, agl_order, generate_image, signed_power_set,
+                         surjectivity_predicate)
     p = AffineParams(args.m, args.t, args.n)
     result = generate_image(p, cap=args.cap, keep_elements=args.emit_elements)
     pred = surjectivity_predicate(args.m, args.t)
@@ -152,6 +152,7 @@ def _cmd_affine_image(args):
 
 
 def _cmd_decompose(args):
+    from .tensor import TauRep, harmonic_blocks, tensor_dimension_checks
     x = _frac(args.x)
     decomposition = harmonic_blocks(args.N, args.n, TauRep(args.N, x))
     checks = tensor_dimension_checks(decomposition)
@@ -176,6 +177,7 @@ def _sparse_vec(row, block):
 
 
 def _cmd_branch(args):
+    from .analysis import branching_graph
     x = _frac(args.x)
     graph = branching_graph(args.N, args.nmax, x)
     ok = True
@@ -190,14 +192,19 @@ def _cmd_branch(args):
               "nodes": graph["nodes"], "edges": graph["edges"]}
     dot = emit_dot(graph)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise InvalidParameters("cannot write --dot %s: %s"
+                                    % (args.dot, exc.strerror or exc)) from None
     else:
         report["dot"] = dot
     return report, ok, "rational"
 
 
 def _cmd_irreducible(args):
+    from .analysis import harmonic_end_dims
     args.ring = "rational"  # the only ring; the report and the manifest record it
     x = _frac(args.x)
     entries = harmonic_end_dims(args.N, args.n, x)
@@ -209,11 +216,13 @@ def _cmd_irreducible(args):
 
 
 def _cmd_bmw(args):
+    from .analysis import bmw_check
     rep = bmw_check(args.N, args.n)
     return rep.to_json(), rep.ok, "laurent"
 
 
 def _cmd_semisimple(args):
+    from .analysis import semisimplicity_check
     x = _frac(args.x)
     result = semisimplicity_check(args.N, args.n, x)
     report = dict(result)
@@ -223,6 +232,8 @@ def _cmd_semisimple(args):
 
 
 def _cmd_localize(args):
+    from .tensor import (TauRep, f_columns, harmonic_blocks, harmonic_dims, localize_modules,
+                         localized_harmonic_prediction, localized_young_dim, young_module)
     x = _frac(args.x)
     rep = TauRep(args.N, x)
     if args.n <= args.N:
@@ -319,21 +330,72 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse takes an argument starting with "-" for an option unless
-        # it matches this pattern; its own covers -3 and -1.5 but not -3/2
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+# argparse takes a word starting with "-" for an option unless it matches
+# this pattern; its own covers -3 and -1.5 but not -3/2
+_NEGATIVE_NUMBER = r"^-\d+(/\d+)?$|^-\d*\.\d+$"
 
-    def error(self, message):
-        sys.stderr.write("usage error: %s: %s\n" % (self.prog, message))
-        raise SystemExit(2)
+
+def _parse_plain(argv):
+    """The namespace argparse makes of a plainly well-formed argv, read
+    straight off _COMMANDS: a known command, then only its exact flags, as
+    --flag value or --flag=value (a bare store_true flag), each value
+    converted by its type and within its choices, and every required flag
+    given.  None for anything else (help, an abbreviation, "--", a
+    positional, a missing or bad value), which dispatch leaves to argparse,
+    the one source of help and error text."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, parent, arguments = _COMMANDS[argv[0]]
+    flags = dict(parent + arguments)
+    values = {flag: False if keywords.get("action") == "store_true" else keywords.get("default")
+              for flag, keywords in flags.items()}
+    words = iter(argv[1:])
+    for word in words:
+        flag, equals, value = word.partition("=")
+        keywords = flags.get(flag)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            if equals:
+                return None
+            value = True
+        else:
+            if not equals:
+                value = next(words, None)
+                if value is None or value.startswith("-") and not re.match(_NEGATIVE_NUMBER,
+                                                                            value):
+                    return None
+            try:
+                value = keywords.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in keywords.get("choices", (value,)):
+                return None
+        values[flag] = value
+    # a required flag has no default, and every given value is set
+    if any(keywords.get("required") and values[flag] is None
+           for flag, keywords in flags.items()):
+        return None
+    return SimpleNamespace(command=argv[0], handler=handler,
+                           **{flag[2:].replace("-", "_"): value
+                              for flag, value in values.items()})
 
 
 def _build_parser(command=None):
     """The parser of every subcommand, or of the named one only: building
-    one subparser is most of the cost of a parser, and each run uses one."""
+    one subparser is most of the cost of a parser, and a run that reaches
+    argparse uses one."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(_NEGATIVE_NUMBER)
+
+        def error(self, message):
+            sys.stderr.write("usage error: %s: %s\n" % (self.prog, message))
+            raise SystemExit(2)
+
     parser = _Parser(prog="loopbraid",
                      description="Exact computations with loop braid group "
                                  "representations.")
@@ -348,14 +410,16 @@ def _build_parser(command=None):
 
 
 def dispatch(argv) -> int:
-    # argv[0] selects the one subparser to build; any other first word
-    # (--help, an unknown or missing command) gets the full parser and its
-    # top-level usage
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0,) else 0
+    args = _parse_plain(argv)
+    if args is None:
+        # argv[0] selects the one subparser to build; any other first word
+        # (--help, an unknown or missing command) gets the full parser and
+        # its top-level usage
+        parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0,) else 0
     start = time.monotonic()
     try:
         seed = default_seed()  # a malformed LBREP_SEED stops the run before any work
@@ -378,15 +442,17 @@ def main():
         # flush here, so that a closed pipe raises inside this try
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader went away (`| head`): send what is left, including the
-        # flush at exit, to devnull, and exit 1 as Python does on EPIPE
+        # the reader went away (`| head`): send what is left to devnull, and
+        # exit 1 as Python does on EPIPE
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = 1
-    # every object still alive lives until the process ends; frozen, the
-    # collections at interpreter shutdown skip them
-    gc.freeze()
-    raise SystemExit(code)
+    sys.stderr.flush()
+    # end the process without the interpreter teardown, which would free
+    # every object still alive one by one; the atexit handlers (coverage's,
+    # say) run first, as they would at a normal exit
+    atexit._run_exitfuncs()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .errors import InvalidParameters, NonFieldModulus, SingularImage
 from .rings import LQ, QQ, ZZ, IntegersMod, LaurentPoly, _monomial_codes
 
 ASSEMBLY_LIMIT = 10 ** 4  # refuse whole-tensor-power assemblies above this many rows
+BLOCK_LIMIT = 10 ** 5  # refuse charge blocks above this many words
 
 
 def require_assembly(rows):
@@ -28,6 +29,14 @@ def require_assembly(rows):
     if rows > ASSEMBLY_LIMIT:
         raise InvalidParameters("assembly of %d rows refused (limit %d); use charge blocks"
                                 % (rows, ASSEMBLY_LIMIT))
+
+
+def require_block(words):
+    """InvalidParameters unless a charge block of this many words is within
+    BLOCK_LIMIT: past it, listing the words alone can exhaust memory."""
+    if words > BLOCK_LIMIT:
+        raise InvalidParameters("charge block of %d words refused (limit %d)"
+                                % (words, BLOCK_LIMIT))
 
 
 class Matrix:

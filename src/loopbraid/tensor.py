@@ -16,7 +16,8 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidParameters, LoopBraidError
-from .linalg import Matrix, RowSpan, WeightedPerm, _clear_denominators, require_assembly
+from .linalg import (Matrix, RowSpan, WeightedPerm, _clear_denominators, require_assembly,
+                     require_block)
 from .rings import LQ, QQ, ZZ, LaurentPoly
 from .symmetric import (hook_dim, multinomial, partitions, perm_words,
                         sign, young_symmetrizer_coeffs)
@@ -99,6 +100,7 @@ class ChargeBlock:
         else:
             if len(comp) != N or sum(comp) != n or min(comp, default=0) < 0:
                 raise InvalidParameters("content %s does not fit N, n = %d, %d" % (comp, N, n))
+            require_block(multinomial(n, comp))
             self.comp = tuple(comp)
             self.lam = tuple(sorted((c for c in comp if c), reverse=True))
             self.words = _words_with_content(N, comp)
@@ -186,6 +188,8 @@ def _charge_index(N, n):
     for comp in _compositions(n, N):
         lam = tuple(sorted((c for c in comp if c), reverse=True))
         mult[lam] = mult.get(lam, 0) + 1
+    # every caller lists the words of each block: refuse before the first
+    require_block(max(multinomial(n, lam) for lam in mult))
     return sorted(mult.items(), reverse=True)
 
 

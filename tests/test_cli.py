@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,17 +10,20 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import loopbraid
-from loopbraid import cli
+from loopbraid import cli, linalg, tensor
 from loopbraid.affine import AffineParams, AglElement, generate_image
 from loopbraid.cli import DEFAULT_SEED, _build_parser, dispatch, emit_dot
+from loopbraid.errors import InvalidParameters
 from loopbraid.linalg import Matrix
 from loopbraid.rings import IntegersMod, ZmInt
 from loopbraid.tensor import HarmonicLabel, TauRep
 from loopbraid.words import Generator, Relation, s_, sigma
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -409,18 +413,23 @@ def test_manifest_parameters(capsys, tmp_path, monkeypatch, argv, parameters):
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # each CLI run pays for these imports; together they cost about half
-    # of `import loopbraid.cli`
+    # of `import loopbraid.cli`.  argparse (with gettext and locale) is for
+    # help and errors only, and each command imports its own modules.
     env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
-    code = ("import sys\n"
-            "before = set(sys.modules)\n"
-            "import loopbraid.cli\n"
-            "print(' '.join(sorted(set(sys.modules) - before)))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    new = proc.stdout.split()
-    assert "loopbraid.cli" in new
-    assert "dataclasses" not in new and "inspect" not in new
+    for statement, ours in (
+            ("import loopbraid.cli",
+             {"loopbraid", "loopbraid.cli", "loopbraid.errors", "loopbraid.rings"}),
+            ("import loopbraid", {"loopbraid"})):
+        code = ("import sys\n"
+                "before = set(sys.modules)\n"
+                "%s\n"
+                "print(' '.join(sorted(set(sys.modules) - before)))\n" % statement)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        new = proc.stdout.split()
+        assert {m for m in new if m.split(".")[0] == "loopbraid"} == ours, statement
+        assert not {"dataclasses", "inspect", "argparse", "gettext", "locale"} & set(new)
 
 
 # dispatch builds the subparser of argv[0] only; every argv behaves as with
@@ -459,8 +468,11 @@ def test_dispatch_builds_only_the_named_subcommand(capsys, monkeypatch):
         return _build_parser(command)
 
     monkeypatch.setattr(cli, "_build_parser", counted)
+    # a well-formed argv is read off _COMMANDS, with no parser at all
     assert dispatch(["bmw-check", "--N", "2"]) == 0
+    assert dispatch(["bmw-check", "--N=2", "--n", "3"]) == 0
     assert dispatch(["bmw-check"]) == 2
+    assert dispatch(["bmw-check", "--N", "2", "--n", "2", "-h"]) == 0
     for argv in ([], ["--help"], ["no-such-command"], ["--", "bmw-check"]):
         assert dispatch(argv) in (0, 2)
     capsys.readouterr()
@@ -475,8 +487,8 @@ def _child(argv, *options, env=None, **kwargs):
 
 
 def test_a_child_process_keeps_exit_codes_and_complete_output(capsys, tmp_path, monkeypatch):
-    # main() freezes every live object before exit; the report, the --dot
-    # file and the exit code must all come through
+    # main() ends the process with os._exit; the report, the --dot file and
+    # the exit code must all come through
     monkeypatch.chdir(tmp_path)
     elements = ["affine-image", "--m", "5", "--t", "2", "--n", "3", "--emit-elements"]
     for code, argv, in_process in (
@@ -523,7 +535,7 @@ def test_a_malformed_seed_is_a_usage_error_before_any_work(capsys, monkeypatch, 
         raise AssertionError("the computation ran")
 
     monkeypatch.setenv("LBREP_SEED", seed)
-    monkeypatch.setattr(cli, "semisimplicity_check", refused)
+    monkeypatch.setattr("loopbraid.analysis.semisimplicity_check", refused)
     assert dispatch(["semisimple", "--N", "2", "--n", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -534,6 +546,76 @@ def test_a_malformed_seed_is_a_usage_error_without_asserts():
     proc = _child(["bmw-check", "--N", "2"], "-O", env={"LBREP_SEED": "abc"})
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr == b"usage error: LBREP_SEED='abc' is not an integer\n"
+
+
+def test_main_runs_the_atexit_handlers_before_it_exits(tmp_path):
+    # main() skips the interpreter teardown, not the handlers registered
+    # with atexit (coverage writes its data from one)
+    mark = tmp_path / "ran"
+    code = ("import atexit, pathlib, sys\n"
+            "atexit.register(pathlib.Path(sys.argv[1]).write_text, 'ran')\n"
+            "sys.argv[1:] = ['bmw-check', '--N', '3']\n"
+            "from loopbraid.cli import main\n"
+            "main()\n"
+            "print('main returned')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(mark)], capture_output=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["ok"] is False
+    assert proc.stderr.startswith(b"wall_time_ms=") and proc.stderr.count(b"\n") == 1
+    assert mark.read_text() == "ran"
+
+
+def test_an_unwritable_dot_path_is_a_usage_error(capsys, tmp_path):
+    # a missing directory, and a directory in place of the file
+    for target in (tmp_path / "missing" / "g.dot", tmp_path):
+        argv = ["branch", "--N", "2", "--nmax", "3", "--dot", str(target)]
+        _assert_one_usage_line(capsys, argv)
+        proc = _child(argv, "-O")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"usage error: cannot write --dot ")
+        assert proc.stderr.count(b"\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_block_past_the_limit_is_refused_before_any_word_is_listed(capsys, monkeypatch):
+    # the largest block of (2, 6) is (3, 3), of 20 words
+    monkeypatch.setattr(linalg, "BLOCK_LIMIT", 20)
+    assert dispatch(["decompose", "--N", "2", "--n", "6"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(linalg, "BLOCK_LIMIT", 19)
+    monkeypatch.setattr(tensor, "_words_with_content", None)  # never reached
+    _assert_one_usage_line(capsys, ["decompose", "--N", "2", "--n", "6"])
+    with pytest.raises(InvalidParameters, match="charge block of 20 words refused"):
+        tensor.partition_block(2, 6, (3, 3))
+
+
+# The names loopbraid/__init__.py imported eagerly; each now resolves on
+# first use.
+_EXPORTED = """GroupTypeViolation IncompleteMatch LoopBraidError NonFieldModulus NotAUnit
+    NotGroupType NotIdempotent NotStochastic SingularImage QQ LQ IntegersMod LaurentPoly
+    Rational ZmInt mod_inverse unit_group Matrix WeightedPerm Generator RelationSet
+    check_relations evaluate_word relations_for s_ sigma BVS GroupTypeData LoopBVS affine_bvs
+    affine_loop bvs_from_group_type c2_hecke check_yang_baxter diagonal_bvs extend_to_loop
+    is_diagonalizable_group_type local_rep swap_bvs tau_loop AffineParams AglElement
+    agl_order generate_image rho_generators surjectivity_predicate to_agl_form ChargeBlock
+    HarmonicLabel ModuleSpec TauRep charge_blocks f_operator harmonic_blocks
+    harmonic_decompose localize right_color_action bmw_check branching_graph end_dim hom_dim
+    is_e_null is_irreducible restrict_and_branch semisimplicity_check""".split()
+
+
+def test_the_package_resolves_every_exported_name():
+    from loopbraid.tensor import TauRep as defined
+    assert loopbraid.TauRep is defined
+    for name in _EXPORTED:
+        assert hasattr(loopbraid, name), name
+    namespace = {}
+    exec("from loopbraid import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(_EXPORTED)
+    assert set(_EXPORTED) <= set(dir(loopbraid))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        loopbraid.no_such_name
 
 
 # (an instance, an equal one built separately, a different one)
@@ -615,3 +697,93 @@ def test_cli_grammar_fuzz(capsys, monkeypatch, tmp_path, argv):
     else:
         validate(json.loads(captured.out), {"bmw-check": "bmw"}.get(
             argv[0], argv[0].replace("-", "_")))
+
+
+# ---------------------------------------------------------------------------
+# The plain reader against argparse: an argv that _parse_plain reads gives
+# argparse's namespace, and one it leaves gets argparse's exit code and
+# text through dispatch.
+
+_WORDS = ["2", "3", "0", "-1", "-3/2", "-1.5", "1.5", "", "abc", "7/2", "-", "--N", "x", "q",
+          "tau", "affine", "SLB", "c2", "graph.dot"]
+
+
+@st.composite
+def _messy_argv(draw):
+    """A subcommand, most of its required flags, then a draw of its exact
+    flags in the space and = forms, repeats, abbreviations, unknown flags,
+    bare flags, help, "--" and positionals."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, _, parent, arguments = cli._COMMANDS[command]
+    argv = [command]
+    for flag, keywords in parent + arguments:
+        if keywords.get("required") and draw(st.integers(0, 5)):
+            argv += [flag, str(draw(st.sampled_from(keywords.get("choices", (2, 3)))))]
+    names = [flag for flag, _ in parent + arguments]
+    prefixes = [flag[:k] for flag in names for k in range(3, len(flag))] or ["--"]
+    flags, values = st.sampled_from(names), st.sampled_from(_WORDS)
+    chunk = st.one_of(
+        st.tuples(flags, values).map(list),
+        st.tuples(flags, values).map(lambda fv: ["=".join(fv)]),
+        flags.map(lambda f: [f]),
+        st.sampled_from(prefixes).map(lambda f: [f]),
+        st.sampled_from([["--no-such-option"], ["-h"], ["--help"], ["--"], ["3"],
+                         ["--x", "-3/2"], ["--x="], ["--x=--N"]]))
+    for words in draw(st.lists(chunk, max_size=4)):
+        argv += words
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(_cli_argv(), _messy_argv()))
+@example(["semisimple", "--N", "2", "--n", "3", "--x", "-3/2"])
+@example(["semisimple", "--N", "2", "--n", "3", "--x="])
+@example(["semisimple", "--N", "2", "--n", "3", "--x=--N"])
+@example(["branch", "--N", "3", "--nm", "4"])
+@example(["decompose", "--N", "2", "--n", "3", "--basis=1"])
+@example(["bmw-check", "--N", "2", "--N", "3", "--n", "x"])
+@example(["branch", "--N", "4", "--nmax", "2"])
+def test_the_plain_reader_agrees_with_argparse(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    plain = cli._parse_plain(argv)
+    try:
+        parsed = vars(_build_parser().parse_args(argv))
+    except SystemExit as exc:
+        parsed = exc.code
+    captured = capsys.readouterr()
+    if plain is not None:
+        assert vars(plain) == parsed, argv
+    elif parsed in (0, 2):
+        # help or a usage error: the same exit code and text as argparse's
+        assert dispatch(argv) == parsed, argv
+        assert capsys.readouterr() == captured, argv
+
+
+def _benchmark_cases():
+    spec = importlib.util.spec_from_file_location("perfbench_cases",
+                                                  ROOT / "perfbench" / "cases.py")
+    cases = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclass
+    spec.loader.exec_module(cases)
+    return [case for workload in cases.WORKLOADS.values() for case in workload]
+
+
+def _readme_argvs():
+    argvs = []
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("loopbraid "):
+            words = line.split("#")[0].split()[1:]
+            argvs.append([w for w in words if w != "[--basis]"])
+            if "[--basis]" in words:
+                argvs.append([w.strip("[]") for w in words])
+    return argvs
+
+
+def test_the_plain_reader_reads_every_benchmark_and_readme_argv():
+    # these runs take the fast path: no argparse at all
+    argvs = [list(case.argv) for case in _benchmark_cases()] + _readme_argvs()
+    assert len(argvs) == 21 + 13
+    for argv in argvs:
+        plain = cli._parse_plain(argv)
+        assert plain is not None, argv
+        assert vars(plain) == vars(_build_parser().parse_args(argv)), argv
