@@ -9,12 +9,12 @@ are therefore computed exactly by propagating scalars over the orbit
 graph of matrix cells, with a component forced to zero when a cycle
 product disagrees.  The generators are symmetric matrices
 (_require_symmetric), so the image algebra A is semisimple without
-computation.  One orbit count per partition block certifies A as the sum
-of End(M_i) over the harmonic modules (_count_holds, _wedderburn_pieces):
+computation.  At every x but -1 the mixed-cell lemma (_relabelings_only)
+certifies A as the sum of End(M_i) over the harmonic modules, and
 semisimplicity_check, localization_report and harmonic_end_dims read their
-verdicts off it, and build A (_closure) or project hom spaces only where
-it fails.  Restriction multiplicities are read off the color-group rule
-and certified by fiber isomorphisms (restrict_and_branch).
+verdicts off it; at x = -1 the first two build A (_closure) and the third
+counts hom-space orbits.  Restriction multiplicities are read off the
+color-group rule and certified by fiber isomorphisms (restrict_and_branch).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import IncompleteMatch, InvalidParameters, LoopBraidError, NotIdemp
 from .linalg import CodedPerm, Matrix, RowSpan, WeightedPerm, rank
 from .rings import LQ, ZZ, LaurentPoly
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_columns,
-                     _apply_wp, _charge_index, f_columns, f_operator, harmonic_blocks,
+                     _apply_wp, _charge_index, _swap, f_columns, f_operator, harmonic_blocks,
                      harmonic_decompose, multiplicity_classes, partition_block,
                      right_color_action, young_module)
 from .words import _first_difference
@@ -294,51 +294,44 @@ def _center_dim(basis, constraints):
     return len(basis) - rank(cols, ZZ)
 
 
-def _count_holds(block: ChargeBlock, ops, mods, comps=None) -> bool:
-    """True when the block B is certified to be a sum of copies of its
-    harmonic modules mods, pairwise non-isomorphic with End(M_i) = Q.
+def _relabelings_only(block: ChargeBlock, ops, rep: TauRep) -> bool:
+    """True when ops, the generator images on the partition block B_lam,
+    meet the hypotheses of the mixed-cell lemma, read off in O(n d): sigma_j
+    and s_j fix exactly the words whose letters j, j+1 agree, with weights
+    x and 1, and send every other word to its j-swap with weights 1 and -1;
+    the color swaps commute with every op; and the form is x, x != -1.
 
-    The color swaps of each multiplicity class must commute with every
-    generator in ops.  The harmonic projectors are combinations of color
-    relabelings, so they then commute with the algebra A the generators
-    span, and B = sum M_i^(m_i) with m_i = dim Delta_i.  Hence dim End_A(B)
-    = sum m_i m_j dim Hom(M_i, M_j) >= sum m_i^2 over the nonzero M_i, with
-    equality iff every End(M_i) = Q and no two M_i are isomorphic; dim
-    End_A(B) is the number of hom_space components (comps when given)."""
-    for r in _color_swaps(block):
-        if not all(op.tgt[r[j]] == r[op.tgt[j]] and op.wts[r[j]] == op.wts[j]
-                   for op in ops for j in range(block.dim)):
+    The lemma: dim End_A(B_lam) = |G_lam|, G_lam the color permutations
+    that fix lam, and Hom(B_lam, B) = 0 for every other block B.  A
+    generator g moves cell (a, b) of an intertwiner to (g a, g b); an orbit
+    of cells lives only if every cycle in it has product 1 (hom_space).
+    Where exactly one of a, b has equal letters at j, j+1, sigma_j closes a
+    2-cycle of product x^(+-2) and sigma_j then s_j one of product -x or
+    -1/x: the orbit dies.  Elsewhere both swap the positions of a and b
+    together with factor 1, so an orbit with no such mixed cell has a_p =
+    a_q iff b_p = b_q: b is a relabeling of a, one orbit per g in G_lam.
+    G_lam acts freely, so End_A(B_lam) = Q[G_lam] and the harmonic modules
+    are nonzero, absolutely irreducible and pairwise non-isomorphic
+    (Fulton-Harris, GTM 129, Lecture 4); A is semisimple and faithful, so
+    by density it is the sum of their End(M_i) (Lam, GTM 131, s. 11)."""
+    if rep.form != "x" or rep.x == -1 or len(ops) != 2 * max(block.n - 1, 0):
+        return False
+    for j in range(1, block.n):
+        same = [w[j - 1] == w[j] for w in block.words]
+        tgt = tuple(i if eq else block.index[_swap(w, j)]
+                    for i, (w, eq) in enumerate(zip(block.words, same)))
+        sigma, s = ops[2 * j - 2], ops[2 * j - 1]
+        if sigma.tgt != tgt or s.tgt != tgt or \
+                sigma.wts != tuple(rep.x if eq else 1 for eq in same) or \
+                s.wts != tuple(1 if eq else -1 for eq in same):
             return False
-    if comps is None:
-        comps = hom_space(ops, ops, block.dim, block.dim)
-    return len(comps) == sum(m.label.delta_dim() ** 2 for m in mods if m.dim)
+    return _swaps_commute(block, ops)
 
 
-def _wedderburn_pieces(blocks, block_ops, pieces):
-    """[(block index, module)] for the nonzero pieces when the algebra A of
-    the generators, block_ops[k] on blocks[k], is certified isomorphic to
-    the sum of End(M_i) over them; None when a check fails.
-
-    pieces[k] lists the harmonic modules of blocks[k].  _count_holds must
-    hold on every block, so each block is a sum of copies of its pieces,
-    which are absolutely irreducible and pairwise non-isomorphic.  No piece
-    of one block may be isomorphic to a piece of another.  An isomorphism
-    preserves dimension, so hom_space must find no intertwiner only between
-    blocks whose nonzero pieces share a dimension; between any other two,
-    Hom = 0.  The pieces are then pairwise non-isomorphic and absolutely
-    irreducible, A is semisimple (_require_symmetric) and acts faithfully
-    on the sum of the blocks, so by density A is the sum of the End(M_i)
-    (Lam, GTM 131, section 11): dim A = sum (dim M_i)^2, and its center
-    has one dimension per piece."""
-    for block, ops, mods in zip(blocks, block_ops, pieces):
-        if not _count_holds(block, ops, mods):
-            return None
-    dims = [{m.dim for m in mods if m.dim} for mods in pieces]
-    for k, (src, ops_src) in enumerate(zip(blocks, block_ops)):
-        for tgt, ops_tgt, tgt_dims in zip(blocks[k + 1:], block_ops[k + 1:], dims[k + 1:]):
-            if dims[k] & tgt_dims and hom_space(ops_src, ops_tgt, src.dim, tgt.dim):
-                return None
-    return [(k, m) for k, mods in enumerate(pieces) for m in mods if m.dim]
+def _swaps_commute(block: ChargeBlock, ops) -> bool:
+    """True when every color swap of _color_swaps commutes with every op."""
+    return all(op.tgt[r[j]] == r[op.tgt[j]] and op.wts[r[j]] == op.wts[j]
+               for r in _color_swaps(block) for op in ops for j in range(block.dim))
 
 
 def _color_swaps(block: ChargeBlock) -> list:
@@ -357,8 +350,9 @@ def _color_swaps(block: ChargeBlock) -> list:
 def _certified_image(N, n, x):
     """(blocks, rep, algebra_dim, pieces, closure) for the image algebra A
     at (N, n, x): one partition block per partition, in the order of the
-    charge index; dim A; pieces from _wedderburn_pieces over the blocks'
-    harmonic modules; and, only when pieces is None, (basis, gens): a basis
+    charge index; dim A; [(block index, module)] over the harmonic modules,
+    all nonzero and their End(M_i) summing to A, when _relabelings_only
+    holds on every block, else None; and, only when pieces is None, (basis, gens): a basis
     of A and the generators on the sum of the blocks, scaled by the
     denominator of x to int weights (every word changes by a nonzero
     factor, so spans, ranks and centers do not).  The generator images
@@ -367,8 +361,8 @@ def _certified_image(N, n, x):
     blocks = [partition_block(N, n, lam) for lam, _ in _charge_index(N, n)]
     block_ops = [b.ops(rep) for b in blocks]
     _require_symmetric([op for ops in block_ops for op in ops])
-    pieces = _wedderburn_pieces(blocks, block_ops, [harmonic_decompose(b, rep) for b in blocks])
-    if pieces is not None:
+    if all(_relabelings_only(b, ops, rep) for b, ops in zip(blocks, block_ops)):
+        pieces = [(k, m) for k, b in enumerate(blocks) for m in harmonic_decompose(b, rep)]
         return blocks, rep, sum(m.dim ** 2 for _, m in pieces), pieces, None
     gens = [BlockOp(_integral(ops)) for ops in zip(*block_ops)]
     basis, _ = _closure(gens, [BlockOp([WeightedPerm.identity(ZZ, b.dim) for b in blocks])])
@@ -380,11 +374,10 @@ def semisimplicity_check(N, n, x) -> dict:
 
     The radical is 0 by the symmetry certificate of _certified_image
     (LoopBraidError when it fails), so center_dim counts the simple
-    summands.  Where the orbit count of _wedderburn_pieces certifies A as
-    the sum of End(M_i) over the harmonic modules, it is the number of
-    nonzero modules and no element of A is built; where the count fails
-    (x = -1, for one), A is built by _closure and the center equations
-    are solved.
+    summands.  Where the mixed-cell lemma (_relabelings_only) certifies A
+    as the sum of End(M_i) over the harmonic modules, every x but -1, it
+    is the number of nonzero modules and no element of A is built; at
+    x = -1, A is built by _closure and the center equations are solved.
     """
     _, _, algebra_dim, pieces, closure = _certified_image(N, n, x)
     center = len(pieces) if pieces is not None else _center_dim(*closure)
@@ -399,14 +392,14 @@ def localization_report(N, n, x) -> dict:
     """Simple counts of A, eAe and A/AeA with e the normalized symmetrizer.
 
     Requires e^2 = e exactly (NotIdempotent otherwise).  The products use
-    f = N! e, which spans alike.  Where the orbit count of
-    _wedderburn_pieces certifies A as the sum of End(M_i), f lies in A (it
-    is a signed sum of words in the s_j), so eAe is the sum of End(e M_i)
-    and AeA the sum of End(M_i) over the pieces that e does not kill, and
-    A/AeA the sum over the rest: the counts are read from is_e_null and no
-    element of A is built.  Where the count fails, A and AeA are built by
-    _closure and the counts are center dimensions, which count simple
-    summands because the radical is 0 by the symmetry certificate.
+    f = N! e, which spans alike.  Where the mixed-cell lemma
+    (_relabelings_only) certifies A as the sum of End(M_i), every x but
+    -1, f lies in A (it is a signed sum of words in the s_j), so eAe is
+    the sum of End(e M_i) and AeA the sum of End(M_i) over the pieces that
+    e does not kill, and A/AeA the sum over the rest: the counts are read
+    from is_e_null and no element of A is built.  At x = -1, A and AeA are
+    built by _closure and the counts are center dimensions, which count
+    simple summands because the radical is 0 by the symmetry certificate.
     """
     blocks, rep, algebra_dim, pieces, closure = _certified_image(N, n, x)
     f = _f_blockop(N, blocks, rep)
@@ -832,16 +825,22 @@ def harmonic_end_dims(N, n, x) -> list:
     Each block's generators must pass _require_symmetric (LoopBraidError
     otherwise), so every module is semisimple: end_dim == 1 certifies that
     it is absolutely irreducible, and end_dim > 1 that it is not.  Where
-    the orbit count of _count_holds holds on a block, each of its nonzero
-    modules has end_dim 1 with no projection; elsewhere (x = -1, for one)
-    end_dim is the projected hom space of _projected_hom_dim."""
+    the mixed-cell lemma (_relabelings_only) holds on a block, every x but
+    -1, each of its modules is nonzero with end_dim 1.  Elsewhere, with the
+    color swaps commuting with A, B = sum M_i^(m_i), m_i = dim Delta_i, and
+    its hom-space orbits count dim End_A(B) = sum m_i m_j dim Hom(M_i, M_j)
+    >= sum m_i^2, with equality iff the nonzero M_i have End(M_i) = Q and
+    are pairwise non-isomorphic; else end_dim is the projected hom space."""
     out = []
     rep = TauRep(N, x)
     for _, _, block, mods in harmonic_blocks(N, n, rep):
         ops = block.ops(rep)
         _require_symmetric(ops)
-        comps = hom_space(ops, ops, block.dim, block.dim)  # shared by the block's modules
-        counted = _count_holds(block, ops, mods, comps)
+        counted = _relabelings_only(block, ops, rep)
+        if not counted:
+            comps = hom_space(ops, ops, block.dim, block.dim)  # shared by the block's modules
+            counted = _swaps_commute(block, ops) and \
+                len(comps) == sum(m.label.delta_dim() ** 2 for m in mods if m.dim)
         for mod in mods:
             out.append({"label": mod.label_json(), "dim": mod.dim,
                         "end_dim": int(mod.dim > 0) if counted

@@ -179,15 +179,9 @@ def _sparse_vec(row, block):
 def _cmd_branch(args):
     from .analysis import branching_graph
     x = _frac(args.x)
+    # every restriction is complete: _branch_by_rule raises IncompleteMatch
+    # unless its summand dimensions add up to the module's
     graph = branching_graph(args.N, args.nmax, x)
-    ok = True
-    for node in graph["nodes"]:
-        if node["n"] < 2:
-            continue
-        out_dim = sum(e["multiplicity"] * e["dim"] for e in graph["edges"]
-                      if e["src"] == node["id"])
-        if out_dim != node["dim"]:
-            ok = False
     report = {"N": args.N, "n_max": args.nmax, "x": args.x,
               "nodes": graph["nodes"], "edges": graph["edges"]}
     dot = emit_dot(graph)
@@ -200,7 +194,7 @@ def _cmd_branch(args):
                                     % (args.dot, exc.strerror or exc)) from None
     else:
         report["dot"] = dot
-    return report, ok, "rational"
+    return report, True, "rational"
 
 
 def _cmd_irreducible(args):

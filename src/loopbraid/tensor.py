@@ -155,21 +155,20 @@ class ChargeBlock:
 
 
 def _words_with_content(N, comp):
-    words = []
-
-    def rec(remaining, prefix):
-        if not any(remaining):
-            words.append(tuple(prefix))
-            return
-        for c in range(N):
-            if remaining[c]:
-                remaining[c] -= 1
-                prefix.append(c + 1)
-                rec(remaining, prefix)
-                prefix.pop()
-                remaining[c] += 1
-
-    rec(list(comp), [])
+    """Every word with comp[c - 1] letters c, in lexicographic order: the
+    least word, then one next-permutation step per further word."""
+    w = [c for c in range(1, N + 1) for _ in range(comp[c - 1])]
+    words = [tuple(w)]
+    for _ in range(multinomial(len(w), comp) - 1):
+        i = len(w) - 2
+        while w[i] >= w[i + 1]:
+            i -= 1
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1:] = w[:i:-1]
+        words.append(tuple(w))
     return words
 
 
@@ -181,16 +180,24 @@ def charge_blocks(N, n):
 
 
 def _charge_index(N, n):
-    """[(lam, number of compositions sorting to lam)], partitions descending."""
+    """[(lam, N! / prod c_v!)] over the partitions lam of n with at most N
+    parts, descending, c_v the number of parts v of lam padded by zeros to
+    N parts: the compositions that sort to lam.  The largest block, of the
+    most balanced split, is refused before any partition is listed."""
     if n < 0:
         raise InvalidParameters("the number of strands must be nonnegative, got %d" % n)
-    mult = {}
-    for comp in _compositions(n, N):
-        lam = tuple(sorted((c for c in comp if c), reverse=True))
-        mult[lam] = mult.get(lam, 0) + 1
-    # every caller lists the words of each block: refuse before the first
-    require_block(max(multinomial(n, lam) for lam in mult))
-    return sorted(mult.items(), reverse=True)
+    k = min(N, n)
+    require_block(multinomial(n, [n // k + (i < n % k) for i in range(k)] if k else []))
+
+    def parts(rest, slots, top):  # one level per part: the block limit allows few
+        if not rest:
+            yield ()
+        elif rest <= slots * top:  # else rest does not fit in the slots left
+            for first in range(min(rest, top), 0, -1):
+                yield from ((first,) + tail for tail in parts(rest - first, slots - 1, first))
+
+    return [(lam, math.perm(N, len(lam)) //
+             math.prod(math.factorial(lam.count(v)) for v in set(lam))) for lam in parts(n, N, n)]
 
 
 def partition_block(N, n, lam) -> ChargeBlock:
@@ -210,12 +217,11 @@ def harmonic_blocks(N, n, rep: TauRep = None) -> list:
 
 
 def _compositions(n, N):
-    if N == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, N - 1):
-            yield (first,) + rest
+    """The compositions of n into N parts, lexicographically descending:
+    stars and bars (N - 1 bars among n + N - 1 places), read backwards."""
+    edges = [(-1,) + bars + (n + N - 1,)
+             for bars in itertools.combinations(range(n + N - 1), N - 1)]
+    return [tuple(b - a - 1 for a, b in zip(e, e[1:])) for e in reversed(edges)]
 
 
 # ---------------------------------------------------------------------------

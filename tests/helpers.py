@@ -646,3 +646,45 @@ def projected_end_dims(N, n, x):
         out += [{"label": m.label_json(), "dim": m.dim,
                  "end_dim": _projected_hom_dim(comps, m, m)} for m in mods]
     return out
+
+
+# ---------------------------------------------------------------------------
+# The recursive compositions, word lists and composition-counting charge
+# index that the iterative ones replaced.
+
+def recursive_compositions(n, N):
+    if N == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in recursive_compositions(n - first, N - 1):
+            yield (first,) + rest
+
+
+def recursive_words_with_content(N, comp):
+    words = []
+
+    def rec(remaining, prefix):
+        if not any(remaining):
+            words.append(tuple(prefix))
+            return
+        for c in range(N):
+            if remaining[c]:
+                remaining[c] -= 1
+                prefix.append(c + 1)
+                rec(remaining, prefix)
+                prefix.pop()
+                remaining[c] += 1
+
+    rec(list(comp), [])
+    return words
+
+
+def composition_charge_index(N, n):
+    """[(lam, number of compositions sorting to lam)], partitions descending,
+    counted over every composition."""
+    mult = {}
+    for comp in recursive_compositions(n, N):
+        lam = tuple(sorted((c for c in comp if c), reverse=True))
+        mult[lam] = mult.get(lam, 0) + 1
+    return sorted(mult.items(), reverse=True)

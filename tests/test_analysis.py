@@ -19,13 +19,15 @@ from loopbraid.analysis import (BlockOp, bmw_check,
                                 spin_dimension, verify_young_branching,
                                 young_branch_rule, _center_dim, _closure, _dense, _f_blockop,
                                 _certified_image, _laurent_witness, _project_hom,
-                                _wedderburn_pieces, _weight_pos)
+                                _relabelings_only, _weight_pos)
 from loopbraid.errors import InvalidParameters, LoopBraidError, NotIdempotent
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank
 from loopbraid.rings import QQ, ZZ, LaurentPoly
+from loopbraid.symmetric import multinomial, partitions
 from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep, charge_blocks, f_columns,
                               f_operator, harmonic_blocks, harmonic_decompose, harmonic_projector,
-                              localize, localize_modules, partition_block, young_module)
+                              localize, localize_modules, multiplicity_classes, partition_block,
+                              young_module)
 from loopbraid.words import _first_difference
 
 X2 = TauRep(2, Fraction(2))
@@ -1044,14 +1046,15 @@ def test_int_ops_scale_sigma_by_the_denominator_of_x():
 
 
 # ---------------------------------------------------------------------------
-# The orbit count, against the closure certificate it replaced
-# (helpers.closure_reports) and the projected hom spaces
-# (helpers.projected_end_dims), and against the closure fallback it skips.
+# The mixed-cell certificate, against the closure certificate it replaced
+# (helpers.closure_reports), the projected hom spaces
+# (helpers.projected_end_dims), the hom-space walk it makes unnecessary, and
+# the closure fallback it skips.
 
 def _closure_fallback(monkeypatch, check, *args):
-    """check(*args) with the Wedderburn count refused."""
+    """check(*args) with the mixed-cell check refused."""
     with monkeypatch.context() as m:
-        m.setattr(analysis, "_wedderburn_pieces", lambda *a: None)
+        m.setattr(analysis, "_relabelings_only", lambda *a: False)
         return check(*args)
 
 
@@ -1084,8 +1087,8 @@ def test_reports_match_the_closure_certificate_at_larger_sizes(N, n):
     _assert_reports_match_the_oracles(N, n, Fraction(2))
 
 
-# The points of the count grid that the dense oracles do not reach: (2, 2)
-# and (2, 5) for both reports, and the localization report at (3, 4); the
+# The points of the grid that the dense oracles do not reach: (2, 2) and
+# (2, 5) for both reports, and the localization report at (3, 4); the
 # next test adds the semisimplicity check at (4, 4, 2).
 @pytest.mark.parametrize("x", _ALGEBRA_XS, ids=str)
 @pytest.mark.parametrize("N,n,reports", [(2, 2, "both"), (2, 5, "both"), (3, 4, "localize")])
@@ -1113,8 +1116,8 @@ def test_degenerate_x_takes_the_closure_fallback(monkeypatch):
         return original(basis, constraints)
 
     monkeypatch.setattr(analysis, "_center_dim", counted)
-    # at x = -1 the orbit count exceeds sum m_i^2: A is built (dim 23 < 107)
-    # and the center is solved
+    # at x = -1 the mixed-cell check fails: A is built (dim 23, where the
+    # harmonic modules would give 107) and the center is solved
     pieces, (basis, gens) = _certified_image(3, 4, Fraction(-1))[3:]
     assert pieces is None and len(basis) == 23
     assert semisimplicity_check(3, 4, Fraction(-1)) == \
@@ -1128,10 +1131,11 @@ def test_degenerate_x_takes_the_closure_fallback(monkeypatch):
 
 def test_the_count_path_builds_no_closure_and_projects_nothing(monkeypatch):
     def refused(*args):
-        raise AssertionError("the count path called a fallback")
+        raise AssertionError("the mixed-cell path called a fallback")
 
     monkeypatch.setattr(analysis, "_closure", refused)
     monkeypatch.setattr(analysis, "_project_hom", refused)
+    monkeypatch.setattr(analysis, "hom_space", refused)
     assert semisimplicity_check(3, 5, Fraction(2)) == \
         {"radical_dim": 0, "center_dim": 7, "algebra_dim": 776}
     assert localization_report(3, 4, Fraction(2)) == \
@@ -1144,32 +1148,64 @@ def test_the_count_path_builds_no_closure_and_projects_nothing(monkeypatch):
 def test_the_count_agrees_with_the_closure_certificate_on_its_pieces():
     blocks, gens, ident, rep = collapsed_generators(3, 4, Fraction(2))
     basis, _ = _closure(gens, [ident])
-    pieces = [harmonic_decompose(b, rep) for b in blocks]
-    counted = _wedderburn_pieces(blocks, [b.ops(rep) for b in blocks], pieces)
-    assert len(counted) == 6
-    assert counted == closure_wedderburn_pieces(blocks, gens, len(basis), pieces)
+    closed = closure_wedderburn_pieces(blocks, gens, len(basis),
+                                       [harmonic_decompose(b, rep) for b in blocks])
+    pieces = _certified_image(3, 4, Fraction(2))[3]
+    assert len(pieces) == 6
+    assert [(k, m.label, m.span.int_rows) for k, m in pieces] == \
+        [(k, m.label, m.span.int_rows) for k, m in closed]
 
 
-# Each sabotage makes one check of the count fail where the count holds:
-# on (3, 4, 2) the (2, 1, 1) block (dim 12, harmonic projectors that are not
-# the identity) gets a hom-space component too many, or every block a color
-# swap that does not commute with the generators; on (4, 4, 2), where the
-# (1, 1, 1, 1) block shares piece dimensions with two other blocks, a pair
-# of blocks gets an intertwiner.  (No two blocks of (3, 4, 2) share a piece
-# dimension, so there the cross-block check calls no hom_space.)
-
-def _extra_self_component(original):
-    def hom_space(ops_src, ops_tgt, d_src, d_tgt):
-        out = original(ops_src, ops_tgt, d_src, d_tgt)
-        return out + [dict(out[0])] if ops_src is ops_tgt and d_src == 12 else out
-    return hom_space
+def _color_group_order(block):
+    return math.prod(math.factorial(len(colors)) for _, colors in multiplicity_classes(block.lam))
 
 
-def _cross_block_component(original):
-    def hom_space(ops_src, ops_tgt, d_src, d_tgt):
-        out = original(ops_src, ops_tgt, d_src, d_tgt)
-        return out if ops_src is ops_tgt else out + [{}]
-    return hom_space
+# The lemma against the hom-space walk: at every x but -1, End_A(B) of each
+# block is spanned by its |G_lam| color relabelings and no two blocks have
+# an intertwiner; at x = -1 the check refuses every block.
+@pytest.mark.parametrize("N,n", [(N, n) for N in range(1, 5) for n in range(1, 6)]
+                         + [(2, 6), (3, 6)], ids=str)
+def test_the_mixed_cell_lemma_matches_the_walk(N, n):
+    blocks = [partition_block(N, n, lam) for lam, _ in analysis._charge_index(N, n)]
+    for x in _GRID_XS:
+        rep = TauRep(N, x)
+        ops = [b.ops(rep) for b in blocks]
+        for k, (block, block_ops) in enumerate(zip(blocks, ops)):
+            assert _relabelings_only(block, block_ops, rep) == (x != -1)
+            if x == -1:
+                continue
+            assert len(hom_space(block_ops, block_ops, block.dim, block.dim)) == \
+                _color_group_order(block)
+            for other, other_ops in zip(blocks[k + 1:], ops[k + 1:]):
+                assert hom_space(block_ops, other_ops, block.dim, other.dim) == []
+                assert hom_space(other_ops, block_ops, other.dim, block.dim) == []
+
+
+# Each sabotage copies a generator list and breaks one hypothesis of the
+# lemma: a sigma_j weight, a sigma_j target, or (through _color_swaps) a
+# color swap that does not commute with the generators.
+
+def _sigma_weight(ops):
+    """ops with the weight of the first word that sigma_1 fixes raised by 1
+    (the matrix stays symmetric); unchanged where sigma_1 fixes none."""
+    sigma = ops[0]
+    i = next((i for i, t in enumerate(sigma.tgt) if t == i), None)
+    if i is None:
+        return ops
+    wts = list(sigma.wts)
+    wts[i] += 1
+    return [WeightedPerm(sigma.ring, sigma.tgt, wts)] + ops[1:]
+
+
+def _sigma_target(ops):
+    """ops with the targets of the words 0 and 1 exchanged in sigma_1;
+    unchanged on a block of one word."""
+    sigma = ops[0]
+    if sigma.n < 2:
+        return ops
+    tgt = list(sigma.tgt)
+    tgt[0], tgt[1] = tgt[1], tgt[0]
+    return [WeightedPerm(sigma.ring, tgt, sigma.wts)] + ops[1:]
 
 
 def _non_commuting_swap(original):
@@ -1181,79 +1217,132 @@ def _non_commuting_swap(original):
     return color_swaps
 
 
+def test_the_check_refuses_a_sabotaged_generator_list(monkeypatch):
+    for x in (Fraction(2), Fraction(1), Fraction(-2, 3)):
+        rep = TauRep(3, x)
+        block = partition_block(3, 4, (2, 1, 1))
+        ops = block.ops(rep)
+        assert _relabelings_only(block, ops, rep)
+        assert not _relabelings_only(block, _sigma_weight(ops), rep)
+        assert not _relabelings_only(block, _sigma_target(ops), rep)
+        assert not _relabelings_only(block, ops[:-2], rep)
+        assert not _relabelings_only(block, ops, TauRep(3, x + 1))
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_color_swaps", _non_commuting_swap(analysis._color_swaps))
+            assert not _relabelings_only(block, ops, rep)
+    block = partition_block(2, 3, (2, 1))
+    assert not _relabelings_only(block, block.ops(TauRep(2, None, "q")), TauRep(2, None, "q"))
+
+
+def _checked_with(sabotage):
+    """A wrapper of _relabelings_only that checks the sabotaged copy of
+    each generator list."""
+    def wrap(original):
+        return lambda block, ops, rep: original(block, sabotage(ops), rep)
+    return wrap
+
+
+def _extra_self_component(original):
+    """hom_space with a copy of the first component added on every block
+    of more than one word, where the harmonic projectors are not the
+    identity: the count fails, and the projected dimension is unchanged."""
+    def hom_space(ops_src, ops_tgt, d_src, d_tgt):
+        out = original(ops_src, ops_tgt, d_src, d_tgt)
+        return out + [dict(out[0])] if ops_src is ops_tgt and d_src > 1 else out
+    return hom_space
+
+
 def _cli_report(capsys, argv):
     from loopbraid.cli import dispatch
     code = dispatch(list(argv))
     return code, capsys.readouterr().out
 
 
-# The cross-block check does not enter harmonic_end_dims: an end_dim needs
-# only the count on its own block.
-@pytest.mark.parametrize("name,sabotage,commands,N", [
-    ("hom_space", _extra_self_component, ("semisimple", "irreducible"), "3"),
-    ("hom_space", _cross_block_component, ("semisimple",), "4"),
-    ("_color_swaps", _non_commuting_swap, ("semisimple", "irreducible"), "3")],
-    ids=["extra_self_component", "cross_block_component", "non_commuting_swap"])
+# Each sabotage makes a certificate fail where it holds, and the fallback
+# must give the same stdout.  A refused mixed-cell check sends semisimple to
+# the closure and irreducible to the orbit count, which holds on the true
+# generators unless the color swaps are broken too.  At x = -1 the count
+# holds on both blocks of (3, 2), and a hom space with one component too
+# many sends irreducible to the projection.
+_AT_X2 = " --N 3 --n 4 --x 2"
+
+
+@pytest.mark.parametrize("name,sabotage,cases", [
+    ("hom_space", _extra_self_component,
+     [("irreducible --N 3 --n 2 --x -1", {"hom_space", "_projected_hom_dim"})]),
+    ("_relabelings_only", _checked_with(_sigma_weight),
+     [("semisimple" + _AT_X2, {"_closure", "_center_dim"}),
+      ("irreducible" + _AT_X2, {"hom_space"})]),
+    ("_relabelings_only", _checked_with(_sigma_target),
+     [("semisimple" + _AT_X2, {"_closure", "_center_dim"}),
+      ("irreducible" + _AT_X2, {"hom_space"})]),
+    ("_color_swaps", _non_commuting_swap,
+     [("semisimple" + _AT_X2, {"_closure", "_center_dim"}),
+      ("irreducible" + _AT_X2, {"hom_space", "_projected_hom_dim"})])],
+    ids=["extra_self_component", "sigma_weight", "sigma_target", "non_commuting_swap"])
 def test_a_failed_count_takes_the_fallback_with_the_same_report(monkeypatch, capsys, name,
-                                                                 sabotage, commands, N):
-    fallbacks = {"semisimple": {"_closure", "_center_dim"}, "irreducible": {"_projected_hom_dim"}}
-    for command in commands:
-        argv = (command, "--N", N, "--n", "4", "--x", "2")
-        want = _cli_report(capsys, argv)
+                                                                sabotage, cases):
+    for argv, fallbacks in cases:
+        want = _cli_report(capsys, argv.split())
         with monkeypatch.context() as m:
             calls = set()
-            for fallback in ("_closure", "_center_dim", "_projected_hom_dim"):
+            for fallback in ("_closure", "_center_dim", "_projected_hom_dim", "hom_space"):
                 def counted(*args, _name=fallback, _original=getattr(analysis, fallback)):
                     calls.add(_name)
                     return _original(*args)
                 m.setattr(analysis, fallback, counted)
-            assert _cli_report(capsys, argv) == want and not calls
+            assert _cli_report(capsys, argv.split()) == want
+            assert calls < fallbacks
+            calls.clear()
             m.setattr(analysis, name, sabotage(getattr(analysis, name)))
-            assert _cli_report(capsys, argv) == want
-            assert calls == fallbacks[command]
+            assert _cli_report(capsys, argv.split()) == want
+            assert calls == fallbacks
 
 
-# Two blocks whose nonzero pieces share no dimension have Hom = 0 once the
-# per-block counts hold, so the cross-block check walks only the pairs that
-# share one: at (3, 8, 2) 2 of the 45 pairs.
-@pytest.mark.parametrize("N,n,walked,pairs", [
-    (3, 4, [], 6), (4, 3, [(1, 6)], 3), (3, 5, [(10, 20)], 10),
-    (4, 5, [(10, 20), (10, 60), (20, 60)], 15),
-    (3, 8, [(28, 56), (280, 560)], 45)], ids=["3,4", "4,3", "3,5", "4,5", "3,8"])
-def test_the_cross_block_check_walks_only_pairs_that_share_a_piece_dimension(
-        monkeypatch, N, n, walked, pairs):
-    x = Fraction(2)
-    blocks = [partition_block(N, n, lam) for lam, _ in analysis._charge_index(N, n)]
-    assert len(blocks) * (len(blocks) - 1) // 2 == pairs
-    calls = []
-    original = analysis.hom_space
+# At x other than 0 and -1 the three reports walk no hom space at all.
+@pytest.mark.parametrize("N,n", [(3, 4), (4, 3), (3, 5), (4, 5), (3, 8)],
+                         ids=["3,4", "4,3", "3,5", "4,5", "3,8"])
+def test_the_lemma_path_walks_no_hom_space(monkeypatch, N, n):
+    def refused(*args):
+        raise AssertionError("a hom space was walked")
 
-    def counted(ops_src, ops_tgt, d_src, d_tgt):
-        out = original(ops_src, ops_tgt, d_src, d_tgt)
-        if ops_src is not ops_tgt:
-            calls.append((d_src, d_tgt))
-            assert out == []
-        return out
-
-    monkeypatch.setattr(analysis, "hom_space", counted)
-    pieces = _certified_image(N, n, x)[3]
-    assert pieces is not None and calls == walked
+    monkeypatch.setattr(analysis, "hom_space", refused)
+    for x in (Fraction(2), Fraction(1), Fraction(-2, 3)):
+        assert _certified_image(N, n, x)[3] is not None
+        assert semisimplicity_check(N, n, x)["radical_dim"] == 0
+        assert all(e["end_dim"] == 1 for e in harmonic_end_dims(N, n, x))
+        if N <= n <= 5:  # the symmetrizer products grow dense beyond
+            assert localization_report(N, n, x)["triangle_ok"]
 
 
-@pytest.mark.parametrize("N,n", [(3, 4), (4, 3), (3, 5), (2, 6)], ids=str)
-def test_blocks_with_no_piece_dimension_in_common_have_no_intertwiner(N, n):
-    # the skip of the cross-block check, against the walk it saves
-    rep = TauRep(N, Fraction(2))
-    blocks = [partition_block(N, n, lam) for lam, _ in analysis._charge_index(N, n)]
-    ops = [b.ops(rep) for b in blocks]
-    dims = [{m.dim for m in harmonic_decompose(b, rep) if m.dim} for b in blocks]
-    skipped = 0
-    for k in range(len(blocks)):
-        for j in range(k + 1, len(blocks)):
-            if not dims[k] & dims[j]:
-                skipped += 1
-                assert hom_space(ops[k], ops[j], blocks[k].dim, blocks[j].dim) == []
-    assert skipped
+def test_x_one_is_certified_by_the_minus_x_cycle():
+    # at x = 1 the sigma_j 2-cycle through a mixed cell has product 1, and
+    # the cycle of sigma_j then s_j, of product -1, kills the cell's orbit
+    x = Fraction(1)
+    assert _certified_image(3, 4, x)[3] is not None
+    assert semisimplicity_check(3, 4, x) == closure_reports(3, 4, x)[0] == \
+        {"radical_dim": 0, "center_dim": 6, "algebra_dim": 107}
+    ends = harmonic_end_dims(4, 5, x)
+    assert ends == projected_end_dims(4, 5, x)
+    assert len(ends) == 10 and all(e["end_dim"] == 1 for e in ends)
+
+
+# Beyond the closure oracle's reach the reports must equal the closed forms
+# of the lemma: dim A = sum d_lam^2 / |G_lam| and one center dimension per
+# harmonic module, prod p(k_i) on each block (p the partition count, k_i
+# the sizes of the multiplicity classes).
+@pytest.mark.parametrize("N,n,algebra_dim,center_dim", [(3, 9, 2886640, 17),
+                                                        (2, 14, 20058300, 9)],
+                         ids=["3,9", "2,14"])
+def test_the_reports_equal_the_closed_forms_beyond_the_closure(N, n, algebra_dim, center_dim):
+    algebra = center = 0
+    for lam, _ in analysis._charge_index(N, n):
+        classes = [len(colors) for _, colors in multiplicity_classes(lam)]
+        algebra += multinomial(n, lam) ** 2 // math.prod(math.factorial(k) for k in classes)
+        center += math.prod(len(partitions(k)) for k in classes)
+    assert (algebra, center) == (algebra_dim, center_dim)
+    assert semisimplicity_check(N, n, Fraction(2)) == \
+        {"radical_dim": 0, "center_dim": center, "algebra_dim": algebra}
 
 
 # ---------------------------------------------------------------------------

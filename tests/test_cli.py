@@ -479,11 +479,11 @@ def test_dispatch_builds_only_the_named_subcommand(capsys, monkeypatch):
     assert built == ["bmw-check", "bmw-check", None, None, None, None]
 
 
-def _child(argv, *options, env=None, **kwargs):
+def _child(argv, *options, env=None, timeout=120, **kwargs):
     env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]),
                **(env or {}))
     return subprocess.run([sys.executable, *options, "-m", "loopbraid.cli", *argv],
-                          capture_output=True, env=env, timeout=120, **kwargs)
+                          capture_output=True, env=env, timeout=timeout, **kwargs)
 
 
 def test_a_child_process_keeps_exit_codes_and_complete_output(capsys, tmp_path, monkeypatch):
@@ -589,6 +589,35 @@ def test_a_block_past_the_limit_is_refused_before_any_word_is_listed(capsys, mon
     _assert_one_usage_line(capsys, ["decompose", "--N", "2", "--n", "6"])
     with pytest.raises(InvalidParameters, match="charge block of 20 words refused"):
         tensor.partition_block(2, 6, (3, 3))
+
+
+def test_many_colors_are_refused_before_any_composition_is_listed():
+    # (30, 30) has about 5.9 * 10^16 compositions and (12, 14) about
+    # 1.3 * 10^11: the largest block is refused before the index is listed
+    for argv in (["decompose", "--N", "30", "--n", "30"],
+                 ["semisimple", "--N", "12", "--n", "14"]):
+        proc = _child(argv, timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"usage error: charge block of ")
+        assert proc.stderr.count(b"\n") == 1
+
+
+def test_long_words_and_many_colors_list_their_blocks_without_recursion():
+    for argv, key in ((["decompose", "--N", "1000", "--n", "1"], "modules"),
+                      (["semisimple", "--N", "1", "--n", "1000"], "algebra_dim")):
+        proc = _child(argv, timeout=60)
+        assert proc.returncode == 0 and b"Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)[key]
+
+
+def test_an_incomplete_restriction_exits_one(capsys, monkeypatch):
+    # every summand refused: the rule's dimensions cannot fill a module
+    monkeypatch.setattr("loopbraid.analysis._rule_multiplicity", lambda label, sub: 0)
+    assert dispatch(["branch", "--N", "3", "--nmax", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: summand dimensions 0 != module dimension ")
+    assert captured.err.count("\n") == 1
 
 
 # The names loopbraid/__init__.py imported eagerly; each now resolves on

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_perms, dense_harmonic_projector, symmetrized_seed_vector
+from helpers import (all_perms, composition_charge_index, dense_harmonic_projector,
+                     recursive_compositions, recursive_words_with_content,
+                     symmetrized_seed_vector)
 
 from loopbraid.braided import local_rep, tau_loop
 from loopbraid.errors import InvalidParameters
 from loopbraid.linalg import Matrix, RowSpan
 from loopbraid.rings import QQ, ZZ, LaurentPoly
-from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep, _projector_columns,
+from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep, _charge_index, _compositions,
+                              _projector_columns, _words_with_content,
                               charge_blocks, f_columns, f_operator, full_images,
                               harmonic_blocks, harmonic_dims, harmonic_decompose, harmonic_labels,
                               harmonic_projector,
@@ -448,3 +451,15 @@ def test_f_operator_blocks_keys():
     out = f_operator_blocks(2, 3)
     assert set(out) == {(3, 0), (2, 1)}
     assert all(m.nrows == m.ncols for m in out.values())
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_the_index_and_words_match_the_recursive_listing(N):
+    # the partitions with their counts, the compositions and every block's
+    # words, in the order of the recursive versions they replaced
+    for n in range(9):
+        assert _charge_index(N, n) == composition_charge_index(N, n)
+        comps = list(_compositions(n, N))
+        assert comps == list(recursive_compositions(n, N))
+        for comp in comps:
+            assert _words_with_content(N, comp) == recursive_words_with_content(N, comp)
