@@ -9,12 +9,15 @@ are therefore computed exactly by propagating scalars over the orbit
 graph of matrix cells, with a component forced to zero when a cycle
 product disagrees.  The generators are symmetric matrices
 (_require_symmetric), so the image algebra A is semisimple without
-computation.  At every x but -1 the mixed-cell lemma (_relabelings_only)
-certifies A as the sum of End(M_i) over the harmonic modules, and
-semisimplicity_check, localization_report and harmonic_end_dims read their
-verdicts off it; at x = -1 the first two build A (_closure) and the third
-counts hom-space orbits.  Restriction multiplicities are read off the
-color-group rule and certified by fiber isomorphisms (restrict_and_branch).
+computation.  One check of the generator form (_relabelings_only) holds
+at every x, and semisimplicity_check and localization_report read A off
+the theorem it proves: the mixed-cell lemma (A is the sum of End(M_i)
+over the harmonic modules) at every x but -1, Young's rule (A is the
+image of Q[S_n], its simples the Specht modules S^lam of the blocks) at
+x = -1; no element of A is built.  harmonic_end_dims gives end_dim 1 off
+the lemma and counts hom-space orbits at x = -1.  Restriction
+multiplicities are read off the color-group rule and certified by fiber
+isomorphisms (restrict_and_branch).
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ import math
 from fractions import Fraction
 
 from .errors import IncompleteMatch, InvalidParameters, LoopBraidError, NotIdempotent
-from .linalg import CodedPerm, Matrix, RowSpan, WeightedPerm, rank
+from .linalg import CodedPerm, Matrix, RowSpan
 from .rings import LQ, ZZ, LaurentPoly
+from .symmetric import hook_dim
 from .tensor import (ChargeBlock, HarmonicLabel, ModuleSpec, TauRep, _apply_columns,
-                     _apply_wp, _charge_index, _swap, f_columns, f_operator, harmonic_blocks,
-                     harmonic_decompose, multiplicity_classes, partition_block,
-                     right_color_action, young_module)
+                     _apply_wp, _charge_index, _swap, f_columns, harmonic_blocks,
+                     harmonic_decompose, harmonic_labels, multiplicity_classes,
+                     partition_block, right_color_action, young_module)
 from .words import _first_difference
 
 # ---------------------------------------------------------------------------
@@ -205,49 +209,6 @@ def spin_dimension(block: ChargeBlock, rep: TauRep, vec) -> int:
 # ---------------------------------------------------------------------------
 # The image algebra of the collapsed generators.
 
-class BlockOp:
-    """An operator acting block-diagonally on the multiplicity-collapsed sum
-    of the partition blocks (one copy per partition).
-
-    Each block is a WeightedPerm or a Matrix over ZZ.  Words in monomial
-    generators stay WeightedPerms, so a generator times a word costs one
-    composition per block."""
-
-    __slots__ = ("mats",)
-
-    def __init__(self, mats):
-        self.mats = list(mats)
-
-    def __mul__(self, other):
-        return BlockOp([a * b for a, b in zip(self.mats, other.mats)])
-
-    def vec(self):
-        out = []
-        for m in self.mats:
-            out.extend(m.entries())
-        return out
-
-    def commutator_vec(self, other):
-        """vec() of self * other - other * self."""
-        return [p - q for p, q in zip((self * other).vec(), (other * self).vec())]
-
-
-def _integral(ops):
-    """The Matrix or WeightedPerm operators over ZZ, all scaled by the
-    least common denominator of their entries."""
-    den = math.lcm(*(v.denominator for op in ops
-                     for v in (op.wts if isinstance(op, WeightedPerm) else op.entries())))
-    out = []
-    for op in ops:
-        if isinstance(op, WeightedPerm):
-            out.append(WeightedPerm(ZZ, op.tgt, [w.numerator * (den // w.denominator)
-                                                 for w in op.wts]))
-        else:
-            out.append(Matrix._wrap(ZZ, [[v.numerator * (den // v.denominator) if v else 0
-                                          for v in r] for r in op.rows]))
-    return out
-
-
 def _require_symmetric(ops):
     """Raise LoopBraidError unless every WeightedPerm in ops is a symmetric
     matrix: its permutation an involution, equal weights on each swap.
@@ -264,57 +225,39 @@ def _require_symmetric(ops):
                                  "image algebra is not certified semisimple")
 
 
-def _closure(gens, seeds, right=()):
-    """(basis, span): a basis of the span of the seeds closed under left
-    multiplication by gens and right multiplication by right, and the ZZ
-    RowSpan of its vec()s.
-
-    Each accepted element is multiplied once by every generator on either
-    side, which reaches every word in them: with [ident] as the seed this
-    is the algebra A, with [f] and right=gens the two-sided ideal AfA, and
-    with no generators the span of the seeds."""
-    span = RowSpan(len(seeds[0].vec()), ZZ)
-    basis = []
-    fresh = [op for op in seeds if span.insert(op.vec())]
-    while fresh:
-        basis += fresh
-        fresh = [p for b in fresh for p in [g * b for g in gens] + [b * h for h in right]
-                 if span.insert(p.vec())]
-    return basis, span
-
-
-def _center_dim(basis, constraints):
-    """dim of {x in span(basis) : [x, c] = 0 for all constraints}."""
-    cols = []
-    for b in basis:
-        col = []
-        for c in constraints:
-            col.extend(b.commutator_vec(c))
-        cols.append(col)
-    return len(basis) - rank(cols, ZZ)
-
-
 def _relabelings_only(block: ChargeBlock, ops, rep: TauRep) -> bool:
     """True when ops, the generator images on the partition block B_lam,
-    meet the hypotheses of the mixed-cell lemma, read off in O(n d): sigma_j
+    have the generator form, read off in O(n d): the form is x; sigma_j
     and s_j fix exactly the words whose letters j, j+1 agree, with weights
     x and 1, and send every other word to its j-swap with weights 1 and -1;
-    the color swaps commute with every op; and the form is x, x != -1.
+    and the color swaps commute with every op.  Only the theorem that
+    then certifies A depends on x.
 
-    The lemma: dim End_A(B_lam) = |G_lam|, G_lam the color permutations
-    that fix lam, and Hom(B_lam, B) = 0 for every other block B.  A
-    generator g moves cell (a, b) of an intertwiner to (g a, g b); an orbit
-    of cells lives only if every cycle in it has product 1 (hom_space).
-    Where exactly one of a, b has equal letters at j, j+1, sigma_j closes a
-    2-cycle of product x^(+-2) and sigma_j then s_j one of product -x or
-    -1/x: the orbit dies.  Elsewhere both swap the positions of a and b
-    together with factor 1, so an orbit with no such mixed cell has a_p =
-    a_q iff b_p = b_q: b is a relabeling of a, one orbit per g in G_lam.
-    G_lam acts freely, so End_A(B_lam) = Q[G_lam] and the harmonic modules
-    are nonzero, absolutely irreducible and pairwise non-isomorphic
-    (Fulton-Harris, GTM 129, Lecture 4); A is semisimple and faithful, so
-    by density it is the sum of their End(M_i) (Lam, GTM 131, s. 11)."""
-    if rep.form != "x" or rep.x == -1 or len(ops) != 2 * max(block.n - 1, 0):
+    At x != -1, the mixed-cell lemma: dim End_A(B_lam) = |G_lam|, G_lam
+    the color permutations that fix lam, and Hom(B_lam, B) = 0 for every
+    other block B.  A generator g moves cell (a, b) of an intertwiner to
+    (g a, g b); an orbit of cells lives only if every cycle in it has
+    product 1 (hom_space).  Where exactly one of a, b has equal letters at
+    j, j+1, sigma_j closes a 2-cycle of product x^(+-2) and sigma_j then
+    s_j one of product -x or -1/x: the orbit dies.  Elsewhere both swap
+    the positions of a and b together with factor 1, so an orbit with no
+    such mixed cell has a_p = a_q iff b_p = b_q: b is a relabeling of a,
+    one orbit per g in G_lam.  G_lam acts freely, so End_A(B_lam) =
+    Q[G_lam] and the harmonic modules are nonzero, absolutely irreducible
+    and pairwise non-isomorphic (Fulton-Harris, GTM 129, Lecture 4); A is
+    semisimple and faithful, so by density it is the sum of their End(M_i)
+    (Lam, GTM 131, s. 11): dim A = sum d_lam^2 / |G_lam|, one simple per
+    harmonic label.
+
+    At x = -1, Young's rule: sigma_j = -s_j, so A is the image of Q[S_n],
+    and w -> (-1)^inv(w) w carries s_j on B_lam to the plain swap of
+    positions j, j+1, so B_lam is the permutation module M^lam =
+    Ind_{S_lam}^{S_n} 1.  It contains the Specht module S^nu iff nu
+    dominates lam, which forces len(nu) <= len(lam) <= N, and M^nu
+    contains S^nu (Sagan, The Symmetric Group, s. 2.11; Fulton-Harris,
+    Lecture 4).  So the simples of A are the S^lam over the blocks: one
+    simple per block, dim A = sum hook_dim(lam)^2."""
+    if rep.form != "x" or len(ops) != 2 * max(block.n - 1, 0):
         return False
     for j in range(1, block.n):
         same = [w[j - 1] == w[j] for w in block.words]
@@ -348,25 +291,36 @@ def _color_swaps(block: ChargeBlock) -> list:
 
 
 def _certified_image(N, n, x):
-    """(blocks, rep, algebra_dim, pieces, closure) for the image algebra A
-    at (N, n, x): one partition block per partition, in the order of the
-    charge index; dim A; [(block index, module)] over the harmonic modules,
-    all nonzero and their End(M_i) summing to A, when _relabelings_only
-    holds on every block, else None; and, only when pieces is None, (basis, gens): a basis
-    of A and the generators on the sum of the blocks, scaled by the
-    denominator of x to int weights (every word changes by a nonzero
-    factor, so spans, ranks and centers do not).  The generator images
-    must pass _require_symmetric, so A has radical 0."""
+    """(blocks, rep) for the image algebra A at (N, n, x): one partition
+    block per partition, in the order of the charge index, whose generator
+    images pass _require_symmetric, so A has radical 0, and
+    _relabelings_only, so A is certified by the mixed-cell lemma or by
+    Young's rule.  Raises LoopBraidError where a block fails either."""
     rep = TauRep(N, x)
     blocks = [partition_block(N, n, lam) for lam, _ in _charge_index(N, n)]
     block_ops = [b.ops(rep) for b in blocks]
     _require_symmetric([op for ops in block_ops for op in ops])
-    if all(_relabelings_only(b, ops, rep) for b, ops in zip(blocks, block_ops)):
-        pieces = [(k, m) for k, b in enumerate(blocks) for m in harmonic_decompose(b, rep)]
-        return blocks, rep, sum(m.dim ** 2 for _, m in pieces), pieces, None
-    gens = [BlockOp(_integral(ops)) for ops in zip(*block_ops)]
-    basis, _ = _closure(gens, [BlockOp([WeightedPerm.identity(ZZ, b.dim) for b in blocks])])
-    return blocks, rep, len(basis), None, (basis, gens)
+    for b, ops in zip(blocks, block_ops):
+        if not _relabelings_only(b, ops, rep):
+            raise LoopBraidError("the generator images on the block %s are not of the "
+                                 "generator form, so the image algebra is not certified"
+                                 % (b.lam,))
+    return blocks, rep
+
+
+def _simple_counts(blocks, rep):
+    """(center_dim, dim A) of the certified image algebra: one simple
+    S^lam of dimension hook_dim(lam) per block at x = -1, one simple per
+    harmonic label and d_lam^2 / |G_lam| per block elsewhere
+    (_relabelings_only)."""
+    if rep.x == -1:
+        return len(blocks), sum(hook_dim(b.lam) ** 2 for b in blocks)
+    center = algebra_dim = 0
+    for b in blocks:
+        center += len(harmonic_labels(b.lam))
+        algebra_dim += b.dim ** 2 // math.prod(math.factorial(len(colors))
+                                               for _, colors in multiplicity_classes(b.lam))
+    return center, algebra_dim
 
 
 def semisimplicity_check(N, n, x) -> dict:
@@ -374,64 +328,60 @@ def semisimplicity_check(N, n, x) -> dict:
 
     The radical is 0 by the symmetry certificate of _certified_image
     (LoopBraidError when it fails), so center_dim counts the simple
-    summands.  Where the mixed-cell lemma (_relabelings_only) certifies A
-    as the sum of End(M_i) over the harmonic modules, every x but -1, it
-    is the number of nonzero modules and no element of A is built; at
-    x = -1, A is built by _closure and the center equations are solved.
+    summands.  Both counts are closed forms (_simple_counts) of the
+    theorem that the generator-form check (_relabelings_only) proves: the
+    mixed-cell lemma at every x but -1, Young's rule at x = -1.  No
+    element of A is built, no module decomposed and no hom space walked.
     """
-    _, _, algebra_dim, pieces, closure = _certified_image(N, n, x)
-    center = len(pieces) if pieces is not None else _center_dim(*closure)
+    center, algebra_dim = _simple_counts(*_certified_image(N, n, x))
     return {"radical_dim": 0, "center_dim": center, "algebra_dim": algebra_dim}
 
 
-def _f_blockop(N, blocks, rep):
-    return BlockOp(_integral([f_operator(N, b, rep) for b in blocks]))
+def _squares_to(cols, c) -> bool:
+    """True when the operator with the given f_columns squares to c times
+    itself, checked column by column on the nonzero entries."""
+    for col in cols:
+        acc = {}
+        for i, a in col:
+            for k, b in cols[i]:
+                acc[k] = acc.get(k, 0) + a * b
+        if sorted((k, v) for k, v in acc.items() if v) != [(k, c * v) for k, v in col]:
+            return False
+    return True
 
 
 def localization_report(N, n, x) -> dict:
     """Simple counts of A, eAe and A/AeA with e the normalized symmetrizer.
 
-    Requires e^2 = e exactly (NotIdempotent otherwise).  The products use
-    f = N! e, which spans alike.  Where the mixed-cell lemma
-    (_relabelings_only) certifies A as the sum of End(M_i), every x but
-    -1, f lies in A (it is a signed sum of words in the s_j), so eAe is
-    the sum of End(e M_i) and AeA the sum of End(M_i) over the pieces that
-    e does not kill, and A/AeA the sum over the rest: the counts are read
-    from is_e_null and no element of A is built.  At x = -1, A and AeA are
-    built by _closure and the counts are center dimensions, which count
-    simple summands because the radical is 0 by the symmetry certificate.
+    Requires e^2 = e exactly (NotIdempotent otherwise), checked as
+    f^2 = N! f on the sparse columns of f = N! e.  f lies in A (it is a
+    signed sum of words in the s_j), so eAe is the sum of End(e S) and
+    AeA the sum of End(S) over the simples S that e does not kill, and
+    A/AeA the sum over the rest.  At every x but -1 the simples are the
+    harmonic modules (_relabelings_only) and is_e_null reads off which
+    survive.  At x = -1 they are the S^lam, and f is the antisymmetrizer
+    of S_N on the first N strands (after the sign change of
+    _relabelings_only), which is nonzero on S^lam iff lam has at least N
+    rows: the blocks with N rows survive.  No element of A is built, and
+    triangle_ok holds by construction.
     """
-    blocks, rep, algebra_dim, pieces, closure = _certified_image(N, n, x)
-    f = _f_blockop(N, blocks, rep)
-    fac = math.factorial(N)
-    if (f * f).vec() != [fac * v for v in f.vec()]:
+    blocks, rep = _certified_image(N, n, x)
+    f_cols = [f_columns(N, b) for b in blocks]
+    if not all(_squares_to(cols, math.factorial(N)) for cols in f_cols):
         raise NotIdempotent("f/N! fails to square to itself")
-    if pieces is not None:
-        f_cols = [f_columns(N, b) for b in blocks]
-        kept = [m for k, m in pieces if not is_e_null(m, f_cols[k])]
-        count_a = len(pieces)
-        count_eae, count_quotient = len(kept), len(pieces) - len(kept)
-        aea_dim = sum(m.dim ** 2 for m in kept)
+    count_a, algebra_dim = _simple_counts(blocks, rep)
+    if rep.x == -1:
+        kept = [hook_dim(b.lam) for b in blocks if len(b.lam) == N]
     else:
-        basis, gens = closure
-        count_a = _center_dim(basis, gens)
-        basis_eae, _ = _closure([], [f * b * f for b in basis])
-        count_eae = _center_dim(basis_eae, basis_eae)
-
-        # AeA and the quotient center
-        basis_aea, span_aea = _closure(gens, [f], gens)
-        cols = [[v for g in gens for v in span_aea.reduce(b.commutator_vec(g))]
-                for b in basis]
-        count_quotient = len(basis) - rank(cols) - len(basis_aea)
-        aea_dim = len(basis_aea)
-
+        kept = [m.dim for b, cols in zip(blocks, f_cols) for m in harmonic_decompose(b, rep)
+                if not is_e_null(m, cols)]
     return {"radical_dim": 0,
             "simple_count": count_a,
-            "localized_count": count_eae,
-            "quotient_count": count_quotient,
-            "aea_dim": aea_dim,
+            "localized_count": len(kept),
+            "quotient_count": count_a - len(kept),
+            "aea_dim": sum(d ** 2 for d in kept),
             "algebra_dim": algebra_dim,
-            "triangle_ok": count_a == count_eae + count_quotient}
+            "triangle_ok": True}
 
 
 # ---------------------------------------------------------------------------
@@ -825,8 +775,9 @@ def harmonic_end_dims(N, n, x) -> list:
     Each block's generators must pass _require_symmetric (LoopBraidError
     otherwise), so every module is semisimple: end_dim == 1 certifies that
     it is absolutely irreducible, and end_dim > 1 that it is not.  Where
-    the mixed-cell lemma (_relabelings_only) holds on a block, every x but
-    -1, each of its modules is nonzero with end_dim 1.  Elsewhere, with the
+    the generator form (_relabelings_only) holds on a block at x != -1,
+    the mixed-cell lemma makes each of its modules nonzero with end_dim 1.
+    Elsewhere (at x = -1 the harmonic modules need not be simple), with the
     color swaps commuting with A, B = sum M_i^(m_i), m_i = dim Delta_i, and
     its hom-space orbits count dim End_A(B) = sum m_i m_j dim Hom(M_i, M_j)
     >= sum m_i^2, with equality iff the nonzero M_i have End(M_i) = Q and
@@ -836,7 +787,7 @@ def harmonic_end_dims(N, n, x) -> list:
     for _, _, block, mods in harmonic_blocks(N, n, rep):
         ops = block.ops(rep)
         _require_symmetric(ops)
-        counted = _relabelings_only(block, ops, rep)
+        counted = rep.x != -1 and _relabelings_only(block, ops, rep)
         if not counted:
             comps = hom_space(ops, ops, block.dim, block.dim)  # shared by the block's modules
             counted = _swaps_commute(block, ops) and \

@@ -1,19 +1,19 @@
 """Helpers shared by several test files; nothing in the package calls them."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from loopbraid.affine import AffineParams, AglElement, _basis_change
-from loopbraid.analysis import (BlockOp, BmwReport, _center_dim, _closure, _color_swaps,
-                                _f_blockop, _integral, _laurent_witness, _projected_hom_dim,
+from loopbraid.analysis import (BmwReport, _color_swaps, _laurent_witness, _projected_hom_dim,
                                 _require_symmetric, hom_space, is_e_null)
 from loopbraid.errors import InvalidParameters, LoopBraidError
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, op_dim, rank
 from loopbraid.rings import LQ, QQ, ZZ, IntegersMod, LaurentPoly, ZmInt
 from loopbraid.symmetric import partitions, young_symmetrizer_coeffs
 from loopbraid.tensor import (ChargeBlock, ModuleSpec, TauRep, _apply_columns, _apply_wp,
-                              _charge_index, _perm_ops, f_columns, harmonic_blocks,
+                              _charge_index, _perm_ops, f_columns, f_operator, harmonic_blocks,
                               harmonic_decompose, harmonic_projector, multiplicity_classes,
                               partition_block)
 from loopbraid.words import (RelationReport, RelationResult, _first_difference,
@@ -101,6 +101,88 @@ def symmetrized_seed_vector(block: ChargeBlock, rep: TauRep) -> list:
     for _, op in _perm_ops(block, rep.ring, block.n):
         vec[op.tgt[0]] = vec[op.tgt[0]] + op.wts[0]
     return vec
+
+
+# ---------------------------------------------------------------------------
+# The closure of the image algebra: the certificate of dim A and of the
+# centers that the generator-form check replaced, kept as the oracle of
+# closure_reports and of the trace-form and span tests.
+
+class BlockOp:
+    """An operator acting block-diagonally on the multiplicity-collapsed sum
+    of the partition blocks (one copy per partition).
+
+    Each block is a WeightedPerm or a Matrix over ZZ.  Words in monomial
+    generators stay WeightedPerms, so a generator times a word costs one
+    composition per block."""
+
+    __slots__ = ("mats",)
+
+    def __init__(self, mats):
+        self.mats = list(mats)
+
+    def __mul__(self, other):
+        return BlockOp([a * b for a, b in zip(self.mats, other.mats)])
+
+    def vec(self):
+        out = []
+        for m in self.mats:
+            out.extend(m.entries())
+        return out
+
+    def commutator_vec(self, other):
+        """vec() of self * other - other * self."""
+        return [p - q for p, q in zip((self * other).vec(), (other * self).vec())]
+
+
+def _integral(ops):
+    """The Matrix or WeightedPerm operators over ZZ, all scaled by the
+    least common denominator of their entries."""
+    den = math.lcm(*(v.denominator for op in ops
+                     for v in (op.wts if isinstance(op, WeightedPerm) else op.entries())))
+    out = []
+    for op in ops:
+        if isinstance(op, WeightedPerm):
+            out.append(WeightedPerm(ZZ, op.tgt, [w.numerator * (den // w.denominator)
+                                                 for w in op.wts]))
+        else:
+            out.append(Matrix._wrap(ZZ, [[v.numerator * (den // v.denominator) if v else 0
+                                          for v in r] for r in op.rows]))
+    return out
+
+
+def _closure(gens, seeds, right=()):
+    """(basis, span): a basis of the span of the seeds closed under left
+    multiplication by gens and right multiplication by right, and the ZZ
+    RowSpan of its vec()s.
+
+    Each accepted element is multiplied once by every generator on either
+    side, which reaches every word in them: with [ident] as the seed this
+    is the algebra A, with [f] and right=gens the two-sided ideal AfA, and
+    with no generators the span of the seeds."""
+    span = RowSpan(len(seeds[0].vec()), ZZ)
+    basis = []
+    fresh = [op for op in seeds if span.insert(op.vec())]
+    while fresh:
+        basis += fresh
+        fresh = [p for b in fresh for p in [g * b for g in gens] + [b * h for h in right]
+                 if span.insert(p.vec())]
+    return basis, span
+
+
+def _center_dim(basis, constraints):
+    """dim of {x in span(basis) : [x, c] = 0 for all constraints}."""
+    cols = []
+    for b in basis:
+        col = []
+        for c in constraints:
+            col.extend(b.commutator_vec(c))
+        cols.append(col)
+    return len(basis) - rank(cols, ZZ)
+
+
+def _f_blockop(N, blocks, rep):
+    return BlockOp(_integral([f_operator(N, b, rep) for b in blocks]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (algebra_span, closure_reports, closure_wedderburn_pieces,
-                     collapsed_generators, dense_bmw_check, dense_is_e_null, dense_localize,
-                     fraction_branch, fraction_localize, gram_radical_dim, laurent_bmw_check,
+from helpers import (BlockOp, _center_dim, _closure, _f_blockop, algebra_span, closure_reports,
+                     closure_wedderburn_pieces, collapsed_generators, dense_bmw_check,
+                     dense_is_e_null, dense_localize, fraction_branch, fraction_localize,
+                     gram_radical_dim, laurent_bmw_check, partitions_max_rows,
                      projected_end_dims, trace_form)
 from loopbraid import analysis
-from loopbraid.analysis import (BlockOp, bmw_check,
+from loopbraid.analysis import (bmw_check,
                                 branching_graph, end_dim, harmonic_end_dims,
                                 hom_dim, hom_space, is_e_null, is_irreducible,
                                 localization_report, restrict_and_branch, semisimplicity_check,
                                 spin_dimension, verify_young_branching,
-                                young_branch_rule, _center_dim, _closure, _dense, _f_blockop,
-                                _certified_image, _laurent_witness, _project_hom,
-                                _relabelings_only, _weight_pos)
+                                young_branch_rule, _dense, _certified_image, _laurent_witness,
+                                _project_hom, _relabelings_only, _weight_pos)
 from loopbraid.errors import InvalidParameters, LoopBraidError, NotIdempotent
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank
 from loopbraid.rings import QQ, ZZ, LaurentPoly
@@ -1046,17 +1046,10 @@ def test_int_ops_scale_sigma_by_the_denominator_of_x():
 
 
 # ---------------------------------------------------------------------------
-# The mixed-cell certificate, against the closure certificate it replaced
-# (helpers.closure_reports), the projected hom spaces
-# (helpers.projected_end_dims), the hom-space walk it makes unnecessary, and
-# the closure fallback it skips.
-
-def _closure_fallback(monkeypatch, check, *args):
-    """check(*args) with the mixed-cell check refused."""
-    with monkeypatch.context() as m:
-        m.setattr(analysis, "_relabelings_only", lambda *a: False)
-        return check(*args)
-
+# The generator-form check and the theorems it proves, against the closure
+# certificate they replaced (helpers.closure_reports), the projected hom
+# spaces (helpers.projected_end_dims), the hom-space walk the mixed-cell
+# lemma makes unnecessary and the Young's-rule counts at x = -1.
 
 _GRID_XS = [Fraction(2), Fraction(7, 2), Fraction(1), Fraction(-1, 2), Fraction(-1),
             Fraction(1, 3), Fraction(-2, 3), Fraction(-3, 2)]
@@ -1092,50 +1085,93 @@ def test_reports_match_the_closure_certificate_at_larger_sizes(N, n):
 # next test adds the semisimplicity check at (4, 4, 2).
 @pytest.mark.parametrize("x", _ALGEBRA_XS, ids=str)
 @pytest.mark.parametrize("N,n,reports", [(2, 2, "both"), (2, 5, "both"), (3, 4, "localize")])
-def test_wedderburn_count_matches_the_trace_form_path(monkeypatch, N, n, x, reports):
-    pieces = _certified_image(N, n, x)[3]
-    assert (pieces is None) == (x == -1)
-    checks = [localization_report] if reports == "localize" else \
-        [semisimplicity_check, localization_report]
-    for check in checks:
-        assert check(N, n, x) == _closure_fallback(monkeypatch, check, N, n, x)
+def test_wedderburn_count_matches_the_trace_form_path(N, n, x, reports):
+    semisimple, localized = closure_reports(N, n, x)
+    if reports == "both":
+        assert semisimplicity_check(N, n, x) == semisimple
+    assert localization_report(N, n, x) == localized
 
 
-def test_wedderburn_count_at_four_colors(monkeypatch):
+def test_wedderburn_count_at_four_colors():
     got = semisimplicity_check(4, 4, Fraction(2))
     assert got == {"radical_dim": 0, "center_dim": 11, "algebra_dim": 131}
-    assert got == _closure_fallback(monkeypatch, semisimplicity_check, 4, 4, Fraction(2))
+    assert got == closure_reports(4, 4, Fraction(2))[0]
 
 
-def test_degenerate_x_takes_the_closure_fallback(monkeypatch):
-    calls = []
-    original = analysis._center_dim
+def _hook_count(nu):
+    """f^nu by the hook length formula, computed here from the diagram."""
+    cols = [sum(1 for row in nu if row > c) for c in range(nu[0])] if nu else []
+    hooks = math.prod(row - c + cols[c] - r - 1 for r, row in enumerate(nu) for c in range(row))
+    return math.factorial(sum(nu)) // hooks
 
-    def counted(basis, constraints):
-        calls.append(len(basis))
-        return original(basis, constraints)
 
-    monkeypatch.setattr(analysis, "_center_dim", counted)
-    # at x = -1 the mixed-cell check fails: A is built (dim 23, where the
-    # harmonic modules would give 107) and the center is solved
-    pieces, (basis, gens) = _certified_image(3, 4, Fraction(-1))[3:]
-    assert pieces is None and len(basis) == 23
-    assert semisimplicity_check(3, 4, Fraction(-1)) == \
-        {"radical_dim": 0, "center_dim": 4, "algebra_dim": 23}
-    assert calls == [23]
-    assert semisimplicity_check(3, 4, Fraction(2)) == \
-        {"radical_dim": 0, "center_dim": 6, "algebra_dim": 107}
-    assert localization_report(3, 4, Fraction(2))["aea_dim"] == 36
-    assert calls == [23]
+def _young_reports(N, n):
+    """(semisimplicity_check, localization_report) at x = -1 by Young's
+    rule: one simple S^nu of dimension f^nu for each partition nu of n
+    with at most N rows, the symmetrizer surviving on those with N rows."""
+    nus = partitions_max_rows(n, N)
+    kept = [nu for nu in nus if len(nu) == N]
+    algebra_dim = sum(_hook_count(nu) ** 2 for nu in nus)
+    semisimple = {"radical_dim": 0, "center_dim": len(nus), "algebra_dim": algebra_dim}
+    if n < N:
+        return semisimple, None
+    return semisimple, {"radical_dim": 0, "simple_count": len(nus),
+                        "localized_count": len(kept), "quotient_count": len(nus) - len(kept),
+                        "aea_dim": sum(_hook_count(nu) ** 2 for nu in kept),
+                        "algebra_dim": algebra_dim, "triangle_ok": True}
+
+
+# (N, n, algebra_dim, center_dim, localized_count, quotient_count, aea_dim)
+# beyond the closure oracle's reach, then the edge cases n = 0, n = 1,
+# N = 1 and n < N
+@pytest.mark.parametrize("N,n,counts", [
+    (3, 6, (513, 7, 3, 4, 381)), (2, 7, (429, 4, 3, 1, 428)), (4, 5, (119, 6, 1, 5, 16)),
+    (4, 6, (694, 9, 2, 7, 181)), (5, 5, (120, 7, 1, 6, 1)), (3, 7, (2761, 8, 4, 4, 2332)),
+    (2, 9, (4862, 5, 4, 1, 4861)),
+    (1, 0, (1, 1, None, None, None)), (3, 0, (1, 1, None, None, None)),
+    (3, 1, (1, 1, None, None, None)), (1, 1, (1, 1, 1, 0, 1)), (1, 6, (1, 1, 1, 0, 1)),
+    (4, 3, (6, 3, None, None, None))],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_reports_at_minus_one_follow_youngs_rule(N, n, counts):
+    x = Fraction(-1)
+    semisimple, localized = _young_reports(N, n)
+    algebra_dim, center_dim, kept, quotient, aea_dim = counts
+    assert (semisimple["algebra_dim"], semisimple["center_dim"]) == (algebra_dim, center_dim)
+    assert semisimplicity_check(N, n, x) == semisimple
+    if localized is None:
+        assert kept is None
+        with pytest.raises(InvalidParameters):
+            localization_report(N, n, x)
+    else:
+        assert (localized["localized_count"], localized["quotient_count"],
+                localized["aea_dim"]) == (kept, quotient, aea_dim)
+        assert localization_report(N, n, x) == localized
+
+
+def test_x_minus_one_builds_no_element_of_a(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a module was decomposed or a hom space walked")
+
+    monkeypatch.setattr(analysis, "hom_space", refused)
+    monkeypatch.setattr(analysis, "harmonic_decompose", refused)
+    x = Fraction(-1)
+    # dim A = 23, where the harmonic modules would give 107
+    assert semisimplicity_check(3, 4, x) == {"radical_dim": 0, "center_dim": 4, "algebra_dim": 23}
+    assert localization_report(3, 4, x) == _young_reports(3, 4)[1]
+    assert semisimplicity_check(3, 6, x) == _young_reports(3, 6)[0]
+    # the orbit count of harmonic_end_dims still walks the hom space there
+    with pytest.raises(AssertionError, match="walked"):
+        harmonic_end_dims(3, 4, x)
 
 
 def test_the_count_path_builds_no_closure_and_projects_nothing(monkeypatch):
     def refused(*args):
         raise AssertionError("the mixed-cell path called a fallback")
 
-    monkeypatch.setattr(analysis, "_closure", refused)
     monkeypatch.setattr(analysis, "_project_hom", refused)
     monkeypatch.setattr(analysis, "hom_space", refused)
+    assert not any(hasattr(analysis, name) for name in
+                   ("_closure", "BlockOp", "_integral", "_center_dim", "_f_blockop"))
     assert semisimplicity_check(3, 5, Fraction(2)) == \
         {"radical_dim": 0, "center_dim": 7, "algebra_dim": 776}
     assert localization_report(3, 4, Fraction(2)) == \
@@ -1146,23 +1182,25 @@ def test_the_count_path_builds_no_closure_and_projects_nothing(monkeypatch):
 
 
 def test_the_count_agrees_with_the_closure_certificate_on_its_pieces():
+    # the closed forms of the lemma are the sums over the harmonic modules
+    # that the closure certificate accepts
     blocks, gens, ident, rep = collapsed_generators(3, 4, Fraction(2))
     basis, _ = _closure(gens, [ident])
     closed = closure_wedderburn_pieces(blocks, gens, len(basis),
                                        [harmonic_decompose(b, rep) for b in blocks])
-    pieces = _certified_image(3, 4, Fraction(2))[3]
-    assert len(pieces) == 6
-    assert [(k, m.label, m.span.int_rows) for k, m in pieces] == \
-        [(k, m.label, m.span.int_rows) for k, m in closed]
+    assert len(closed) == 6
+    assert [b.lam for b in blocks] == [b.lam for b in _certified_image(3, 4, Fraction(2))[0]]
+    assert analysis._simple_counts(blocks, rep) == \
+        (len(closed), sum(m.dim ** 2 for _, m in closed)) == (6, len(basis))
 
 
 def _color_group_order(block):
     return math.prod(math.factorial(len(colors)) for _, colors in multiplicity_classes(block.lam))
 
 
-# The lemma against the hom-space walk: at every x but -1, End_A(B) of each
-# block is spanned by its |G_lam| color relabelings and no two blocks have
-# an intertwiner; at x = -1 the check refuses every block.
+# The check holds at every x; the lemma against the hom-space walk: at every
+# x but -1, End_A(B) of each block is spanned by its |G_lam| color
+# relabelings and no two blocks have an intertwiner.
 @pytest.mark.parametrize("N,n", [(N, n) for N in range(1, 5) for n in range(1, 6)]
                          + [(2, 6), (3, 6)], ids=str)
 def test_the_mixed_cell_lemma_matches_the_walk(N, n):
@@ -1171,7 +1209,7 @@ def test_the_mixed_cell_lemma_matches_the_walk(N, n):
         rep = TauRep(N, x)
         ops = [b.ops(rep) for b in blocks]
         for k, (block, block_ops) in enumerate(zip(blocks, ops)):
-            assert _relabelings_only(block, block_ops, rep) == (x != -1)
+            assert _relabelings_only(block, block_ops, rep)
             if x == -1:
                 continue
             assert len(hom_space(block_ops, block_ops, block.dim, block.dim)) == \
@@ -1218,7 +1256,7 @@ def _non_commuting_swap(original):
 
 
 def test_the_check_refuses_a_sabotaged_generator_list(monkeypatch):
-    for x in (Fraction(2), Fraction(1), Fraction(-2, 3)):
+    for x in (Fraction(2), Fraction(1), Fraction(-2, 3), Fraction(-1)):
         rep = TauRep(3, x)
         block = partition_block(3, 4, (2, 1, 1))
         ops = block.ops(rep)
@@ -1226,7 +1264,7 @@ def test_the_check_refuses_a_sabotaged_generator_list(monkeypatch):
         assert not _relabelings_only(block, _sigma_weight(ops), rep)
         assert not _relabelings_only(block, _sigma_target(ops), rep)
         assert not _relabelings_only(block, ops[:-2], rep)
-        assert not _relabelings_only(block, ops, TauRep(3, x + 1))
+        assert not _relabelings_only(block, ops, TauRep(3, 2 * x))
         with monkeypatch.context() as m:
             m.setattr(analysis, "_color_swaps", _non_commuting_swap(analysis._color_swaps))
             assert not _relabelings_only(block, ops, rep)
@@ -1255,48 +1293,56 @@ def _extra_self_component(original):
 def _cli_report(capsys, argv):
     from loopbraid.cli import dispatch
     code = dispatch(list(argv))
-    return code, capsys.readouterr().out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
-# Each sabotage makes a certificate fail where it holds, and the fallback
-# must give the same stdout.  A refused mixed-cell check sends semisimple to
-# the closure and irreducible to the orbit count, which holds on the true
-# generators unless the color swaps are broken too.  At x = -1 the count
-# holds on both blocks of (3, 2), and a hom space with one component too
-# many sends irreducible to the projection.
+# Each sabotage makes a certificate fail where it holds.  A refused
+# generator-form check makes semisimple exit 1 with one error line at every
+# x (fallbacks None), and sends irreducible to the orbit count, which holds
+# on the true generators unless the color swaps are broken too; irreducible
+# must give the same stdout.  At x = -1 the count holds on both blocks of
+# (3, 2), and a hom space with one component too many sends irreducible to
+# the projection.
 _AT_X2 = " --N 3 --n 4 --x 2"
+_REFUSED = [("semisimple" + _AT_X2, None), ("semisimple --N 3 --n 4 --x -1", None),
+            ("semisimple --N 2 --n 3 --x 1", None)]
 
 
 @pytest.mark.parametrize("name,sabotage,cases", [
     ("hom_space", _extra_self_component,
      [("irreducible --N 3 --n 2 --x -1", {"hom_space", "_projected_hom_dim"})]),
     ("_relabelings_only", _checked_with(_sigma_weight),
-     [("semisimple" + _AT_X2, {"_closure", "_center_dim"}),
-      ("irreducible" + _AT_X2, {"hom_space"})]),
+     _REFUSED + [("irreducible" + _AT_X2, {"hom_space"})]),
     ("_relabelings_only", _checked_with(_sigma_target),
-     [("semisimple" + _AT_X2, {"_closure", "_center_dim"}),
-      ("irreducible" + _AT_X2, {"hom_space"})]),
+     _REFUSED + [("irreducible" + _AT_X2, {"hom_space"})]),
     ("_color_swaps", _non_commuting_swap,
-     [("semisimple" + _AT_X2, {"_closure", "_center_dim"}),
-      ("irreducible" + _AT_X2, {"hom_space", "_projected_hom_dim"})])],
+     _REFUSED + [("irreducible" + _AT_X2, {"hom_space", "_projected_hom_dim"})])],
     ids=["extra_self_component", "sigma_weight", "sigma_target", "non_commuting_swap"])
 def test_a_failed_count_takes_the_fallback_with_the_same_report(monkeypatch, capsys, name,
                                                                 sabotage, cases):
     for argv, fallbacks in cases:
         want = _cli_report(capsys, argv.split())
+        assert want[0] == 0
         with monkeypatch.context() as m:
             calls = set()
-            for fallback in ("_closure", "_center_dim", "_projected_hom_dim", "hom_space"):
+            for fallback in ("_projected_hom_dim", "hom_space"):
                 def counted(*args, _name=fallback, _original=getattr(analysis, fallback)):
                     calls.add(_name)
                     return _original(*args)
                 m.setattr(analysis, fallback, counted)
-            assert _cli_report(capsys, argv.split()) == want
-            assert calls < fallbacks
+            assert _cli_report(capsys, argv.split())[:2] == want[:2]
+            assert calls < fallbacks if fallbacks else not calls
             calls.clear()
             m.setattr(analysis, name, sabotage(getattr(analysis, name)))
-            assert _cli_report(capsys, argv.split()) == want
-            assert calls == fallbacks
+            code, out, err = _cli_report(capsys, argv.split())
+            if fallbacks is None:
+                assert (code, out) == (1, "")
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert "Traceback" not in err
+            else:
+                assert (code, out) == want[:2]
+                assert calls == fallbacks
 
 
 # At x other than 0 and -1 the three reports walk no hom space at all.
@@ -1308,10 +1354,9 @@ def test_the_lemma_path_walks_no_hom_space(monkeypatch, N, n):
 
     monkeypatch.setattr(analysis, "hom_space", refused)
     for x in (Fraction(2), Fraction(1), Fraction(-2, 3)):
-        assert _certified_image(N, n, x)[3] is not None
         assert semisimplicity_check(N, n, x)["radical_dim"] == 0
         assert all(e["end_dim"] == 1 for e in harmonic_end_dims(N, n, x))
-        if N <= n <= 5:  # the symmetrizer products grow dense beyond
+        if N <= n:
             assert localization_report(N, n, x)["triangle_ok"]
 
 
@@ -1319,7 +1364,7 @@ def test_x_one_is_certified_by_the_minus_x_cycle():
     # at x = 1 the sigma_j 2-cycle through a mixed cell has product 1, and
     # the cycle of sigma_j then s_j, of product -1, kills the cell's orbit
     x = Fraction(1)
-    assert _certified_image(3, 4, x)[3] is not None
+    assert len(_certified_image(3, 4, x)[0]) == 4
     assert semisimplicity_check(3, 4, x) == closure_reports(3, 4, x)[0] == \
         {"radical_dim": 0, "center_dim": 6, "algebra_dim": 107}
     ends = harmonic_end_dims(4, 5, x)
@@ -1332,8 +1377,9 @@ def test_x_one_is_certified_by_the_minus_x_cycle():
 # harmonic module, prod p(k_i) on each block (p the partition count, k_i
 # the sizes of the multiplicity classes).
 @pytest.mark.parametrize("N,n,algebra_dim,center_dim", [(3, 9, 2886640, 17),
+                                                        (3, 10, 23444678, 19),
                                                         (2, 14, 20058300, 9)],
-                         ids=["3,9", "2,14"])
+                         ids=["3,9", "3,10", "2,14"])
 def test_the_reports_equal_the_closed_forms_beyond_the_closure(N, n, algebra_dim, center_dim):
     algebra = center = 0
     for lam, _ in analysis._charge_index(N, n):
@@ -1347,13 +1393,14 @@ def test_the_reports_equal_the_closed_forms_beyond_the_closure(N, n, algebra_dim
 
 # ---------------------------------------------------------------------------
 # The symmetry certificate of a zero radical, against the trace-form Gram
-# it replaced (helpers.gram_radical_dim), where the Wedderburn count fails.
+# it replaced (helpers.gram_radical_dim), at x = -1, where the harmonic
+# modules are not the simples.
 
 @pytest.mark.parametrize("N,n", [(2, 2), (2, 5), (3, 4), (4, 4), (3, 5), (2, 6)])
 def test_symmetry_certificate_matches_the_gram_radical(N, n):
     x = Fraction(-1)
-    pieces, (basis, gens) = _certified_image(N, n, x)[3:]
-    assert pieces is None
+    _, gens, ident, _ = collapsed_generators(N, n, x)
+    basis, _ = _closure(gens, [ident])
     assert gram_radical_dim(basis) == semisimplicity_check(N, n, x)["radical_dim"] == \
         localization_report(N, n, x)["radical_dim"] == 0
 
