@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("GroupTypeViolation", "IncompleteMatch", "LoopBraidError", "NonFieldModulus",
                "NotAUnit", "NotGroupType", "NotIdempotent", "NotStochastic", "SingularImage"),
-    "rings": ("QQ", "LQ", "IntegersMod", "LaurentPoly", "Rational", "ZmInt", "mod_inverse",
-              "unit_group"),
+    "rings": ("QQ", "LQ", "LaurentPoly", "Rational"),
+    "modular": ("IntegersMod", "ZmInt", "mod_inverse", "unit_group"),
     "linalg": ("Matrix", "WeightedPerm"),
     "words": ("Generator", "RelationSet", "check_relations", "evaluate_word", "relations_for",
               "s_", "sigma"),

@@ -6,6 +6,10 @@ The braid generator maps to a block placement of M = [[0, 1], [t, 1-t]]
 and the symmetry generator to the corresponding placement of the plain
 transposition block; every image is an n x n row-stochastic matrix over
 Z_m, i.e. an element of the affine group AGL_{n-1}(Z_m).
+
+The image order and determinants work on the int blocks and int
+permutations alone; linalg and braided are imported by the functions that
+build a Matrix, a WeightedPerm or a BVS.
 """
 
 from __future__ import annotations
@@ -13,10 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .braided import affine_bvs, swap_operator
 from .errors import InvalidParameters, NotStochastic
-from .linalg import Matrix, WeightedPerm
-from .rings import IntegersMod, ZmInt, subgroup_generated, unit_group
+from .modular import IntegersMod, ZmInt, subgroup_generated, unit_group
 
 
 class AffineParams:
@@ -54,7 +56,24 @@ class AffineParams:
         return IntegersMod(self.m)
 
 
+def _generator_blocks(p: AffineParams) -> dict:
+    """The int 2 x 2 block of each generator image, keyed ("sigma", i) and
+    ("s", i) as rho_generators is; the image is the identity with the
+    block at rows and columns i, i + 1.
+
+    Evaluating the sigma block at t = 1 gives the s block.
+    """
+    mblock = ((0, 1), (p.t, 1 - p.t))
+    pblock = ((0, 1), (1, 0))
+    blocks = {}
+    for i in range(1, p.n):
+        blocks[("sigma", i)] = mblock
+        blocks[("s", i)] = pblock
+    return blocks
+
+
 def _block_placed(ring, n, i, block):
+    from .linalg import Matrix
     rows = [[ring.one if r == c else ring.zero for c in range(n)] for r in range(n)]
     for r in range(2):
         for c in range(2):
@@ -63,18 +82,10 @@ def _block_placed(ring, n, i, block):
 
 
 def rho_generators(p: AffineParams) -> dict:
-    """Images of sigma_i and s_i as stochastic matrices over Z_m.
-
-    Evaluating the sigma block at t = 1 gives the s block.
-    """
+    """Images of sigma_i and s_i as stochastic matrices over Z_m."""
     ring = p.ring
-    mblock = [[0, 1], [p.t, 1 - p.t]]
-    pblock = [[0, 1], [1, 0]]
-    images = {}
-    for i in range(1, p.n):
-        images[("sigma", i)] = _block_placed(ring, p.n, i, mblock)
-        images[("s", i)] = _block_placed(ring, p.n, i, pblock)
-    return images
+    return {key: _block_placed(ring, p.n, key[1], block)
+            for key, block in _generator_blocks(p).items()}
 
 
 def is_row_stochastic(g: Matrix) -> bool:
@@ -127,6 +138,7 @@ class AglElement:
         return AglElement(prod, vec, m)
 
     def to_matrix(self) -> Matrix:
+        from .linalg import Matrix
         ring = IntegersMod(self.m)
         k = self.k
         rows = []
@@ -138,6 +150,7 @@ class AglElement:
 
 
 def _basis_change(ring, n) -> Matrix:
+    from .linalg import Matrix
     # columns (1,..,1), (0,1,..,1), ..., (0,..,0,1)
     return Matrix(ring, [[ring.one if r >= c else ring.zero for c in range(n)]
                          for r in range(n)])
@@ -182,6 +195,7 @@ class ImageResult:
         built on each read; None unless elements were kept."""
         if self.residues is None:
             return None
+        from .linalg import Matrix
         ring, n = self._params.ring, self._params.n
         return [Matrix.from_int_rows(ring, [r[i:i + n] for i in range(0, n * n, n)])
                 for r in self.residues]
@@ -195,8 +209,10 @@ def generate_image(p: AffineParams, cap: int = 10 ** 7,
     The order comes from a stabilizer chain (_chain_order) on the m^(n-1)
     rows of Z_m^n whose residues sum to 1, on which every image acts by
     right multiplication; the base is the n unit rows, which only the
-    identity fixes.  The determinant set is the subgroup of Z_m^x the
-    generators' determinants generate (det is a homomorphism).  The result
+    identity fixes.  An image changes only the two entries of a row under
+    its 2 x 2 block, so each permutation is read off the int block.  The
+    determinant set is the subgroup of Z_m^x the generators' determinants,
+    a d - b c of each block, generate (det is a homomorphism).  The result
     is complete when the order is at most cap.  With keep_elements and a
     complete order, each element u_{k-1} ... u_0 (one representative u_i
     of each chain level) is listed by its rows, the images of the unit
@@ -205,18 +221,21 @@ def generate_image(p: AffineParams, cap: int = 10 ** 7,
     if cap < 1:
         raise InvalidParameters("cap must be at least 1, got %d" % cap)
     m, n = p.m, p.n
-    gens = list(rho_generators(p).values())
+    blocks = _generator_blocks(p)
     # the last residue of each such row is fixed by the others; the rows are
     # listed in lexicographic order, so point indices compare as the rows do
     rows = [(*head, (1 - sum(head)) % m) for head in itertools.product(range(m), repeat=n - 1)]
     index = {row: i for i, row in enumerate(rows)}
     perms = []
-    for g in gens:
-        cols = [[v.residue for v in col] for col in zip(*g.rows)]
-        perms.append(tuple([index[_row_times(row, cols, m)] for row in rows]))
+    for (_, i), ((a, b), (c, d)) in blocks.items():
+        # entries i - 1 and i of the row times the block, the others kept
+        perms.append(tuple([index[(*row[:i - 1], (row[i - 1] * a + row[i] * c) % m,
+                                   (row[i - 1] * b + row[i] * d) % m, *row[i + 1:])]
+                            for row in rows]))
     base = [index[tuple(int(c == r) for c in range(n))] for r in range(n)]
     order, levels = _chain_order(perms, base)
-    dets = frozenset(subgroup_generated(m, [g.det().residue for g in gens]))
+    dets = frozenset(subgroup_generated(m, [(a * d - b * c) % m
+                                            for (a, b), (c, d) in blocks.values()]))
     complete = order <= cap
     residues = None
     if keep_elements and complete:
@@ -226,11 +245,6 @@ def generate_image(p: AffineParams, cap: int = 10 ** 7,
         images.sort()
         residues = [[v for x in image for v in rows[x]] for image in images]
     return ImageResult(order, complete, residues, dets, p)
-
-
-def _row_times(row, cols, m):
-    """The row times the matrix with the given columns, mod m."""
-    return tuple(sum(x * y for x, y in zip(row, col)) % m for col in cols)
 
 
 def _chain_order(perms, base):
@@ -350,53 +364,11 @@ def signed_power_set(m: int, t: int) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Proof-word landmarks inside AGL form.
-
-def delta(ring, n, i, j) -> Matrix:
-    rows = [[ring.zero] * n for _ in range(n)]
-    rows[i - 1][j - 1] = ring.one
-    return Matrix(ring, rows)
-
-
-def proof_word_landmarks(p: AffineParams) -> dict:
-    """Landmark identities for the commutator of the last two generators.
-
-    With Sig(t), Sig(1) the affine-form images of the last braid and
-    symmetry generators, the word T(t) = Sig(t) Sig(1) Sig(t)^-1 Sig(1)
-    lands on I + (1-t)(D_{n-1,n-2} - D_{n-1,n}), and its k-th power at
-    k = (1-t)^-1 equals the t = 0 evaluation of the same formula: the
-    stepping stones from which elementary matrices, and with them the
-    whole affine group, are generated.
-    """
-    ring = p.ring
-    n = p.n
-    if n < 3:
-        raise InvalidParameters("the landmark words need three strands, got %d" % n)
-    if math.gcd(p.m, (1 - p.t) % p.m) != 1:
-        raise InvalidParameters("1 - t = %d must be a unit mod m = %d" % (1 - p.t, p.m))
-    images = rho_generators(p)
-    sig_t = to_agl_form(images[("sigma", n - 1)]).to_matrix()
-    sig_1 = to_agl_form(images[("s", n - 1)]).to_matrix()
-    t_word = sig_t * sig_1 * sig_t.inverse() * sig_1
-    one_minus_t = ring.from_int(1 - p.t)
-    expected_t = Matrix.identity(ring, n) + (
-        delta(ring, n, n - 1, n - 2) - delta(ring, n, n - 1, n)).scale(one_minus_t)
-    k = pow((1 - p.t) % p.m, -1, p.m)
-    t_pow = Matrix.identity(ring, n)
-    for _ in range(k):
-        t_pow = t_pow * t_word
-    expected_t0 = Matrix.identity(ring, n) + (
-        delta(ring, n, n - 1, n - 2) - delta(ring, n, n - 1, n))
-    return {"T": t_word, "T_expected": expected_t, "k": k,
-            "T_pow_k": t_pow, "T0_expected": expected_t0,
-            "ok": t_word == expected_t and t_pow == expected_t0}
-
-
-# ---------------------------------------------------------------------------
 # Quantum double braiding cross-check.
 
 def drinfeld_r_permutation(m: int, t: int) -> WeightedPerm:
     """The double's braiding on index pairs: (i, j) -> ((1-t) i + t j, i)."""
+    from .linalg import WeightedPerm
     from .rings import QQ
     tgt = []
     for i in range(m):
@@ -414,6 +386,7 @@ def drinfeld_report(m: int, t: int) -> dict:
     affine braiding at the inverse parameter t^-1.  The literal transpose
     at the same t fails in general and is reported for transparency.
     """
+    from .braided import affine_bvs, swap_operator
     if math.gcd(m, t) != 1 or math.gcd(m, (1 - t) % m) != 1:
         raise InvalidParameters("t = %d and 1 - t must be units mod m = %d" % (t, m))
     r_hat = drinfeld_r_permutation(m, t)

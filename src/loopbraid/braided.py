@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .errors import GroupTypeViolation, InvalidParameters, NotGroupType
 from .linalg import Matrix, WeightedPerm, kron_list, require_assembly
-from .rings import LQ, QQ, IntegersMod, LaurentPoly, rational_from_str
+from .modular import IntegersMod
+from .rings import LQ, QQ, LaurentPoly, rational_from_str
 from .words import check_relations, relations_for
 
 

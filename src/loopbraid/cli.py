@@ -2,23 +2,24 @@
 exit code 0 when every asserted check passed, 1 when a check failed or
 stdout closed early, 2 on usage errors.  Reports are deterministic byte-for-byte for equal manifests
 and inputs.  Every manifest records a seed, LBREP_SEED when set; no
-computation reads it."""
+computation reads it.
+
+Importing this module loads no other module of the package but errors,
+and neither json nor fractions: the report text comes from _json_chunks,
+and each command imports what it calls."""
 
 from __future__ import annotations
 
 import atexit
 import itertools
-import json
 import os
 import re
 import sys
 import time
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
 from .errors import InvalidParameters, LoopBraidError
-from .rings import rational_from_str
 
 # Parsed options the manifest leaves out: the subcommand and its handler,
 # and flags that only add to the report or move part of it to a file.
@@ -48,16 +49,113 @@ def _manifest(args, ring, seed):
 
 
 def _emit(report):
-    """Write the report to sys.stdout in batches of encoder chunks, so that
+    """Write the report to sys.stdout in batches of 2,048 chunks, so that
     neither the chunks of a large report nor its whole text are held at
-    once."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(report)
+    once.  A chunk holds up to one list of ints, such as an element's
+    residues."""
+    chunks = _json_chunks(report, "\n")
     for first in chunks:
-        sys.stdout.write(first + "".join(itertools.islice(chunks, (1 << 14) - 1)))
+        sys.stdout.write(first + "".join(itertools.islice(chunks, (1 << 11) - 1)))
     sys.stdout.write("\n")
 
 
+# ---------------------------------------------------------------------------
+# The report text: exactly json.JSONEncoder(sort_keys=True, indent=1) with
+# its defaults (ensure_ascii), for the values a report holds.
+
+# the escapes of the ASCII characters that a string cannot hold as they
+# are: the backslash, replaced first, the quote, the control characters
+# and DEL
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n",
+            "\r": "\\r", "\t": "\\t"}
+_ESCAPES.update({chr(code): "\\u%04x" % code for code in (*range(0x20), 0x7F)
+                 if chr(code) not in _ESCAPES})
+
+
+def _escape_non_ascii(match):
+    code = ord(match.group())
+    if code > 0xFFFF:  # as a UTF-16 surrogate pair
+        code -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+    return "\\u%04x" % code
+
+
+def _json_str(text):
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    for char, escape in _ESCAPES.items():
+        if char in text:
+            text = text.replace(char, escape)
+    if not text.isascii():
+        text = re.sub("[^\x00-\x7f]", _escape_non_ascii, text)
+    return '"' + text + '"'
+
+
+def _json_flat(value, newline):
+    """The text of a str, int, bool, None, empty dict or list or tuple of
+    plain ints, with newline as in _json_chunks; None for any other list,
+    tuple or dict."""
+    if isinstance(value, (list, tuple)):
+        if not set(map(type, value)) <= {int}:
+            return None
+        if not value:
+            return "[]"
+        inner = newline + " "
+        return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
+    if isinstance(value, dict):
+        return None if value else "{}"
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
+def _json_key(key):
+    if isinstance(key, str):
+        return _json_str(key)
+    if key is None or isinstance(key, int):  # bools included, as json writes them
+        return '"' + _json_flat(key, "") + '"'
+    raise TypeError("keys must be str, int, bool or None, not %s" % type(key).__name__)
+
+
+def _json_chunks(value, newline):
+    """The text of a value in chunks.  newline is a line break and the
+    indent of the value's own line; a non-empty list, tuple or dict puts
+    each item on a line of its own, one space deeper.  A list of plain ints
+    is one chunk."""
+    text = _json_flat(value, newline)
+    if text is not None:
+        yield text
+        return
+    inner = newline + " "
+    if isinstance(value, dict):
+        items = [(_json_key(k) + ": ", v) for k, v in sorted(value.items())]
+        separator, closing = "{" + inner, newline + "}"
+    else:
+        items = zip(itertools.repeat(""), value)
+        separator, closing = "[" + inner, newline + "]"
+    for prefix, v in items:
+        text = _json_flat(v, inner)
+        if text is None:
+            yield separator + prefix
+            yield from _json_chunks(v, inner)
+        else:
+            yield separator + prefix + text
+        separator = "," + inner
+    yield closing
+
+
 def _frac(text):
+    from fractions import Fraction
+
+    from .rings import rational_from_str
     try:
         return Fraction(rational_from_str(text))
     except (ValueError, ZeroDivisionError):

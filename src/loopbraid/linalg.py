@@ -17,7 +17,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import InvalidParameters, NonFieldModulus, SingularImage
-from .rings import LQ, QQ, ZZ, IntegersMod, LaurentPoly, _monomial_codes
+from .modular import IntegersMod
+from .rings import LQ, QQ, ZZ, LaurentPoly, _monomial_codes
 
 ASSEMBLY_LIMIT = 10 ** 4  # refuse whole-tensor-power assemblies above this many rows
 BLOCK_LIMIT = 10 ** 5  # refuse charge blocks above this many words

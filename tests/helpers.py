@@ -5,12 +5,14 @@ import math
 import random
 from fractions import Fraction
 
-from loopbraid.affine import AffineParams, AglElement, _basis_change
+from loopbraid.affine import (AffineParams, AglElement, _basis_change, rho_generators,
+                              to_agl_form)
 from loopbraid.analysis import (BmwReport, _color_swaps, _laurent_witness, _projected_hom_dim,
                                 _require_symmetric, hom_space, is_e_null)
 from loopbraid.errors import InvalidParameters, LoopBraidError
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, op_dim, rank
-from loopbraid.rings import LQ, QQ, ZZ, IntegersMod, LaurentPoly, ZmInt
+from loopbraid.modular import IntegersMod, ZmInt
+from loopbraid.rings import LQ, QQ, ZZ, LaurentPoly
 from loopbraid.symmetric import partitions, young_symmetrizer_coeffs
 from loopbraid.tensor import (ChargeBlock, ModuleSpec, TauRep, _apply_columns, _apply_wp,
                               _charge_index, _perm_ops, f_columns, f_operator, harmonic_blocks,
@@ -31,6 +33,11 @@ def from_agl_form(el: AglElement) -> Matrix:
     ring = h.ring
     b = _basis_change(ring, el.k + 1)
     return (b.inverse() * h * b).transpose()
+
+
+def _row_times(row, cols, m):
+    """The row times the matrix with the given columns, mod m."""
+    return tuple(sum(x * y for x, y in zip(row, col)) % m for col in cols)
 
 
 def dense_scale(mat, c):
@@ -101,6 +108,50 @@ def symmetrized_seed_vector(block: ChargeBlock, rep: TauRep) -> list:
     for _, op in _perm_ops(block, rep.ring, block.n):
         vec[op.tgt[0]] = vec[op.tgt[0]] + op.wts[0]
     return vec
+
+
+# ---------------------------------------------------------------------------
+# Proof-word landmarks inside AGL form: checks of the generation argument,
+# which no command runs.
+
+def delta(ring, n, i, j) -> Matrix:
+    rows = [[ring.zero] * n for _ in range(n)]
+    rows[i - 1][j - 1] = ring.one
+    return Matrix(ring, rows)
+
+
+def proof_word_landmarks(p: AffineParams) -> dict:
+    """Landmark identities for the commutator of the last two generators.
+
+    With Sig(t), Sig(1) the affine-form images of the last braid and
+    symmetry generators, the word T(t) = Sig(t) Sig(1) Sig(t)^-1 Sig(1)
+    lands on I + (1-t)(D_{n-1,n-2} - D_{n-1,n}), and its k-th power at
+    k = (1-t)^-1 equals the t = 0 evaluation of the same formula: the
+    stepping stones from which elementary matrices, and with them the
+    whole affine group, are generated.
+    """
+    ring = p.ring
+    n = p.n
+    if n < 3:
+        raise InvalidParameters("the landmark words need three strands, got %d" % n)
+    if math.gcd(p.m, (1 - p.t) % p.m) != 1:
+        raise InvalidParameters("1 - t = %d must be a unit mod m = %d" % (1 - p.t, p.m))
+    images = rho_generators(p)
+    sig_t = to_agl_form(images[("sigma", n - 1)]).to_matrix()
+    sig_1 = to_agl_form(images[("s", n - 1)]).to_matrix()
+    t_word = sig_t * sig_1 * sig_t.inverse() * sig_1
+    one_minus_t = ring.from_int(1 - p.t)
+    expected_t = Matrix.identity(ring, n) + (
+        delta(ring, n, n - 1, n - 2) - delta(ring, n, n - 1, n)).scale(one_minus_t)
+    k = pow((1 - p.t) % p.m, -1, p.m)
+    t_pow = Matrix.identity(ring, n)
+    for _ in range(k):
+        t_pow = t_pow * t_word
+    expected_t0 = Matrix.identity(ring, n) + (
+        delta(ring, n, n - 1, n - 2) - delta(ring, n, n - 1, n))
+    return {"T": t_word, "T_expected": expected_t, "k": k,
+            "T_pow_k": t_pow, "T0_expected": expected_t0,
+            "ok": t_word == expected_t and t_pow == expected_t0}
 
 
 # ---------------------------------------------------------------------------

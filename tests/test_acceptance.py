@@ -10,10 +10,9 @@ import math
 import time
 from fractions import Fraction
 
-from helpers import determinant_profile
+from helpers import determinant_profile, proof_word_landmarks
 from loopbraid.affine import (AffineParams, agl_order, drinfeld_r_permutation,
-                              generate_image, gl_order, proof_word_landmarks,
-                              rho_generators, signed_power_set,
+                              generate_image, gl_order, rho_generators, signed_power_set,
                               surjectivity_predicate)
 from loopbraid.analysis import (bmw_check, end_dim, hom_dim, is_e_null,
                                 localization_report, restrict_and_branch,
@@ -21,7 +20,8 @@ from loopbraid.analysis import (bmw_check, end_dim, hom_dim, is_e_null,
                                 verify_young_branching, harmonic_end_dims)
 from loopbraid.braided import affine_bvs, swap_operator
 from loopbraid.linalg import Matrix, RowSpan
-from loopbraid.rings import QQ, IntegersMod
+from loopbraid.modular import IntegersMod
+from loopbraid.rings import QQ
 from loopbraid.tensor import (TauRep, charge_blocks, f_columns, f_operator, full_images,
                               harmonic_decompose, harmonic_dims, localized_young_dim,
                               localized_harmonic_prediction, localize,

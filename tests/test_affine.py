@@ -11,17 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopbraid
-from helpers import determinant_profile, from_agl_form
+from helpers import _row_times, determinant_profile, from_agl_form, proof_word_landmarks
 from loopbraid import affine
 from loopbraid.affine import (AffineParams, AglElement, agl_order, drinfeld_r_permutation,
                               drinfeld_report, generate_image, gl_order,
-                              is_row_stochastic, proof_word_landmarks,
-                              rho_generators, signed_power_set,
+                              is_row_stochastic, rho_generators, signed_power_set,
                               surjectivity_predicate, to_agl_form)
 from loopbraid.braided import affine_bvs, swap_operator
 from loopbraid.errors import InvalidParameters, NotStochastic
 from loopbraid.linalg import Matrix
-from loopbraid.rings import IntegersMod
+from loopbraid.modular import IntegersMod, subgroup_generated
 
 
 def res(mat):
@@ -178,6 +177,45 @@ def test_generate_image_matches_matrix_oracle(m, t, n):
             assert result.elements is None, (cap,)
         assert set(result.determinants) == \
             {d.residue for d in determinant_profile(p, elements)}, (cap,)
+
+
+@pytest.mark.parametrize("m", range(2, 14))
+def test_int_generators_match_the_matrix_route(monkeypatch, m):
+    # generate_image reads its permutations and determinants off the int
+    # blocks; the Matrix images multiply the rows and give det directly.
+    # Above 400 points the chain takes seconds, so there the check stops
+    # at the permutations and determinants.
+    chains = []
+    chain_order = affine._chain_order
+
+    def capture(perms, base):
+        chains.append(perms)
+        return chain_order(perms, base) if len(perms[0]) <= 400 else (0, [])
+
+    monkeypatch.setattr(affine, "_chain_order", capture)
+    for t in range(2, m):
+        if math.gcd(m, t) != 1:
+            continue
+        for n in (2, 3, 4):
+            p = AffineParams(m, t, n)
+            result = generate_image(p, cap=2000, keep_elements=True)
+            gens = list(rho_generators(p).values())
+            rows = [(*head, (1 - sum(head)) % m) for head in product(range(m), repeat=n - 1)]
+            index = {row: i for i, row in enumerate(rows)}
+            perms = [tuple(index[_row_times(row, [[v.residue for v in col] for col in zip(*g.rows)],
+                                            m)] for row in rows) for g in gens]
+            assert chains.pop() == perms, (m, t, n)
+            assert result.determinants == subgroup_generated(m, [g.det().residue for g in gens])
+            if len(rows) > 400:
+                continue
+            if result.order <= 2000:
+                order, _, elements = _matrix_closure_oracle(p, 2000)
+                assert result.residues == [[v for row in res(g) for v in row] for g in elements]
+            else:
+                base = [index[tuple(int(c == r) for c in range(n))] for r in range(n)]
+                order = chain_order(perms, base)[0]
+                assert result.residues is None
+            assert result.order == order, (m, t, n)
 
 
 def _column_update(g):
@@ -464,7 +502,8 @@ def test_params_validation():
 _BAD_CALLS_PRELUDE = ("from loopbraid.affine import agl_order, gl_order, surjectivity_predicate\n"
                       "from helpers import algebra_span\n"
                       "from loopbraid.linalg import Matrix, WeightedPerm\n"
-                      "from loopbraid.rings import QQ, IntegersMod, subgroup_generated\n")
+                      "from loopbraid.modular import IntegersMod, subgroup_generated\n"
+                      "from loopbraid.rings import QQ\n")
 _BAD_CALLS = ["surjectivity_predicate(6, 3)", "surjectivity_predicate(9, 0)",
               "agl_order(5, 0)", "gl_order(5, -1)",
               "subgroup_generated(6, [5, 2])", "subgroup_generated(9, [3])",

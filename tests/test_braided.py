@@ -16,7 +16,8 @@ from loopbraid.braided import (BVS, GroupTypeData, affine_bvs, affine_loop,
                                swap_operator, tau_loop)
 from loopbraid.errors import GroupTypeViolation, InvalidParameters, NotGroupType
 from loopbraid.linalg import Matrix, WeightedPerm
-from loopbraid.rings import QQ, IntegersMod, LaurentPoly
+from loopbraid.modular import IntegersMod
+from loopbraid.rings import QQ, LaurentPoly
 from loopbraid.words import check_relations, relations_for
 
 

@@ -19,7 +19,7 @@ from loopbraid.affine import AffineParams, AglElement, generate_image
 from loopbraid.cli import DEFAULT_SEED, _build_parser, dispatch, emit_dot
 from loopbraid.errors import InvalidParameters
 from loopbraid.linalg import Matrix
-from loopbraid.rings import IntegersMod, ZmInt
+from loopbraid.modular import IntegersMod, ZmInt
 from loopbraid.tensor import HarmonicLabel, TauRep
 from loopbraid.words import Generator, Relation, s_, sigma
 
@@ -414,11 +414,11 @@ def test_manifest_parameters(capsys, tmp_path, monkeypatch, argv, parameters):
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # each CLI run pays for these imports; together they cost about half
     # of `import loopbraid.cli`.  argparse (with gettext and locale) is for
-    # help and errors only, and each command imports its own modules.
+    # help and errors only, json is replaced by the report writer, and each
+    # command imports its own modules, fractions with them.
     env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
     for statement, ours in (
-            ("import loopbraid.cli",
-             {"loopbraid", "loopbraid.cli", "loopbraid.errors", "loopbraid.rings"}),
+            ("import loopbraid.cli", {"loopbraid", "loopbraid.cli", "loopbraid.errors"}),
             ("import loopbraid", {"loopbraid"})):
         code = ("import sys\n"
                 "before = set(sys.modules)\n"
@@ -429,7 +429,68 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         assert proc.returncode == 0, proc.stderr
         new = proc.stdout.split()
         assert {m for m in new if m.split(".")[0] == "loopbraid"} == ours, statement
-        assert not {"dataclasses", "inspect", "argparse", "gettext", "locale"} & set(new)
+        assert not {"dataclasses", "inspect", "argparse", "gettext", "locale", "json",
+                    "fractions", "decimal"} & set(new)
+
+
+def test_an_affine_image_run_loads_no_rational_or_matrix_module():
+    # the image order and its report need ints, tuples and the writer only
+    env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
+    code = ("import sys\n"
+            "from loopbraid.cli import dispatch\n"
+            "code = dispatch(['affine-image', '--m', '5', '--t', '2', '--n', '3',\n"
+            "                 '--emit-elements'])\n"
+            "print(code, *sorted(sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert {m for m in loaded if m.split(".")[0] == "loopbraid"} == {
+        "loopbraid", "loopbraid.cli", "loopbraid.errors", "loopbraid.affine", "loopbraid.modular"}
+    assert not {"fractions", "decimal", "json", "loopbraid.rings", "loopbraid.linalg",
+                "loopbraid.braided", "loopbraid.words"} & set(loaded)
+
+
+# ---------------------------------------------------------------------------
+# The report writer against json, its oracle.
+
+_JSON_TEXT = (st.text(st.characters(exclude_categories=()), max_size=6)
+              | st.sampled_from(["", "\x00", "\x1f", "\x7f", "\x80", "\u00e9", "\u2028",
+                                 "\ud800", "\udfff", "\U0001f600", "\U0010ffff", '"', "\\",
+                                 "\\u00e9", "a\nb\tc\r\x08\x0c", "plain text"]))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10 ** 18, 10 ** 60) | _JSON_TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(st.integers(), max_size=4)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)
+                   | st.dictionaries(st.integers(-3, 3), inner, max_size=3)),
+    max_leaves=16)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(_JSON_VALUES)
+@example([1, True, 0, False, None, -1, 2 ** 100])
+@example({True: [], False: {}, 2: ()})
+@example({None: [[], {}]})
+@example(["\x7f\ud834\udd1e\U0001d11e", {"\x00\"\\": "\u0100"}])
+def test_the_report_writer_matches_json(value):
+    assert "".join(cli._json_chunks(value, "\n")) == json.dumps(value, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, [1, 2.0], {"x": [Fraction(3)]},
+                                   {1.5: 1}, {(1,): 1}, {1, 2}, b"x"])
+def test_the_report_writer_refuses_values_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        "".join(cli._json_chunks(value, "\n"))
+
+
+def test_every_benchmark_report_is_json_text(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # branch --dot writes graph.dot here
+    for case in _benchmark_cases():
+        assert dispatch(list(case.argv)) == case.exit_code, case.id
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=1) + "\n", case.id
 
 
 # dispatch builds the subparser of argv[0] only; every argv behaves as with

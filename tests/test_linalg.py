@@ -10,7 +10,8 @@ from helpers import (dense_scale, dense_wperm_product, fraction_branch, is_field
                      random_prime_above_2_30)
 from loopbraid.errors import IncompleteMatch, NonFieldModulus, SingularImage
 from loopbraid.linalg import Matrix, RowSpan, WeightedPerm, rank
-from loopbraid.rings import LQ, QQ, ZZ, IntegersMod, LaurentPoly
+from loopbraid.modular import IntegersMod
+from loopbraid.rings import LQ, QQ, ZZ, LaurentPoly
 
 
 def rank_and_kernel(mat: Matrix):

@@ -16,7 +16,8 @@ from helpers import (dense_scale, dense_wperm_product, is_field, is_probable_pri
 from loopbraid.analysis import bmw_check
 from loopbraid.errors import InvalidParameters, NotAUnit
 from loopbraid.linalg import Matrix, WeightedPerm
-from loopbraid.rings import LQ, QQ, ZZ, IntegersMod, LaurentPoly, ZmInt, mod_inverse, unit_group
+from loopbraid.modular import IntegersMod, ZmInt, mod_inverse, unit_group
+from loopbraid.rings import LQ, QQ, ZZ, LaurentPoly
 
 
 def test_mod_inverse_examples():
@@ -68,13 +69,16 @@ def test_zmint_modulus_guard_without_asserts():
     # 1 - t, the harmonic decomposition's partition block, the harmonic
     # projector's block and label, the operand shapes of Matrix and
     # WeightedPerm arithmetic and of det, and AGL operands) must not use them
-    env = dict(os.environ, PYTHONPATH=str(Path(loopbraid.__file__).resolve().parents[1]))
-    code = ("from loopbraid.affine import AffineParams, AglElement, proof_word_landmarks\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(loopbraid.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]))
+    code = ("from helpers import proof_word_landmarks\n"
+            "from loopbraid.affine import AffineParams, AglElement\n"
             "from loopbraid.analysis import hom_dim, restrict_and_branch\n"
             "from loopbraid.braided import local_rep, tau_loop\n"
             "from loopbraid.errors import InvalidParameters\n"
             "from loopbraid.linalg import Matrix, WeightedPerm\n"
-            "from loopbraid.rings import QQ, ZmInt\n"
+            "from loopbraid.modular import ZmInt\n"
+            "from loopbraid.rings import QQ\n"
             "from loopbraid.tensor import (ChargeBlock, HarmonicLabel, TauRep, f_operator,\n"
             "                              harmonic_decompose, harmonic_projector,\n"
             "                              partition_block, young_module)\n"

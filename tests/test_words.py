@@ -10,7 +10,8 @@ from helpers import evaluated_check_relations
 from loopbraid.affine import AffineParams, rho_generators
 from loopbraid.errors import InvalidParameters
 from loopbraid.linalg import CodedPerm, Matrix, WeightedPerm
-from loopbraid.rings import LQ, QQ, IntegersMod, LaurentPoly, _monomial_codes
+from loopbraid.modular import IntegersMod
+from loopbraid.rings import LQ, QQ, LaurentPoly, _monomial_codes
 from loopbraid.tensor import TauRep, full_images
 from loopbraid.words import (Generator, Relation, RelationSet, check_relations,
                              evaluate_word, relations_for, s_, sigma)
